@@ -30,7 +30,7 @@ from .hankel import cf_extract, hankel_family
 from .paths import WeightLadder
 from .rational import rat
 from .series import MSeries, SeriesRing
-from .slices import FaceWeights, f_sequence, ladder_solve, twopoint_from_ladder
+from .slices import FaceWeights, f_sequence, ladder_solve, tail_solve, twopoint_from_ladder
 from .suites import SUITES, run_suite
 
 MAP_FAMILIES = ("quad", "hex", "general")
@@ -73,6 +73,8 @@ def _face_weights(config: JobConfig, parser: argparse.ArgumentParser) -> FaceWei
         parser.error("--family general requires --g")
     if not config.g[-1]:
         parser.error("the last face weight must be nonzero")
+    if config.g[0] == 1:
+        parser.error("the degree-two face weight g_1 = 1 makes the series divergent")
     return FaceWeights(config.g)
 
 
@@ -110,6 +112,8 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
         parser.error("--order must be at least 1")
     if config.i_max < 1:
         parser.error("--i-max must be at least 1")
+    if config.g and config.family != "general":
+        parser.error("--g applies only to --family general")
     records: list[dict] = []
     meta: dict = {
         "command": config.command,
@@ -146,11 +150,11 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
                 except ValueError as exc:
                     parser.error(str(exc))
             else:
-                base = ladder_solve(g, ring)
+                b, w = tail_solve(g, ring)
                 det_index = config.i_max // 2
                 n_top = 2 * det_index + 1
-                fb = f_sequence(n_top, g, base.tail_black, base.tail_white, "black")
-                fw = f_sequence(n_top, g, base.tail_black, base.tail_white, "white")
+                fb = f_sequence(n_top, g, b, w, "black")
+                fw = f_sequence(n_top, g, b, w, "white")
                 ladder = cf_extract(hankel_family(fb, fw, det_index), config.i_max)
             records.extend(_ladder_records(ladder, config.i_max))
             meta["variables"] = _variables(2, config.family)
@@ -186,9 +190,9 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
     elif config.command == "hankel":
         g = _face_weights(config, parser)
         ring = SeriesRing(2, config.order)
-        ladder = ladder_solve(g, ring)
-        fb = f_sequence(2 * config.i_max + 1, g, ladder.tail_black, ladder.tail_white, "black")
-        fw = f_sequence(2 * config.i_max + 1, g, ladder.tail_black, ladder.tail_white, "white")
+        b, w = tail_solve(g, ring)
+        fb = f_sequence(2 * config.i_max + 1, g, b, w, "black")
+        fw = f_sequence(2 * config.i_max + 1, g, b, w, "white")
         fam = hankel_family(fb, fw, config.i_max)
         for i in range(config.i_max + 1):
             records.append(series_record(f"h0_{i}", fam.h0[i]))
@@ -330,7 +334,11 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     order = ns.order
     if order is None:
-        order = int(os.environ.get(DEFAULT_ORDER_ENV, "6"))
+        text = os.environ.get(DEFAULT_ORDER_ENV, "6")
+        try:
+            order = int(text)
+        except ValueError:
+            parser.error(f"${DEFAULT_ORDER_ENV} must be an integer, not {text!r}")
     config = JobConfig(
         command=ns.command,
         family=getattr(ns, "family", ""),

@@ -19,6 +19,7 @@ from .series import (
     SeriesRing,
     agree,
     exact_div,
+    fixed_point,
     inv_unit,
     one,
     solve_quadratic_branch,
@@ -87,24 +88,25 @@ def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> TwoVarSys
                 1 + z_white * first_at(i - 1) * first_at(i + 1),
             )
 
-    p, q = unit, unit
-    for _ in range(n + 1):
-        p, q = tail_step(p, q)
-    if tail_step(p, q) != (p, q):
-        raise ConvergenceError(f"{kind} tail equations did not stabilize")
+    p, q = fixed_point(
+        lambda state: tail_step(*state),
+        (unit, unit),
+        n,
+        ConvergenceError(f"{kind} tail equations did not stabilize"),
+    )
 
-    firsts = [unit] * height
-    seconds = [unit] * height
-    for _ in range(n + 1):
-        sys = TwoVarSystem(kind, tuple(firsts), tuple(seconds), p, q)
+    def sweep(state):
+        sys = TwoVarSystem(kind, *state, p, q)
         pairs = [entry_rhs(sys.first_at, sys.second_at, i) for i in range(1, height + 1)]
-        firsts = [a for a, _ in pairs]
-        seconds = [b for _, b in pairs]
-    sys = TwoVarSystem(kind, tuple(firsts), tuple(seconds), p, q)
-    pairs = [entry_rhs(sys.first_at, sys.second_at, i) for i in range(1, height + 1)]
-    if [a for a, _ in pairs] != firsts or [b for _, b in pairs] != seconds:
-        raise ConvergenceError(f"{kind} ladder did not stabilize")
-    return sys
+        return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+
+    firsts, seconds = fixed_point(
+        sweep,
+        ((unit,) * height, (unit,) * height),
+        n,
+        ConvergenceError(f"{kind} ladder did not stabilize"),
+    )
+    return TwoVarSystem(kind, firsts, seconds, p, q)
 
 
 def ternary_solve(ring: SeriesRing, height: int | None = None) -> TwoVarSystem:
@@ -233,22 +235,22 @@ def solve_height_params(t: MSeries, u: MSeries, v: MSeries):
     """
     if t.constant_term() or u.constant_term() or v.constant_term():
         raise ValueError("height parameters need positive-valuation inputs")
-    order = t.order
-    y = d = e = zero(t.num_vars, order)
-    for _ in range(order + 1):
-        y, d, e = (
+
+    def sweep(state):
+        y, d, e = state
+        return (
             u * (y + d) + v * y * (1 + e),
             v * (d + e) + t * (d + y),
             t * (e + 1) + u * (e + d),
         )
-    again = (
-        u * (y + d) + v * y * (1 + e),
-        v * (d + e) + t * (d + y),
-        t * (e + 1) + u * (e + d),
+
+    seed = zero(t.num_vars, t.order)
+    return fixed_point(
+        sweep,
+        (seed, seed, seed),
+        t.order,
+        ConvergenceError("height parametrization did not stabilize"),
     )
-    if again != (y, d, e):
-        raise ConvergenceError("height parametrization did not stabilize")
-    return y, d, e
 
 
 def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState:
@@ -268,44 +270,45 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
     def tail_step(t, u, v):
         return tb + t * (u + v), tw + u * (v + t), tg + v * (t + u)
 
-    t, u, v = tb, tw, tg
-    for _ in range(n + 1):
-        t, u, v = tail_step(t, u, v)
-    if tail_step(t, u, v) != (t, u, v):
-        raise ConvergenceError("tricolor tail equations did not stabilize")
+    t, u, v = fixed_point(
+        lambda state: tail_step(*state),
+        (tb, tw, tg),
+        n,
+        ConvergenceError("tricolor tail equations did not stabilize"),
+    )
 
-    ts = [tb] * height
-    us = [tw] * height
-    vs = [tg] * height
+    def sweep(state):
+        ts, us, vs = state
 
-    def sweep(ts, us, vs):
         def at(lst, tail, i):
             if i == 0:
                 return ring.zero()
             return lst[i - 1] if i <= height else tail
 
-        new_t = [
+        new_t = tuple(
             tb + at(ts, t, i) * (at(us, u, i - 1) + at(vs, v, i + 1))
             for i in range(1, height + 1)
-        ]
-        new_u = [
+        )
+        new_u = tuple(
             tw + at(us, u, i) * (at(vs, v, i - 1) + at(ts, t, i + 1))
             for i in range(1, height + 1)
-        ]
-        new_v = [
+        )
+        new_v = tuple(
             tg + at(vs, v, i) * (at(ts, t, i - 1) + at(us, u, i + 1))
             for i in range(1, height + 1)
-        ]
+        )
         return new_t, new_u, new_v
 
-    for _ in range(n + 1):
-        ts, us, vs = sweep(ts, us, vs)
-    if sweep(ts, us, vs) != (ts, us, vs):
-        raise ConvergenceError("tricolor ladder did not stabilize")
+    ts, us, vs = fixed_point(
+        sweep,
+        ((tb,) * height, (tw,) * height, (tg,) * height),
+        n,
+        ConvergenceError("tricolor ladder did not stabilize"),
+    )
 
     y, d, e = solve_height_params(t, u, v)
     a_hat = (e + d + y) * inv_unit(1 + e + d)
-    return TriColorState(tuple(ts), tuple(us), tuple(vs), t, u, v, y, d, e, a_hat)
+    return TriColorState(ts, us, vs, t, u, v, y, d, e, a_hat)
 
 
 def tricolor_closed_t(state: TriColorState, i: int) -> MSeries:

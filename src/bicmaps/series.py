@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .rational import Rat, is_rational
+from .rational import Rat, is_rational, rat
 
 Expo = tuple  # exponent vector, one entry per variable
 
@@ -408,7 +408,7 @@ def inv_unit(f: MSeries) -> MSeries:
     c0 = f.constant_term()
     if not c0:
         raise NotAUnitError("cannot invert a series with zero constant term")
-    g = constant(f.num_vars, f.order, Rat(1) / Rat(c0))
+    g = constant(f.num_vars, f.order, rat(1 / Rat(c0)))
     correct = 1
     while correct <= f.order:
         g = g * (2 - f * g)
@@ -474,10 +474,9 @@ def sqrt_unit(f: MSeries) -> MSeries:
 def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
     """The unique series root mu with mu(0) = 0 of a2*mu^2 + a1*mu + a0 = 0.
 
-    Requires a1 to be a unit and a0 to have zero constant term.  Iterating
-    mu <- -(a0 + a2*mu^2)/a1 from mu = 0 gains at least one exact total
-    degree per step, so order+1 steps pin every stored coefficient; one
-    extra step asserts stability.
+    Requires a1 to be a unit and a0 to have zero constant term.  Each step
+    of mu <- -(a0 + a2*mu^2)/a1 from mu = 0 gains at least one exact total
+    degree, so ``fixed_point`` pins every stored coefficient.
     """
     a2._check_compatible(a1)
     a1._check_compatible(a0)
@@ -487,13 +486,44 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
         raise NoSeriesRootError("constant coefficient must have zero constant term")
     order = min(a2.order, a1.order, a0.order)
     inv_a1 = inv_unit(a1.truncate(order))
-    root = zero(a2.num_vars, order)
-    for _ in range(order + 1):
-        root = -(a0 + a2 * root * root) * inv_a1
-    again = -(a0 + a2 * root * root) * inv_a1
-    if again != root:
-        raise NoSeriesRootError("quadratic iteration failed to stabilize")
+    root = fixed_point(
+        lambda mu: -(a0 + a2 * mu * mu) * inv_a1,
+        zero(a2.num_vars, order),
+        order,
+        NoSeriesRootError("quadratic iteration failed to stabilize"),
+    )
     return root.with_reliable(min(a2.reliable, a1.reliable, a0.reliable))
+
+
+# -- the fixed-point engine ----------------------------------------------------
+
+
+def _graded(state, degree: int):
+    """The state (a series or nested tuples of them) cut to ``degree``."""
+    if isinstance(state, MSeries):
+        return MSeries(state.num_vars, degree, state.coeffs, degree)
+    return type(state)(_graded(s, degree) for s in state)
+
+
+def fixed_point(step, seed, order: int, error: Exception):
+    """Solve state = step(state) through total degree ``order``.
+
+    ``state`` is a series or nested tuples of series, and ``step``
+    must gain one exact degree per application: degree k of its result may
+    depend only on degrees below k of its argument.  So after k sweeps no
+    degree above k can be exact yet, and sweep k runs on the state cut to
+    degree k (order and reliable k); ``step`` then works at that order,
+    because ring operations truncate to the lower order of their operands.
+    One more sweep at full order must reproduce the state, otherwise
+    ``error`` is raised.  This is the one place that sets how many sweeps
+    the solvers run.
+    """
+    state = seed
+    for degree in range(order + 1):
+        state = step(_graded(state, degree))
+    if step(state) != state:
+        raise error
+    return state
 
 
 # -- comparison helpers -------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .paths import WeightLadder, l_zero, z_plus, z_plus_profile, z_strip
 from .rational import Rat, is_rational, rat
-from .series import MSeries, SeriesRing, exact_div, variable
+from .series import MSeries, SeriesRing, exact_div, fixed_point, variable
 
 BLACK, WHITE = "black", "white"
 
@@ -60,7 +60,7 @@ def _sweep_scale(g: FaceWeights):
         raise ConvergenceError(
             "degree-two face weight 1 makes the generating functions divergent"
         )
-    return Rat(1) / (1 - Rat(g1))
+    return rat(1 / (1 - Rat(g1)))
 
 
 def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
@@ -68,8 +68,8 @@ def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
     scale = _sweep_scale(g)
     tb, tw = ring.gens()[:2]
 
-    def advance(b, w):
-        lad = WeightLadder.constant_ladder(b, w)
+    def advance(state):
+        lad = WeightLadder.constant_ladder(*state)
         rb = ring.zero()
         rw = ring.zero()
         for k in range(2, g.p + 2):
@@ -81,13 +81,12 @@ def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
             rw = rw + gk * z_plus(0, -1, length, lad, floor=-length - 1, black_start=False)
         return (tb + rb) * scale, (tw + rw) * scale
 
-    b, w = tb, tw
-    for _ in range(ring.order + 1):
-        b, w = advance(b, w)
-    again = advance(b, w)
-    if again != (b, w):
-        raise ConvergenceError("tail equations did not reach a fixed point")
-    return b, w
+    return fixed_point(
+        advance,
+        (tb, tw),
+        ring.order,
+        ConvergenceError("tail equations did not reach a fixed point"),
+    )
 
 
 def ladder_solve(
@@ -108,8 +107,8 @@ def ladder_solve(
     tb, tw = ring.gens()[:2]
     tail_b, tail_w = tail_solve(g, ring)
 
-    def advance(blacks, whites):
-        lad = WeightLadder(tuple(blacks), tuple(whites), tail_b, tail_w)
+    def advance(state):
+        lad = WeightLadder(*state, tail_b, tail_w)
         new_b, new_w = [], []
         for i in range(1, height + 1):
             rb = ring.zero()
@@ -122,16 +121,15 @@ def ladder_solve(
                 rw = rw + gk * z_strip("wb", i, 2 * k - 1, lad)
             new_b.append((tb + rb) * scale)
             new_w.append((tw + rw) * scale)
-        return new_b, new_w
+        return tuple(new_b), tuple(new_w)
 
-    blacks = [tb] * height
-    whites = [tw] * height
-    for _ in range(ring.order + 1):
-        blacks, whites = advance(blacks, whites)
-    again_b, again_w = advance(blacks, whites)
-    if again_b != blacks or again_w != whites:
-        raise ConvergenceError("slice recursion did not reach a fixed point")
-    return WeightLadder(tuple(blacks), tuple(whites), tail_b, tail_w)
+    blacks, whites = fixed_point(
+        advance,
+        ((tb,) * height, (tw,) * height),
+        ring.order,
+        ConvergenceError("slice recursion did not reach a fixed point"),
+    )
+    return WeightLadder(blacks, whites, tail_b, tail_w)
 
 
 @dataclass(frozen=True)

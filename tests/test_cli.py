@@ -26,8 +26,8 @@ def run_cli(capsys, *argv):
 def record_to_series(record, num_vars, order) -> MSeries:
     coeffs = {}
     for term in record["terms"]:
-        coeffs[tuple(term["exponents"])] = rat(term["numerator"]) / rat(
-            term["denominator"]
+        coeffs[tuple(term["exponents"])] = rat(
+            int(term["numerator"]), int(term["denominator"])
         )
     return MSeries(num_vars, order, coeffs, record["reliable"])
 
@@ -155,6 +155,29 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ({"BICMAPS_ORDER": "abc"}, ["twopoint", "--family", "quad"], "BICMAPS_ORDER"),
+        ({}, ["twopoint", "--family", "general", "--g", "1,1"], "g_1 = 1"),
+        ({}, ["ladder", "--family", "general", "--g", "1,0,1"], "g_1 = 1"),
+        ({}, ["twopoint", "--family", "quad", "--g", "0,1"], "--g applies only"),
+        ({}, ["hankel", "--family", "hex", "--g", "0,0,1"], "--g applies only"),
+        ({}, ["ladder", "--family", "ternary", "--g", "1"], "--g applies only"),
+    ],
+    ids=["order-env-not-int", "g1-one-twopoint", "g1-one-ladder", "g-with-quad",
+         "g-with-hex", "g-with-ternary"],
+)
+def test_usage_errors_are_clean(capsys, monkeypatch, env, argv, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_env_var_default_order(capsys, monkeypatch):

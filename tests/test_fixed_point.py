@@ -1,0 +1,153 @@
+"""The graded fixed-point engine, integer coefficients, and order stability."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bicmaps.extensions import tricolor_solve
+from bicmaps.rational import rat
+from bicmaps.series import (
+    MSeries,
+    SeriesRing,
+    agree,
+    fixed_point,
+    inv_unit,
+    solve_quadratic_branch,
+)
+from bicmaps.slices import ConvergenceError, FaceWeights, ladder_solve, tail_solve
+
+from helpers import S, assert_series
+from printed import MIXED_HALF_B, MIXED_THIRD_B
+
+QUAD = FaceWeights.quadrangulations()
+HEX = FaceWeights.hexangulations()
+MIXED = FaceWeights((rat(1, 2), rat(1)))
+THIRD = FaceWeights((rat(1, 3), rat(1)))
+
+R = SeriesRing(2, 5)
+tb, tw = R.gens()
+
+
+def all_coefficients(*series):
+    return [c for f in series for c in f.coeffs.values()]
+
+
+# -- the engine ----------------------------------------------------------------
+
+
+def test_fixed_point_grades_the_sweeps():
+    seen = []
+
+    def catalan(f):
+        seen.append((f.order, f.reliable))
+        return 1 + tb * f * f
+
+    f = fixed_point(catalan, R.zero(), R.order, ConvergenceError("no"))
+    assert_series(f, S(2, 5, {(k, 0): c for k, c in enumerate((1, 1, 2, 5, 14, 42))}))
+    # sweep k sees the state cut to degree k, then one stability sweep at full order
+    assert seen == [(k, k) for k in range(R.order + 1)] + [(R.order, R.order)]
+
+
+def test_fixed_point_raises_the_given_error_without_contraction():
+    error = ConvergenceError("the step does not gain a degree")
+    with pytest.raises(ConvergenceError) as exc:
+        fixed_point(lambda f: f + 1, R.zero(), R.order, error)
+    assert exc.value is error
+
+
+# -- integer coefficients --------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [QUAD, HEX], ids=["quad", "hex"])
+def test_integer_families_solve_in_int(g):
+    ring = SeriesRing(2, 6)
+    b, w = tail_solve(g, ring)
+    ladder = ladder_solve(g, ring)
+    coeffs = all_coefficients(b, w, *ladder.black, *ladder.white)
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize("c0", [1, -1])
+def test_inv_unit_of_integer_unit_stays_int(c0):
+    u = c0 + 3 * tb - 2 * tb * tw + tw * tw
+    inverse = inv_unit(u)
+    assert u * inverse == R.one()
+    assert all(type(c) is int for c in all_coefficients(inverse))
+
+
+def test_inv_unit_of_non_monic_unit_is_fractional():
+    inverse = inv_unit(2 + tb)
+    assert inverse.constant_term() == rat(1, 2)
+    assert type(inverse.constant_term()) is not int
+
+
+def test_mixed_families_match_recorded_tails():
+    half, _ = tail_solve(MIXED, SeriesRing(2, 4))
+    assert_series(half, S(2, 4, MIXED_HALF_B), label="g1 = 1/2 tail")
+    assert all(type(c) is int for c in all_coefficients(half))  # sweep scale 2
+    third, _ = tail_solve(THIRD, SeriesRing(2, 3))
+    assert_series(third, S(2, 3, MIXED_THIRD_B), label="g1 = 1/3 tail")
+    assert all(c.denominator > 1 for c in all_coefficients(third))
+
+
+# -- metamorphic: raising the order never changes a reliable coefficient --------
+
+families = st.sampled_from(
+    [QUAD, HEX, MIXED, THIRD, FaceWeights((rat(0), rat(-1, 2), rat(1)))]
+)
+
+
+def assert_stable(low: MSeries, high: MSeries, order: int):
+    assert low.reliable == order
+    assert agree(low, high), (low, high)
+
+
+@settings(max_examples=12, deadline=None)
+@given(families, st.integers(1, 4), st.integers(1, 3))
+def test_slice_solvers_stable_under_higher_order(g, n, k):
+    low = ladder_solve(g, SeriesRing(2, n))
+    high = ladder_solve(g, SeriesRing(2, n + k))
+    assert_stable(low.tail_black, high.tail_black, n)
+    assert_stable(low.tail_white, high.tail_white, n)
+    for i in range(1, low.height + 1):
+        assert_stable(low.black_weight(i), high.black_weight(i), n)
+        assert_stable(low.white_weight(i), high.white_weight(i), n)
+    tail = tail_solve(g, SeriesRing(2, n + k))
+    assert (high.tail_black, high.tail_white) == tail
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+poly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small, max_size=5
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    poly_terms, poly_terms, poly_terms, small.filter(bool), st.integers(1, 5), st.integers(1, 3)
+)
+def test_quadratic_branch_stable_under_higher_order(t2, t1, t0, c1, n, k):
+    def coefficients(order):
+        a1 = MSeries(2, order, {**t1, (0, 0): c1})
+        a0 = MSeries(2, order, {e: c for e, c in t0.items() if e != (0, 0)})
+        return MSeries(2, order, t2), a1, a0
+
+    low = solve_quadratic_branch(*coefficients(n))
+    high = solve_quadratic_branch(*coefficients(n + k))
+    assert_stable(low, high, n)
+    a2, a1, a0 = coefficients(n + k)
+    assert a2 * high * high + a1 * high + a0 == SeriesRing(2, n + k).zero()
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2))
+def test_tricolor_stable_under_higher_order(n, k):
+    low = tricolor_solve(SeriesRing(3, n))
+    high = tricolor_solve(SeriesRing(3, n + k))
+    for name in ("t", "u", "v", "y", "d", "e", "a_hat"):
+        assert_stable(getattr(low, name), getattr(high, name), n)
+    for i in range(1, low.height + 1):
+        for at in ("t_at", "u_at", "v_at"):
+            assert_stable(getattr(low, at)(i), getattr(high, at)(i), n)
