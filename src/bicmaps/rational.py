@@ -1,33 +1,19 @@
 """Exact rational coefficient type.
 
-Uses gmpy2's mpq when it is importable and falls back to the stdlib
-Fraction otherwise.  Both expose ``numerator``/``denominator`` and
-interoperate with plain ints, so the rest of the package never needs to
-know which backend is active.  Set ``BICMAPS_PURE_PYTHON=1`` to force the
-Fraction backend.
-
-Integral values are kept as plain ints (see ``rat``): integer-count series
-then stay in int arithmetic, several times faster than ``Fraction``, and a
-rational only appears where a value really has a denominator.
+``Rat`` is the stdlib ``Fraction``.  Integral values are kept as plain
+ints (see ``rat``): integer-count series then stay in int arithmetic,
+several times faster than ``Fraction``, and a rational only appears where
+a value really has a denominator.  Series products do not multiply
+rationals at all (see ``series``), so no faster rational type is needed.
 """
 
 from __future__ import annotations
 
 import numbers
-import os
 from fractions import Fraction
 
-if os.environ.get("BICMAPS_PURE_PYTHON"):
-    Rat = Fraction
-    GMPY2_BACKEND = False
-else:
-    try:
-        from gmpy2 import mpq as Rat  # type: ignore[no-redef]
-
-        GMPY2_BACKEND = True
-    except ImportError:
-        Rat = Fraction
-        GMPY2_BACKEND = False
+Rat = Fraction
+GMPY2_BACKEND = False  # read by the benchmark's environment report
 
 
 def rat(numerator, denominator=None):

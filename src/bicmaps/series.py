@@ -9,13 +9,22 @@ degrees.  Nothing in this module ever compares coefficients beyond the
 reliable bound, and consumers should not either: use ``agree`` or
 ``first_difference`` which take the bound into account.
 
-Coefficients may be ints, Fractions or gmpy2 rationals; they are never
-floats.  All values are immutable after construction and safe to share.
+Coefficients are ints where the value is integral and Fractions otherwise;
+they are never floats.  A series product does no rational arithmetic:
+each operand is lifted once to integer numerators over the lcm of its
+denominators (one integer polynomial over one denominator, the layout of
+FLINT's fmpq_poly), the convolution runs in plain ints, and each result
+coefficient is reduced once by ``rat``, so integral products come back as
+ints.  ``inv_unit`` and ``sqrt_unit`` share one Newton schedule that
+doubles the working precision (Brent & Kung, J. ACM 1978): step j runs in
+the ring cut to degree min(2^j, order+1) - 1 and only the last step works
+at full order.  All values are immutable after construction and safe to
+share, which is what makes caching the lift sound.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import Rat, is_rational, rat
@@ -68,7 +77,7 @@ def _add_expo(a: Expo, b: Expo) -> Expo:
 class MSeries:
     """A truncated power series: finite map from exponent vectors to rationals."""
 
-    __slots__ = ("num_vars", "order", "reliable", "coeffs")
+    __slots__ = ("num_vars", "order", "reliable", "coeffs", "_lifted")
 
     def __init__(
         self,
@@ -94,6 +103,38 @@ class MSeries:
                 if sum(e) <= order and c:
                     clean[tuple(e)] = c
         self.coeffs = clean
+        self._lifted = None
+
+    @classmethod
+    def _wrap(cls, num_vars: int, order: int, coeffs: dict, reliable: int) -> "MSeries":
+        """A ring result, taken as is: the caller hands over ``coeffs`` (no
+        zero values, every exponent of the right arity and total degree at
+        most ``order``) and guarantees 0 <= reliable <= order."""
+        f = object.__new__(cls)
+        f.num_vars = num_vars
+        f.order = order
+        f.reliable = reliable
+        f.coeffs = coeffs
+        f._lifted = None
+        return f
+
+    def _lift(self) -> tuple[Mapping[Expo, int], int]:
+        """(integer numerators, common denominator) of the coefficients.
+
+        Computed on first use and cached, since the series never changes.
+        Integral ``Fraction`` values become ints here too.
+        """
+        if self._lifted is None:
+            coeffs = self.coeffs
+            if all(type(c) is int for c in coeffs.values()):
+                self._lifted = (coeffs, 1)
+            else:
+                den = lcm(*(c.denominator for c in coeffs.values()))
+                self._lifted = (
+                    {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()},
+                    den,
+                )
+        return self._lifted
 
     # -- inspection ---------------------------------------------------------
 
@@ -123,8 +164,11 @@ class MSeries:
         return MSeries(self.num_vars, self.order, self.coeffs, reliable)
 
     def truncate(self, order: int) -> "MSeries":
-        kept = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        return MSeries(self.num_vars, order, kept, min(self.reliable, order))
+        return MSeries(self.num_vars, order, self._through(order), min(self.reliable, order))
+
+    def _through(self, degree: int) -> dict[Expo, object]:
+        """The terms of total degree at most ``degree``, as a new dict."""
+        return {e: c for e, c in self.coeffs.items() if sum(e) <= degree}
 
     def permute_vars(self, perm: Sequence[int]) -> "MSeries":
         """Rename variable j to perm[j]; perm must be a permutation."""
@@ -213,21 +257,21 @@ class MSeries:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        # both operands are cut to the lower order before the terms meet
+        out = dict(self.coeffs) if self.order == order else self._through(order)
+        terms = other.coeffs if other.order == order else other._through(order)
+        for e, c in terms.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        if order < self.order:
-            out = {e: c for e, c in out.items() if sum(e) <= order}
-        return MSeries(self.num_vars, order, out, min(self.reliable, other.reliable))
+        return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MSeries(
+        return MSeries._wrap(
             self.num_vars, self.order, {e: -c for e, c in self.coeffs.items()}, self.reliable
         )
 
@@ -244,8 +288,8 @@ class MSeries:
     def __mul__(self, other):
         if is_rational(other):
             if not other:
-                return MSeries(self.num_vars, self.order, {}, self.reliable)
-            return MSeries(
+                return MSeries._wrap(self.num_vars, self.order, {}, self.reliable)
+            return MSeries._wrap(
                 self.num_vars,
                 self.order,
                 {e: c * other for e, c in self.coeffs.items()},
@@ -255,28 +299,30 @@ class MSeries:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
+        (a, da), (b, db) = self._lift(), other._lift()
         # Iterate the sparser operand outside; keep the other sorted by degree
         # so the inner loop can stop as soon as the truncation bound is hit.
-        a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        b_sorted = sorted(((sum(e), e) for e in b), key=lambda t: t[0])
+        b_sorted = sorted(((sum(e), e, c) for e, c in b.items()), key=lambda t: t[0])
         out: dict[Expo, object] = {}
         for ea, ca in a.items():
             room = order - sum(ea)
             if room < 0:
                 continue
-            for db, eb in b_sorted:
-                if db > room:
+            for deg, eb, cb in b_sorted:
+                if deg > room:
                     break
                 e = _add_expo(ea, eb)
-                prod = ca * b[eb]
-                s = out.get(e, 0) + prod
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return MSeries(self.num_vars, order, out, min(self.reliable, other.reliable))
+        den = da * db
+        if den != 1:
+            out = {e: rat(n, den) for e, n in out.items()}
+        return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
 
     __rmul__ = __mul__
 
@@ -399,20 +445,31 @@ def valuation_split(f: MSeries) -> Valuation:
 # -- the four nontrivial ring operations -------------------------------------
 
 
+def _newton(f: MSeries, seed, step) -> MSeries:
+    """Newton iteration for a function of f, from a constant seed.
+
+    ``step(f, g)`` must double the number of exact degrees of g, so
+    ceil(log2(order+1)) steps suffice.  Step j runs on f and g cut (or
+    extended) to degree min(2^j, order+1) - 1, the most that can be exact
+    after it; the last step works at f's full order.
+    """
+    g = constant(f.num_vars, 0, seed)
+    exact = 1
+    while exact <= f.order:
+        exact = min(2 * exact, f.order + 1)
+        g = step(_graded(f, exact - 1), _graded(g, exact - 1))
+    return g
+
+
 def inv_unit(f: MSeries) -> MSeries:
     """Multiplicative inverse of a series with nonzero constant term.
 
-    Newton iteration g <- g*(2 - f*g) doubles the number of exact degree
-    layers per step, so ceil(log2(order+1)) steps suffice.
+    Newton iteration g <- g*(2 - f*g) on the precision-doubling schedule.
     """
     c0 = f.constant_term()
     if not c0:
         raise NotAUnitError("cannot invert a series with zero constant term")
-    g = constant(f.num_vars, f.order, rat(1 / Rat(c0)))
-    correct = 1
-    while correct <= f.order:
-        g = g * (2 - f * g)
-        correct *= 2
+    g = _newton(f, rat(1, c0), lambda f, g: g * (2 - f * g))
     return g.with_reliable(f.reliable)
 
 
@@ -459,15 +516,10 @@ def sqrt_unit(f: MSeries) -> MSeries:
     rn, rd = isqrt(int(num)), isqrt(int(den))
     if rn * rn != num or rd * rd != den:
         raise NotASquareError(f"constant term {c0} is not a rational square")
-    root0 = Rat(rn, rd)
     # Newton on the inverse square root avoids repeated series inversions:
     # v <- v*(3 - f*v^2)/2 doubles the exact layers, then sqrt(f) = f*v.
-    v = constant(f.num_vars, f.order, Rat(1) / root0)
     half = Rat(1, 2)
-    correct = 1
-    while correct <= f.order:
-        v = v * (3 - f * v * v) * half
-        correct *= 2
+    v = _newton(f, rat(rd, rn), lambda f, v: v * (3 - f * v * v) * half)
     return (f * v).with_reliable(f.reliable)
 
 
@@ -499,7 +551,8 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
 
 
 def _graded(state, degree: int):
-    """The state (a series or nested tuples of them) cut to ``degree``."""
+    """The state (a series or nested tuples of them) at order and reliable
+    ``degree``: cut to it, or extended to it with no new terms."""
     if isinstance(state, MSeries):
         return MSeries(state.num_vars, degree, state.coeffs, degree)
     return type(state)(_graded(s, degree) for s in state)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bicmaps.series import MSeries, first_difference
+from bicmaps.series import MSeries, agree, first_difference
 
 
 def S(num_vars, order, terms, reliable=None):
@@ -19,3 +19,9 @@ def assert_series(actual, expected, through=None, label=""):
             f"actual:   {actual}\nexpected: {expected}"
         )
 
+
+
+def assert_stable(low, high, reliable):
+    """``low`` reports ``reliable`` and agrees with ``high`` through it."""
+    assert low.reliable == reliable
+    assert agree(low, high), (low, high)

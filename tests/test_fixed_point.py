@@ -11,14 +11,13 @@ from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
     SeriesRing,
-    agree,
     fixed_point,
     inv_unit,
     solve_quadratic_branch,
 )
 from bicmaps.slices import ConvergenceError, FaceWeights, ladder_solve, tail_solve
 
-from helpers import S, assert_series
+from helpers import S, assert_series, assert_stable
 from printed import MIXED_HALF_B, MIXED_THIRD_B
 
 QUAD = FaceWeights.quadrangulations()
@@ -97,11 +96,6 @@ def test_mixed_families_match_recorded_tails():
 families = st.sampled_from(
     [QUAD, HEX, MIXED, THIRD, FaceWeights((rat(0), rat(-1, 2), rat(1)))]
 )
-
-
-def assert_stable(low: MSeries, high: MSeries, order: int):
-    assert low.reliable == order
-    assert agree(low, high), (low, high)
 
 
 @settings(max_examples=12, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from bicmaps.series import (
     variable,
 )
 
-from helpers import S
+from helpers import S, assert_stable
 
 R = SeriesRing(2, 4)
 tb, tw = R.gens()
@@ -275,3 +277,113 @@ def test_inverse_and_division(f):
     g = variable(2, 4, 0) * u
     prod = g * (1 + variable(2, 4, 1))
     assert agree(exact_div(prod, g), 1 + variable(2, 4, 1))
+
+
+# -- the rational kernel: Fraction coefficients, mixed order and reliable ------
+
+# Fraction(k, 1) is drawn on purpose: it must multiply like the int k.
+fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+rationals = st.one_of(st.integers(-4, 4), fractions)
+rational_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, max_size=8
+)
+
+
+@st.composite
+def rational_series(draw):
+    order = draw(st.integers(0, 5))
+    return MSeries(2, order, draw(rational_terms), draw(st.integers(0, order)))
+
+
+def naive_product(f, g) -> dict:
+    """Reference convolution: every pair of terms, in Fraction, then cut."""
+    order = min(f.order, g.order)
+    out = {}
+    for ea, ca in f.coeffs.items():
+        for eb, cb in g.coeffs.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1])
+            if sum(e) <= order:
+                out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_series(), rational_series())
+def test_rational_product_matches_naive_convolution(f, g):
+    prod = f * g
+    assert prod.coeffs == naive_product(f, g)
+    assert prod.order == min(f.order, g.order)
+    assert prod.reliable == min(f.reliable, g.reliable)
+    for c in prod.coeffs.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_terms, rational_series(), rationals.filter(bool))
+def test_cached_lift_stays_with_its_series(terms, h, extra):
+    terms = dict(terms)
+    f = MSeries(2, 4, terms)
+    before = f * h  # caches f's lift
+    terms[(0, 0)] = terms.get((0, 0), 0) + extra
+    g = MSeries(2, 4, terms)  # same dict, new contents
+    assert (g * h).coeffs == naive_product(g, h)
+    assert (f * h).coeffs == before.coeffs == naive_product(f, h)
+    assert (f.with_reliable(2) * h).coeffs == naive_product(f.with_reliable(2), h)
+
+
+# -- metamorphic: raising the order never changes a reliable coefficient --------
+
+units = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 7]))
+squares = st.builds(lambda p, q: Fraction(p * p, q * q), st.integers(1, 3), st.integers(1, 3))
+orders = st.tuples(st.integers(0, 5), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_terms, units, orders, st.data())
+def test_inv_unit_stable_under_higher_order(terms, c0, nk, data):
+    n, k = nk
+    r = data.draw(st.integers(0, n))
+    terms = {**terms, (0, 0): c0}
+    low = inv_unit(MSeries(2, n, terms, r))
+    high = inv_unit(MSeries(2, n + k, terms))
+    assert_stable(low, high, r)
+    assert low.order == n and high.order == n + k
+    assert MSeries(2, n + k, terms) * high == one(2, n + k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_terms, squares, orders, st.data())
+def test_sqrt_unit_stable_under_higher_order(terms, c0, nk, data):
+    n, k = nk
+    r = data.draw(st.integers(0, n))
+    terms = {**terms, (0, 0): c0}
+    low = sqrt_unit(MSeries(2, n, terms, r))
+    high = sqrt_unit(MSeries(2, n + k, terms))
+    assert_stable(low, high, r)
+    assert high * high == MSeries(2, n + k, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational_terms,
+    rational_terms,
+    units,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    orders,
+    st.data(),
+)
+def test_exact_div_stable_under_higher_order(quotient, cofactor, c0, mono, nk, data):
+    # f = mono * quotient and g = mono * unit, so every coefficient divides
+    n, k = nk
+    v = sum(mono)
+    n = max(n, v)  # below that not even the constant term of f/g is known
+    r = data.draw(st.integers(v, n))
+
+    def shifted(terms):
+        return {(e[0] + mono[0], e[1] + mono[1]): c for e, c in terms.items()}
+
+    unit = {**cofactor, (0, 0): c0}
+    low = exact_div(MSeries(2, n, shifted(quotient), r), MSeries(2, n, shifted(unit)))
+    high = exact_div(MSeries(2, n + k, shifted(quotient)), MSeries(2, n + k, shifted(unit)))
+    assert_stable(low, high, r - v)
+    assert_stable(high, MSeries(2, n + k, quotient) * inv_unit(MSeries(2, n + k, unit)), n + k - v)
