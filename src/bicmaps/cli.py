@@ -26,16 +26,17 @@ from .extensions import (
     ternary_solve,
     tricolor_solve,
 )
-from .hankel import cf_extract, hankel_family
+from .hankel import boundary_hankel_family, determinant_ladder
 from .paths import WeightLadder
 from .rational import rat
 from .series import MSeries, SeriesRing
-from .slices import FaceWeights, f_sequence, ladder_solve, tail_solve, twopoint_from_ladder
+from .slices import FaceWeights, ladder_solve, twopoint_from_ladder
 from .suites import SUITES, run_suite
 
 MAP_FAMILIES = ("quad", "hex", "general")
 LADDER_FAMILIES = MAP_FAMILIES + ("ternary", "binary", "tricolor")
 ROUTES = ("recursion", "closed", "determinant")
+ENTRY_NAMES = {"ternary": ("P", "Q"), "binary": ("R", "S")}
 DEFAULT_ORDER_ENV = "BICMAPS_ORDER"
 
 
@@ -106,6 +107,43 @@ def _ladder_records(ladder: WeightLadder, i_max: int, names=("B", "W")) -> list[
     return out
 
 
+def _tricolor_records(state, i_max: int) -> list[dict]:
+    out = []
+    for i in range(1, i_max + 1):
+        out.append(series_record(f"T_{i}", state.t_at(i)))
+        out.append(series_record(f"U_{i}", state.u_at(i)))
+        out.append(series_record(f"V_{i}", state.v_at(i)))
+    return out
+
+
+def _ladder(config: JobConfig, parser: argparse.ArgumentParser) -> WeightLadder:
+    """The two-family ladder of config.family by config.route."""
+    ring = SeriesRing(2, config.order)
+    if config.family in ENTRY_NAMES:
+        ternary = config.family == "ternary"
+        if config.route == "determinant":
+            parser.error(f"route {config.route!r} is not defined for {config.family}")
+        solve = ternary_solve if ternary else binary_solve
+        ladder = solve(ring, height=max(ring.order + 2, config.i_max))
+        if config.route == "closed":
+            closed = ternary_closed_ladder if ternary else binary_closed_ladder
+            ladder = closed(ladder, config.i_max)
+        return ladder
+    g = _face_weights(config, parser)
+    if config.route == "recursion":
+        return ladder_solve(g, ring, height=max(ring.order + g.p + 1, config.i_max + 1))
+    if config.route == "closed":
+        try:
+            return closed_ladder(g, ring, config.i_max)
+        except ValueError as exc:
+            parser.error(str(exc))
+    return determinant_ladder(g, ring, config.i_max)
+
+
+def _tricolor_state(config: JobConfig):
+    return tricolor_solve(SeriesRing(3, config.order), height=max(config.order + 2, config.i_max))
+
+
 def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
     """Execute a job; returns (exit code, document text)."""
     if config.order < 1:
@@ -126,10 +164,7 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
         meta["face_weights"] = [str(rat(x)) for x in config.g]
 
     if config.command == "twopoint":
-        g = _face_weights(config, parser)
-        ring = SeriesRing(2, config.order)
-        ladder = ladder_solve(g, ring, height=max(ring.order + g.p + 1, config.i_max + 1))
-        table = twopoint_from_ladder(ladder, config.i_max)
+        table = twopoint_from_ladder(_ladder(config, parser), config.i_max)
         for i in range(1, config.i_max + 1):
             records.append(series_record(f"G_black_{i}", table.g_black(i)))
             records.append(series_record(f"G_white_{i}", table.g_white(i)))
@@ -137,63 +172,19 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
 
     elif config.command == "ladder":
         meta.update(family=config.family, i_max=config.i_max, route=config.route)
-        if config.family in MAP_FAMILIES:
-            g = _face_weights(config, parser)
-            ring = SeriesRing(2, config.order)
-            if config.route == "recursion":
-                ladder = ladder_solve(
-                    g, ring, height=max(ring.order + g.p + 1, config.i_max + 1)
-                )
-            elif config.route == "closed":
-                try:
-                    ladder = closed_ladder(g, ring, config.i_max)
-                except ValueError as exc:
-                    parser.error(str(exc))
-            else:
-                b, w = tail_solve(g, ring)
-                det_index = config.i_max // 2
-                n_top = 2 * det_index + 1
-                fb = f_sequence(n_top, g, b, w, "black")
-                fw = f_sequence(n_top, g, b, w, "white")
-                ladder = cf_extract(hankel_family(fb, fw, det_index), config.i_max)
-            records.extend(_ladder_records(ladder, config.i_max))
-            meta["variables"] = _variables(2, config.family)
-        elif config.family in ("ternary", "binary"):
-            ring = SeriesRing(2, config.order)
-            solve = ternary_solve if config.family == "ternary" else binary_solve
-            names = ("P", "Q") if config.family == "ternary" else ("R", "S")
-            sys_ = solve(ring, height=max(ring.order + 2, config.i_max))
-            if config.route == "closed":
-                closed = ternary_closed_ladder if config.family == "ternary" else binary_closed_ladder
-                firsts, seconds = closed(sys_, config.i_max)
-            elif config.route == "recursion":
-                firsts = [sys_.first_at(i) for i in range(1, config.i_max + 1)]
-                seconds = [sys_.second_at(i) for i in range(1, config.i_max + 1)]
-            else:
-                parser.error(f"route {config.route!r} is not defined for {config.family}")
-            for i in range(1, config.i_max + 1):
-                records.append(series_record(f"{names[0]}_{i}", firsts[i - 1]))
-                records.append(series_record(f"{names[1]}_{i}", seconds[i - 1]))
-            meta["variables"] = _variables(2, config.family)
-        else:  # tricolor
+        if config.family == "tricolor":
             if config.route != "recursion":
                 parser.error("family tricolor supports --route recursion here; see the tricolor command")
-            state = tricolor_solve(
-                SeriesRing(3, config.order), height=max(config.order + 2, config.i_max)
-            )
-            for i in range(1, config.i_max + 1):
-                records.append(series_record(f"T_{i}", state.t_at(i)))
-                records.append(series_record(f"U_{i}", state.u_at(i)))
-                records.append(series_record(f"V_{i}", state.v_at(i)))
+            records.extend(_tricolor_records(_tricolor_state(config), config.i_max))
             meta["variables"] = _variables(3, config.family)
+        else:
+            names = ENTRY_NAMES.get(config.family, ("B", "W"))
+            records.extend(_ladder_records(_ladder(config, parser), config.i_max, names))
+            meta["variables"] = _variables(2, config.family)
 
     elif config.command == "hankel":
         g = _face_weights(config, parser)
-        ring = SeriesRing(2, config.order)
-        b, w = tail_solve(g, ring)
-        fb = f_sequence(2 * config.i_max + 1, g, b, w, "black")
-        fw = f_sequence(2 * config.i_max + 1, g, b, w, "white")
-        fam = hankel_family(fb, fw, config.i_max)
+        fam = boundary_hankel_family(g, SeriesRing(2, config.order), config.i_max)
         for i in range(config.i_max + 1):
             records.append(series_record(f"h0_{i}", fam.h0[i]))
             records.append(series_record(f"h1_{i}", fam.h1[i]))
@@ -219,13 +210,8 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
         meta.update(links=config.links, variables=["s1", "s2"])
 
     elif config.command == "tricolor":
-        state = tricolor_solve(
-            SeriesRing(3, config.order), height=max(config.order + 2, config.i_max)
-        )
-        for i in range(1, config.i_max + 1):
-            records.append(series_record(f"T_{i}", state.t_at(i)))
-            records.append(series_record(f"U_{i}", state.u_at(i)))
-            records.append(series_record(f"V_{i}", state.v_at(i)))
+        state = _tricolor_state(config)
+        records.extend(_tricolor_records(state, config.i_max))
         for name, f in (
             ("T", state.t),
             ("U", state.u),
@@ -297,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=7, help="seed for sampled rational points")
-        p.add_argument("--i-max", type=int, default=i_max_default, help="largest ladder index")
+        if i_max_default is not None:
+            p.add_argument("--i-max", type=int, default=i_max_default, help="largest ladder index")
         p.add_argument("--output", default=None, help="write the document here instead of stdout")
 
     p = sub.add_parser("twopoint", help="distance-dependent two-point tables")
@@ -317,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_parse_face_weights, default=())
 
     p = sub.add_parser("dimers", help="hard-dimer polynomials on segments")
-    common(p)
+    common(p, i_max_default=None)
     p.add_argument("--links", type=int, default=6)
 
     p = sub.add_parser("tricolor", help="tricolored ladder and height parameters")
     common(p, i_max_default=6)
 
     p = sub.add_parser("verify", help="run a named cross-validation suite")
-    common(p)
+    common(p, i_max_default=None)
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     return parser
 

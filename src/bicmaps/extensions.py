@@ -12,8 +12,10 @@ the role the quantity c*x plays for quadrangulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .closedform import quad_pattern_ladder, unit_factors
+from .paths import WeightLadder, ladder_entry, ladders_agree
 from .series import (
     MSeries,
     SeriesRing,
@@ -34,32 +36,8 @@ def rotate_colors(f: MSeries) -> MSeries:
     return f.permute_vars(ROTATE)
 
 
-@dataclass(frozen=True)
-class TwoVarSystem:
-    """A solved two-family ladder with unit seeds and index-0 entries zero."""
-
-    kind: str  # "ternary" or "binary"
-    first: tuple[MSeries, ...]
-    second: tuple[MSeries, ...]
-    tail_first: MSeries
-    tail_second: MSeries
-
-    def first_at(self, i: int) -> MSeries:
-        if i == 0:
-            return zero(self.tail_first.num_vars, self.tail_first.order)
-        return self.first[i - 1] if i <= len(self.first) else self.tail_first
-
-    def second_at(self, i: int) -> MSeries:
-        if i == 0:
-            return zero(self.tail_second.num_vars, self.tail_second.order)
-        return self.second[i - 1] if i <= len(self.second) else self.tail_second
-
-    @property
-    def height(self) -> int:
-        return len(self.first)
-
-
-def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> TwoVarSystem:
+def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> WeightLadder:
+    """Solve a two-family ladder with unit seeds; index-0 entries are zero."""
     n = ring.order
     if height is None:
         height = n + 2
@@ -96,8 +74,8 @@ def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> TwoVarSys
     )
 
     def sweep(state):
-        sys = TwoVarSystem(kind, *state, p, q)
-        pairs = [entry_rhs(sys.first_at, sys.second_at, i) for i in range(1, height + 1)]
+        lad = WeightLadder(*state, p, q)
+        pairs = [entry_rhs(lad.black_weight, lad.white_weight, i) for i in range(1, height + 1)]
         return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
     firsts, seconds = fixed_point(
@@ -106,16 +84,16 @@ def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> TwoVarSys
         n,
         ConvergenceError(f"{kind} ladder did not stabilize"),
     )
-    return TwoVarSystem(kind, firsts, seconds, p, q)
+    return WeightLadder(firsts, seconds, p, q)
 
 
-def ternary_solve(ring: SeriesRing, height: int | None = None) -> TwoVarSystem:
-    """Embedded-ternary-tree ladder in the two internal-vertex weights."""
+def ternary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
+    """Embedded-ternary-tree ladder P_i (black) and Q_i (white)."""
     return _two_var_solve(ring, "ternary", height)
 
 
-def binary_solve(ring: SeriesRing, height: int | None = None) -> TwoVarSystem:
-    """Embedded-binary-tree ladder in the two internal-vertex weights."""
+def binary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
+    """Embedded-binary-tree ladder R_i (black) and S_i (white)."""
     return _two_var_solve(ring, "binary", height)
 
 
@@ -125,39 +103,36 @@ def _check_quadratic(a2, a1, a0, root):
     )
 
 
-def ternary_closed_ladder(sys: TwoVarSystem, i_max: int):
+def ternary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     """Closed entries from (P-1) D^2 - D + (Q-1) = 0 and Y = D^2 (P-1)/(Q-1).
 
     The color ratio satisfies c^2 = (Q-1)/(P-1) and c(x+1/x) = 1/(P-1);
     clearing denominators against D = c*x yields the quadratic, whose
     residual is asserted.  The entry pattern is the quadrangulation one.
     """
-    p, q = sys.tail_first, sys.tail_second
+    p, q = sys.tail_black, sys.tail_white
     ring_one = one(p.num_vars, p.order)
     d = solve_quadratic_branch(p - 1, -ring_one, q - 1)
     _check_quadratic(p - 1, -ring_one, q - 1, d)
     y = exact_div(d * d * (p - 1), q - 1)
     beta = (d + y) * inv_unit(1 + d)
     gamma = exact_div(y, beta)
-    return quad_pattern_ladder(p, q, y, beta, gamma, i_max)
+    firsts, seconds = quad_pattern_ladder(p, q, y, beta, gamma, i_max)
+    return WeightLadder(tuple(firsts), tuple(seconds), p, q)
 
 
-def ternary_closed(sys: TwoVarSystem, i_max: int) -> bool:
-    firsts, seconds = ternary_closed_ladder(sys, i_max)
-    return all(
-        agree(firsts[i - 1], sys.first_at(i)) and agree(seconds[i - 1], sys.second_at(i))
-        for i in range(1, i_max + 1)
-    )
+def ternary_closed(sys: WeightLadder, i_max: int) -> bool:
+    return ladders_agree(ternary_closed_ladder(sys, i_max), sys, i_max)
 
 
-def binary_closed_ladder(sys: TwoVarSystem, i_max: int):
+def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     """Closed entries from S(S-1) D^2 - RS D + R(R-1) = 0.
 
     Here c^2 = R(R-1)/(S(S-1)) and c(x+1/x) = R/(S-1); the factor pattern
     is shifted relative to the quadrangulation one because these entries
     are triple products of consecutive ternary ones.
     """
-    r, s = sys.tail_first, sys.tail_second
+    r, s = sys.tail_black, sys.tail_white
     a2 = s * (s - 1)
     a1 = -(r * s)
     a0 = r * (r - 1)
@@ -176,15 +151,11 @@ def binary_closed_ladder(sys: TwoVarSystem, i_max: int):
         else:
             firsts.append(r * ub[m] * u[m + 3] * inv_unit(ub[m + 1] * u[m + 2]))
             seconds.append(s * ug[m] * u[m + 3] * inv_unit(ug[m + 1] * u[m + 2]))
-    return firsts, seconds
+    return WeightLadder(tuple(firsts), tuple(seconds), r, s)
 
 
-def binary_closed(sys: TwoVarSystem, i_max: int) -> bool:
-    firsts, seconds = binary_closed_ladder(sys, i_max)
-    return all(
-        agree(firsts[i - 1], sys.first_at(i)) and agree(seconds[i - 1], sys.second_at(i))
-        for i in range(1, i_max + 1)
-    )
+def binary_closed(sys: WeightLadder, i_max: int) -> bool:
+    return ladders_agree(binary_closed_ladder(sys, i_max), sys, i_max)
 
 
 # -- the tricolored system -----------------------------------------------------
@@ -206,19 +177,13 @@ class TriColorState:
     a_hat: MSeries
 
     def t_at(self, i: int) -> MSeries:
-        if i == 0:
-            return zero(self.t.num_vars, self.t.order)
-        return self.t_list[i - 1] if i <= len(self.t_list) else self.t
+        return ladder_entry(self.t_list, self.t, i)
 
     def u_at(self, i: int) -> MSeries:
-        if i == 0:
-            return zero(self.u.num_vars, self.u.order)
-        return self.u_list[i - 1] if i <= len(self.u_list) else self.u
+        return ladder_entry(self.u_list, self.u, i)
 
     def v_at(self, i: int) -> MSeries:
-        if i == 0:
-            return zero(self.v.num_vars, self.v.order)
-        return self.v_list[i - 1] if i <= len(self.v_list) else self.v
+        return ladder_entry(self.v_list, self.v, i)
 
     @property
     def height(self) -> int:
@@ -278,26 +243,15 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
     )
 
     def sweep(state):
-        ts, us, vs = state
-
-        def at(lst, tail, i):
-            if i == 0:
-                return ring.zero()
-            return lst[i - 1] if i <= height else tail
-
-        new_t = tuple(
-            tb + at(ts, t, i) * (at(us, u, i - 1) + at(vs, v, i + 1))
-            for i in range(1, height + 1)
+        t_at, u_at, v_at = (
+            partial(ladder_entry, entries, tail) for entries, tail in zip(state, (t, u, v))
         )
-        new_u = tuple(
-            tw + at(us, u, i) * (at(vs, v, i - 1) + at(ts, t, i + 1))
-            for i in range(1, height + 1)
+        rows = range(1, height + 1)
+        return (
+            tuple(tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)) for i in rows),
+            tuple(tw + u_at(i) * (v_at(i - 1) + t_at(i + 1)) for i in rows),
+            tuple(tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)) for i in rows),
         )
-        new_v = tuple(
-            tg + at(vs, v, i) * (at(ts, t, i - 1) + at(us, u, i + 1))
-            for i in range(1, height + 1)
-        )
-        return new_t, new_u, new_v
 
     ts, us, vs = fixed_point(
         sweep,

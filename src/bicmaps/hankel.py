@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .paths import WeightLadder
-from .series import MSeries, exact_div, one, zero
+from .series import MSeries, SeriesRing, exact_div, one, zero
+from .slices import FaceWeights, f_sequence, tail_solve
 
 
 def det_division_free(rows) -> object:
@@ -110,6 +111,15 @@ def hankel_family(
     )
 
 
+def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, i_max: int) -> HankelFamily:
+    """Determinant sequences 0..i_max of the black and white moments F_n of g."""
+    b, w = tail_solve(g, ring)
+    n_top = 2 * i_max + 1
+    fb = f_sequence(n_top, g, b, w, "black")
+    fw = f_sequence(n_top, g, b, w, "white")
+    return hankel_family(fb, fw, i_max)
+
+
 def _ratio(seq: tuple[MSeries, ...], i: int, unit: MSeries) -> MSeries | None:
     """seq[i]/seq[i-1] with seq[-1] = 1, or None once truncation kills it.
 
@@ -161,6 +171,11 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
             )
             whites.append(entry(_ratio(h.h1, i, unit), _ratio(h.h0, i, unit)))
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])
+
+
+def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
+    """The determinant route: entries 1..i_max from the moments' Hankel data."""
+    return cf_extract(boundary_hankel_family(g, ring, i_max // 2), i_max)
 
 
 def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:

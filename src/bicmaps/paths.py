@@ -9,6 +9,9 @@ black and white.  Two weighting conventions coexist:
 * exact-rational "balanced" sums weight both ascending and descending
   steps by the color of the step's lower end (b on white, w on black).
 
+Both run on one dynamic program over heights, ``_walk``; only the
+brute-force oracle ``rat_path_brute`` enumerates step words on its own.
+
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
 reflection identities are checked.
@@ -17,13 +20,21 @@ reflection identities are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .rational import Rat
-from .series import MSeries, zero
+from .series import MSeries, agree, one, zero
 
 BLACK_WHITE = "bw"
 WHITE_BLACK = "wb"
+
+
+def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
+    """Entry i of a ladder: zero at i <= 0, entries[i-1] up to the height, tail above."""
+    if i <= 0:
+        return zero(tail.num_vars, tail.order)
+    return entries[i - 1] if i <= len(entries) else tail
 
 
 @dataclass(frozen=True)
@@ -57,20 +68,12 @@ class WeightLadder:
     def black_weight(self, i: int) -> MSeries:
         if self.constant:
             return self.tail_black
-        if i <= 0:
-            return zero(self.tail_black.num_vars, self.tail_black.order)
-        if i <= len(self.black):
-            return self.black[i - 1]
-        return self.tail_black
+        return ladder_entry(self.black, self.tail_black, i)
 
     def white_weight(self, i: int) -> MSeries:
         if self.constant:
             return self.tail_white
-        if i <= 0:
-            return zero(self.tail_white.num_vars, self.tail_white.order)
-        if i <= len(self.white):
-            return self.white[i - 1]
-        return self.tail_white
+        return ladder_entry(self.white, self.tail_white, i)
 
     def step_weight(self, h: int, black_parity: int) -> MSeries:
         """Weight of the descending step with upper end at height h."""
@@ -85,6 +88,15 @@ class WeightLadder:
         )
 
 
+def ladders_agree(a: WeightLadder, b: WeightLadder, i_max: int) -> bool:
+    """Entries 1..i_max of both colors agree through their common reliable order."""
+    return all(
+        agree(a.black_weight(i), b.black_weight(i))
+        and agree(a.white_weight(i), b.white_weight(i))
+        for i in range(1, i_max + 1)
+    )
+
+
 @dataclass(frozen=True)
 class RatPathWeights:
     """Rational sample values for the balanced square-root step weights."""
@@ -97,6 +109,35 @@ class RatPathWeights:
             raise ValueError("step weights must be positive")
 
 
+def _walk(start, end, length, floor, up, down, unit):
+    """Height -> weight maps of +-1 paths after 0, 1, ..., length steps.
+
+    Only heights from which end is still reachable are kept.  up(h) and
+    down(h) weigh the step leaving height h upwards or downwards; None means
+    weight one and skips the multiplication.  floor=None means no floor.
+    """
+    cur = {start: unit}
+    yield cur
+    for step in range(length):
+        remaining = length - step - 1
+        nxt = {}
+        for h, val in cur.items():
+            for nh, weight in ((h + 1, up), (h - 1, down)):
+                if (floor is not None and nh < floor) or abs(nh - end) > remaining:
+                    continue
+                piece = val if weight is None else val * weight(h)
+                nxt[nh] = nxt[nh] + piece if nh in nxt else piece
+        cur = nxt
+        yield cur
+
+
+def _series_walk(start, end, length, floor, black_parity, ladder):
+    """_walk with descending steps weighted by the ladder at their upper height."""
+    down = partial(ladder.step_weight, black_parity=black_parity)
+    unit = one(ladder.tail_black.num_vars, ladder.tail_black.order)
+    return _walk(start, end, length, floor, None, down, unit)
+
+
 def _series_path_sum(
     start: int,
     end: int,
@@ -106,30 +147,15 @@ def _series_path_sum(
     ladder: WeightLadder,
 ) -> MSeries:
     """Sum over +-1 paths, descending steps weighted by their upper height."""
-    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
-    if floor is None:
-        floor = min(start, end) - length
-    if start < floor or end < floor:
+    if floor is not None and (start < floor or end < floor):
         raise ValueError("endpoints must not lie below the floor")
     if (start - end - length) % 2 or length < abs(start - end):
         raise ValueError(
             f"no path of length {length} from height {start} to {end}"
         )
-    cur: dict[int, MSeries] = {start: MSeries(nv, order, {(0,) * nv: 1})}
-    for step in range(length):
-        remaining = length - step - 1
-        nxt: dict[int, MSeries] = {}
-        for h, val in cur.items():
-            for nh in (h + 1, h - 1):
-                if nh < floor or abs(nh - end) > remaining:
-                    continue
-                piece = val if nh > h else val * ladder.step_weight(h, black_parity)
-                if nh in nxt:
-                    nxt[nh] = nxt[nh] + piece
-                else:
-                    nxt[nh] = piece
-        cur = nxt
-    return cur.get(end, zero(nv, order))
+    for cur in _series_walk(start, end, length, floor, black_parity, ladder):
+        pass
+    return cur.get(end, zero(ladder.tail_black.num_vars, ladder.tail_black.order))
 
 
 def z_plus(
@@ -168,25 +194,9 @@ def z_plus_profile(
     if floor is None:
         floor = d
     parity = d % 2 if black_start else (d + 1) % 2
-    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
-    out = [zero(nv, order) for _ in range(max_length + 1)]
-    cur: dict[int, MSeries] = {d: MSeries(nv, order, {(0,) * nv: 1})}
-    out[0] = cur[d]
-    for step in range(1, max_length + 1):
-        nxt: dict[int, MSeries] = {}
-        for h, val in cur.items():
-            for nh in (h + 1, h - 1):
-                if nh < floor or abs(nh - d) > max_length - step:
-                    continue
-                piece = val if nh > h else val * ladder.step_weight(h, parity)
-                if nh in nxt:
-                    nxt[nh] = nxt[nh] + piece
-                else:
-                    nxt[nh] = piece
-        cur = nxt
-        if d in cur:
-            out[step] = cur[d]
-    return out
+    nothing = zero(ladder.tail_black.num_vars, ladder.tail_black.order)
+    walk = _series_walk(d, d, max_length, floor, parity, ladder)
+    return [cur.get(d, nothing) for cur in walk]
 
 
 def z_strip(colors: str, i: int, length: int, ladder: WeightLadder) -> MSeries:
@@ -209,7 +219,7 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
     if length % 2 or length < 0:
         raise ValueError("need an even non-negative length")
     ladder = WeightLadder.constant_ladder(b, w)
-    return _series_path_sum(0, 0, length, -length, 0, ladder)
+    return _series_path_sum(0, 0, length, None, 0, ladder)
 
 
 # -- exact-rational balanced paths -------------------------------------------
@@ -243,17 +253,10 @@ def rat_path(
     def lower_weight(h: int):
         return wt.w if h % 2 == parity else wt.b
 
-    cur = {start: Rat(1)}
-    for step in range(length):
-        remaining = length - step - 1
-        nxt: dict[int, object] = {}
-        for h, val in cur.items():
-            up, down = h + 1, h - 1
-            if abs(up - end) <= remaining and (floor is None or up >= floor):
-                nxt[up] = nxt.get(up, 0) + val * lower_weight(h)
-            if abs(down - end) <= remaining and (floor is None or down >= floor):
-                nxt[down] = nxt.get(down, 0) + val * lower_weight(down)
-        cur = nxt
+    for cur in _walk(
+        start, end, length, floor, lower_weight, lambda h: lower_weight(h - 1), Rat(1)
+    ):
+        pass
     return cur.get(end, Rat(0))
 
 

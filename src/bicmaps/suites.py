@@ -29,6 +29,7 @@ from .hankel import (
     cf_extract,
     det_division_free,
     det_leibniz,
+    determinant_ladder,
     hankel_det,
     hankel_family,
 )
@@ -37,6 +38,7 @@ from .paths import (
     WeightLadder,
     check_reflection_even,
     check_reflection_odd,
+    ladders_agree,
     rat_path,
     rat_path_brute,
     z_plus,
@@ -243,14 +245,7 @@ def suite_hankel(order: int, seed: int) -> list[CheckResult]:
             ) for i in (1, 2)),
         )
         extracted = cf_extract(hankel_family(fb, fw, 3), 6)
-        s.ok(
-            f"hankel/{label}/extraction-vs-recursion",
-            all(
-                agree(extracted.black_weight(i), ladder.black_weight(i))
-                and agree(extracted.white_weight(i), ladder.white_weight(i))
-                for i in range(1, 7)
-            ),
-        )
+        s.ok(f"hankel/{label}/extraction-vs-recursion", ladders_agree(extracted, ladder, 6))
         expanded = cf_expand(ladder, depth=8, n_max=5)
         s.ok(
             f"hankel/{label}/expansion-vs-direct",
@@ -281,14 +276,7 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
     for label, g, top in (("quad", QUAD, 6), ("hex", HEX, 4)):
         ladder = ladder_solve(g, ring)
         closed = closed_ladder(g, ring, top)
-        s.ok(
-            f"closedform/{label}/closed-vs-recursion",
-            all(
-                agree(closed.black_weight(i), ladder.black_weight(i))
-                and agree(closed.white_weight(i), ladder.white_weight(i))
-                for i in range(1, top + 1)
-            ),
-        )
+        s.ok(f"closedform/{label}/closed-vs-recursion", ladders_agree(closed, ladder, top))
         s.ok(
             f"closedform/{label}/uncolored-collapse",
             all(
@@ -354,10 +342,10 @@ def suite_extensions(order: int, seed: int) -> list[CheckResult]:
     s = _Suite()
     ring = SeriesRing(2, order)
     ternary = ternary_solve(ring)
-    s.ok("extensions/ternary/unit-seeds", ternary.first_at(1) == one(2, order))
+    s.ok("extensions/ternary/unit-seeds", ternary.black_weight(1) == one(2, order))
     s.ok("extensions/ternary/closed-vs-perturbative", ternary_closed(ternary, 6))
     binary = binary_solve(ring)
-    s.ok("extensions/binary/unit-seeds", binary.first_at(1) == one(2, order))
+    s.ok("extensions/binary/unit-seeds", binary.black_weight(1) == one(2, order))
     s.ok("extensions/binary/closed-vs-perturbative", binary_closed(binary, 6))
     tri_order = min(order, 8)
     state = tricolor_solve(SeriesRing(3, tri_order))
@@ -383,18 +371,8 @@ def suite_general(order: int, seed: int) -> list[CheckResult]:
     s = _Suite()
     ring = SeriesRing(2, order)
     ladder = ladder_solve(OCT, ring)
-    b, w = ladder.tail_black, ladder.tail_white
-    fb = f_sequence(6, OCT, b, w, color="black")
-    fw = f_sequence(6, OCT, b, w, color="white")
-    extracted = cf_extract(hankel_family(fb, fw, 2), 4)
-    s.ok(
-        "general/oct/extraction-vs-recursion",
-        all(
-            agree(extracted.black_weight(i), ladder.black_weight(i))
-            and agree(extracted.white_weight(i), ladder.white_weight(i))
-            for i in range(1, 5)
-        ),
-    )
+    extracted = determinant_ladder(OCT, ring, 4)
+    s.ok("general/oct/extraction-vs-recursion", ladders_agree(extracted, ladder, 4))
     base = conserved(1, 0, ladder, OCT)
     s.ok(
         "general/oct/conserved-independence",

@@ -25,3 +25,18 @@ def assert_stable(low, high, reliable):
     """``low`` reports ``reliable`` and agrees with ``high`` through it."""
     assert low.reliable == reliable
     assert agree(low, high), (low, high)
+
+
+def assert_ladder_stable(low, high, i_max):
+    """Entries 1..i_max of ``low`` agree with ``high`` through their own reliable.
+
+    ``high`` is the same route at a higher order, so it must vouch for at
+    least as many degrees as ``low``.
+    """
+    for i in range(1, i_max + 1):
+        for a, b in (
+            (low.black_weight(i), high.black_weight(i)),
+            (low.white_weight(i), high.white_weight(i)),
+        ):
+            assert b.reliable >= a.reliable, (i, a.reliable, b.reliable)
+            assert first_difference(a, b, a.reliable) is None, (i, a, b)

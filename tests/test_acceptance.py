@@ -29,7 +29,7 @@ from bicmaps.extensions import (
     tricolor_closed_t,
     tricolor_solve,
 )
-from bicmaps.hankel import cf_extract, hankel_det, hankel_family
+from bicmaps.hankel import cf_extract, determinant_ladder, hankel_det, hankel_family
 from bicmaps.paths import RatPathWeights, check_reflection_even, check_reflection_odd
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, first_difference, one, zero
@@ -164,10 +164,7 @@ def test_criterion_06_general_family_routes():
         ring = SeriesRing(2, 8)
         g = FaceWeights((rat(0), rat(0), rat(0), rat(1)))
         ladder = ladder_solve(g, ring)
-        b, w = ladder.tail_black, ladder.tail_white
-        fb = f_sequence(6, g, b, w, color="black")
-        fw = f_sequence(6, g, b, w, color="white")
-        extracted = cf_extract(hankel_family(fb, fw, 2), 4)
+        extracted = determinant_ladder(g, ring, 4)
         ladders_agree(ladder, extracted, 4, "general-p3")
 
 
@@ -246,19 +243,19 @@ def test_criterion_11_extensions():
     with criterion(11, "ternary/binary/tricolor systems: closed = perturbative", 120.0):
         ring = SeriesRing(2, 8)
         ternary = ternary_solve(ring)
-        assert ternary.first_at(1) == one(2, 8)
-        assert ternary.second_at(1) == one(2, 8)
-        firsts, seconds = ternary_closed_ladder(ternary, 6)
+        assert ternary.black_weight(1) == one(2, 8)
+        assert ternary.white_weight(1) == one(2, 8)
+        closed = ternary_closed_ladder(ternary, 6)
         for i in range(1, 7):
-            assert agree(firsts[i - 1], ternary.first_at(i)), i
-            assert agree(seconds[i - 1], ternary.second_at(i)), i
+            assert agree(closed.black_weight(i), ternary.black_weight(i)), i
+            assert agree(closed.white_weight(i), ternary.white_weight(i)), i
         binary = binary_solve(ring)
-        assert binary.first_at(1) == one(2, 8)
-        assert binary.second_at(1) == one(2, 8)
-        firsts, seconds = binary_closed_ladder(binary, 6)
+        assert binary.black_weight(1) == one(2, 8)
+        assert binary.white_weight(1) == one(2, 8)
+        closed = binary_closed_ladder(binary, 6)
         for i in range(1, 7):
-            assert agree(firsts[i - 1], binary.first_at(i)), i
-            assert agree(seconds[i - 1], binary.second_at(i)), i
+            assert agree(closed.black_weight(i), binary.black_weight(i)), i
+            assert agree(closed.white_weight(i), binary.white_weight(i)), i
         state = tricolor_solve(SeriesRing(3, 6))
         for i in (0, 1, 2):
             closed = tricolor_closed_t(state, i)

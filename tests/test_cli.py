@@ -157,6 +157,14 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["dimers", "verify"])
+def test_i_max_rejected_where_unused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--order", "4", "--i-max", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --i-max" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "env, argv, message",
     [

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmaps.closedform import (
     closed_ladder,
@@ -17,7 +19,7 @@ from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
 
-from helpers import S, assert_series
+from helpers import S, assert_ladder_stable, assert_series
 from printed import (
     HEX_D1,
     HEX_D2,
@@ -236,3 +238,13 @@ def test_twopoint_closed_printed_tables():
 def test_closed_ladder_rejects_general_families():
     with pytest.raises(ValueError):
         closed_ladder(FaceWeights((rat(0), rat(0), rat(0), rat(1))), RING, 3)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(("quad", "hex")), st.integers(2, 6), st.integers(1, 2))
+def test_closed_ladder_stable_under_higher_order(name, n, k):
+    g = QUAD if name == "quad" else HEX
+    low = closed_ladder(g, SeriesRing(2, n), 6)
+    high = closed_ladder(g, SeriesRing(2, n + k), 6)
+    assert low.black_weight(1).reliable >= n - 2
+    assert_ladder_stable(low, high, 6)

@@ -42,65 +42,75 @@ def tricolor():
 
 
 def test_ternary_seed_values(ternary):
-    assert ternary.first_at(0).is_zero()
-    assert ternary.second_at(0).is_zero()
-    assert ternary.first_at(1) == one(2, 8)  # P_1 = 1 exactly
-    assert ternary.second_at(1) == one(2, 8)
+    assert ternary.black_weight(0).is_zero()
+    assert ternary.white_weight(0).is_zero()
+    assert ternary.black_weight(1) == one(2, 8)  # P_1 = 1 exactly
+    assert ternary.white_weight(1) == one(2, 8)
+
+
+def test_entries_below_index_one_are_zero(ternary, binary, tricolor):
+    for ladder in (ternary, binary):
+        for i in (0, -1, -2):
+            assert ladder.black_weight(i).is_zero(), i
+            assert ladder.white_weight(i).is_zero(), i
+    for at in (tricolor.t_at, tricolor.u_at, tricolor.v_at):
+        for i in (0, -1, -2):
+            assert at(i).is_zero(), i
 
 
 def test_ternary_tail_equations(ternary):
     zb, zw = R2.gens()
-    p, q = ternary.tail_first, ternary.tail_second
+    p, q = ternary.tail_black, ternary.tail_white
     assert p == 1 + zw * q * q * p
     assert q == 1 + zb * p * p * q
 
 
 def test_ternary_closed_matches_perturbative(ternary):
-    firsts, seconds = ternary_closed_ladder(ternary, 6)
+    closed = ternary_closed_ladder(ternary, 6)
     for i in range(1, 7):
-        assert agree(firsts[i - 1], ternary.first_at(i)), (
+        assert agree(closed.black_weight(i), ternary.black_weight(i)), (
             i,
-            first_difference(firsts[i - 1], ternary.first_at(i)),
+            first_difference(closed.black_weight(i), ternary.black_weight(i)),
         )
-        assert agree(seconds[i - 1], ternary.second_at(i)), i
+        assert agree(closed.white_weight(i), ternary.white_weight(i)), i
     assert ternary_closed(ternary, 6)
 
 
 def test_ternary_uncolored_collapse(ternary):
     for i in range(1, 7):
-        pc = ternary.first_at(i).collapse_vars()
-        qc = ternary.second_at(i).collapse_vars()
+        pc = ternary.black_weight(i).collapse_vars()
+        qc = ternary.white_weight(i).collapse_vars()
         assert first_difference(pc, qc) is None, i
 
 
 def test_binary_seed_values(binary):
-    assert binary.first_at(0).is_zero()
-    assert binary.first_at(1) == one(2, 8)  # R_1 = 1 exactly
-    assert binary.second_at(1) == one(2, 8)
+    assert binary.black_weight(0).is_zero()
+    assert binary.black_weight(1) == one(2, 8)  # R_1 = 1 exactly
+    assert binary.white_weight(1) == one(2, 8)
 
 
 def test_binary_tail_equations(binary):
     yb, yw = R2.gens()
-    r, s = binary.tail_first, binary.tail_second
+    r, s = binary.tail_black, binary.tail_white
     assert r == 1 + yb * s * s
     assert s == 1 + yw * r * r
 
 
 def test_binary_closed_matches_perturbative(binary):
-    firsts, seconds = binary_closed_ladder(binary, 6)
+    closed = binary_closed_ladder(binary, 6)
     for i in range(1, 7):
-        assert agree(firsts[i - 1], binary.first_at(i)), (
+        assert agree(closed.black_weight(i), binary.black_weight(i)), (
             i,
-            first_difference(firsts[i - 1], binary.first_at(i)),
+            first_difference(closed.black_weight(i), binary.black_weight(i)),
         )
-        assert agree(seconds[i - 1], binary.second_at(i)), i
+        assert agree(closed.white_weight(i), binary.white_weight(i)), i
     assert binary_closed(binary, 6)
 
 
 def test_binary_closed_unit_seed(binary):
-    firsts, seconds = binary_closed_ladder(binary, 1)
-    assert agree(firsts[0], one(2, 8))
-    assert agree(seconds[0], one(2, 8))
+    closed = binary_closed_ladder(binary, 1)
+    assert agree(closed.black_weight(1), one(2, 8))
+    assert agree(closed.white_weight(1), one(2, 8))
 
 
 # -- collapse onto the quadrangulation solution --------------------------------
@@ -122,8 +132,8 @@ def test_ternary_specializes_to_quad_slices(quad_ladder_for_collapse):
     for i in range(1, 6):
         p_quad = exact_div(lad.black_weight(i), b1)
         q_quad = exact_div(lad.white_weight(i), w1)
-        assert agree(sys.first_at(i).substitute([z_black, z_white]), p_quad), i
-        assert agree(sys.second_at(i).substitute([z_black, z_white]), q_quad), i
+        assert agree(sys.black_weight(i).substitute([z_black, z_white]), p_quad), i
+        assert agree(sys.white_weight(i).substitute([z_black, z_white]), q_quad), i
 
 
 def test_binary_specializes_through_delta(quad_ladder_for_collapse):
@@ -145,7 +155,7 @@ def test_binary_specializes_through_delta(quad_ladder_for_collapse):
     for i in range(1, 5):
         p_next = exact_div(lad.black_weight(i + 1), b1)
         r_quad = exact_div(p_next - 1, z_white * delta)
-        assert agree(sys.first_at(i).substitute([y_black, y_white]), r_quad), i
+        assert agree(sys.black_weight(i).substitute([y_black, y_white]), r_quad), i
 
 
 # -- tricolored system ----------------------------------------------------------

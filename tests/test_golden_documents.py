@@ -1,5 +1,8 @@
 """Golden CLI documents: each command's JSON pinned by sha256 at orders 4 and 6.
 
+Four of them are also pinned as CSV at order 4, which fixes the row layout
+and the record order of the CSV writer.
+
 A digest moves when any coefficient, reliable bound, record name or the
 layout of a document moves, so a kernel or solver change that is meant to
 be invisible must leave every line below passing.  The general family
@@ -85,6 +88,15 @@ GOLDEN = {
     ("verify-all", 6): "993468dfad854e813512a6c6de7be780a03c8a7a877080a4275e340b8972f4a6",
 }
 
+CSV_GOLDEN = {
+    "twopoint-quad": "5af3da18316a897909c6335103c54b3dce7a10ae2b2b2e7e216f623fa17dd988",
+    "ladder-ternary-closed": "2b9824c24d16e8f41e1c8256dc026bee7ad86f57811c387e104319301c88e5f4",
+    "ladder-general-determinant": (
+        "f497255d6633db339d701bcb84846fd73f7a8e9ef768fff5cb5522793172a7c3"
+    ),
+    "tricolor": "a59b17399985ea9ce106a888aa93f79cdbab21958a4ce1d0441769934ed3d12a",
+}
+
 
 def document_digest(capsys, argv) -> str:
     code = main(argv)
@@ -100,3 +112,9 @@ def test_every_case_is_pinned_at_both_orders():
 def test_golden_document(capsys, name, order):
     digest = document_digest(capsys, CASES[name] + ["--order", str(order)])
     assert digest == GOLDEN[name, order], f"{name} at order {order} changed"
+
+
+@pytest.mark.parametrize("name", sorted(CSV_GOLDEN))
+def test_golden_csv_document(capsys, name):
+    digest = document_digest(capsys, CASES[name] + ["--order", "4", "--format", "csv"])
+    assert digest == CSV_GOLDEN[name], f"{name} CSV at order 4 changed"

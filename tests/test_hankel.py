@@ -5,18 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmaps.hankel import (
+    boundary_hankel_family,
     cf_expand,
     cf_extract,
     det_division_free,
     det_leibniz,
+    determinant_ladder,
     hankel_det,
     hankel_family,
 )
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, common_reliable, first_difference, one
 from bicmaps.slices import FaceWeights, f_sequence, ladder_solve, tail_solve
+
+from helpers import assert_ladder_stable
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -151,3 +157,27 @@ def test_hankel_positivity_at_small_specialization():
         for i in range(5):
             rows = [[values[n + m + shift] for m in range(i + 1)] for n in range(i + 1)]
             assert det_division_free(rows) > 0, (shift, i)
+
+
+FAMILIES = {
+    "quad": QUAD,
+    "hex": HEX,
+    "g1=1/5": FaceWeights((rat(1, 5), rat(1))),
+    "p=3": FaceWeights((rat(0), rat(0), rat(0), rat(1))),
+}
+
+
+def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
+    _, fb, fw = quad_data
+    assert boundary_hankel_family(QUAD, RING, 3) == hankel_family(fb, fw, 3)
+    assert determinant_ladder(QUAD, RING, 6) == cf_extract(hankel_family(fb, fw, 3), 6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(2, 6), st.integers(1, 2))
+def test_determinant_ladder_stable_under_higher_order(name, n, k):
+    g = FAMILIES[name]
+    low = determinant_ladder(g, SeriesRing(2, n), 6)
+    high = determinant_ladder(g, SeriesRing(2, n + k), 6)
+    assert low.black_weight(1).reliable == n - 1
+    assert_ladder_stable(low, high, 6)
