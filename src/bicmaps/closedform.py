@@ -9,6 +9,12 @@ formulas here are pre-rewritten in combinations that are series:
   weights lambda_a, the ratios beta_a and gamma_a = y_a/beta_a, and the
   product (W/B)*d1*d2.
 
+One pipeline serves both, and the ternary ladder in ``extensions``:
+``characteristic`` derives (d, y, beta, gamma) from a root's quadratic,
+``unit_factors`` builds the three factor families over one root or the
+lambda-weighted hexangulation roots, and ``quad_pattern_ladder`` assembles
+the four-factor entries.
+
 Every inverted factor is a unit, every division goes through exact_div,
 and the two quadratic branches are pinned by their leading vertex-weight
 coefficients, which are asserted at runtime.
@@ -29,6 +35,7 @@ from .series import (
     one,
     solve_quadratic_branch,
     sqrt_unit,
+    zero,
 )
 from .slices import FaceWeights, TwoPointTable, tail_solve, twopoint_from_ladder
 
@@ -66,40 +73,56 @@ class HexParams:
     gamma2: MSeries
 
 
+def characteristic(a2: MSeries, a1: MSeries, a0: MSeries):
+    """The series root d of a2 d^2 + a1 d + a0 = 0 with d(0) = 0, and its
+    (y, beta, gamma): y = a2 d^2 / a0, beta = (d+y)/(1+d), gamma = y/beta.
+
+    Returns (d, y, beta, gamma); the residual of the quadratic is asserted.
+    """
+    d = solve_quadratic_branch(a2, a1, a0)
+    a2dd = a2 * d * d
+    assert agree(a2dd + a1 * d + a0, zero(d.num_vars, d.order)), (
+        "derived quadratic residual does not vanish"
+    )
+    y = exact_div(a2dd, a0)
+    beta = (d + y) * inv_unit(1 + d)
+    return d, y, beta, exact_div(y, beta)
+
+
 def quad_params(b: MSeries, w: MSeries) -> QuadParams:
     """Solve W d^2 + (2(B+W) - 1) d + B = 0 and derive y, beta, gamma."""
-    d = solve_quadratic_branch(w, 2 * (b + w) - 1, b)
+    d, y, beta, gamma = characteristic(w, 2 * (b + w) - 1, b)
     lead = (1, 0) + (0,) * (b.num_vars - 2)
     assert d.coefficient(lead) == 1, "quadratic branch drifted from +t_black"
-    y = exact_div(d * d * w, b)
-    beta = (d + y) * inv_unit(1 + d)
-    gamma = exact_div(y, beta)
     return QuadParams(b, w, d, y, beta, gamma)
 
 
-def unit_factors(y: MSeries, beta: MSeries, gamma: MSeries, top: int):
-    """Factor families u(j) = 1 - y^j, 1 - beta*y^j, 1 - gamma*y^j for j <= top."""
-    powers = [y ** j for j in range(top + 1)]
-    plain = [1 - p for p in powers]
-    with_beta = [1 - beta * p for p in powers]
-    with_gamma = [1 - gamma * p for p in powers]
-    return plain, with_beta, with_gamma
+def unit_factors(roots, top: int):
+    """Factor families for j <= top over roots (y_a, lam_a, beta_a, gamma_a):
+    u(j) = 1 - sum_a lam_a y_a^j, and the same sums with weights
+    lam_a*beta_a and lam_a*gamma_a.
+
+    One root with lam = 1 gives 1 - y^j, 1 - beta*y^j, 1 - gamma*y^j.
+    """
+    weights = [(lam, lam * beta, lam * gamma) for _, lam, beta, gamma in roots]
+    powers = [[y ** j for j in range(top + 1)] for y, _, _, _ in roots]
+    families = ([], [], [])
+    for j in range(top + 1):
+        for k, family in enumerate(families):
+            f = 1
+            for wt, p in zip(weights, powers):
+                f = f - wt[k] * p[j]
+            family.append(f)
+    return families
 
 
-def quad_pattern_ladder(
-    tail_b: MSeries,
-    tail_w: MSeries,
-    y: MSeries,
-    beta: MSeries,
-    gamma: MSeries,
-    i_max: int,
-) -> tuple[list[MSeries], list[MSeries]]:
+def quad_pattern_ladder(tail_b: MSeries, tail_w: MSeries, u, ub, ug, i_max: int) -> WeightLadder:
     """Entries 1..i_max of the four-factor product solution.
 
-    The same pattern solves the quadrangulation system and the ternary-tree
-    system; only the tails and the (y, beta, gamma) triple differ.
+    The same pattern solves the quadrangulation, hexangulation and
+    ternary-tree systems; only the tails and the factor families
+    (``unit_factors`` up to i_max//2 + 2) differ.
     """
-    u, ub, ug = unit_factors(y, beta, gamma, i_max // 2 + 2)
     blacks, whites = [], []
     for idx in range(1, i_max + 1):
         m, odd = divmod(idx, 2)
@@ -109,14 +132,13 @@ def quad_pattern_ladder(
         else:
             blacks.append(tail_b * ug[m] * u[m + 2] * inv_unit(ug[m + 1] * u[m + 1]))
             whites.append(tail_w * ub[m] * u[m + 2] * inv_unit(ub[m + 1] * u[m + 1]))
-    return blacks, whites
+    return WeightLadder(tuple(blacks), tuple(whites), tail_b, tail_w)
 
 
 def quad_ladder_closed(params: QuadParams, i_max: int) -> WeightLadder:
-    blacks, whites = quad_pattern_ladder(
-        params.B, params.W, params.y, params.beta, params.gamma, i_max
-    )
-    return WeightLadder(tuple(blacks), tuple(whites), params.B, params.W)
+    roots = [(params.y, 1, params.beta, params.gamma)]
+    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
+    return quad_pattern_ladder(params.B, params.W, u, ub, ug, i_max)
 
 
 def hex_params(b: MSeries, w: MSeries) -> HexParams:
@@ -127,24 +149,23 @@ def hex_params(b: MSeries, w: MSeries) -> HexParams:
     W d^2 - (W z) d + B = 0 whose series roots start at -t_black and
     +t_black respectively.
     """
+    if b.order < 2:
+        raise ValueError(
+            "the hexangulation closed form needs truncation order at least 2: "
+            "below it the interpolation weights lose every known degree"
+        )
     disc = 2 * sqrt_unit(1 - (3 * b * b + 14 * b * w + 3 * w * w) * rat(1, 4))
     wz1 = (-3 * (b + w) - disc) * rat(1, 2)
     wz2 = (-3 * (b + w) + disc) * rat(1, 2)
-    d1 = solve_quadratic_branch(w, -wz1, b)
-    d2 = solve_quadratic_branch(w, -wz2, b)
+    d1, y1, beta1, gamma1 = characteristic(w, -wz1, b)
+    d2, y2, beta2, gamma2 = characteristic(w, -wz2, b)
     lead = (1, 0) + (0,) * (b.num_vars - 2)
     assert d1.coefficient(lead) == -1, "first branch drifted from -t_black"
     assert d2.coefficient(lead) == 1, "second branch drifted from +t_black"
-    y1 = exact_div(d1 * d1 * w, b)
-    y2 = exact_div(d2 * d2 * w, b)
     diff = d1 - d2
     lam1 = exact_div(d1 - y1 * d2, diff)
     lam2 = exact_div(d2 - y2 * d1, -diff)
-    beta1 = (d1 + y1) * inv_unit(1 + d1)
-    beta2 = (d2 + y2) * inv_unit(1 + d2)
     wd = exact_div(d1 * d2 * w, b)
-    gamma1 = exact_div(y1, beta1)
-    gamma2 = exact_div(y2, beta2)
     # the interpolation weights and the cross product must resolve unity
     assert agree(lam1 + lam2 + wd, one(b.num_vars, b.order)), "lambda normalization broken"
     return HexParams(
@@ -153,49 +174,20 @@ def hex_params(b: MSeries, w: MSeries) -> HexParams:
 
 
 def hex_ladder_closed(params: HexParams, i_max: int) -> WeightLadder:
-    """Hexangulation entries from the three four-term product families.
+    """Hexangulation entries: the quadrangulation pattern with each factor a
+    lambda-weighted sum over the two roots and their product.
 
     The inverse-beta family is shifted by one power of y_a so that only
     gamma_a = y_a/beta_a appears; every denominator is then a unit.
     """
-    top = i_max // 2 + 2
-    p1 = [params.y1 ** j for j in range(top + 1)]
-    p2 = [params.y2 ** j for j in range(top + 1)]
-    y12 = params.y1 * params.y2
-    pd = [y12 ** j for j in range(top + 1)]
-
-    lb1, lb2 = params.lam1 * params.beta1, params.lam2 * params.beta2
-    wdb = params.wd * params.beta1 * params.beta2
-    lg1, lg2 = params.lam1 * params.gamma1, params.lam2 * params.gamma2
-    wdg = params.wd * params.gamma1 * params.gamma2
-
-    def n_lam(j):
-        return 1 - params.lam1 * p1[j] - params.lam2 * p2[j] - params.wd * pd[j]
-
-    def n_beta(j):
-        return 1 - lb1 * p1[j] - lb2 * p2[j] - wdb * pd[j]
-
-    def n_gamma(j):  # the inverse-beta family evaluated at j+1
-        return 1 - lg1 * p1[j] - lg2 * p2[j] - wdg * pd[j]
-
-    blacks, whites = [], []
-    for idx in range(1, i_max + 1):
-        m, odd = divmod(idx, 2)
-        if not odd:
-            blacks.append(
-                params.B * n_lam(m) * n_beta(m + 1) * inv_unit(n_lam(m + 1) * n_beta(m))
-            )
-            whites.append(
-                params.W * n_lam(m) * n_gamma(m + 1) * inv_unit(n_lam(m + 1) * n_gamma(m))
-            )
-        else:
-            blacks.append(
-                params.B * n_lam(m + 2) * n_gamma(m) * inv_unit(n_lam(m + 1) * n_gamma(m + 1))
-            )
-            whites.append(
-                params.W * n_lam(m + 2) * n_beta(m) * inv_unit(n_lam(m + 1) * n_beta(m + 1))
-            )
-    return WeightLadder(tuple(blacks), tuple(whites), params.B, params.W)
+    p = params
+    roots = [
+        (p.y1, p.lam1, p.beta1, p.gamma1),
+        (p.y2, p.lam2, p.beta2, p.gamma2),
+        (p.y1 * p.y2, p.wd, p.beta1 * p.beta2, p.gamma1 * p.gamma2),
+    ]
+    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
+    return quad_pattern_ladder(p.B, p.W, u, ub, ug, i_max)
 
 
 def closed_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:

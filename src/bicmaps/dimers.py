@@ -88,19 +88,11 @@ class DimerPoly:
         return total
 
     def eval_series(self, s1: MSeries, s2: MSeries) -> MSeries:
-        top_a = max((a for a, _ in self.coeffs), default=0)
-        top_b = max((b for _, b in self.coeffs), default=0)
-        pow1 = [one(s1.num_vars, s1.order)]
-        for _ in range(top_a):
-            pow1.append(pow1[-1] * s1)
-        pow2 = [one(s2.num_vars, s2.order)]
-        for _ in range(top_b):
-            pow2.append(pow2[-1] * s2)
-        acc = zero(s1.num_vars, s1.order)
-        for (a, b), c in self.coeffs.items():
-            acc = acc + pow1[a] * pow2[b] * c
-        reliable = min(s1.reliable, s2.reliable)
-        return acc.with_reliable(reliable)
+        """The polynomial at two series of positive valuation.
+
+        Terms above the working order vanish there, so they are dropped.
+        """
+        return MSeries(2, min(s1.order, s2.order), self.coeffs).substitute([s1, s2])
 
     def __repr__(self):
         body = " + ".join(

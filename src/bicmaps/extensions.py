@@ -14,17 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .closedform import quad_pattern_ladder, unit_factors
-from .paths import WeightLadder, ladder_entry, ladders_agree
+from .closedform import characteristic, quad_pattern_ladder, unit_factors
+from .paths import WeightLadder, ladder_entry
 from .series import (
     MSeries,
     SeriesRing,
     agree,
-    exact_div,
     fixed_point,
     inv_unit,
     one,
-    solve_quadratic_branch,
     zero,
 )
 from .slices import ConvergenceError
@@ -97,12 +95,6 @@ def binary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
     return _two_var_solve(ring, "binary", height)
 
 
-def _check_quadratic(a2, a1, a0, root):
-    assert agree(a2 * root * root + a1 * root + a0, zero(root.num_vars, root.order)), (
-        "derived quadratic residual does not vanish"
-    )
-
-
 def ternary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     """Closed entries from (P-1) D^2 - D + (Q-1) = 0 and Y = D^2 (P-1)/(Q-1).
 
@@ -111,18 +103,9 @@ def ternary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     residual is asserted.  The entry pattern is the quadrangulation one.
     """
     p, q = sys.tail_black, sys.tail_white
-    ring_one = one(p.num_vars, p.order)
-    d = solve_quadratic_branch(p - 1, -ring_one, q - 1)
-    _check_quadratic(p - 1, -ring_one, q - 1, d)
-    y = exact_div(d * d * (p - 1), q - 1)
-    beta = (d + y) * inv_unit(1 + d)
-    gamma = exact_div(y, beta)
-    firsts, seconds = quad_pattern_ladder(p, q, y, beta, gamma, i_max)
-    return WeightLadder(tuple(firsts), tuple(seconds), p, q)
-
-
-def ternary_closed(sys: WeightLadder, i_max: int) -> bool:
-    return ladders_agree(ternary_closed_ladder(sys, i_max), sys, i_max)
+    _, y, beta, gamma = characteristic(p - 1, -one(p.num_vars, p.order), q - 1)
+    u, ub, ug = unit_factors([(y, 1, beta, gamma)], i_max // 2 + 2)
+    return quad_pattern_ladder(p, q, u, ub, ug, i_max)
 
 
 def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
@@ -133,15 +116,8 @@ def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     are triple products of consecutive ternary ones.
     """
     r, s = sys.tail_black, sys.tail_white
-    a2 = s * (s - 1)
-    a1 = -(r * s)
-    a0 = r * (r - 1)
-    d = solve_quadratic_branch(a2, a1, a0)
-    _check_quadratic(a2, a1, a0, d)
-    y = exact_div(d * d * a2, a0)
-    beta = (d + y) * inv_unit(1 + d)
-    gamma = exact_div(y, beta)
-    u, ub, ug = unit_factors(y, beta, gamma, i_max // 2 + 3)
+    _, y, beta, gamma = characteristic(s * (s - 1), -(r * s), r * (r - 1))
+    u, ub, ug = unit_factors([(y, 1, beta, gamma)], i_max // 2 + 3)
     firsts, seconds = [], []
     for idx in range(1, i_max + 1):
         m, odd = divmod(idx, 2)
@@ -152,10 +128,6 @@ def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
             firsts.append(r * ub[m] * u[m + 3] * inv_unit(ub[m + 1] * u[m + 2]))
             seconds.append(s * ug[m] * u[m + 3] * inv_unit(ug[m + 1] * u[m + 2]))
     return WeightLadder(tuple(firsts), tuple(seconds), r, s)
-
-
-def binary_closed(sys: WeightLadder, i_max: int) -> bool:
-    return ladders_agree(binary_closed_ladder(sys, i_max), sys, i_max)
 
 
 # -- the tricolored system -----------------------------------------------------

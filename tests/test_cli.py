@@ -205,3 +205,55 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(target.read_text())["command"] == "twopoint"
     assert capsys.readouterr().out == ""
+
+
+# -- every command, family and route at the lowest orders ----------------------
+
+SWEEP = (
+    [["twopoint", "--family", f] for f in ("quad", "hex")]
+    + [["twopoint", "--family", "general", "--g", "0,0,0,1"]]
+    + [
+        ["ladder", "--family", f, "--route", r]
+        for f in ("quad", "hex")
+        for r in ("recursion", "closed", "determinant")
+    ]
+    + [
+        ["ladder", "--family", "general", "--g", "0,0,0,1", "--route", r]
+        for r in ("recursion", "determinant")
+    ]
+    + [
+        ["ladder", "--family", f, "--route", r]
+        for f in ("ternary", "binary")
+        for r in ("recursion", "closed")
+    ]
+    + [["ladder", "--family", "tricolor"]]
+    + [["hankel", "--family", f] for f in ("quad", "hex")]
+    + [["hankel", "--family", "general", "--g", "0,0,0,1"]]
+    + [["dimers"], ["tricolor"]]
+    + [["verify", "--suite", s] for s in ("series", "paths", "slices", "hankel",
+                                          "closedform", "dimers", "extensions",
+                                          "general", "all")]
+)
+# (command line, order) pairs that must be refused with a usage error
+REFUSED = {("ladder --family hex --route closed", 1): "truncation order at least 2"}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "argv", SWEEP, ids=lambda argv: "-".join(a for a in argv if a[0] != "-" and "," not in a)
+)
+def test_every_command_runs_at_low_order(capsys, argv, order):
+    message = REFUSED.get((" ".join(argv), order))
+    if message:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--order", str(order)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        return
+    code, out = run_cli(capsys, *argv, "--order", str(order))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == order
+    if argv[0] == "verify":
+        assert doc["passed"]

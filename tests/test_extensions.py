@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmaps.extensions import (
-    binary_closed,
     binary_closed_ladder,
     binary_solve,
     rotate_colors,
     solve_height_params,
-    ternary_closed,
     ternary_closed_ladder,
     ternary_solve,
     tricolor_characteristic_residual,
@@ -18,9 +18,12 @@ from bicmaps.extensions import (
     tricolor_closed_t,
     tricolor_solve,
 )
+from bicmaps.paths import ladders_agree
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve
+
+from helpers import assert_ladder_stable
 
 R2 = SeriesRing(2, 8)
 R3 = SeriesRing(3, 6)
@@ -73,7 +76,7 @@ def test_ternary_closed_matches_perturbative(ternary):
             first_difference(closed.black_weight(i), ternary.black_weight(i)),
         )
         assert agree(closed.white_weight(i), ternary.white_weight(i)), i
-    assert ternary_closed(ternary, 6)
+    assert ladders_agree(ternary_closed_ladder(ternary, 6), ternary, 6)
 
 
 def test_ternary_uncolored_collapse(ternary):
@@ -104,13 +107,30 @@ def test_binary_closed_matches_perturbative(binary):
             first_difference(closed.black_weight(i), binary.black_weight(i)),
         )
         assert agree(closed.white_weight(i), binary.white_weight(i)), i
-    assert binary_closed(binary, 6)
+    assert ladders_agree(binary_closed_ladder(binary, 6), binary, 6)
 
 
 def test_binary_closed_unit_seed(binary):
     closed = binary_closed_ladder(binary, 1)
     assert agree(closed.black_weight(1), one(2, 8))
     assert agree(closed.white_weight(1), one(2, 8))
+
+
+CLOSED_ROUTES = {
+    "ternary": (ternary_solve, ternary_closed_ladder),
+    "binary": (binary_solve, binary_closed_ladder),
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(CLOSED_ROUTES)), st.integers(1, 6), st.integers(1, 2))
+def test_tree_closed_ladders_stable_under_higher_order(name, n, k):
+    solve, closed = CLOSED_ROUTES[name]
+    low = closed(solve(SeriesRing(2, n)), 6)
+    high = closed(solve(SeriesRing(2, n + k)), 6)
+    for i in range(1, 7):
+        assert min(low.black_weight(i).reliable, low.white_weight(i).reliable) >= n - 2
+    assert_ladder_stable(low, high, 6)
 
 
 # -- collapse onto the quadrangulation solution --------------------------------
