@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .closedform import characteristic, quad_pattern_ladder, unit_factors
-from .paths import WeightLadder, ladder_entry
+from .paths import WeightLadder, ladder_entry, solve_ladder
 from .series import (
     MSeries,
     SeriesRing,
@@ -35,7 +35,7 @@ def rotate_colors(f: MSeries) -> MSeries:
 
 
 def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> WeightLadder:
-    """Solve a two-family ladder with unit seeds; index-0 entries are zero."""
+    """Solve a two-family ladder, tails seeded at one; index-0 entries are zero."""
     n = ring.order
     if height is None:
         height = n + 2
@@ -65,22 +65,18 @@ def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> WeightLad
             )
 
     p, q = fixed_point(
-        lambda state: tail_step(*state),
+        lambda state, _: tail_step(*state),
         (unit, unit),
         n,
         ConvergenceError(f"{kind} tail equations did not stabilize"),
     )
 
-    def sweep(state):
+    def rows(state):
         lad = WeightLadder(*state, p, q)
-        pairs = [entry_rhs(lad.black_weight, lad.white_weight, i) for i in range(1, height + 1)]
-        return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        return partial(entry_rhs, lad.black_weight, lad.white_weight)
 
-    firsts, seconds = fixed_point(
-        sweep,
-        ((unit,) * height, (unit,) * height),
-        n,
-        ConvergenceError(f"{kind} ladder did not stabilize"),
+    firsts, seconds = solve_ladder(
+        rows, (p, q), height, ConvergenceError(f"{kind} ladder did not stabilize")
     )
     return WeightLadder(firsts, seconds, p, q)
 
@@ -173,7 +169,7 @@ def solve_height_params(t: MSeries, u: MSeries, v: MSeries):
     if t.constant_term() or u.constant_term() or v.constant_term():
         raise ValueError("height parameters need positive-valuation inputs")
 
-    def sweep(state):
+    def sweep(state, _degree):
         y, d, e = state
         return (
             u * (y + d) + v * y * (1 + e),
@@ -207,29 +203,25 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
     def tail_step(t, u, v):
         return tb + t * (u + v), tw + u * (v + t), tg + v * (t + u)
 
-    t, u, v = fixed_point(
-        lambda state: tail_step(*state),
+    tails = t, u, v = fixed_point(
+        lambda state, _: tail_step(*state),
         (tb, tw, tg),
         n,
         ConvergenceError("tricolor tail equations did not stabilize"),
     )
 
-    def sweep(state):
+    def rows(state):
         t_at, u_at, v_at = (
-            partial(ladder_entry, entries, tail) for entries, tail in zip(state, (t, u, v))
+            partial(ladder_entry, entries, tail) for entries, tail in zip(state, tails)
         )
-        rows = range(1, height + 1)
-        return (
-            tuple(tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)) for i in rows),
-            tuple(tw + u_at(i) * (v_at(i - 1) + t_at(i + 1)) for i in rows),
-            tuple(tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)) for i in rows),
+        return lambda i: (
+            tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)),
+            tw + u_at(i) * (v_at(i - 1) + t_at(i + 1)),
+            tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)),
         )
 
-    ts, us, vs = fixed_point(
-        sweep,
-        ((tb,) * height, (tw,) * height, (tg,) * height),
-        n,
-        ConvergenceError("tricolor ladder did not stabilize"),
+    ts, us, vs = solve_ladder(
+        rows, tails, height, ConvergenceError("tricolor ladder did not stabilize")
     )
 
     y, d, e = solve_height_params(t, u, v)

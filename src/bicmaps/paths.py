@@ -11,6 +11,8 @@ black and white.  Two weighting conventions coexist:
 
 Both run on one dynamic program over heights, ``_walk``; only the
 brute-force oracle ``rat_path_brute`` enumerates step words on its own.
+The ladder solvers of ``slices`` and ``extensions`` share one sweep,
+``solve_ladder``, which evaluates only the rows a degree can reach.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -22,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from math import lcm
 
 from .rational import Rat
-from .series import MSeries, agree, one, zero
+from .series import MSeries, agree, fixed_point, one, zero
 
 BLACK_WHITE = "bw"
 WHITE_BLACK = "wb"
@@ -35,6 +38,38 @@ def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
     if i <= 0:
         return zero(tail.num_vars, tail.order)
     return entries[i - 1] if i <= len(entries) else tail
+
+
+def solve_ladder(rows, tails, height: int, error: Exception) -> tuple:
+    """Entries 1..height of a ladder system whose entries above are the tails.
+
+    The state holds one tuple of entries per family, ``tails`` one tail per
+    family.  ``rows(state)`` reads a state and returns the function giving
+    the right-hand sides of every family at row i, in family order.  The
+    system is solved through the tails' order by ``fixed_point``.
+
+    In every system solved here entry i agrees with its tail through
+    degree i - 1 at least, so the sweep of degree d evaluates rows
+    1..min(height, d) only and fills the rows above with the tails cut to
+    degree d.  The degree-0 sweep reads nothing, so the tails serve as the
+    seed.  The stability sweep evaluates every row: the fixed point is
+    unique through the order, so a wrong fill cannot reproduce itself
+    there and raises ``error``.
+    """
+
+    def sweep(state, degree):
+        reach = height if degree is None else min(height, degree)
+        row = rows(state)
+        computed = [row(i) for i in range(1, reach + 1)]
+        return tuple(
+            tuple(values[f] for values in computed)
+            + ((tail.truncate(degree),) * (height - reach) if reach < height else ())
+            for f, tail in enumerate(tails)
+        )
+
+    return fixed_point(
+        sweep, tuple((tail,) * height for tail in tails), tails[0].order, error
+    )
 
 
 @dataclass(frozen=True)
@@ -88,13 +123,21 @@ class WeightLadder:
         )
 
 
+def ladder_pairs(a: WeightLadder, b: WeightLadder, i_max: int) -> list:
+    """Entries 1..i_max of two ladders, paired color by color."""
+    return [
+        pair
+        for i in range(1, i_max + 1)
+        for pair in (
+            (a.black_weight(i), b.black_weight(i)),
+            (a.white_weight(i), b.white_weight(i)),
+        )
+    ]
+
+
 def ladders_agree(a: WeightLadder, b: WeightLadder, i_max: int) -> bool:
     """Entries 1..i_max of both colors agree through their common reliable order."""
-    return all(
-        agree(a.black_weight(i), b.black_weight(i))
-        and agree(a.white_weight(i), b.white_weight(i))
-        for i in range(1, i_max + 1)
-    )
+    return all(agree(f, g) for f, g in ladder_pairs(a, b, i_max))
 
 
 @dataclass(frozen=True)
@@ -114,7 +157,9 @@ def _walk(start, end, length, floor, up, down, unit):
 
     Only heights from which end is still reachable are kept.  up(h) and
     down(h) weigh the step leaving height h upwards or downwards; None means
-    weight one and skips the multiplication.  floor=None means no floor.
+    weight one and skips the multiplication, and so does a value that is
+    still the ``unit`` object itself (a path with no weighted step yet),
+    which takes the step weight as it is.  floor=None means no floor.
     """
     cur = {start: unit}
     yield cur
@@ -125,7 +170,12 @@ def _walk(start, end, length, floor, up, down, unit):
             for nh, weight in ((h + 1, up), (h - 1, down)):
                 if (floor is not None and nh < floor) or abs(nh - end) > remaining:
                     continue
-                piece = val if weight is None else val * weight(h)
+                if weight is None:
+                    piece = val
+                elif val is unit:
+                    piece = weight(h)
+                else:
+                    piece = val * weight(h)
                 nxt[nh] = nxt[nh] + piece if nh in nxt else piece
         cur = nxt
         yield cur
@@ -243,21 +293,27 @@ def rat_path(
 
     Every step is weighted by its lower end: b on white, w on black.
     Returns 0 (never raises) when no path fits the endpoints and length.
+    Every path has ``length`` weighted steps, so the walk runs on integer
+    numerators over D = lcm of the two denominators and the total is
+    divided by D**length once.
     """
     parity = _start_parity(colors, start)
     if (start - end - length) % 2 or length < abs(start - end):
         return Rat(0)
     if floor is not None and (start < floor or end < floor):
         return Rat(0)
+    b, w = Rat(wt.b), Rat(wt.w)
+    den = lcm(b.denominator, w.denominator)
+    nb, nw = b.numerator * (den // b.denominator), w.numerator * (den // w.denominator)
 
     def lower_weight(h: int):
-        return wt.w if h % 2 == parity else wt.b
+        return nw if h % 2 == parity else nb
 
     for cur in _walk(
-        start, end, length, floor, lower_weight, lambda h: lower_weight(h - 1), Rat(1)
+        start, end, length, floor, lower_weight, lambda h: lower_weight(h - 1), 1
     ):
         pass
-    return cur.get(end, Rat(0))
+    return Rat(cur.get(end, 0), den**length)
 
 
 def rat_path_brute(

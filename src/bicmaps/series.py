@@ -539,7 +539,7 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
     order = min(a2.order, a1.order, a0.order)
     inv_a1 = inv_unit(a1.truncate(order))
     root = fixed_point(
-        lambda mu: -(a0 + a2 * mu * mu) * inv_a1,
+        lambda mu, _: -(a0 + a2 * mu * mu) * inv_a1,
         zero(a2.num_vars, order),
         order,
         NoSeriesRootError("quadratic iteration failed to stabilize"),
@@ -568,13 +568,15 @@ def fixed_point(step, seed, order: int, error: Exception):
     degree k (order and reliable k); ``step`` then works at that order,
     because ring operations truncate to the lower order of their operands.
     One more sweep at full order must reproduce the state, otherwise
-    ``error`` is raised.  This is the one place that sets how many sweeps
-    the solvers run.
+    ``error`` is raised.  ``step(state, degree)`` is told the degree of
+    its sweep, and None on that stability sweep, which must evaluate the
+    whole state: it is the check that the state is the fixed point.  This
+    is the one place that sets how many sweeps the solvers run.
     """
     state = seed
     for degree in range(order + 1):
-        state = step(_graded(state, degree))
-    if step(state) != state:
+        state = step(_graded(state, degree), degree)
+    if step(state, None) != state:
         raise error
     return state
 

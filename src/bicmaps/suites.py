@@ -38,7 +38,7 @@ from .paths import (
     WeightLadder,
     check_reflection_even,
     check_reflection_odd,
-    ladders_agree,
+    ladder_pairs,
     rat_path,
     rat_path_brute,
     z_plus,
@@ -48,6 +48,7 @@ from .series import (
     MSeries,
     SeriesRing,
     agree,
+    common_reliable,
     exact_div,
     first_difference,
     inv_unit,
@@ -86,6 +87,18 @@ class _Suite:
 
     def ok(self, name: str, condition: bool, detail: str = ""):
         self.results.append(CheckResult(name, bool(condition), "" if condition else detail))
+
+    def pairs_agree(self, name: str, pairs: list, order: int):
+        """Each pair of series agrees through its common reliable degree.
+
+        When no pair is reliable above degree 0 the check could not fail;
+        it is recorded as passed with a detail saying it was skipped.
+        """
+        if any(common_reliable(f, g) > 0 for f, g in pairs):
+            self.ok(name, all(agree(f, g) for f, g in pairs))
+        else:
+            detail = f"skipped: no compared pair is reliable above degree 0 at order {order}"
+            self.results.append(CheckResult(name, True, detail))
 
     def series_equal(self, name: str, got: MSeries, want: MSeries):
         diff = first_difference(got, want)
@@ -246,7 +259,9 @@ def suite_hankel(order: int, seed: int) -> list[CheckResult]:
             ) for i in (1, 2)),
         )
         extracted = cf_extract(hankel_family(fb, fw, 3), 6)
-        s.ok(f"hankel/{label}/extraction-vs-recursion", ladders_agree(extracted, ladder, 6))
+        s.pairs_agree(
+            f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6), order
+        )
         expanded = cf_expand(ladder, depth=8, n_max=5)
         s.ok(
             f"hankel/{label}/expansion-vs-direct",
@@ -282,17 +297,16 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
     for label, g, top in families:
         ladder = ladder_solve(g, ring)
         closed = closed_ladder(g, ring, top)
-        s.ok(f"closedform/{label}/closed-vs-recursion", ladders_agree(closed, ladder, top))
-        s.ok(
+        s.pairs_agree(
+            f"closedform/{label}/closed-vs-recursion", ladder_pairs(closed, ladder, top), order
+        )
+        s.pairs_agree(
             f"closedform/{label}/uncolored-collapse",
-            all(
-                first_difference(
-                    closed.black_weight(i).collapse_vars(),
-                    closed.white_weight(i).collapse_vars(),
-                )
-                is None
+            [
+                (closed.black_weight(i).collapse_vars(), closed.white_weight(i).collapse_vars())
                 for i in range(1, top + 1)
-            ),
+            ],
+            order,
         )
     return s.results
 
@@ -347,18 +361,17 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
 def suite_extensions(order: int, seed: int) -> list[CheckResult]:
     s = _Suite()
     ring = SeriesRing(2, order)
-    ternary = ternary_solve(ring)
-    s.ok("extensions/ternary/unit-seeds", ternary.black_weight(1) == one(2, order))
-    s.ok(
-        "extensions/ternary/closed-vs-perturbative",
-        ladders_agree(ternary_closed_ladder(ternary, 6), ternary, 6),
-    )
-    binary = binary_solve(ring)
-    s.ok("extensions/binary/unit-seeds", binary.black_weight(1) == one(2, order))
-    s.ok(
-        "extensions/binary/closed-vs-perturbative",
-        ladders_agree(binary_closed_ladder(binary, 6), binary, 6),
-    )
+    for label, solve, closed_form in (
+        ("ternary", ternary_solve, ternary_closed_ladder),
+        ("binary", binary_solve, binary_closed_ladder),
+    ):
+        ladder = solve(ring)
+        s.ok(f"extensions/{label}/unit-seeds", ladder.black_weight(1) == one(2, order))
+        s.pairs_agree(
+            f"extensions/{label}/closed-vs-perturbative",
+            ladder_pairs(closed_form(ladder, 6), ladder, 6),
+            order,
+        )
     tri_order = min(order, 8)
     state = tricolor_solve(SeriesRing(3, tri_order))
     s.ok("extensions/tricolor/closed-and-symmetry", tricolor_closed_check(state, 6))
@@ -384,7 +397,9 @@ def suite_general(order: int, seed: int) -> list[CheckResult]:
     ring = SeriesRing(2, order)
     ladder = ladder_solve(OCT, ring)
     extracted = determinant_ladder(OCT, ring, 4)
-    s.ok("general/oct/extraction-vs-recursion", ladders_agree(extracted, ladder, 4))
+    s.pairs_agree(
+        "general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4), order
+    )
     base = conserved(1, 0, ladder, OCT)
     s.ok(
         "general/oct/conserved-independence",

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmaps.extensions import tricolor_solve
+from bicmaps import extensions, slices
+from bicmaps.extensions import binary_solve, ternary_solve, tricolor_solve
+from bicmaps.paths import ladder_entry, solve_ladder
 from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
     SeriesRing,
+    agree,
     fixed_point,
     inv_unit,
     solve_quadratic_branch,
+    variable,
 )
 from bicmaps.slices import ConvergenceError, FaceWeights, ladder_solve, tail_solve
 
@@ -39,21 +45,89 @@ def all_coefficients(*series):
 def test_fixed_point_grades_the_sweeps():
     seen = []
 
-    def catalan(f):
-        seen.append((f.order, f.reliable))
+    def catalan(f, degree):
+        seen.append((f.order, f.reliable, degree))
         return 1 + tb * f * f
 
     f = fixed_point(catalan, R.zero(), R.order, ConvergenceError("no"))
     assert_series(f, S(2, 5, {(k, 0): c for k, c in enumerate((1, 1, 2, 5, 14, 42))}))
-    # sweep k sees the state cut to degree k, then one stability sweep at full order
-    assert seen == [(k, k) for k in range(R.order + 1)] + [(R.order, R.order)]
+    # sweep k sees the state cut to degree k and is told k; the stability
+    # sweep sees the full state and is told None
+    assert seen == [(k, k, k) for k in range(R.order + 1)] + [(R.order, R.order, None)]
 
 
 def test_fixed_point_raises_the_given_error_without_contraction():
     error = ConvergenceError("the step does not gain a degree")
     with pytest.raises(ConvergenceError) as exc:
-        fixed_point(lambda f: f + 1, R.zero(), R.order, error)
+        fixed_point(lambda f, _: f + 1, R.zero(), R.order, error)
     assert exc.value is error
+
+
+# -- the ladder sweep --------------------------------------------------------------
+
+
+def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
+    # F_i = 1 + tb * F_{i-1} * F_{i+1}, F_0 = 0, tail the Catalan series
+    tail = fixed_point(lambda f, _: 1 + tb * f * f, R.one(), R.order, ConvergenceError("no"))
+    height = R.order + 2
+    evaluated = []
+
+    def rows(state):
+        at = partial(ladder_entry, state[0], tail)
+        evaluated.append(0)
+
+        def row(i):
+            evaluated[-1] += 1
+            return (1 + tb * at(i - 1) * at(i + 1),)
+
+        return row
+
+    (entries,) = solve_ladder(rows, (tail,), height, ConvergenceError("no"))
+    # sweep d evaluates rows 1..d; the stability sweep evaluates every row
+    assert evaluated == list(range(R.order + 1)) + [height]
+    assert entries[0] == R.one()
+    for i in range(2, height + 1):
+        assert agree(entries[i - 1], tail, through=i - 1)
+
+
+def test_ladder_solve_evaluates_only_reachable_rows(monkeypatch):
+    calls = []
+    real = slices.z_strip
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(slices, "z_strip", counting)
+    ladder_solve(QUAD, SeriesRing(2, 12))
+    # height 14: sweeps of degree 0..12 evaluate 0..12 rows, the stability
+    # sweep all 14, and each row takes one strip per color
+    assert len(calls) == 2 * (sum(range(13)) + 14) == 184
+
+
+@pytest.mark.parametrize(
+    "solve, module, message",
+    [
+        (lambda: ladder_solve(QUAD, SeriesRing(2, 4)), slices, "slice recursion"),
+        (lambda: ladder_solve(MIXED, SeriesRing(2, 4)), slices, "slice recursion"),
+        (lambda: ternary_solve(SeriesRing(2, 4)), extensions, "ternary ladder"),
+        (lambda: binary_solve(SeriesRing(2, 4)), extensions, "binary ladder"),
+        (lambda: tricolor_solve(SeriesRing(3, 4)), extensions, "tricolor ladder"),
+    ],
+    ids=["quad", "mixed", "ternary", "binary", "tricolor"],
+)
+def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
+    monkeypatch, solve, module, message
+):
+    # tails off by tb^order: every row the sweeps fill is wrong at the top
+    # degree only, and only the full-height stability sweep can see it
+    def perturbed(rows, tails, height, error):
+        bump = variable(tails[0].num_vars, tails[0].order, 0) ** tails[0].order
+        return solve_ladder(rows, tuple(t + bump for t in tails), height, error)
+
+    monkeypatch.setattr(module, "solve_ladder", perturbed)
+    with pytest.raises(ConvergenceError, match=message):
+        solve()
 
 
 # -- integer coefficients --------------------------------------------------------
