@@ -61,6 +61,8 @@ def solve_ladder(rows, tails, height: int, error: Exception) -> tuple:
         reach = height if degree is None else min(height, degree)
         row = rows(state)
         computed = [row(i) for i in range(1, reach + 1)]
+        # The guard keeps truncate(None) out of the stability sweep, which
+        # fills no row: ``(x,) * 0`` still evaluates x.
         return tuple(
             tuple(values[f] for values in computed)
             + ((tail.truncate(degree),) * (height - reach) if reach < height else ())

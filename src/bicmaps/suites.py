@@ -91,14 +91,15 @@ class _Suite:
     def pairs_agree(self, name: str, pairs: list, order: int):
         """Each pair of series agrees through its common reliable degree.
 
-        When no pair is reliable above degree 0 the check could not fail;
-        it is recorded as passed with a detail saying it was skipped.
+        A passing check whose pairs are all reliable to degree 0 only
+        compared constant terms; its detail says it was skipped.
         """
-        if any(common_reliable(f, g) > 0 for f, g in pairs):
-            self.ok(name, all(agree(f, g) for f, g in pairs))
-        else:
+        passed = all(agree(f, g) for f, g in pairs)
+        if passed and all(common_reliable(f, g) == 0 for f, g in pairs):
             detail = f"skipped: no compared pair is reliable above degree 0 at order {order}"
             self.results.append(CheckResult(name, True, detail))
+        else:
+            self.ok(name, passed)
 
     def series_equal(self, name: str, got: MSeries, want: MSeries):
         diff = first_difference(got, want)

@@ -277,3 +277,17 @@ def test_every_command_runs_at_low_order(capsys, argv, order):
         suite = argv[2]
         skipped = {c["name"] for c in doc["checks"] if c["detail"].startswith("skipped: ")}
         assert skipped == {n for n in SKIPPED[order] if suite in ("all", n.split("/")[0])}
+
+
+def test_pairs_reliable_to_degree_zero_still_compare_constant_terms():
+    from bicmaps.suites import _Suite
+
+    def const(c, reliable):
+        return MSeries(2, 3, {(0, 0): c, (1, 0): reliable}, reliable)
+
+    s = _Suite()
+    s.pairs_agree("equal", [(const(1, 0), const(1, 0))], 3)
+    s.pairs_agree("constants-differ", [(const(1, 0), const(2, 0))], 3)
+    s.pairs_agree("reliable", [(const(1, 1), const(1, 1))], 3)
+    got = [(c.name, c.passed, c.detail.split(":")[0]) for c in s.results]
+    assert got == [("equal", True, "skipped"), ("constants-differ", False, ""), ("reliable", True, "")]

@@ -9,9 +9,8 @@ drift of the host hits them alike.
 
     python tools/scale_ladders.py --tree parent=/path/to/old/src --tree change=src
 
-writes ``BENCH_ladders.json`` (see ``--out``).  Without ``--tree`` the
-script measures this checkout's ``src`` alone.  Uses the standard library
-only.
+times each case RUNS times per tree and writes ``BENCH_ladders.json`` at the
+root of this checkout.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+RUNS = 3
+OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
 CASES = (
     [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
@@ -32,7 +33,7 @@ CASES = (
 )
 
 
-def _child(solver: str, family: str, order: int, runs: int) -> dict:
+def _child(solver: str, family: str, order: int) -> dict:
     """Run one case in this process: timed runs, then one counted run."""
     from functools import partial
     from time import perf_counter
@@ -50,7 +51,7 @@ def _child(solver: str, family: str, order: int, runs: int) -> dict:
         call = partial(tricolor_solve, SeriesRing(3, order))
 
     seconds = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = perf_counter()
         call()
         seconds.append(perf_counter() - start)
@@ -68,9 +69,9 @@ def _child(solver: str, family: str, order: int, runs: int) -> dict:
     return {"seconds": seconds, **counts}
 
 
-def _measure(src: str, case: tuple, runs: int) -> dict:
+def _measure(src: str, case: tuple) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, __file__, "--child", json.dumps([*case, runs])]
+    argv = [sys.executable, __file__, "--child", json.dumps(case)]
     out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -81,23 +82,18 @@ def main(argv=None) -> int:
         "--tree", action="append", default=[], metavar="NAME=SRC",
         help="a name and the src directory of a bicmaps tree (repeatable)",
     )
-    parser.add_argument("--runs", type=int, default=3, help="timed runs per case")
-    parser.add_argument("--out", default="BENCH_ladders.json")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     ns = parser.parse_args(argv)
     if ns.child:
-        solver, family, order, runs = json.loads(ns.child)
-        print(json.dumps(_child(solver, family, order, runs)))
+        print(json.dumps(_child(*json.loads(ns.child))))
         return 0
-    if ns.runs < 1:
-        parser.error("--runs must be at least 1")
-    trees = [t.split("=", 1) for t in ns.tree] or [["checkout", str(Path(__file__).parents[1] / "src")]]
-    if any(len(t) != 2 for t in trees):
-        parser.error("--tree takes NAME=SRC")
+    trees = [t.split("=", 1) for t in ns.tree]
+    if not trees or any(len(t) != 2 for t in trees):
+        parser.error("give at least one --tree NAME=SRC")
     curves = []
     for case in CASES:
         for name, src in trees:
-            result = _measure(src, case, ns.runs)
+            result = _measure(src, case)
             solver, family, order = case
             curves.append({
                 "tree": name,
@@ -117,11 +113,11 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "runs": ns.runs,
+        "runs": RUNS,
         "trees": [name for name, _ in trees],
         "curves": curves,
     }
-    Path(ns.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
