@@ -8,8 +8,11 @@ continued fraction built from a slice ladder reproduces the moments.
 Determinants are computed division-free: the truncated series ring has
 zero divisors (any monomial of degree above half the order squares to
 zero), so fraction-free elimination is unsound there.  The subset dynamic
-program costs O(2^n * n) ring products, irrelevant at the n <= 8 sizes
-that truncation makes meaningful.
+program visits 2^n column sets, but it forms each minor only through the
+degrees that can still reach the determinant, by the entry valuations.
+F_n has valuation n, so the Hankel determinant of index i has valuation
+at least i(i+1): past the order it is zero and costs no product, and
+below it the minors are cut short, the result exact through the order.
 """
 
 from __future__ import annotations
@@ -29,28 +32,86 @@ def det_division_free(rows) -> object:
     row |S|-1 give f(S) = sum over j in S of (-1)^(|S|-1+pos) A[|S|-1][j] f(S-j).
     Masks are visited in numeric order, which refines popcount order since
     clearing a bit always decreases the mask.
+
+    Series entries are pruned by valuation, and the result is still exact
+    through the least order of the entries; its ``order`` and ``reliable``
+    are the least over the entries, as for any ring result.  A term of
+    degree k in f(S) reaches the determinant only through a complementary
+    minor (rows |S|.. on the columns outside S), whose valuation is at
+    least rest[S], so f(S) is formed through degree order - rest[S] only,
+    from entries cut to that degree, and dropped when nothing is left.
+    rest comes from the same recursion in (min, +) over the entry
+    valuations, and rest[{}] bounds the valuation of the determinant.  The
+    sum over the rows (or the columns) of the least valuation in each is a
+    weaker bound that costs no recursion: past the order, the determinant
+    is zero without a product.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
+    entries = [x for row in rows for x in row]
+    if not all(isinstance(x, MSeries) for x in entries):
+        return _minors(rows, None)
+    order = min(x.order for x in entries)
+    dead = order + 1
+    vals = [[dead if x.is_zero() else min(x.valuation(), dead) for x in row] for row in rows]
+    det = None
+    if max(sum(map(min, vals)), sum(map(min, zip(*vals)))) <= order:
+        full = (1 << n) - 1
+        rest = [0] * (full + 1)
+        for mask in range(full - 1, -1, -1):
+            row = vals[mask.bit_count()]
+            rest[mask] = min(
+                [dead] + [row[j] + rest[mask | 1 << j] for j in range(n) if not mask >> j & 1]
+            )
+        if rest[0] <= order:
+            det = _minors(rows, [order - r for r in rest])
+    coeffs = {} if det is None else det.coeffs
+    return MSeries(entries[0].num_vars, order, coeffs, min(x.reliable for x in entries))
+
+
+def _minors(rows, caps) -> object:
+    """f(S) of det_division_free for the full column set, None if dropped.
+
+    With ``caps`` None this is the plain recursion.  Otherwise f(S) is
+    formed through degree caps[S], the entries cut to it; a mask with a
+    negative cap or a zero cut sum is dropped, and a kept one is stored at
+    the order of the matrix, caps[full], so that a product for a larger
+    set is not cut below that set's cap.
+    """
+    n = len(rows)
+    cut: dict[tuple[int, int, int], MSeries] = {}
     memo: dict[int, object] = {0: None}  # None stands for the scalar 1
     for mask in range(1, 1 << n):
+        cap = None if caps is None else caps[mask]
+        if cap is not None and cap < 0:
+            continue
         size = mask.bit_count()
-        row = rows[size - 1]
         acc = None
         sign = 1 if (size - 1) % 2 == 0 else -1
         for j in range(n):
             bit = 1 << j
             if not mask & bit:
                 continue
-            sub = memo[mask ^ bit]
-            term = row[j] if sub is None else row[j] * sub
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
+            if mask ^ bit in memo:
+                a = rows[size - 1][j]
+                if cap is not None:
+                    key = (size - 1, j, cap)
+                    if key not in cut:
+                        cut[key] = a.truncate(cap)
+                    a = cut[key]
+                sub = memo[mask ^ bit]
+                term = a if sub is None else a * sub
+                if sign < 0:
+                    term = -term
+                acc = term if acc is None else acc + term
             sign = -sign
+        if cap is not None:
+            if not acc:
+                continue
+            acc = MSeries(acc.num_vars, caps[-1], acc.coeffs)
         memo[mask] = acc
-    return memo[(1 << n) - 1]
+    return memo.get((1 << n) - 1)
 
 
 def det_leibniz(rows) -> object:
@@ -154,22 +215,25 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
             return no_content
         return exact_div(num_ratio, den_ratio)
 
+    def ratios(seq: tuple[MSeries, ...], top: int) -> list[MSeries | None]:
+        return [_ratio(seq, i, unit) for i in range(top + 1)]
+
+    # each ratio serves two entries, one of each color
+    even, odd = i_max // 2, (i_max - 1) // 2
+    r0, r1 = ratios(h.h0, even), ratios(h.h1, odd)
+    t0, t1 = ratios(h.h0_tilde, even), ratios(h.h1_tilde, odd)
     blacks: list[MSeries] = []
     whites: list[MSeries] = []
     for idx in range(1, i_max + 1):
         i, parity = divmod(idx, 2)
         if parity == 0:
             # even index: plain family for black, tilde for white
-            blacks.append(entry(_ratio(h.h0, i, unit), _ratio(h.h1, i - 1, unit)))
-            whites.append(
-                entry(_ratio(h.h0_tilde, i, unit), _ratio(h.h1_tilde, i - 1, unit))
-            )
+            blacks.append(entry(r0[i], r1[i - 1]))
+            whites.append(entry(t0[i], t1[i - 1]))
         else:
             # odd index 2i+1: shift-1 over shift-0 ratios
-            blacks.append(
-                entry(_ratio(h.h1_tilde, i, unit), _ratio(h.h0_tilde, i, unit))
-            )
-            whites.append(entry(_ratio(h.h1, i, unit), _ratio(h.h0, i, unit)))
+            blacks.append(entry(t1[i], t0[i]))
+            whites.append(entry(r1[i], r0[i]))
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])
 
 

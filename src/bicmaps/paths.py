@@ -154,7 +154,7 @@ class RatPathWeights:
             raise ValueError("step weights must be positive")
 
 
-def _walk(start, end, length, floor, up, down, unit):
+def _walk(start, end, length, floor, up, down, unit, cut=None):
     """Height -> weight maps of +-1 paths after 0, 1, ..., length steps.
 
     Only heights from which end is still reachable are kept.  up(h) and
@@ -162,6 +162,11 @@ def _walk(start, end, length, floor, up, down, unit):
     weight one and skips the multiplication, and so does a value that is
     still the ``unit`` object itself (a path with no weighted step yet),
     which takes the step weight as it is.  floor=None means no floor.
+    ``cut(h)``, when given, is the degree through which a series value at
+    height h can still reach the result; its terms above that degree are
+    dropped after each step, and its order and reliable are kept.  The
+    ``unit`` object is left as it is, so that it keeps taking step
+    weights without a product.
     """
     cur = {start: unit}
     yield cur
@@ -179,15 +184,19 @@ def _walk(start, end, length, floor, up, down, unit):
                 else:
                     piece = val * weight(h)
                 nxt[nh] = nxt[nh] + piece if nh in nxt else piece
+        if cut is not None:
+            nxt = {
+                h: val if val is unit else val.drop_above(cut(h)) for h, val in nxt.items()
+            }
         cur = nxt
         yield cur
 
 
-def _series_walk(start, end, length, floor, black_parity, ladder):
+def _series_walk(start, end, length, floor, black_parity, ladder, cut=None):
     """_walk with descending steps weighted by the ladder at their upper height."""
     down = partial(ladder.step_weight, black_parity=black_parity)
     unit = one(ladder.tail_black.num_vars, ladder.tail_black.order)
-    return _walk(start, end, length, floor, None, down, unit)
+    return _walk(start, end, length, floor, None, down, unit, cut)
 
 
 def _series_path_sum(
@@ -242,12 +251,29 @@ def z_plus_profile(
     Entry s of the returned list is z_plus(d, d, s, ...); odd entries are
     zero.  One forward pass serves all lengths, which matters when building
     long moment sequences.
+
+    On a constant ladder whose weights have valuation v >= 1, a path at
+    height h > d still takes at least h - d descents back to d, so a value
+    there reaches the result only v * (h - d) degrees up: the walk keeps it
+    through degree order - v * (h - d) only, and the result is unchanged.
     """
     if floor is None:
         floor = d
     parity = d % 2 if black_start else (d + 1) % 2
-    nothing = zero(ladder.tail_black.num_vars, ladder.tail_black.order)
-    walk = _series_walk(d, d, max_length, floor, parity, ladder)
+    order = ladder.tail_black.order
+    nothing = zero(ladder.tail_black.num_vars, order)
+    cut = None
+    if ladder.constant:
+        v = min(
+            (t.valuation() for t in (ladder.tail_black, ladder.tail_white) if t),
+            default=order + 1,
+        )
+        if v >= 1:
+
+            def cut(h):
+                return order - v * max(0, h - d)
+
+    walk = _series_walk(d, d, max_length, floor, parity, ladder, cut)
     return [cur.get(d, nothing) for cur in walk]
 
 

@@ -166,6 +166,16 @@ class MSeries:
     def truncate(self, order: int) -> "MSeries":
         return MSeries(self.num_vars, order, self._through(order), min(self.reliable, order))
 
+    def drop_above(self, degree: int) -> "MSeries":
+        """The terms of total degree above ``degree`` left out, with
+        ``order`` and ``reliable`` kept: only for a caller that knows
+        those terms cannot reach its result.  Returns self when nothing
+        is dropped."""
+        kept = self._through(degree)
+        if len(kept) == len(self.coeffs):
+            return self
+        return MSeries._wrap(self.num_vars, self.order, kept, self.reliable)
+
     def _through(self, degree: int) -> dict[Expo, object]:
         """The terms of total degree at most ``degree``, as a new dict."""
         return {e: c for e, c in self.coeffs.items() if sum(e) <= degree}
@@ -482,6 +492,11 @@ def exact_div(f: MSeries, g: MSeries) -> MSeries:
     the monomial raises DivisibilityError.  When nothing at all survives the
     result is the zero series with reliable 0, i.e. only its constant term
     (zero) is vouched for.
+
+    Only f / unit through that bound (before the shift by the monomial) is
+    formed.  Its degree k takes the unit's inverse through degree
+    k - val(f) only, so the unit is inverted through bound - val(f); when
+    f is zero or val(f) > bound no degree survives and nothing is inverted.
     """
     f._check_compatible(g)
     if g.is_zero():
@@ -489,16 +504,17 @@ def exact_div(f: MSeries, g: MSeries) -> MSeries:
     mono, unit = valuation_split(g)
     vdeg = sum(mono)
     bound = min(f.reliable, g.reliable)
-    q0 = f * inv_unit(unit)
+    vf = f.valuation()
     out: dict[Expo, object] = {}
-    for e, c in q0.coeffs.items():
-        if sum(e) > bound:
-            continue  # garbage region, drop
-        if any(x < y for x, y in zip(e, mono)):
-            raise DivisibilityError(
-                f"coefficient at {e} (degree {sum(e)}) not divisible by monomial {mono}"
-            )
-        out[tuple(x - y for x, y in zip(e, mono))] = c
+    if vf is not None and vf <= bound:
+        # the inverse, extended to order bound, stops the product there
+        q0 = f * _graded(inv_unit(_graded(unit, bound - vf)), bound)
+        for e, c in q0.coeffs.items():
+            if any(x < y for x, y in zip(e, mono)):
+                raise DivisibilityError(
+                    f"coefficient at {e} (degree {sum(e)}) not divisible by monomial {mono}"
+                )
+            out[tuple(x - y for x, y in zip(e, mono))] = c
     order = min(f.order, g.order)
     return MSeries(f.num_vars, order, out, bound - vdeg)
 

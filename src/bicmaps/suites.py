@@ -88,18 +88,19 @@ class _Suite:
     def ok(self, name: str, condition: bool, detail: str = ""):
         self.results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
-    def pairs_agree(self, name: str, pairs: list, order: int):
+    def pairs_agree(self, name: str, pairs: list, order: int, detail: str = ""):
         """Each pair of series agrees through its common reliable degree.
 
         A passing check whose pairs are all reliable to degree 0 only
-        compared constant terms; its detail says it was skipped.
+        compared constant terms; its detail says it was skipped.  ``detail``
+        is the detail of a failing check, as for ``ok``.
         """
         passed = all(agree(f, g) for f, g in pairs)
         if passed and all(common_reliable(f, g) == 0 for f, g in pairs):
             detail = f"skipped: no compared pair is reliable above degree 0 at order {order}"
             self.results.append(CheckResult(name, True, detail))
         else:
-            self.ok(name, passed)
+            self.ok(name, passed, detail)
 
     def series_equal(self, name: str, got: MSeries, want: MSeries):
         diff = first_difference(got, want)
@@ -213,17 +214,15 @@ def suite_slices(order: int, seed: int) -> list[CheckResult]:
                 ladder.white_weight(i),
             )
         base = {n: conserved(n, 0, ladder, g) for n in (1, 2, 3)}
-        s.ok(
+        s.pairs_agree(
             f"slices/{label}/conserved-offset-independence",
-            all(
-                agree(conserved(n, d, ladder, g), base[n])
-                for n in (1, 2, 3)
-                for d in range(1, 5)
-            ),
+            [(conserved(n, d, ladder, g), base[n]) for n in (1, 2, 3) for d in range(1, 5)],
+            order,
         )
-        s.ok(
+        s.pairs_agree(
             f"slices/{label}/conserved-equals-direct",
-            all(agree(f_direct(n, g, b, w), base[n]) for n in (1, 2, 3)),
+            [(f_direct(n, g, b, w), base[n]) for n in (1, 2, 3)],
+            order,
         )
         if label != "mixed":  # fractional face weights do not produce counts
             table = twopoint_from_ladder(ladder, 3)
@@ -347,15 +346,17 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
         coeffs = alpha_coeffs(g, b, w)
         fb = f_sequence(2 * top + 2, g, b, w)
         reconstruct = lgv_quad if label == "quad" else lgv_hex
-        ok = True
-        detail = ""
+        pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
             h0, h1 = reconstruct(i, b, w, coeffs)
-            if not agree(h0, hankel_det(fb, 0, i)) or not agree(h1, hankel_det(fb, 1, i)):
-                ok = False
-                detail = f"index {i} disagrees"
-                break
-        s.ok(f"dimers/{label}/segment-vs-determinant", ok, detail)
+            pairs += [(h0, hankel_det(fb, 0, i)), (h1, hankel_det(fb, 1, i))]
+        bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
+        s.pairs_agree(
+            f"dimers/{label}/segment-vs-determinant",
+            pairs,
+            order,
+            f"index {bad[0]} disagrees" if bad else "",
+        )
     return s.results
 
 
@@ -402,9 +403,10 @@ def suite_general(order: int, seed: int) -> list[CheckResult]:
         "general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4), order
     )
     base = conserved(1, 0, ladder, OCT)
-    s.ok(
+    s.pairs_agree(
         "general/oct/conserved-independence",
-        all(agree(conserved(1, d, ladder, OCT), base) for d in range(1, 4)),
+        [(conserved(1, d, ladder, OCT), base) for d in range(1, 4)],
+        order,
     )
     return s.results
 

@@ -19,13 +19,19 @@ from bicmaps.hankel import (
     hankel_family,
 )
 from bicmaps.rational import rat
-from bicmaps.series import SeriesRing, agree, common_reliable, first_difference, one
+from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
 from bicmaps.slices import FaceWeights, f_sequence, ladder_solve, tail_solve
 
 from helpers import assert_ladder_stable
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
+FAMILIES = {
+    "quad": QUAD,
+    "hex": HEX,
+    "g1=1/5": FaceWeights((rat(1, 5), rat(1))),
+    "p=3": FaceWeights((rat(0), rat(0), rat(0), rat(1))),
+}
 N = 8
 RING = SeriesRing(2, N)
 
@@ -61,6 +67,95 @@ def test_det_matches_leibniz_on_series(quad_data):
     for i in (1, 2, 3):
         rows = [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
         assert det_division_free(rows) == det_leibniz(rows)
+
+
+def _fields(f: MSeries) -> tuple:
+    return f.coeffs, f.order, f.reliable
+
+
+@pytest.fixture(scope="module")
+def order10_moments():
+    """Black and white moments F_0..F_11 at order 10, by family name."""
+    ring = SeriesRing(2, 10)
+    out = {}
+    for name in ("quad", "g1=1/5"):
+        g = FAMILIES[name]
+        b, w = tail_solve(g, ring)
+        out[name] = (f_sequence(11, g, b, w, "black"), f_sequence(11, g, b, w, "white"))
+    return out
+
+
+@pytest.mark.parametrize("name", ["quad", "g1=1/5"])
+def test_pruned_det_matches_leibniz_on_hankel_matrices(order10_moments, name):
+    # size 3 prunes minors, size 4 and size 5 at shift 0 end in the (min, +)
+    # bound, size 5 at shift 1 in the row bound
+    fb, _ = order10_moments[name]
+    for size in (3, 4, 5):
+        for shift in (0, 1):
+            rows = [[fb[n + m + shift] for m in range(size)] for n in range(size)]
+            assert _fields(det_division_free(rows)) == _fields(det_leibniz(rows)), (size, shift)
+
+
+def _random_entry(rng: random.Random, order: int) -> MSeries:
+    """A series of valuation 0..4 (or zero), order and reliable near ``order``."""
+    own_order = rng.choice((order, order + 1))
+    reliable = rng.randint(order - 2, own_order)
+    if rng.random() < 0.2:
+        return MSeries(2, own_order, {}, reliable)
+    v = rng.randint(0, 4)
+    a = rng.randint(0, v)
+    terms = {(a, v - a): rng.choice((1, -1, 2, rat(1, 3)))}
+    for _ in range(rng.randint(0, 4)):
+        d = rng.randint(v, own_order)
+        a = rng.randint(0, d)
+        terms[(a, d - a)] = rng.randint(-3, 3)
+    return MSeries(2, own_order, terms, reliable)
+
+
+def test_pruned_det_matches_leibniz_on_random_series():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = 2 + trial % 4
+        rows = [[_random_entry(rng, 6) for _ in range(n)] for _ in range(n)]
+        assert _fields(det_division_free(rows)) == _fields(det_leibniz(rows)), trial
+
+
+@pytest.fixture
+def series_products(monkeypatch):
+    """A one-element list counting series-by-series products from now on."""
+    count = [0]
+    real = MSeries.__mul__
+
+    def counting(self, other):
+        count[0] += isinstance(other, MSeries)
+        return real(self, other)
+
+    monkeypatch.setattr(MSeries, "__mul__", counting)
+    monkeypatch.setattr(MSeries, "__rmul__", counting)
+    return count
+
+
+def test_determinants_killed_by_truncation_make_no_products(order10_moments, series_products):
+    # index i has valuation at least i(i+1) > 10 from i = 3 on
+    for moments in order10_moments["g1=1/5"]:
+        for shift in (0, 1):
+            for i in (3, 4, 5):
+                det = hankel_det(moments, shift, i)
+                used = moments[shift : 2 * i + 1 + shift]
+                assert det.is_zero() and det.order == 10
+                assert det.reliable == min(m.reliable for m in used)
+    assert series_products[0] == 0
+
+
+def test_row_bound_skips_a_large_determinant(series_products):
+    ring = SeriesRing(2, 6)
+    b, w = tail_solve(QUAD, ring)
+    moments = f_sequence(30, QUAD, b, w)
+    series_products[0] = 0
+    det = hankel_det(moments, 0, 15)
+    assert det.is_zero() and det.order == 6
+    assert det.reliable == min(m.reliable for m in moments)
+    assert series_products[0] == 0
 
 
 def test_hankel_det_base_cases(quad_data):
@@ -157,14 +252,6 @@ def test_hankel_positivity_at_small_specialization():
         for i in range(5):
             rows = [[values[n + m + shift] for m in range(i + 1)] for n in range(i + 1)]
             assert det_division_free(rows) > 0, (shift, i)
-
-
-FAMILIES = {
-    "quad": QUAD,
-    "hex": HEX,
-    "g1=1/5": FaceWeights((rat(1, 5), rat(1))),
-    "p=3": FaceWeights((rat(0), rat(0), rat(0), rat(1))),
-}
 
 
 def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):

@@ -20,6 +20,7 @@ from bicmaps.paths import (
 )
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, one, zero
+from bicmaps.slices import FaceWeights, tail_solve
 
 from helpers import assert_series
 
@@ -92,6 +93,35 @@ def test_z_plus_profile_matches_single_calls():
     for s in range(0, 9, 2):
         assert prof[s] == z_plus(0, 0, s, lad)
     assert all(prof[s].is_zero() for s in range(1, 9, 2))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [FaceWeights.quadrangulations(), FaceWeights.hexangulations(), FaceWeights((rat(1, 5), rat(1)))],
+    ids=["quad", "hex", "g1=1/5"],
+)
+def test_capped_moment_walk_matches_single_walks(g):
+    # the profile on a constant ladder drops the degrees a height cannot
+    # bring back to d; z_plus walks each length in full
+    order = 6
+    b, w = tail_solve(g, SeriesRing(2, order))
+    top = 2 * order + 4
+    for lad in (
+        WeightLadder.constant_ladder(b, w),
+        WeightLadder.constant_ladder(b.with_reliable(order - 2), w.with_reliable(order - 1)),
+    ):
+        for d, floor in ((0, 0), (2, None), (2, 0)):
+            for black_start in (True, False):
+                prof = z_plus_profile(d, top, lad, floor, black_start)
+                for s in range(0, top + 1, 2):
+                    want = z_plus(d, d, s, lad, floor, black_start)
+                    got = prof[s]
+                    assert (got.coeffs, got.order, got.reliable) == (
+                        want.coeffs,
+                        want.order,
+                        want.reliable,
+                    ), (d, floor, black_start, s)
+                assert all(prof[s].is_zero() for s in range(1, top + 1, 2))
 
 
 def test_z_strip_quad_shape():

@@ -387,3 +387,51 @@ def test_exact_div_stable_under_higher_order(quotient, cofactor, c0, mono, nk, d
     high = exact_div(MSeries(2, n + k, shifted(quotient)), MSeries(2, n + k, shifted(unit)))
     assert_stable(low, high, r - v)
     assert_stable(high, MSeries(2, n + k, quotient) * inv_unit(MSeries(2, n + k, unit)), n + k - v)
+
+
+def _full_precision_quotient(f, g):
+    """exact_div's oracle: f / unit at full order, cut to the reliable bound."""
+    mono, unit = valuation_split(g)
+    bound = min(f.reliable, g.reliable)
+    kept = {e: c for e, c in (f * inv_unit(unit)).coeffs.items() if sum(e) <= bound}
+    if any(x < y for e in kept for x, y in zip(e, mono)):
+        return DivisibilityError
+    shifted = {tuple(x - y for x, y in zip(e, mono)): c for e, c in kept.items()}
+    return MSeries(2, min(f.order, g.order), shifted, bound - sum(mono))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rational_terms.filter(any),
+    rational_terms,
+    units,
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.data(),
+)
+def test_exact_div_equals_the_full_precision_quotient(fterms, cofactor, c0, mono, fshift, data):
+    # f's terms are shifted by fshift, so f is divisible by mono when
+    # fshift >= mono and usually is not otherwise; some f are zero or of
+    # valuation above the reliable bound, where nothing is inverted
+    f_order = data.draw(st.integers(4, 8))
+    g_order = data.draw(st.integers(sum(mono) + 1, 8))
+    f = MSeries(
+        2,
+        f_order,
+        {(e[0] + fshift[0], e[1] + fshift[1]): c for e, c in fterms.items()},
+        f_order - data.draw(st.integers(0, 3)),
+    )
+    unit = {**cofactor, (0, 0): c0}
+    g = MSeries(
+        2,
+        g_order,
+        {(e[0] + mono[0], e[1] + mono[1]): c for e, c in unit.items()},
+        g_order - data.draw(st.integers(0, 3)),
+    )
+    want = _full_precision_quotient(f, g)
+    if want is DivisibilityError:
+        with pytest.raises(DivisibilityError):
+            exact_div(f, g)
+        return
+    got = exact_div(f, g)
+    assert (got.coeffs, got.order, got.reliable) == (want.coeffs, want.order, want.reliable)

@@ -1,7 +1,8 @@
 """Scaling curves of the ladder solvers over truncation order.
 
 Times ``ladder_solve`` (quadrangulations and hexangulations),
-``ternary_solve`` and ``tricolor_solve`` at several orders, and counts the
+``ternary_solve``, ``tricolor_solve`` and ``determinant_ladder`` (face
+weights g = (1/5, 1), entries 1..10) at several orders, and counts the
 series products each call makes, for one or more source trees of bicmaps.
 Each (tree, case) pair runs in a fresh interpreter that imports bicmaps
 from that tree's ``src`` directory; the trees alternate case by case so
@@ -30,7 +31,9 @@ CASES = (
     [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
+    + [("determinant_ladder", "g1=1/5", order) for order in (8, 10, 12, 14)]
 )
+DETERMINANT_I_MAX = 10
 
 
 def _child(solver: str, family: str, order: int) -> dict:
@@ -39,6 +42,8 @@ def _child(solver: str, family: str, order: int) -> dict:
     from time import perf_counter
 
     from bicmaps.extensions import ternary_solve, tricolor_solve
+    from bicmaps.hankel import determinant_ladder
+    from bicmaps.rational import rat
     from bicmaps.series import MSeries, SeriesRing
     from bicmaps.slices import FaceWeights, ladder_solve
 
@@ -47,6 +52,9 @@ def _child(solver: str, family: str, order: int) -> dict:
         call = partial(ladder_solve, g, SeriesRing(2, order))
     elif solver == "ternary_solve":
         call = partial(ternary_solve, SeriesRing(2, order))
+    elif solver == "determinant_ladder":
+        g = FaceWeights((rat(1, 5), rat(1)))
+        call = partial(determinant_ladder, g, SeriesRing(2, order), DETERMINANT_I_MAX)
     else:
         call = partial(tricolor_solve, SeriesRing(3, order))
 
