@@ -14,7 +14,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .closedform import closed_ladder
@@ -40,21 +39,6 @@ ENTRY_NAMES = {"ternary": ("P", "Q"), "binary": ("R", "S")}
 DEFAULT_ORDER_ENV = "BICMAPS_ORDER"
 
 
-@dataclass
-class JobConfig:
-    command: str
-    family: str = ""
-    g: tuple = ()
-    order: int = 6
-    i_max: int = 3
-    fmt: str = "json"
-    seed: int = 7
-    route: str = "recursion"
-    links: int = 6
-    suite: str = "all"
-    output: str | None = None
-
-
 def _parse_face_weights(text: str) -> tuple:
     try:
         weights = tuple(rat(part.strip()) for part in text.split(",") if part.strip())
@@ -65,7 +49,7 @@ def _parse_face_weights(text: str) -> tuple:
     return weights
 
 
-def _face_weights(config: JobConfig, parser: argparse.ArgumentParser) -> FaceWeights:
+def _face_weights(config: argparse.Namespace, parser: argparse.ArgumentParser) -> FaceWeights:
     if config.family == "quad":
         return FaceWeights.quadrangulations()
     if config.family == "hex":
@@ -116,23 +100,25 @@ def _tricolor_records(state, i_max: int) -> list[dict]:
     return out
 
 
-def _ladder(config: JobConfig, parser: argparse.ArgumentParser) -> WeightLadder:
-    """The two-family ladder of config.family by config.route."""
+def _ladder(
+    config: argparse.Namespace, parser: argparse.ArgumentParser, route: str
+) -> WeightLadder:
+    """The two-family ladder of config.family by the given route."""
     ring = SeriesRing(2, config.order)
     if config.family in ENTRY_NAMES:
         ternary = config.family == "ternary"
-        if config.route == "determinant":
-            parser.error(f"route {config.route!r} is not defined for {config.family}")
+        if route == "determinant":
+            parser.error(f"route {route!r} is not defined for {config.family}")
         solve = ternary_solve if ternary else binary_solve
         ladder = solve(ring, height=max(ring.order + 2, config.i_max))
-        if config.route == "closed":
+        if route == "closed":
             closed = ternary_closed_ladder if ternary else binary_closed_ladder
             ladder = closed(ladder, config.i_max)
         return ladder
     g = _face_weights(config, parser)
-    if config.route == "recursion":
+    if route == "recursion":
         return ladder_solve(g, ring, height=max(ring.order + g.p + 1, config.i_max + 1))
-    if config.route == "closed":
+    if route == "closed":
         try:
             return closed_ladder(g, ring, config.i_max)
         except ValueError as exc:
@@ -140,17 +126,22 @@ def _ladder(config: JobConfig, parser: argparse.ArgumentParser) -> WeightLadder:
     return determinant_ladder(g, ring, config.i_max)
 
 
-def _tricolor_state(config: JobConfig):
+def _tricolor_state(config: argparse.Namespace):
     return tricolor_solve(SeriesRing(3, config.order), height=max(config.order + 2, config.i_max))
 
 
-def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
-    """Execute a job; returns (exit code, document text)."""
+def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[int, str]:
+    """Execute the parsed command line; returns (exit code, document text).
+
+    ``config`` is the parsed namespace.  It holds only the options of its
+    command, so an option that the command lacks is absent, not defaulted.
+    """
     if config.order < 1:
         parser.error("--order must be at least 1")
-    if config.i_max < 1:
+    if "i_max" in config and config.i_max < 1:
         parser.error("--i-max must be at least 1")
-    if config.g and config.family != "general":
+    weights = config.g if "g" in config else ()
+    if weights and config.family != "general":
         parser.error("--g applies only to --family general")
     records: list[dict] = []
     meta: dict = {
@@ -160,11 +151,11 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
         "tool": "bicmaps",
         "version": __version__,
     }
-    if config.g:
-        meta["face_weights"] = [str(rat(x)) for x in config.g]
+    if weights:
+        meta["face_weights"] = [str(rat(x)) for x in weights]
 
     if config.command == "twopoint":
-        table = twopoint_from_ladder(_ladder(config, parser), config.i_max)
+        table = twopoint_from_ladder(_ladder(config, parser, "recursion"), config.i_max)
         for i in range(1, config.i_max + 1):
             records.append(series_record(f"G_black_{i}", table.g_black(i)))
             records.append(series_record(f"G_white_{i}", table.g_white(i)))
@@ -179,7 +170,8 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
             meta["variables"] = _variables(3, config.family)
         else:
             names = ENTRY_NAMES.get(config.family, ("B", "W"))
-            records.extend(_ladder_records(_ladder(config, parser), config.i_max, names))
+            ladder = _ladder(config, parser, config.route)
+            records.extend(_ladder_records(ladder, config.i_max, names))
             meta["variables"] = _variables(2, config.family)
 
     elif config.command == "hankel":
@@ -244,7 +236,7 @@ def run(config: JobConfig, parser: argparse.ArgumentParser) -> tuple[int, str]:
     return 0, _render(doc, config, check_mode=False)
 
 
-def _render(doc: dict, config: JobConfig, check_mode: bool) -> str:
+def _render(doc: dict, config: argparse.Namespace, check_mode: bool) -> str:
     if config.fmt == "json":
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
@@ -318,27 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    order = ns.order
-    if order is None:
+    config = parser.parse_args(argv)
+    if config.order is None:
         text = os.environ.get(DEFAULT_ORDER_ENV, "6")
         try:
-            order = int(text)
+            config.order = int(text)
         except ValueError:
             parser.error(f"${DEFAULT_ORDER_ENV} must be an integer, not {text!r}")
-    config = JobConfig(
-        command=ns.command,
-        family=getattr(ns, "family", ""),
-        g=getattr(ns, "g", ()),
-        order=order,
-        i_max=getattr(ns, "i_max", 3),
-        fmt=ns.fmt,
-        seed=ns.seed,
-        route=getattr(ns, "route", "recursion"),
-        links=getattr(ns, "links", 6),
-        suite=getattr(ns, "suite", "all"),
-        output=ns.output,
-    )
     code, text = run(config, parser)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:

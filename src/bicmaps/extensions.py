@@ -7,6 +7,11 @@ tricolored system T_i = t_black + T_i (U_{i-1} + V_{i+1}) with cyclic
 companions.  Each gets a perturbative ladder solver plus a closed-form
 cross-check built on series-valued (D, Y, beta, gamma) data, where D plays
 the role the quantity c*x plays for quadrangulations.
+
+Each solver states its row rule once.  Row 2 is the first that reads no
+index 0, so on the ladder with no entries it reads only the tails and is
+the tail equation (P = 1 + z_white Q P Q and so on); ``paths.solve_ladder``
+solves the tails and then the entries from it.
 """
 
 from __future__ import annotations
@@ -34,61 +39,40 @@ def rotate_colors(f: MSeries) -> MSeries:
     return f.permute_vars(ROTATE)
 
 
-def _two_var_solve(ring: SeriesRing, kind: str, height: int | None) -> WeightLadder:
-    """Solve a two-family ladder, tails seeded at one; index-0 entries are zero."""
-    n = ring.order
-    if height is None:
-        height = n + 2
-    z_black, z_white = ring.gens()[:2]
-    unit = ring.one()
-
-    if kind == "ternary":
-
-        def tail_step(p, q):
-            return 1 + z_white * q * p * q, 1 + z_black * p * q * p
-
-        def entry_rhs(first_at, second_at, i):
-            return (
-                1 + z_white * second_at(i - 1) * first_at(i) * second_at(i + 1),
-                1 + z_black * first_at(i - 1) * second_at(i) * first_at(i + 1),
-            )
-
-    else:
-
-        def tail_step(r, s):
-            return 1 + z_black * s * s, 1 + z_white * r * r
-
-        def entry_rhs(first_at, second_at, i):
-            return (
-                1 + z_black * second_at(i - 1) * second_at(i + 1),
-                1 + z_white * first_at(i - 1) * first_at(i + 1),
-            )
-
-    p, q = fixed_point(
-        lambda state, _: tail_step(*state),
-        (unit, unit),
-        n,
-        ConvergenceError(f"{kind} tail equations did not stabilize"),
-    )
-
-    def rows(state):
-        lad = WeightLadder(*state, p, q)
-        return partial(entry_rhs, lad.black_weight, lad.white_weight)
-
-    firsts, seconds = solve_ladder(
-        rows, (p, q), height, ConvergenceError(f"{kind} ladder did not stabilize")
-    )
-    return WeightLadder(firsts, seconds, p, q)
-
-
 def ternary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
     """Embedded-ternary-tree ladder P_i (black) and Q_i (white)."""
-    return _two_var_solve(ring, "ternary", height)
+    z_black, z_white = ring.gens()[:2]
+
+    def rows(entries, tails):
+        lad = WeightLadder(*entries, *tails)
+        p, q = lad.black_weight, lad.white_weight
+        return lambda i: (
+            1 + z_white * q(i - 1) * p(i) * q(i + 1),
+            1 + z_black * p(i - 1) * q(i) * p(i + 1),
+        )
+
+    # Row 2 is the first that reads no index 0.
+    error = ConvergenceError("ternary ladder did not stabilize")
+    (ps, qs), (p, q) = solve_ladder(rows, 2, (ring.zero(),) * 2, height, error)
+    return WeightLadder(ps, qs, p, q)
 
 
 def binary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
     """Embedded-binary-tree ladder R_i (black) and S_i (white)."""
-    return _two_var_solve(ring, "binary", height)
+    y_black, y_white = ring.gens()[:2]
+
+    def rows(entries, tails):
+        lad = WeightLadder(*entries, *tails)
+        r, s = lad.black_weight, lad.white_weight
+        return lambda i: (
+            1 + y_black * s(i - 1) * s(i + 1),
+            1 + y_white * r(i - 1) * r(i + 1),
+        )
+
+    # Row 2 is the first that reads no index 0.
+    error = ConvergenceError("binary ladder did not stabilize")
+    (rs, ss), (r, s) = solve_ladder(rows, 2, (ring.zero(),) * 2, height, error)
+    return WeightLadder(rs, ss, r, s)
 
 
 def ternary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
@@ -195,24 +179,11 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
     """
     if ring.num_vars != 3:
         raise ValueError("the tricolored system needs three vertex weights")
-    n = ring.order
-    if height is None:
-        height = n + 2
     tb, tw, tg = ring.gens()
 
-    def tail_step(t, u, v):
-        return tb + t * (u + v), tw + u * (v + t), tg + v * (t + u)
-
-    tails = t, u, v = fixed_point(
-        lambda state, _: tail_step(*state),
-        (tb, tw, tg),
-        n,
-        ConvergenceError("tricolor tail equations did not stabilize"),
-    )
-
-    def rows(state):
+    def rows(entries, tails):
         t_at, u_at, v_at = (
-            partial(ladder_entry, entries, tail) for entries, tail in zip(state, tails)
+            partial(ladder_entry, column, tail) for column, tail in zip(entries, tails)
         )
         return lambda i: (
             tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)),
@@ -220,9 +191,9 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
             tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)),
         )
 
-    ts, us, vs = solve_ladder(
-        rows, tails, height, ConvergenceError("tricolor ladder did not stabilize")
-    )
+    # Row 2 is the first that reads no index 0.
+    error = ConvergenceError("tricolor ladder did not stabilize")
+    (ts, us, vs), (t, u, v) = solve_ladder(rows, 2, (ring.zero(),) * 3, height, error)
 
     y, d, e = solve_height_params(t, u, v)
     a_hat = (e + d + y) * inv_unit(1 + e + d)

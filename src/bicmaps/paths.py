@@ -11,8 +11,10 @@ black and white.  Two weighting conventions coexist:
 
 Both run on one dynamic program over heights, ``_walk``; only the
 brute-force oracle ``rat_path_brute`` enumerates step words on its own.
-The ladder solvers of ``slices`` and ``extensions`` share one sweep,
-``solve_ladder``, which evaluates only the rows a degree can reach.
+The ladder solvers of ``slices`` and ``extensions`` state each system once,
+as its row rule, and share one solver, ``solve_ladder``: the tails solve a
+far row of the ladder with no entries, and the entry sweeps evaluate only
+the rows a degree can reach.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -40,26 +42,36 @@ def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
     return entries[i - 1] if i <= len(entries) else tail
 
 
-def solve_ladder(rows, tails, height: int, error: Exception) -> tuple:
-    """Entries 1..height of a ladder system whose entries above are the tails.
+def solve_ladder(rows, far: int, zeros: tuple, height: int | None, error: Exception):
+    """Entries 1..height and tails of the ladder system given by ``rows``.
 
-    The state holds one tuple of entries per family, ``tails`` one tail per
-    family.  ``rows(state)`` reads a state and returns the function giving
-    the right-hand sides of every family at row i, in family order.  The
-    system is solved through the tails' order by ``fixed_point``.
+    ``rows(entries, tails)`` reads a ladder, one tuple of entries and one
+    tail per family, and returns the function giving the right-hand sides
+    of every family at row i, in family order.  Row ``far`` is the first
+    whose paths reach neither index 0 nor a floor, so on the ladder with no
+    entries it reads only the tails: the tails are its fixed point.  The
+    entries are then solved below those tails, up to height order + far
+    when ``height`` is None.  Returns (entries, tails), with one tuple of
+    entries per family.
 
-    In every system solved here entry i agrees with its tail through
-    degree i - 1 at least, so the sweep of degree d evaluates rows
-    1..min(height, d) only and fills the rows above with the tails cut to
-    degree d.  The degree-0 sweep reads nothing, so the tails serve as the
-    seed.  The stability sweep evaluates every row: the fixed point is
-    unique through the order, so a wrong fill cannot reproduce itself
-    there and raises ``error``.
+    Both fixed points start from the ladder with no entries and the zero
+    tails ``zeros``, one per family; the degree-0 sweep depends on nothing,
+    so the start does not matter.  In every system solved here entry i agrees
+    with its tail through degree i - 1 at least, so the sweep of degree d
+    evaluates rows 1..min(height, d) only and fills the rows above with the
+    tails cut to degree d.  The stability sweep evaluates every row: the
+    fixed point is unique through the order, so a wrong fill cannot
+    reproduce itself there and raises ``error``.
     """
+    order = zeros[0].order
+    bare = ((),) * len(zeros)
+    tails = fixed_point(lambda state, _: rows(bare, state)(far), zeros, order, error)
+    if height is None:
+        height = order + far
 
     def sweep(state, degree):
         reach = height if degree is None else min(height, degree)
-        row = rows(state)
+        row = rows(state, tails)
         computed = [row(i) for i in range(1, reach + 1)]
         # The guard keeps truncate(None) out of the stability sweep, which
         # fills no row: ``(x,) * 0`` still evaluates x.
@@ -69,9 +81,7 @@ def solve_ladder(rows, tails, height: int, error: Exception) -> tuple:
             for f, tail in enumerate(tails)
         )
 
-    return fixed_point(
-        sweep, tuple((tail,) * height for tail in tails), tails[0].order, error
-    )
+    return fixed_point(sweep, bare, order, error), tails
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ vertex weight, so each full Jacobi sweep pins one more total degree.  A
 nonzero degree-two face weight g_1 contributes a term proportional to the
 unknown itself at the same degree; the sweep divides it out through the
 scalar 1/(1 - g_1), which is why g_1 = 1 is rejected as divergent.
+
+The recursion is written once, as the rule of row i.  The limits B, W are
+its i -> infinity limit: row p + 1 of the ladder with no entries, the
+first row whose strips reach neither index 0 nor the floor, reads only the
+tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
+tails and then the entries from that one rule.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 from .paths import WeightLadder, l_zero, solve_ladder, z_plus, z_plus_profile, z_strip
 from .rational import Rat, is_rational, rat
-from .series import MSeries, SeriesRing, exact_div, fixed_point, variable
+from .series import MSeries, SeriesRing, exact_div, variable
 
 BLACK, WHITE = "black", "white"
 
@@ -63,30 +69,41 @@ def _sweep_scale(g: FaceWeights):
     return rat(1 / (1 - Rat(g1)))
 
 
-def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
-    """Height-independent limits B, W of the slice series, exact to ring.order."""
+def _solve_slices(g: FaceWeights, ring: SeriesRing, height: int | None):
+    """Entries 1..height and tails of the slice recursion (``solve_ladder``).
+
+    Row i is (B_i, W_i) = (t + sum_k g_k Z(2k - 1)) / (1 - g_1), with Z the
+    strip paths of length 2k - 1 from height i down to i - 1, floored at
+    zero, and t the vertex weight of the start color.  Row p + 1 is the
+    first whose strips, of length at most 2p + 1, reach neither index 0 nor
+    the floor.
+    """
     scale = _sweep_scale(g)
     tb, tw = ring.gens()[:2]
 
-    def advance(state, _degree):
-        lad = WeightLadder.constant_ladder(*state)
-        rb = ring.zero()
-        rw = ring.zero()
-        for k in range(2, g.p + 2):
-            gk = g.weight(k)
-            if not gk:
-                continue
-            length = 2 * k - 1
-            rb = rb + gk * z_plus(0, -1, length, lad, floor=-length - 1)
-            rw = rw + gk * z_plus(0, -1, length, lad, floor=-length - 1, black_start=False)
-        return (tb + rb) * scale, (tw + rw) * scale
+    def rows(entries, tails):
+        lad = WeightLadder(*entries, *tails)
 
-    return fixed_point(
-        advance,
-        (tb, tw),
-        ring.order,
-        ConvergenceError("tail equations did not reach a fixed point"),
-    )
+        def row(i):
+            rb = ring.zero()
+            rw = ring.zero()
+            for k in range(2, g.p + 2):
+                gk = g.weight(k)
+                if not gk:
+                    continue
+                rb = rb + gk * z_strip("bw", i, 2 * k - 1, lad)
+                rw = rw + gk * z_strip("wb", i, 2 * k - 1, lad)
+            return (tb + rb) * scale, (tw + rw) * scale
+
+        return row
+
+    error = ConvergenceError("slice recursion did not reach a fixed point")
+    return solve_ladder(rows, g.p + 1, (ring.zero(),) * 2, height, error)
+
+
+def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
+    """Height-independent limits B, W of the slice series, exact to ring.order."""
+    return _solve_slices(g, ring, 0)[1]
 
 
 def ladder_solve(
@@ -103,39 +120,11 @@ def ladder_solve(
     than agreement through i - 1); the stability sweep evaluates all H
     rows and raises ConvergenceError if any fill was wrong.  Any boundary
     height H >= order + p keeps every stored coefficient exact; the
-    default adds one more for margin.
+    default, order + p + 1, adds one more for margin.
     """
-    p = g.p
-    if height is None:
-        height = ring.order + p + 1
-    if height < ring.order + p:
+    if height is not None and height < ring.order + g.p:
         raise ValueError("boundary height must be at least order + p")
-    scale = _sweep_scale(g)
-    tb, tw = ring.gens()[:2]
-    tail_b, tail_w = tail_solve(g, ring)
-
-    def rows(state):
-        lad = WeightLadder(*state, tail_b, tail_w)
-
-        def row(i):
-            rb = ring.zero()
-            rw = ring.zero()
-            for k in range(2, p + 2):
-                gk = g.weight(k)
-                if not gk:
-                    continue
-                rb = rb + gk * z_strip("bw", i, 2 * k - 1, lad)
-                rw = rw + gk * z_strip("wb", i, 2 * k - 1, lad)
-            return (tb + rb) * scale, (tw + rw) * scale
-
-        return row
-
-    blacks, whites = solve_ladder(
-        rows,
-        (tail_b, tail_w),
-        height,
-        ConvergenceError("slice recursion did not reach a fixed point"),
-    )
+    (blacks, whites), (tail_b, tail_w) = _solve_slices(g, ring, height)
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 

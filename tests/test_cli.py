@@ -249,7 +249,11 @@ SKIPPED = {
         "general/oct/conserved-independence",
         "dimers/quad/segment-vs-determinant",
         "dimers/hex/segment-vs-determinant",
+        "hankel/quad/expansion-vs-direct",
+        "hankel/hex/expansion-vs-direct",
+        "closedform/quad/y-relation",
     }
+    | {f"series/division-roundtrip-{trial}" for trial in range(4)}
     | {
         f"slices/{label}/conserved-{check}"
         for label in ("quad", "hex", "mixed")
@@ -259,6 +263,7 @@ SKIPPED = {
         "closedform/quad/uncolored-collapse",
         "closedform/hex/closed-vs-recursion",
         "closedform/hex/uncolored-collapse",
+        "closedform/hex/weights-resolve-unity",
     },
 }
 
@@ -302,7 +307,7 @@ def test_pairs_reliable_to_degree_zero_still_compare_constant_terms():
     got = [(c.name, c.passed, c.detail.split(":")[0]) for c in s.results]
     assert got == [
         ("equal", True, "skipped"),
-        ("constants-differ", False, ""),
+        ("constants-differ", False, "first differing coefficient at (0, 0)"),
         ("reliable", True, ""),
         ("told-why", False, "index 0 disagrees"),
         ("passed-why", True, ""),

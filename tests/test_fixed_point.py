@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bicmaps import extensions, slices
 from bicmaps.extensions import binary_solve, ternary_solve, tricolor_solve
-from bicmaps.paths import ladder_entry, solve_ladder
+from bicmaps.paths import WeightLadder, ladder_entry, solve_ladder, z_plus
 from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
@@ -72,8 +72,8 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
     height = R.order + 2
     evaluated = []
 
-    def rows(state):
-        at = partial(ladder_entry, state[0], tail)
+    def rows(entries, tails):
+        at = partial(ladder_entry, entries[0], tails[0])
         evaluated.append(0)
 
         def row(i):
@@ -82,9 +82,11 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
 
         return row
 
-    (entries,) = solve_ladder(rows, (tail,), height, ConvergenceError("no"))
-    # sweep d evaluates rows 1..d; the stability sweep evaluates every row
-    assert evaluated == list(range(R.order + 1)) + [height]
+    (entries,), tails = solve_ladder(rows, 2, (R.zero(),), height, ConvergenceError("no"))
+    # the tail sweeps evaluate row 2 once each; then sweep d evaluates rows
+    # 1..d and the stability sweep evaluates every row
+    assert evaluated == [1] * (R.order + 2) + list(range(R.order + 1)) + [height]
+    assert tails == (tail,)
     assert entries[0] == R.one()
     for i in range(2, height + 1):
         assert agree(entries[i - 1], tail, through=i - 1)
@@ -100,9 +102,10 @@ def test_ladder_solve_evaluates_only_reachable_rows(monkeypatch):
 
     monkeypatch.setattr(slices, "z_strip", counting)
     ladder_solve(QUAD, SeriesRing(2, 12))
-    # height 14: sweeps of degree 0..12 evaluate 0..12 rows, the stability
-    # sweep all 14, and each row takes one strip per color
-    assert len(calls) == 2 * (sum(range(13)) + 14) == 184
+    # height 14: the 13 + 1 tail sweeps evaluate row 2, sweeps of degree
+    # 0..12 evaluate 0..12 rows, the stability sweep all 14, and each row
+    # takes one strip per color
+    assert len(calls) == 2 * (14 + sum(range(13)) + 14) == 212
 
 
 @pytest.mark.parametrize(
@@ -119,15 +122,72 @@ def test_ladder_solve_evaluates_only_reachable_rows(monkeypatch):
 def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
     monkeypatch, solve, module, message
 ):
-    # tails off by tb^order: every row the sweeps fill is wrong at the top
-    # degree only, and only the full-height stability sweep can see it
-    def perturbed(rows, tails, height, error):
-        bump = variable(tails[0].num_vars, tails[0].order, 0) ** tails[0].order
-        return solve_ladder(rows, tuple(t + bump for t in tails), height, error)
+    # tails off by tb^order (the bare ladder's rows are off by it): every
+    # row the sweeps fill is wrong at the top degree only, and only the
+    # full-height stability sweep can see it
+    def perturbed(rows, far, zeros, height, error):
+        bump = variable(zeros[0].num_vars, zeros[0].order, 0) ** zeros[0].order
+
+        def bumped(entries, tails):
+            row = rows(entries, tails)
+            return row if entries[0] else lambda i: tuple(v + bump for v in row(i))
+
+        return solve_ladder(bumped, far, zeros, height, error)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)
     with pytest.raises(ConvergenceError, match=message):
         solve()
+
+
+# -- the tails: the far row of a ladder with no entries ---------------------------
+
+TAIL_FAMILIES = {
+    "quad": QUAD,
+    "hex": HEX,
+    "1/5,1": FaceWeights((rat(1, 5), rat(1))),
+    "0,1/3,2": FaceWeights((rat(0), rat(1, 3), rat(2))),
+    "0,0,0,1": FaceWeights((rat(0), rat(0), rat(0), rat(1))),
+}
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+@pytest.mark.parametrize("name", sorted(TAIL_FAMILIES))
+def test_slice_tails_solve_the_tail_equations(name, order):
+    # B = (t_black + sum_k g_k Z(2k - 1)) / (1 - g_1), Z the unfloored strip
+    # sums from 0 down to -1 on the constant ladder (B, W); W the same
+    g = TAIL_FAMILIES[name]
+    ring = SeriesRing(2, order)
+    b, w = tail_solve(g, ring)
+    ladder = ladder_solve(g, ring)
+    assert (ladder.tail_black, ladder.tail_white) == (b, w)
+    constant = WeightLadder.constant_ladder(b, w)
+    rb, rw = ring.gens()
+    for k in range(2, g.p + 2):
+        rb = rb + g.weight(k) * z_plus(0, -1, 2 * k - 1, constant, floor=-2 * k)
+        rw = rw + g.weight(k) * z_plus(
+            0, -1, 2 * k - 1, constant, floor=-2 * k, black_start=False
+        )
+    assert (1 - g.weight(1)) * b == rb
+    assert (1 - g.weight(1)) * w == rw
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_tree_and_tricolor_tails_solve_the_tail_equations(order):
+    zb, zw = SeriesRing(2, order).gens()
+    ternary = ternary_solve(SeriesRing(2, order))
+    p, q = ternary.tail_black, ternary.tail_white
+    assert p == 1 + zw * q * p * q
+    assert q == 1 + zb * p * q * p
+    binary = binary_solve(SeriesRing(2, order))
+    r, s = binary.tail_black, binary.tail_white
+    assert r == 1 + zb * s * s
+    assert s == 1 + zw * r * r
+    tb, tw, tg = SeriesRing(3, order).gens()
+    tricolor = tricolor_solve(SeriesRing(3, order))
+    t, u, v = tricolor.t, tricolor.u, tricolor.v
+    assert t == tb + t * (u + v)
+    assert u == tw + u * (v + t)
+    assert v == tg + v * (t + u)
 
 
 # -- integer coefficients --------------------------------------------------------

@@ -1,7 +1,10 @@
 """Golden CLI documents: each command's JSON pinned by sha256 at orders 4 and 6.
 
-Four of them are also pinned as CSV at order 4, which fixes the row layout
-and the record order of the CSV writer.
+The recursion ladders and the tricolor documents are also pinned at orders
+1 and 8, the lowest order and one where every ladder system has stored
+rows above its tail-equation row.  Four documents are also pinned as CSV
+at order 4, which fixes the row layout and the record order of the CSV
+writer.
 
 A digest moves when any coefficient, reliable bound, record name or the
 layout of a document moves, so a kernel or solver change that is meant to
@@ -41,6 +44,16 @@ CASES = {
     "dimers": ["dimers", "--links", "4"],
     "tricolor": ["tricolor", "--i-max", "2"],
     "verify-all": ["verify", "--suite", "all", "--seed", "3"],
+}
+
+EXTREME_ORDERS = {
+    "ladder-quad-recursion",
+    "ladder-hex-recursion",
+    "ladder-general-recursion",
+    "ladder-ternary-recursion",
+    "ladder-binary-recursion",
+    "ladder-tricolor-recursion",
+    "tricolor",
 }
 
 GOLDEN = {
@@ -86,6 +99,20 @@ GOLDEN = {
     ("tricolor", 6): "a7ac0d8f07cd189423f9aaeaa05bc6f07bcbdacf2489213fd921ec0d5dbd6176",
     ("verify-all", 4): "9997f2850c0240d3aed923d8110f792a809a32016f747e7f56075418250afd78",
     ("verify-all", 6): "993468dfad854e813512a6c6de7be780a03c8a7a877080a4275e340b8972f4a6",
+    ("ladder-quad-recursion", 1): "c819bb447c1150647f4c82a3e0eda7bba692f4cfa3536a4c0f0c90537bf76161",
+    ("ladder-quad-recursion", 8): "2f014d140390276e0c8e72045f87d6a8acdb67a7ee3cfb6feeda266e545d9c76",
+    ("ladder-hex-recursion", 1): "a53fbee07c2b614cc4c22f485f92711e50652204ec2c5ef196d3d51e1b2797ed",
+    ("ladder-hex-recursion", 8): "20ae0c4f2ece2adb14d29a0968b24acf90cc8fc1873ee4772f3dbf720c32c15e",
+    ("ladder-general-recursion", 1): "e7d91ec665d41a584c05bba2c726109192486e93fe4c424d2aa93a254e704c48",
+    ("ladder-general-recursion", 8): "038d6a65192fe287911fa934b698dc2ed2fcee15b805e4283eb2e0373ffdb43f",
+    ("ladder-ternary-recursion", 1): "50809f9c809f327e63aa90d9d1a00a316c280cf8a6055e54816d20b623954f71",
+    ("ladder-ternary-recursion", 8): "05128ac990fda8fcfb6a1b40d4de5e648f26badd98e342cb5db5da6ca597407a",
+    ("ladder-binary-recursion", 1): "f4edc43dbeb5f1895318db3a74fb99359ee54c8cdaecae4a0f214ee306a7a03b",
+    ("ladder-binary-recursion", 8): "c90fcb482615e530d3383058bb943e5a1c4acdf5d12daf2a4b4090a01aa35711",
+    ("ladder-tricolor-recursion", 1): "873ba8cc7ebfc974a44d7f9990811b081eb820e746db6e2a02244b6d69ccc97b",
+    ("ladder-tricolor-recursion", 8): "6fdf5dc6902eb55a729c63502a54f2d7ef4409416dec99efc4dc6b3cb71b55b2",
+    ("tricolor", 1): "ca774196c38303e3db20310bcd63ce07ac4a5321480a9cd7d8f683c158423f8f",
+    ("tricolor", 8): "4ef3c3be7d7911197dcadc555c607eb28085f318938a09fb2e7b2ba24f1195b8",
 }
 
 CSV_GOLDEN = {
@@ -105,7 +132,9 @@ def document_digest(capsys, argv) -> str:
 
 
 def test_every_case_is_pinned_at_both_orders():
-    assert set(GOLDEN) == {(name, order) for name in CASES for order in (4, 6)}
+    assert set(GOLDEN) == {(name, order) for name in CASES for order in (4, 6)} | {
+        (name, order) for name in EXTREME_ORDERS for order in (1, 8)
+    }
 
 
 @pytest.mark.parametrize("name,order", sorted(GOLDEN))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import factorial
+
 import pytest
 
 from bicmaps.paths import WeightLadder
@@ -245,3 +247,24 @@ def test_twopoint_color_swap(quad_ladder):
     table = twopoint_from_ladder(quad_ladder, 4)
     for i in range(1, 5):
         assert table.g_black(i).swap_vars() == table.g_white(i)
+
+
+def test_quadrangulation_census():
+    # Tutte, "A census of planar maps" (Canad. J. Math. 1963): there are
+    # 2 * 3^f (2f)! / (f! (f + 2)!) rooted quadrangulations with f faces,
+    # hence f + 2 vertices.  Summed over distances and both root colors at
+    # t_black = t_white, the two-point functions count them once per choice
+    # of the marked vertex.
+    order = 8
+    ladder = ladder_solve(QUAD, SeriesRing(2, order), height=order + 2)
+    table = twopoint_from_ladder(ladder, order + 1)
+    total = SeriesRing(2, order).zero()
+    for g in table.black + table.white:
+        total = total + g
+    census = {}
+    for f in range(1, order - 1):
+        rooted = 2 * 3**f * factorial(2 * f) // (factorial(f) * factorial(f + 2))
+        census[f + 2, 0] = (f + 2) * rooted
+    assert [census[f + 2, 0] for f in range(1, 7)] == [6, 36, 270, 2268, 20412, 192456]
+    assert total.reliable == order
+    assert dict(total.collapse_vars().terms()) == census
