@@ -11,7 +11,11 @@ the role the quantity c*x plays for quadrangulations.
 Each solver states its row rule once.  Row 2 is the first that reads no
 index 0, so on the ladder with no entries it reads only the tails and is
 the tail equation (P = 1 + z_white Q P Q and so on); ``paths.solve_ladder``
-solves the tails and then the entries from it.
+solves the tails and then the entries from it.  Each system also states its
+color symmetry (the swap for the trees, the cyclic rotation for the
+tricolored system): the graded sweeps evaluate the first family only and
+take the others from it, and the stability sweep evaluates every family, so
+every solve checks the symmetry.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .closedform import characteristic, quad_pattern_ladder, unit_factors
-from .paths import WeightLadder, ladder_entry, solve_ladder
+from .paths import WeightLadder, color_swap, ladder_entry, solve_ladder
 from .series import (
     MSeries,
     SeriesRing,
@@ -39,39 +43,47 @@ def rotate_colors(f: MSeries) -> MSeries:
     return f.permute_vars(ROTATE)
 
 
-def ternary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
-    """Embedded-ternary-tree ladder P_i (black) and Q_i (white)."""
+def ternary_solve(ring: SeriesRing, height: int = 0) -> WeightLadder:
+    """Embedded-ternary-tree ladder P_i (black) and Q_i (white).
+
+    Exchanging the colors together with z_black and z_white maps the
+    system onto itself, so Q_i is P_i with the two variables swapped.
+    """
     z_black, z_white = ring.gens()[:2]
 
     def rows(entries, tails):
         lad = WeightLadder(*entries, *tails)
         p, q = lad.black_weight, lad.white_weight
-        return lambda i: (
-            1 + z_white * q(i - 1) * p(i) * q(i + 1),
-            1 + z_black * p(i - 1) * q(i) * p(i + 1),
+        return (
+            lambda i: 1 + z_white * q(i - 1) * p(i) * q(i + 1),
+            lambda i: 1 + z_black * p(i - 1) * q(i) * p(i + 1),
         )
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("ternary ladder did not stabilize")
-    (ps, qs), (p, q) = solve_ladder(rows, 2, (ring.zero(),) * 2, height, error)
+    (ps, qs), (p, q) = solve_ladder(rows, color_swap, 2, ring, error, height)
     return WeightLadder(ps, qs, p, q)
 
 
-def binary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
-    """Embedded-binary-tree ladder R_i (black) and S_i (white)."""
+def binary_solve(ring: SeriesRing, height: int = 0) -> WeightLadder:
+    """Embedded-binary-tree ladder R_i (black) and S_i (white).
+
+    Exchanging the colors together with y_black and y_white maps the
+    system onto itself, so S_i is R_i with the two variables swapped.
+    """
     y_black, y_white = ring.gens()[:2]
 
     def rows(entries, tails):
         lad = WeightLadder(*entries, *tails)
         r, s = lad.black_weight, lad.white_weight
-        return lambda i: (
-            1 + y_black * s(i - 1) * s(i + 1),
-            1 + y_white * r(i - 1) * r(i + 1),
+        return (
+            lambda i: 1 + y_black * s(i - 1) * s(i + 1),
+            lambda i: 1 + y_white * r(i - 1) * r(i + 1),
         )
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("binary ladder did not stabilize")
-    (rs, ss), (r, s) = solve_ladder(rows, 2, (ring.zero(),) * 2, height, error)
+    (rs, ss), (r, s) = solve_ladder(rows, color_swap, 2, ring, error, height)
     return WeightLadder(rs, ss, r, s)
 
 
@@ -170,12 +182,20 @@ def solve_height_params(t: MSeries, u: MSeries, v: MSeries):
     )
 
 
-def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState:
+def color_rotation(t: MSeries) -> tuple[MSeries, MSeries, MSeries]:
+    """The symmetry of the tricolored system: U is T with the colors
+    rotated once, and V is U rotated once more."""
+    u = rotate_colors(t)
+    return t, u, rotate_colors(u)
+
+
+def tricolor_solve(ring: SeriesRing, height: int = 0) -> TriColorState:
     """Perturbative solution of the three-color ladder system.
 
-    The closed forms only ever consume (y, d, e) and a_hat; the cube root
-    hiding behind y is never materialized, so its root-of-unity ambiguity
-    never arises.
+    Rotating the colors maps the system onto itself, so U_i and V_i are
+    T_i rotated once and twice (``color_rotation``).  The closed forms only
+    ever consume (y, d, e) and a_hat; the cube root hiding behind y is
+    never materialized, so its root-of-unity ambiguity never arises.
     """
     if ring.num_vars != 3:
         raise ValueError("the tricolored system needs three vertex weights")
@@ -185,15 +205,15 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
         t_at, u_at, v_at = (
             partial(ladder_entry, column, tail) for column, tail in zip(entries, tails)
         )
-        return lambda i: (
-            tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)),
-            tw + u_at(i) * (v_at(i - 1) + t_at(i + 1)),
-            tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)),
+        return (
+            lambda i: tb + t_at(i) * (u_at(i - 1) + v_at(i + 1)),
+            lambda i: tw + u_at(i) * (v_at(i - 1) + t_at(i + 1)),
+            lambda i: tg + v_at(i) * (t_at(i - 1) + u_at(i + 1)),
         )
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("tricolor ladder did not stabilize")
-    (ts, us, vs), (t, u, v) = solve_ladder(rows, 2, (ring.zero(),) * 3, height, error)
+    (ts, us, vs), (t, u, v) = solve_ladder(rows, color_rotation, 2, ring, error, height)
 
     y, d, e = solve_height_params(t, u, v)
     a_hat = (e + d + y) * inv_unit(1 + e + d)

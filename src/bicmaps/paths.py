@@ -12,9 +12,12 @@ black and white.  Two weighting conventions coexist:
 Both run on one dynamic program over heights, ``_walk``; only the
 brute-force oracle ``rat_path_brute`` enumerates step words on its own.
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
-as its row rule, and share one solver, ``solve_ladder``: the tails solve a
-far row of the ladder with no entries, and the entry sweeps evaluate only
-the rows a degree can reach.
+as one row rule per family next to the system's color symmetry, and share
+one solver, ``solve_ladder``: the tails solve a far row of the ladder with
+no entries, and the entry sweeps evaluate only the rows a degree can reach.
+Each graded sweep evaluates family 0 alone and takes the other families
+from the symmetry; the stability sweep evaluates every family, so each
+solve also proves the symmetry.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -29,7 +32,7 @@ from itertools import product
 from math import lcm
 
 from .rational import Rat
-from .series import MSeries, agree, fixed_point, one, zero
+from .series import MSeries, SeriesRing, agree, fixed_point, one, zero
 
 BLACK_WHITE = "bw"
 WHITE_BLACK = "wb"
@@ -42,46 +45,73 @@ def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
     return entries[i - 1] if i <= len(entries) else tail
 
 
-def solve_ladder(rows, far: int, zeros: tuple, height: int | None, error: Exception):
-    """Entries 1..height and tails of the ladder system given by ``rows``.
+def color_swap(b: MSeries) -> tuple[MSeries, MSeries]:
+    """The symmetry of a two-color ladder system: the white value is the
+    black one with the first two variables exchanged."""
+    return b, b.swap_vars()
+
+
+def ladder_tails(rows, mirror, far: int, ring: SeriesRing, error: Exception) -> tuple:
+    """The tails of the ladder system given by ``rows`` (see ``solve_ladder``).
+
+    Row ``far`` is the first whose paths reach neither index 0 nor a floor,
+    so on the ladder with no entries it reads only the tails: the tails are
+    its fixed point, solved from the zero tails.
+    """
+
+    def sweep(tails, degree):
+        row = rows(((),) * len(tails), tails)
+        if degree is None:
+            return tuple(family(far) for family in row)
+        return mirror(row[0](far))
+
+    return fixed_point(sweep, mirror(ring.zero()), ring.order, error)
+
+
+def solve_ladder(
+    rows, mirror, far: int, ring: SeriesRing, error: Exception, height: int = 0
+):
+    """Entries 1..H and tails of the ladder system given by ``rows``.
 
     ``rows(entries, tails)`` reads a ladder, one tuple of entries and one
-    tail per family, and returns the function giving the right-hand sides
-    of every family at row i, in family order.  Row ``far`` is the first
-    whose paths reach neither index 0 nor a floor, so on the ladder with no
-    entries it reads only the tails: the tails are its fixed point.  The
-    entries are then solved below those tails, up to height order + far
-    when ``height`` is None.  Returns (entries, tails), with one tuple of
-    entries per family.
+    tail per family, and returns one row function per family, in family
+    order: ``row[f](i)`` is the right-hand side of family f at row i.
+    ``mirror(x)`` is the system's symmetry: it maps a value of family 0 to
+    the values of every family at the same row (the color swap, or the
+    cyclic rotation of three colors).  The tails are the fixed point of row
+    ``far`` of the ladder with no entries (``ladder_tails``); the entries
+    are then solved below them, from no entries, up to H = max(height,
+    order + far).  Returns (entries, tails), with one tuple of entries per
+    family.
 
-    Both fixed points start from the ladder with no entries and the zero
-    tails ``zeros``, one per family; the degree-0 sweep depends on nothing,
-    so the start does not matter.  In every system solved here entry i agrees
-    with its tail through degree i - 1 at least, so the sweep of degree d
-    evaluates rows 1..min(height, d) only and fills the rows above with the
-    tails cut to degree d.  The stability sweep evaluates every row: the
-    fixed point is unique through the order, so a wrong fill cannot
-    reproduce itself there and raises ``error``.
+    The degree-0 sweep depends on nothing, so the start does not matter.
+    In every system solved here entry i agrees with its tail through degree
+    i - 1 at least, so the sweep of degree d evaluates rows 1..min(H, d)
+    only and fills the rows above with the tails cut to degree d.  It
+    evaluates family 0 only and takes the other families from ``mirror``:
+    the symmetry maps the system onto itself and the fixed point is unique
+    through the order, so the fixed point is symmetric too.  The stability
+    sweep evaluates every row of every family, each by its own rule, so a
+    wrong fill or a wrong ``mirror`` cannot reproduce itself there and
+    raises ``error``: every solve proves the symmetry it used.
     """
-    order = zeros[0].order
-    bare = ((),) * len(zeros)
-    tails = fixed_point(lambda state, _: rows(bare, state)(far), zeros, order, error)
-    if height is None:
-        height = order + far
+    tails = ladder_tails(rows, mirror, far, ring, error)
+    height = max(height, ring.order + far)
 
     def sweep(state, degree):
-        reach = height if degree is None else min(height, degree)
         row = rows(state, tails)
-        computed = [row(i) for i in range(1, reach + 1)]
-        # The guard keeps truncate(None) out of the stability sweep, which
-        # fills no row: ``(x,) * 0`` still evaluates x.
+        if degree is None:
+            return tuple(tuple(map(family, range(1, height + 1))) for family in row)
+        reach = min(height, degree)
+        computed = [mirror(row[0](i)) for i in range(1, reach + 1)]
         return tuple(
             tuple(values[f] for values in computed)
-            + ((tail.truncate(degree),) * (height - reach) if reach < height else ())
+            + (tail.truncate(degree),) * (height - reach)
             for f, tail in enumerate(tails)
         )
 
-    return fixed_point(sweep, bare, order, error), tails
+    bare = ((),) * len(tails)
+    return fixed_point(sweep, bare, ring.order, error), tails
 
 
 @dataclass(frozen=True)

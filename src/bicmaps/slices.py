@@ -13,14 +13,25 @@ The recursion is written once, as the rule of row i.  The limits B, W are
 its i -> infinity limit: row p + 1 of the ladder with no entries, the
 first row whose strips reach neither index 0 nor the floor, reads only the
 tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
-tails and then the entries from that one rule.
+tails and then the entries from that one rule.  Each graded sweep evaluates
+the black rows only and takes the white ones from the color swap; the
+stability sweep evaluates both colors, so every solve checks the swap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import WeightLadder, l_zero, solve_ladder, z_plus, z_plus_profile, z_strip
+from .paths import (
+    WeightLadder,
+    color_swap,
+    l_zero,
+    ladder_tails,
+    solve_ladder,
+    z_plus,
+    z_plus_profile,
+    z_strip,
+)
 from .rational import Rat, is_rational, rat
 from .series import MSeries, SeriesRing, exact_div, variable
 
@@ -69,14 +80,17 @@ def _sweep_scale(g: FaceWeights):
     return rat(1 / (1 - Rat(g1)))
 
 
-def _solve_slices(g: FaceWeights, ring: SeriesRing, height: int | None):
-    """Entries 1..height and tails of the slice recursion (``solve_ladder``).
+def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
+    """The slice recursion as ``solve_ladder`` takes it: (rows, mirror,
+    far, ring, error).
 
-    Row i is (B_i, W_i) = (t + sum_k g_k Z(2k - 1)) / (1 - g_1), with Z the
+    Row i is B_i = (t_black + sum_k g_k Z(2k - 1)) / (1 - g_1), with Z the
     strip paths of length 2k - 1 from height i down to i - 1, floored at
-    zero, and t the vertex weight of the start color.  Row p + 1 is the
-    first whose strips, of length at most 2p + 1, reach neither index 0 nor
-    the floor.
+    zero and starting black, and W_i the same with the colors exchanged.
+    The face weights do not depend on color, so exchanging the colors
+    together with t_black and t_white maps the system onto itself: W_i is
+    B_i with the two variables swapped.  Row p + 1 is the first whose
+    strips, of length at most 2p + 1, reach neither index 0 nor the floor.
     """
     scale = _sweep_scale(g)
     tb, tw = ring.gens()[:2]
@@ -84,31 +98,29 @@ def _solve_slices(g: FaceWeights, ring: SeriesRing, height: int | None):
     def rows(entries, tails):
         lad = WeightLadder(*entries, *tails)
 
-        def row(i):
-            rb = ring.zero()
-            rw = ring.zero()
-            for k in range(2, g.p + 2):
-                gk = g.weight(k)
-                if not gk:
-                    continue
-                rb = rb + gk * z_strip("bw", i, 2 * k - 1, lad)
-                rw = rw + gk * z_strip("wb", i, 2 * k - 1, lad)
-            return (tb + rb) * scale, (tw + rw) * scale
+        def family(colors, t):
+            def row(i):
+                r = ring.zero()
+                for k in range(2, g.p + 2):
+                    gk = g.weight(k)
+                    if gk:
+                        r = r + gk * z_strip(colors, i, 2 * k - 1, lad)
+                return (t + r) * scale
 
-        return row
+            return row
+
+        return family("bw", tb), family("wb", tw)
 
     error = ConvergenceError("slice recursion did not reach a fixed point")
-    return solve_ladder(rows, g.p + 1, (ring.zero(),) * 2, height, error)
+    return rows, color_swap, g.p + 1, ring, error
 
 
 def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
     """Height-independent limits B, W of the slice series, exact to ring.order."""
-    return _solve_slices(g, ring, 0)[1]
+    return ladder_tails(*_slice_system(g, ring))
 
 
-def ladder_solve(
-    g: FaceWeights, ring: SeriesRing, height: int | None = None
-) -> WeightLadder:
+def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int = 0) -> WeightLadder:
     """Solve the slice recursion for B_1..B_H, W_1..W_H with tail boundary.
 
     Entries stabilize onto the tail from above: B_i and W_i agree with B
@@ -117,14 +129,14 @@ def ladder_solve(
     (0, 0, 0, 1); hexangulation entries agree through i + 1 at odd i).
     So the sweep of degree d evaluates rows 1..min(H, d) only and takes
     the tail cut to degree d above (``solve_ladder``, which needs no more
-    than agreement through i - 1); the stability sweep evaluates all H
-    rows and raises ConvergenceError if any fill was wrong.  Any boundary
-    height H >= order + p keeps every stored coefficient exact; the
-    default, order + p + 1, adds one more for margin.
+    than agreement through i - 1).  Each graded sweep evaluates the black
+    rows only and takes W_i as B_i with t_black and t_white swapped; the
+    stability sweep evaluates all H rows of both colors and raises
+    ConvergenceError if a fill or the swap was wrong.  Any boundary height
+    H >= order + p keeps every stored coefficient exact; H is ``height``
+    raised to order + p + 1, one more for margin.
     """
-    if height is not None and height < ring.order + g.p:
-        raise ValueError("boundary height must be at least order + p")
-    (blacks, whites), (tail_b, tail_w) = _solve_slices(g, ring, height)
+    (blacks, whites), (tail_b, tail_w) = solve_ladder(*_slice_system(g, ring), height)
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bicmaps import extensions, slices
 from bicmaps.extensions import binary_solve, ternary_solve, tricolor_solve
-from bicmaps.paths import WeightLadder, ladder_entry, solve_ladder, z_plus
+from bicmaps.paths import WeightLadder, ladder_entry, ladder_tails, solve_ladder, z_plus
 from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
@@ -78,11 +78,11 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
 
         def row(i):
             evaluated[-1] += 1
-            return (1 + tb * at(i - 1) * at(i + 1),)
+            return 1 + tb * at(i - 1) * at(i + 1)
 
-        return row
+        return (row,)
 
-    (entries,), tails = solve_ladder(rows, 2, (R.zero(),), height, ConvergenceError("no"))
+    (entries,), tails = solve_ladder(rows, lambda f: (f,), 2, R, ConvergenceError("no"))
     # the tail sweeps evaluate row 2 once each; then sweep d evaluates rows
     # 1..d and the stability sweep evaluates every row
     assert evaluated == [1] * (R.order + 2) + list(range(R.order + 1)) + [height]
@@ -92,7 +92,9 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
         assert agree(entries[i - 1], tail, through=i - 1)
 
 
-def test_ladder_solve_evaluates_only_reachable_rows(monkeypatch):
+@pytest.fixture
+def strip_calls(monkeypatch):
+    """The argument tuples of every ``z_strip`` call the slice solvers make."""
     calls = []
     real = slices.z_strip
 
@@ -101,38 +103,120 @@ def test_ladder_solve_evaluates_only_reachable_rows(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(slices, "z_strip", counting)
+    return calls
+
+
+def test_ladder_solve_evaluates_only_reachable_rows(strip_calls):
+    calls = strip_calls
     ladder_solve(QUAD, SeriesRing(2, 12))
-    # height 14: the 13 + 1 tail sweeps evaluate row 2, sweeps of degree
-    # 0..12 evaluate 0..12 rows, the stability sweep all 14, and each row
-    # takes one strip per color
-    assert len(calls) == 2 * (14 + sum(range(13)) + 14) == 212
+    # height 14, one strip per row: the 13 graded tail sweeps evaluate the
+    # black row 2, sweeps of degree 0..12 evaluate black rows 1..d, and the
+    # two stability sweeps evaluate row 2 and all 14 rows of both colors
+    assert len(calls) == 13 + sum(range(13)) + 2 * (1 + 14) == 121
 
 
-@pytest.mark.parametrize(
-    "solve, module, message",
-    [
-        (lambda: ladder_solve(QUAD, SeriesRing(2, 4)), slices, "slice recursion"),
-        (lambda: ladder_solve(MIXED, SeriesRing(2, 4)), slices, "slice recursion"),
-        (lambda: ternary_solve(SeriesRing(2, 4)), extensions, "ternary ladder"),
-        (lambda: binary_solve(SeriesRing(2, 4)), extensions, "binary ladder"),
-        (lambda: tricolor_solve(SeriesRing(3, 4)), extensions, "tricolor ladder"),
-    ],
-    ids=["quad", "mixed", "ternary", "binary", "tricolor"],
-)
+def test_tail_solve_solves_no_entries(strip_calls):
+    calls = strip_calls
+    tail_solve(QUAD, SeriesRing(2, 12))
+    # only row 2 of the ladder with no entries: black in the 13 graded
+    # sweeps, both colors in the stability sweep
+    assert {args[1] for args in calls} == {2}
+    assert len(calls) == 13 + 2
+
+
+@pytest.mark.parametrize("asked", [0, 1, 9, 10, 15])
+def test_solvers_raise_the_height_to_order_plus_far(asked):
+    # far is p + 1 for the slice recursion and 2 for the other systems
+    assert ladder_solve(QUAD, SeriesRing(2, 8), height=asked).height == max(asked, 10)
+    assert ladder_solve(HEX, SeriesRing(2, 8), height=asked).height == max(asked, 11)
+    assert ternary_solve(SeriesRing(2, 8), height=asked).height == max(asked, 10)
+    assert binary_solve(SeriesRing(2, 8), height=asked).height == max(asked, 10)
+    assert tricolor_solve(SeriesRing(3, 3), height=asked).height == max(asked, 5)
+
+
+SYSTEMS = [
+    (lambda: ladder_solve(QUAD, SeriesRing(2, 4)), slices, "slice recursion"),
+    (lambda: ladder_solve(MIXED, SeriesRing(2, 4)), slices, "slice recursion"),
+    (lambda: ternary_solve(SeriesRing(2, 4)), extensions, "ternary ladder"),
+    (lambda: binary_solve(SeriesRing(2, 4)), extensions, "binary ladder"),
+    (lambda: tricolor_solve(SeriesRing(3, 4)), extensions, "tricolor ladder"),
+]
+SYSTEM_IDS = ["quad", "mixed", "ternary", "binary", "tricolor"]
+
+
+@pytest.mark.parametrize("solve, module, message", SYSTEMS, ids=SYSTEM_IDS)
+def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, message):
+    # one count per family and sweep: the tails' sweeps, then the entries'
+    sweeps = []
+    heights = []
+
+    def counted(rows, mirror, far, ring, error, height=0):
+        def counting(entries, tails):
+            row = rows(entries, tails)
+            counts = [0] * len(row)
+            sweeps.append(counts)
+
+            def family(f, i):
+                counts[f] += 1
+                return row[f](i)
+
+            return tuple(partial(family, f) for f in range(len(row)))
+
+        entries, tails = solve_ladder(counting, mirror, far, ring, error, height)
+        heights.append(len(entries[0]))
+        return entries, tails
+
+    monkeypatch.setattr(module, "solve_ladder", counted)
+    solve()
+    order, (height,) = 4, heights
+    families = len(sweeps[0])
+    rest = [0] * (families - 1)
+    graded_tails = [[1] + rest] * (order + 1)
+    graded_entries = [[min(height, d)] + rest for d in range(order + 1)]
+    assert sweeps == (
+        graded_tails + [[1] * families] + graded_entries + [[height] * families]
+    )
+
+
+@pytest.mark.parametrize("wrong", ["identity", "top-degree"])
+@pytest.mark.parametrize("solve, module, message", SYSTEMS, ids=SYSTEM_IDS)
+def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, message, wrong):
+    # the graded sweeps take every family but the first from the symmetry,
+    # so only the stability sweep, which evaluates every family, can see a
+    # symmetry that does not map the fixed point onto itself
+    def mistaken(rows, mirror, far, ring, error, height=0):
+        bump = variable(ring.num_vars, ring.order, 0) ** ring.order
+
+        def wrong_mirror(x):
+            if wrong == "identity":
+                return (x,) * len(mirror(x))
+            return tuple(v + bump if f else v for f, v in enumerate(mirror(x)))
+
+        return solve_ladder(rows, wrong_mirror, far, ring, error, height)
+
+    monkeypatch.setattr(module, "solve_ladder", mistaken)
+    with pytest.raises(ConvergenceError, match=message):
+        solve()
+
+
+@pytest.mark.parametrize("solve, module, message", SYSTEMS, ids=SYSTEM_IDS)
 def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
     monkeypatch, solve, module, message
 ):
-    # tails off by tb^order (the bare ladder's rows are off by it): every
-    # row the sweeps fill is wrong at the top degree only, and only the
-    # full-height stability sweep can see it
-    def perturbed(rows, far, zeros, height, error):
-        bump = variable(zeros[0].num_vars, zeros[0].order, 0) ** zeros[0].order
+    # tails off by tb^order and its mirror images (the bare ladder's rows
+    # are off by them): every row the sweeps fill is wrong at the top degree
+    # only, and only the full-height stability sweep can see it
+    def perturbed(rows, mirror, far, ring, error, height=0):
+        bumps = mirror(variable(ring.num_vars, ring.order, 0) ** ring.order)
 
         def bumped(entries, tails):
             row = rows(entries, tails)
-            return row if entries[0] else lambda i: tuple(v + bump for v in row(i))
+            if entries[0]:
+                return row
+            return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
 
-        return solve_ladder(bumped, far, zeros, height, error)
+        ladder_tails(bumped, mirror, far, ring, error)  # the tails still solve
+        return solve_ladder(bumped, mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)
     with pytest.raises(ConvergenceError, match=message):
