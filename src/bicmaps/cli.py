@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .closedform import closed_ladder
-from .dimers import SegmentSpec, zhd
+from .dimers import SegmentSpec, segment_ends, zhd
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -188,17 +188,8 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
         if config.links < 0:
             parser.error("--links must be non-negative")
         for links in range(config.links + 1):
-            for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
-                poly = zhd(SegmentSpec(links, ends))
-                terms = [
-                    {
-                        "exponents": list(e),
-                        "numerator": str(c),
-                        "denominator": "1",
-                    }
-                    for e, c in poly.terms()
-                ]
-                records.append({"name": f"zhd_{ends}_{links}", "reliable": links, "terms": terms})
+            for ends in segment_ends(links):
+                records.append(series_record(f"zhd_{ends}_{links}", zhd(SegmentSpec(links, ends))))
         meta.update(links=config.links, variables=["s1", "s2"])
 
     elif config.command == "tricolor":

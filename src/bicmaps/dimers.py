@@ -2,12 +2,14 @@
 
 A segment of n links has n+1 nodes colored alternately.  A configuration
 occupies links so that no node touches two dimers; a dimer on a link
-oriented black-to-white weighs s1, white-to-black weighs s2.  The transfer
-recursion along the segment, the brute-force subset sum, and exact closed
-forms in an auxiliary (c, x) parametrization all live here, together with
-the reconstruction of the moment determinants from dimer polynomials: the
-mutually avoiding path systems counted by those determinants are rigid
-outside a central strip whose freedom projects onto hard dimers.
+oriented black-to-white weighs s1, white-to-black weighs s2.  The segment
+polynomial is an ``MSeries`` in (s1, s2) of order and ``reliable`` equal to
+the link count, which keeps every term.  The transfer recursion along the
+segment, the brute-force subset sum, and exact closed forms in an auxiliary
+(c, x) parametrization all live here, together with the reconstruction of
+the moment determinants from dimer polynomials: the mutually avoiding path
+systems counted by those determinants are rigid outside a central strip
+whose freedom projects onto hard dimers.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ from dataclasses import dataclass
 from itertools import product
 
 from .rational import Rat
-from .series import MSeries, inv_unit, one, zero
+from .series import MSeries, SeriesRing, inv_unit, one, zero
 from .slices import AlphaCoeffs
 
 _ENDS = ("bb", "bw", "wb", "ww")
+
+
+def segment_ends(links: int) -> tuple[str, str]:
+    """The end colors a segment of ``links`` links can join: like colors for
+    an even count, unlike for an odd one (the nodes alternate in color)."""
+    return ("bb", "ww") if links % 2 == 0 else ("bw", "wb")
 
 
 @dataclass(frozen=True)
@@ -34,8 +42,7 @@ class SegmentSpec:
             raise ValueError("link count must be non-negative")
         if self.ends not in _ENDS:
             raise ValueError(f"ends must be one of {_ENDS}")
-        same = self.ends in ("bb", "ww")
-        if same != (self.links % 2 == 0):
+        if self.ends not in segment_ends(self.links):
             raise ValueError(
                 f"{self.links} links cannot join end colors {self.ends!r}"
             )
@@ -50,70 +57,22 @@ class SegmentSpec:
         return out
 
 
-class DimerPoly:
-    """Polynomial in the two dimer weights, exponents (s1 power, s2 power)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def one(cls) -> "DimerPoly":
-        return cls({(0, 0): 1})
-
-    def __add__(self, other: "DimerPoly") -> "DimerPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return DimerPoly(out)
-
-    def shifted(self, weight: int) -> "DimerPoly":
-        """Multiply by s1 (weight 1) or s2 (weight 2)."""
-        da, db = (1, 0) if weight == 1 else (0, 1)
-        return DimerPoly({(a + da, b + db): c for (a, b), c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, DimerPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def evaluate(self, s1, s2):
-        total = Rat(0)
-        for (a, b), c in self.coeffs.items():
-            total += c * Rat(s1) ** a * Rat(s2) ** b
-        return total
-
-    def eval_series(self, s1: MSeries, s2: MSeries) -> MSeries:
-        """The polynomial at two series of positive valuation.
-
-        Terms above the working order vanish there, so they are dropped.
-        """
-        return MSeries(2, min(s1.order, s2.order), self.coeffs).substitute([s1, s2])
-
-    def __repr__(self):
-        body = " + ".join(
-            f"{c}*s1^{a}*s2^{b}" if (a or b) else str(c) for (a, b), c in self.terms()
-        )
-        return f"DimerPoly({body or '0'})"
-
-
-def zhd(spec: SegmentSpec) -> DimerPoly:
+def zhd(spec: SegmentSpec) -> MSeries:
     """Hard-dimer generating polynomial by transfer along the segment.
 
     State after node j: configurations with node j free vs covered; a link
-    may only be occupied if its lower node was free.
+    may only be occupied if its lower node was free.  At most half the
+    links (rounded up) carry dimers, so order ``links`` keeps every term.
     """
-    free, covered = DimerPoly.one(), DimerPoly()
+    ring = SeriesRing(2, spec.links)
+    s = ring.gens()
+    free, covered = ring.one(), ring.zero()
     for weight in spec.link_weights():
-        free, covered = free + covered, free.shifted(weight)
+        free, covered = free + covered, free * s[weight - 1]
     return free + covered
 
 
-def zhd_brute(spec: SegmentSpec) -> DimerPoly:
+def zhd_brute(spec: SegmentSpec) -> MSeries:
     """Independence oracle: explicit sum over all 2^links occupancies."""
     if spec.links > 20:
         raise ValueError("brute force capped at 20 links")
@@ -125,24 +84,27 @@ def zhd_brute(spec: SegmentSpec) -> DimerPoly:
         a = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 1)
         b = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 2)
         out[(a, b)] = out.get((a, b), 0) + 1
-    return DimerPoly(out)
+    return MSeries(2, spec.links, out)
 
 
-def dimer_weights_from_cx(c, x) -> tuple:
-    """The (s1, s2) point parametrized by the auxiliary rationals (c, x)."""
+def _cx_point(c, x) -> tuple:
+    """(c, x, (c + x)(1 + c x)) as rationals; ValueError where degenerate."""
     c, x = Rat(c), Rat(x)
     den = (c + x) * (1 + c * x)
     if not c or not x or not den or x * x == 1:
         raise ValueError("degenerate (c, x) parameters")
+    return c, x, den
+
+
+def dimer_weights_from_cx(c, x) -> tuple:
+    """The (s1, s2) point parametrized by the auxiliary rationals (c, x)."""
+    c, x, den = _cx_point(c, x)
     return -x / den, -c * c * x / den
 
 
 def zhd_closed_value(spec: SegmentSpec, c, x):
     """Closed form of the segment polynomial at the (c, x) point."""
-    c, x = Rat(c), Rat(x)
-    den = (c + x) * (1 + c * x)
-    if not c or not x or not den or x * x == 1:
-        raise ValueError("degenerate (c, x) parameters")
+    c, x, den = _cx_point(c, x)
     pref = c / den
     ratio = (c + x) / (1 + c * x)
     if spec.ends in ("bb", "ww"):
@@ -166,8 +128,7 @@ def zhd_closed_value(spec: SegmentSpec, c, x):
 
 def zhd_closed_check(spec: SegmentSpec, c, x) -> bool:
     """Transfer polynomial vs closed form, plus the two stated invariances."""
-    s1, s2 = dimer_weights_from_cx(c, x)
-    value = zhd(spec).evaluate(s1, s2)
+    value = zhd(spec).evaluate(dimer_weights_from_cx(c, x))
     closed = zhd_closed_value(spec, c, x)
     inverted = zhd_closed_value(spec, c, Rat(1) / Rat(x))
     negated = zhd_closed_value(spec, -Rat(c), -Rat(x))
@@ -193,9 +154,16 @@ def lgv_quad(
     a0, a1 = coeffs.alpha[0], coeffs.alpha[1]
     ratio = a1 * inv_unit(a0)
     s1, s2 = w * ratio, b * ratio
+    order = min(s1.order, s2.order)
+
+    def segment(links: int, ends: str) -> MSeries:
+        # the polynomial at (s1, s2), whose terms above the working order vanish
+        poly = zhd(SegmentSpec(links, ends))
+        return MSeries(2, order, poly.coeffs).substitute([s1, s2])
+
     pref = (b * w) ** _triangle(i) * a0 ** (i + 1)
-    h0 = pref * zhd(SegmentSpec(2 * i + 1, "bw")).eval_series(s1, s2)
-    h1 = w ** (i + 1) * pref * zhd(SegmentSpec(2 * i + 2, "bb")).eval_series(s1, s2)
+    h0 = pref * segment(2 * i + 1, "bw")
+    h1 = w ** (i + 1) * pref * segment(2 * i + 2, "bb")
     return h0, h1
 
 
@@ -227,12 +195,11 @@ def lgv_hex(
     for _ in range(i + 1):
         bw_pow.append(bw_pow[-1] * bw)
 
-    def r_sum(segment_for_r) -> MSeries:
+    def r_sum(segments: list[SegmentSpec]) -> MSeries:
         total = zero(nv, order)
-        for r in range(i + 2):
-            poly = DimerPoly.one() if segment_for_r(r) is None else zhd(segment_for_r(r))
+        for r, spec in enumerate(segments):
             comp_a, comp_c = zero(nv, order), zero(nv, order)
-            for (a, b2), n in poly.coeffs.items():
+            for (a, b2), n in zhd(spec).coeffs.items():
                 mono = (w ** a) * (b ** b2) * n
                 pa, pc = p_pow[r - a - b2]
                 comp_a = comp_a + mono * pa
@@ -241,13 +208,9 @@ def lgv_hex(
             total = total + bw_pow[i + 1 - r] * norm
         return total
 
-    def h0_segment(r: int) -> SegmentSpec | None:
-        return None if r == 0 else SegmentSpec(2 * r - 1, "bw")
-
-    def h1_segment(r: int) -> SegmentSpec:
-        return SegmentSpec(2 * r, "bb")
-
+    # the r = 0 term of h0 is the zero-link segment, whose polynomial is 1
+    h0_segments = [SegmentSpec(0, "bb")] + [SegmentSpec(2 * r - 1, "bw") for r in range(1, i + 2)]
     base = a2 ** (i + 1) * (b * w) ** _triangle(i)
-    h0 = base * r_sum(h0_segment)
-    h1 = base * w ** (i + 1) * r_sum(h1_segment)
+    h0 = base * r_sum(h0_segments)
+    h1 = base * w ** (i + 1) * r_sum([SegmentSpec(2 * r, "bb") for r in range(i + 2)])
     return h0, h1

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .closedform import closed_ladder, hex_params, quad_params
-from .dimers import SegmentSpec, lgv_hex, lgv_quad, zhd, zhd_brute, zhd_closed_check
+from .dimers import SegmentSpec, lgv_hex, lgv_quad, segment_ends, zhd, zhd_brute, zhd_closed_check
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -322,7 +322,7 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
         all(
             zhd(SegmentSpec(links, ends)) == zhd_brute(SegmentSpec(links, ends))
             for links in range(13)
-            for ends in (("bb", "ww") if links % 2 == 0 else ("bw", "wb"))
+            for ends in segment_ends(links)
         ),
     )
     def sample_x() -> Rat:
@@ -340,7 +340,7 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
             zhd_closed_check(SegmentSpec(links, ends), c, x)
             for c, x in points
             for links in range(11)
-            for ends in (("bb", "ww") if links % 2 == 0 else ("bw", "wb"))
+            for ends in segment_ends(links)
         ),
     )
     ring = SeriesRing(2, order)

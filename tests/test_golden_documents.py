@@ -4,7 +4,8 @@ The recursion ladders and the tricolor documents are also pinned at orders
 1 and 8, the lowest order and one where every ladder system has stored
 rows above its tail-equation row.  Four documents are also pinned as CSV
 at order 4, which fixes the row layout and the record order of the CSV
-writer.
+writer.  The ``dimers`` document is pinned at further link counts: 0 and
+1 (the segment polynomials of orders 0 and 1), 12, and 5 as CSV.
 
 A digest moves when any coefficient, reliable bound, record name or the
 layout of a document moves, so a kernel or solver change that is meant to
@@ -124,6 +125,13 @@ CSV_GOLDEN = {
     "tricolor": "a59b17399985ea9ce106a888aa93f79cdbab21958a4ce1d0441769934ed3d12a",
 }
 
+DIMERS_GOLDEN = {
+    ("0", "json"): "17b1f0d9a475b1cfbba89b6aafc363dd9e537bc53278c28446334754680712a4",
+    ("1", "json"): "a35a7306229426537e6ba3a29a50f0eb6b306e77e261e36c1aa69f63cb7740a9",
+    ("12", "json"): "ae3d2b6d137e3a024b1a4cbf77afe66fc060de54db21accb26bbbc3efc228bfb",
+    ("5", "csv"): "946bae4880a7234baf53bef3bfae35011edeaf915f4518a3b16e3453605aba3f",
+}
+
 
 def document_digest(capsys, argv) -> str:
     code = main(argv)
@@ -147,3 +155,10 @@ def test_golden_document(capsys, name, order):
 def test_golden_csv_document(capsys, name):
     digest = document_digest(capsys, CASES[name] + ["--order", "4", "--format", "csv"])
     assert digest == CSV_GOLDEN[name], f"{name} CSV at order 4 changed"
+
+
+@pytest.mark.parametrize("links,fmt", sorted(DIMERS_GOLDEN))
+def test_golden_dimers_document(capsys, links, fmt):
+    argv = ["dimers", "--links", links, "--order", "4", "--format", fmt]
+    digest = document_digest(capsys, argv)
+    assert digest == DIMERS_GOLDEN[links, fmt], f"dimers --links {links} as {fmt} changed"

@@ -11,7 +11,10 @@ drift of the host hits them alike.
     python tools/scale_ladders.py --tree parent=/path/to/old/src --tree change=src
 
 times each case RUNS times per tree and writes ``BENCH_ladders.json`` at the
-root of this checkout.  Uses the standard library only.
+root of this checkout.  Each curve point reports the least of its RUNS
+timings as ``best_s`` (all of them under ``seconds``): noise on the host
+only ever adds time, and for calls under a few tenths of a second it
+swamps a median of three.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -108,13 +110,13 @@ def main(argv=None) -> int:
                 "solver": solver,
                 "family": family,
                 "order": order,
-                "median_s": round(statistics.median(result["seconds"]), 4),
+                "best_s": round(min(result["seconds"]), 4),
                 "seconds": [round(s, 4) for s in result["seconds"]],
                 "products": result["products"],
                 "series_products": result["series_products"],
             })
             print(f"{name:>10} {solver} {family} order {order}: "
-                  f"{curves[-1]['median_s']:.4f} s, {result['products']} products", file=sys.stderr)
+                  f"{curves[-1]['best_s']:.4f} s, {result['products']} products", file=sys.stderr)
     doc = {
         "environment": {
             "python": platform.python_version(),
