@@ -2,13 +2,13 @@
 
 A segment of n links has n+1 nodes colored alternately.  A configuration
 occupies links so that no node touches two dimers; a dimer on a link
-oriented black-to-white weighs s1, white-to-black weighs s2.  The segment
-polynomial is an ``MSeries`` in (s1, s2) of order and ``reliable`` equal to
-the link count, which keeps every term.  The transfer recursion along the
-segment, the brute-force subset sum, and exact closed forms in an auxiliary
-(c, x) parametrization all live here, together with the reconstruction of
-the moment determinants from dimer polynomials: the mutually avoiding path
-systems counted by those determinants are rigid outside a central strip
+oriented black-to-white weighs s1, white-to-black weighs s2.  One transfer
+recursion evaluates the sum at weights in any ring: at the generators it is
+the segment polynomial, an ``MSeries`` in (s1, s2) of order and ``reliable``
+equal to the link count, checked against a brute-force subset sum; at
+rational points it meets exact closed forms in an auxiliary (c, x)
+parametrization; at series weights it reconstructs the moment determinants,
+whose mutually avoiding path systems are rigid outside a central strip
 whose freedom projects onto hard dimers.
 """
 
@@ -19,7 +19,6 @@ from itertools import product
 
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
-from .slices import AlphaCoeffs
 
 _ENDS = ("bb", "bw", "wb", "ww")
 
@@ -57,19 +56,24 @@ class SegmentSpec:
         return out
 
 
-def zhd(spec: SegmentSpec) -> MSeries:
-    """Hard-dimer generating polynomial by transfer along the segment.
+def transfer(spec: SegmentSpec, s1, s2, unit):
+    """The segment's dimer sum at weights (s1, s2) in any ring whose one is ``unit``.
 
     State after node j: configurations with node j free vs covered; a link
-    may only be occupied if its lower node was free.  At most half the
-    links (rounded up) carry dimers, so order ``links`` keeps every term.
+    may only be occupied if its lower node was free.
     """
-    ring = SeriesRing(2, spec.links)
-    s = ring.gens()
-    free, covered = ring.one(), ring.zero()
+    s = (s1, s2)
+    free, covered = unit, unit * 0
     for weight in spec.link_weights():
         free, covered = free + covered, free * s[weight - 1]
     return free + covered
+
+
+def zhd(spec: SegmentSpec) -> MSeries:
+    """The segment polynomial: the transfer at the generators of a ring whose
+    order ``links`` keeps every term (at most half the links carry dimers)."""
+    ring = SeriesRing(2, spec.links)
+    return transfer(spec, *ring.gens(), ring.one())
 
 
 def zhd_brute(spec: SegmentSpec) -> MSeries:
@@ -127,8 +131,8 @@ def zhd_closed_value(spec: SegmentSpec, c, x):
 
 
 def zhd_closed_check(spec: SegmentSpec, c, x) -> bool:
-    """Transfer polynomial vs closed form, plus the two stated invariances."""
-    value = zhd(spec).evaluate(dimer_weights_from_cx(c, x))
+    """The transfer at the (c, x) point vs closed form, plus the two stated invariances."""
+    value = transfer(spec, *dimer_weights_from_cx(c, x), Rat(1))
     closed = zhd_closed_value(spec, c, x)
     inverted = zhd_closed_value(spec, c, Rat(1) / Rat(x))
     negated = zhd_closed_value(spec, -Rat(c), -Rat(x))
@@ -143,32 +147,27 @@ def _triangle(i: int) -> int:
 
 
 def lgv_quad(
-    i: int, b: MSeries, w: MSeries, coeffs: AlphaCoeffs
+    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
 ) -> tuple[MSeries, MSeries]:
     """Shift-0 and shift-1 determinants of index i for quadrangulations.
 
     The avoiding-path freedom sits in one central column whose up/down and
     down/up detours act as hard dimers with series weights W*a1/a0 and
-    B*a1/a0 on segments of 2i+1 (shift 0) and 2i+2 (shift 1) links.
+    B*a1/a0 on segments of 2i+1 (shift 0) and 2i+2 (shift 1) links; the
+    a_q are ``alpha_coeffs`` for a black root.
     """
-    a0, a1 = coeffs.alpha[0], coeffs.alpha[1]
+    a0, a1 = alpha[0], alpha[1]
     ratio = a1 * inv_unit(a0)
     s1, s2 = w * ratio, b * ratio
-    order = min(s1.order, s2.order)
-
-    def segment(links: int, ends: str) -> MSeries:
-        # the polynomial at (s1, s2), whose terms above the working order vanish
-        poly = zhd(SegmentSpec(links, ends))
-        return MSeries(2, order, poly.coeffs).substitute([s1, s2])
-
+    unit = one(b.num_vars, min(s1.order, s2.order))
     pref = (b * w) ** _triangle(i) * a0 ** (i + 1)
-    h0 = pref * segment(2 * i + 1, "bw")
-    h1 = w ** (i + 1) * pref * segment(2 * i + 2, "bb")
+    h0 = pref * transfer(SegmentSpec(2 * i + 1, "bw"), s1, s2, unit)
+    h1 = w ** (i + 1) * pref * transfer(SegmentSpec(2 * i + 2, "bb"), s1, s2, unit)
     return h0, h1
 
 
 def lgv_hex(
-    i: int, b: MSeries, w: MSeries, coeffs: AlphaCoeffs
+    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
 ) -> tuple[MSeries, MSeries]:
     """Hexangulation determinants from paired dimer segments.
 
@@ -178,9 +177,9 @@ def lgv_hex(
     symmetric product phi_r(p1)*phi_r(p2) is evaluated by reducing phi_r in
     the quotient by p^2 - e1*p + e2 and taking the norm
     (A + C p1)(A + C p2) = A^2 + A C e1 + C^2 e2, so the individual roots
-    never need to exist.
+    never need to exist.  alpha holds the black-root a0, a1, a2.
     """
-    a0, a1, a2 = coeffs.alpha[0], coeffs.alpha[1], coeffs.alpha[2]
+    a0, a1, a2 = alpha
     inv_a2 = inv_unit(a2)
     e1, e2 = a1 * inv_a2, a0 * inv_a2
     nv, order = b.num_vars, b.order

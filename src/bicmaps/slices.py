@@ -16,6 +16,9 @@ tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
 tails and then the entries from that one rule.  Each graded sweep evaluates
 the black rows only and takes the white ones from the color swap; the
 stability sweep evaluates both colors, so every solve checks the swap.
+
+The boundary functions F_n and their coefficients alpha_q are built for one
+root color, ``"black"`` or ``"white"``; any other name is rejected.
 """
 
 from __future__ import annotations
@@ -140,39 +143,36 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int = 0) -> WeightLad
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 
-@dataclass(frozen=True)
-class AlphaCoeffs:
-    """Coefficients resolving a boundary of length 2n into floored round trips."""
+def _black_root(color: str) -> bool:
+    """Whether ``color`` names the black root; ValueError unless it names one."""
+    if color not in (BLACK, WHITE):
+        raise ValueError(f"root color must be {BLACK!r} or {WHITE!r}, not {color!r}")
+    return color == BLACK
 
-    alpha: tuple[MSeries, ...]
-    alpha_tilde: tuple[MSeries, ...]
 
+def alpha_coeffs(
+    g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
+) -> tuple[MSeries, ...]:
+    """Expansion coefficients alpha_0..alpha_p for a root of ``color``.
 
-def alpha_coeffs(g: FaceWeights, b: MSeries, w: MSeries) -> AlphaCoeffs:
-    """Expansion coefficients alpha_0..alpha_p and their color-swapped twins.
-
-    alpha_q = (B/t_black) * (delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2)); the
-    tilde family replaces the unit prefactor by W/t_white.  Both share the
-    same bracket, so t_white*alpha~_q/W = t_black*alpha_q/B identically.
+    alpha_q = (B/t_black) * (delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2)) for
+    a black root; a white root has the same bracket with prefactor W/t_white,
+    so t_white*alpha_q(white)/W = t_black*alpha_q(black)/B identically.
     """
     p = g.p
     nv, order = b.num_vars, b.order
-    tb = variable(nv, order, 0)
-    tw = variable(nv, order, 1)
+    root, index = (b, 0) if _black_root(color) else (w, 1)
+    unit = exact_div(root, variable(nv, order, index))
     closed = [l_zero(2 * j, b, w) for j in range(p + 1)]
-    unit_b = exact_div(b, tb)
-    unit_w = exact_div(w, tw)
     alpha = []
-    alpha_t = []
     for q in range(p + 1):
         bracket = MSeries(nv, order, {(0,) * nv: 1} if q == 0 else {})
         for k in range(q + 1, p + 2):
             gk = g.weight(k)
             if gk:
                 bracket = bracket - gk * closed[k - q - 1]
-        alpha.append(unit_b * bracket)
-        alpha_t.append(unit_w * bracket)
-    return AlphaCoeffs(tuple(alpha), tuple(alpha_t))
+        alpha.append(unit * bracket)
+    return tuple(alpha)
 
 
 def f_direct(
@@ -186,8 +186,7 @@ def f_sequence(
     n_max: int, g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
 ) -> list[MSeries]:
     """All boundary generating functions F_0..F_{n_max} from one path sweep."""
-    coeffs = alpha_coeffs(g, b, w)
-    weights = coeffs.alpha if color == BLACK else coeffs.alpha_tilde
+    weights = alpha_coeffs(g, b, w, color)
     lad = WeightLadder.constant_ladder(b, w)
     profile = z_plus_profile(
         0, 2 * n_max + 2 * g.p, lad, floor=0, black_start=(color == BLACK)
@@ -214,7 +213,7 @@ def conserved(
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    black_start = color == BLACK
+    black_start = _black_root(color)
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     root_weight = variable(nv, order, 0 if black_start else 1)
     main = z_plus(d, d, 2 * n, ladder, floor=d, black_start=black_start)

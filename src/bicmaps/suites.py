@@ -346,12 +346,12 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
     ring = SeriesRing(2, order)
     for label, g, top in (("quad", QUAD, 3), ("hex", HEX, 2)):
         b, w = tail_solve(g, ring)
-        coeffs = alpha_coeffs(g, b, w)
+        alpha = alpha_coeffs(g, b, w)
         fb = f_sequence(2 * top + 2, g, b, w)
         reconstruct = lgv_quad if label == "quad" else lgv_hex
         pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
-            h0, h1 = reconstruct(i, b, w, coeffs)
+            h0, h1 = reconstruct(i, b, w, alpha)
             pairs += [(h0, hankel_det(fb, 0, i)), (h1, hankel_det(fb, 1, i))]
         bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
         s.pairs_agree(

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from bicmaps.series import MSeries, agree, first_difference
 
 
 def S(num_vars, order, terms, reliable=None):
     """Build a series from an {exponents: coefficient} dict (ints allowed)."""
     return MSeries(num_vars, order, terms, reliable)
+
+
+def series_digest(values) -> str:
+    """sha256 over the order, reliable bound and coefficients of each series."""
+    h = hashlib.sha256()
+    for f in values:
+        h.update(repr((f.order, f.reliable, sorted(f.coeffs.items()))).encode())
+    return h.hexdigest()
 
 
 def assert_series(actual, expected, through=None, label=""):

@@ -9,15 +9,19 @@ from bicmaps.dimers import (
     dimer_weights_from_cx,
     lgv_hex,
     lgv_quad,
+    segment_ends,
+    transfer,
     zhd,
     zhd_brute,
     zhd_closed_check,
     zhd_closed_value,
 )
 from bicmaps.hankel import hankel_det
-from bicmaps.rational import rat
-from bicmaps.series import MSeries, SeriesRing, agree, first_difference, one
+from bicmaps.rational import Rat, rat
+from bicmaps.series import MSeries, SeriesRing, agree, first_difference, inv_unit, one
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, tail_solve
+
+from helpers import series_digest
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -131,6 +135,100 @@ def test_uncolored_collapse_matches_plain_dimers():
         poly = zhd(SegmentSpec(links, "bb"))
         total = sum(cc * s1 ** (a + b) for (a, b), cc in poly.coeffs.items())
         assert total == zhd_closed_value(SegmentSpec(links, "bb"), c, x)
+
+
+def all_segments(top: int = 10):
+    return [SegmentSpec(links, ends) for links in range(top + 1) for ends in segment_ends(links)]
+
+
+def test_transfer_at_generators_is_zhd():
+    for spec in all_segments():
+        ring = SeriesRing(2, spec.links)
+        got, want = transfer(spec, *ring.gens(), ring.one()), zhd(spec)
+        assert got == want, spec
+        assert (got.order, got.reliable) == (want.order, want.reliable), spec
+
+
+def test_transfer_at_rational_points_sums_the_terms():
+    for c, x in CX_POINTS:
+        s1, s2 = dimer_weights_from_cx(c, x)
+        for spec in all_segments():
+            total = sum(n * s1 ** a * s2 ** b for (a, b), n in zhd(spec).coeffs.items())
+            assert transfer(spec, s1, s2, Rat(1)) == total, (c, x, spec)
+
+
+def test_transfer_at_series_weights_is_substitution(quad_moments):
+    # reference: the polynomial lifted to the working order, then the series
+    # substituted into it.  Substitution bounds ``reliable``
+    # by both weights; the transfer only by the weights the segment has, so
+    # the two bounds differ on segments of 0 links and of 1 link alone.
+    b, w, alpha, _ = quad_moments
+    ratio = alpha[1] * inv_unit(alpha[0])
+    for s1, s2 in ((w * ratio, b * ratio), (w, b.truncate(5)), (w, b.with_reliable(6))):
+        order = min(s1.order, s2.order)
+        for spec in all_segments():
+            got = transfer(spec, s1, s2, one(2, order))
+            want = MSeries(2, order, zhd(spec).coeffs).substitute([s1, s2])
+            assert got == want, spec
+            assert got.order == want.order, spec
+            used = [(s1, s2)[k - 1].reliable for k in set(spec.link_weights())]
+            assert got.reliable == min([order] + used), spec
+            if spec.links >= 2:
+                assert got.reliable == want.reliable, spec
+
+
+# sha256 of (order, reliable, coefficients) per series, recorded before the
+# determinant reconstruction evaluated the segments through ``transfer``:
+# the alpha tuple of each root color and the pair (h0, h1) of each index
+PINNED_DIGESTS = {
+    ("alpha-quad", "black", 1): "f95b400c55837caff94deb69c4ad5c117c15d40777c6d4b30c6c9e5ae5d4da00",
+    ("alpha-quad", "white", 1): "f95b400c55837caff94deb69c4ad5c117c15d40777c6d4b30c6c9e5ae5d4da00",
+    ("lgv_quad", 0, 1): "a96e133ac2dab3ce470e9756f68b3cfc8d507d472bb2ed4132c4da234b86efcf",
+    ("lgv_quad", 1, 1): "7070cee49d38c9dbed3641b780cd5ae22548d7925f301acc5b34bb82bb3d5f5d",
+    ("lgv_quad", 2, 1): "7070cee49d38c9dbed3641b780cd5ae22548d7925f301acc5b34bb82bb3d5f5d",
+    ("lgv_quad", 3, 1): "7070cee49d38c9dbed3641b780cd5ae22548d7925f301acc5b34bb82bb3d5f5d",
+    ("alpha-hex", "black", 1): "3a96d209a5401e00bb3a320d9adf5d06c63720e8af7f106e9f8bd714aa99904e",
+    ("alpha-hex", "white", 1): "3a96d209a5401e00bb3a320d9adf5d06c63720e8af7f106e9f8bd714aa99904e",
+    ("lgv_hex", 0, 1): "b9c11936c5607f5bdd116b95834e672a7638792053f9f5533be7e33818113d00",
+    ("lgv_hex", 1, 1): "7070cee49d38c9dbed3641b780cd5ae22548d7925f301acc5b34bb82bb3d5f5d",
+    ("lgv_hex", 2, 1): "7070cee49d38c9dbed3641b780cd5ae22548d7925f301acc5b34bb82bb3d5f5d",
+    ("alpha-quad", "black", 2): "9719da86b56df5a489894f53c10a8d5cd7981cda2f51a6c80111377b237a581c",
+    ("alpha-quad", "white", 2): "f5769ad8983f161667f8cea6e61c01c07e0420ef8e10604c3769ff320c621cc3",
+    ("lgv_quad", 0, 2): "8fd8114e3a38aaacb25b4ce1303af99f497e3c2855bfab062b31dcd916326753",
+    ("lgv_quad", 1, 2): "12badbe509bf31f72ace206a13895a9a36618d581f1af0591b553570f5f55d7b",
+    ("lgv_quad", 2, 2): "cdb54c2487d47a30bfa9a82a62f0c55746c2b08838d1822578b0cfff61cf90e4",
+    ("lgv_quad", 3, 2): "cdb54c2487d47a30bfa9a82a62f0c55746c2b08838d1822578b0cfff61cf90e4",
+    ("alpha-hex", "black", 2): "9051eb685fd8f19971ebcb3003a918b494a0fbcb81c0a268b643e931af495eb8",
+    ("alpha-hex", "white", 2): "9051eb685fd8f19971ebcb3003a918b494a0fbcb81c0a268b643e931af495eb8",
+    ("lgv_hex", 0, 2): "84e70b9caf6407a03d0e9c2eec47e276119d3b1b2246668d4bddde8e76dcc138",
+    ("lgv_hex", 1, 2): "12badbe509bf31f72ace206a13895a9a36618d581f1af0591b553570f5f55d7b",
+    ("lgv_hex", 2, 2): "cdb54c2487d47a30bfa9a82a62f0c55746c2b08838d1822578b0cfff61cf90e4",
+    ("alpha-quad", "black", 8): "225dee6f690678f484c3ce9d3a27a3f8f44ae6f2e48949865f8f02ebf9213710",
+    ("alpha-quad", "white", 8): "fbdc8ebbdb1f80897d5a6b760f546e346fc02cab2e4941f50abb706102cd45ab",
+    ("lgv_quad", 0, 8): "48566ed6adf93ee746a2c9ce1341c6f05376e683227ea0220e53c537805041b6",
+    ("lgv_quad", 1, 8): "a9ef5626dab5c82c147b89a4f5105973ab2fea218d42be72c086acf4c81098b3",
+    ("lgv_quad", 2, 8): "eb696c0c0a4d9aa1eef90486feb89ac7b68ddd60dd68e04c8353f0779d44c45a",
+    ("lgv_quad", 3, 8): "15538c69cb126b6e5caa75a7a563c90a2a39b928cb9cb99e8ccac4e1f28e18fb",
+    ("alpha-hex", "black", 8): "bb64f466e3e21887f3bedbdc4e310bd291e7282099e89f296ba6317a1b6b7286",
+    ("alpha-hex", "white", 8): "d24dee4fac850c1fb4dcce396399e73b2ff9704d0f5faffec33a9ae473be7eeb",
+    ("lgv_hex", 0, 8): "7fa037e1cac5eb4d67a125324f00c09065acc1ef72feb6effb79d1331a9bbc42",
+    ("lgv_hex", 1, 8): "787fdf78114065152316061e610895af140eef9ce0210e9197f26c49bc780908",
+    ("lgv_hex", 2, 8): "e49bbd283d01404196f3051106ce33282888d2d510c2566b3c8d850f91e9f609",
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 8])
+def test_reconstruction_pinned(order):
+    ring = SeriesRing(2, order)
+    got = {}
+    for label, g, top, reconstruct in (("quad", QUAD, 3, lgv_quad), ("hex", HEX, 2, lgv_hex)):
+        b, w = tail_solve(g, ring)
+        for color in ("black", "white"):
+            got[f"alpha-{label}", color, order] = series_digest(alpha_coeffs(g, b, w, color))
+        alpha = alpha_coeffs(g, b, w)
+        for i in range(top + 1):
+            got[f"lgv_{label}", i, order] = series_digest(reconstruct(i, b, w, alpha))
+    assert got == {k: v for k, v in PINNED_DIGESTS.items() if k[2] == order}
 
 
 @pytest.fixture(scope="module")

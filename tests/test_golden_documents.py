@@ -5,7 +5,9 @@ The recursion ladders and the tricolor documents are also pinned at orders
 rows above its tail-equation row.  Four documents are also pinned as CSV
 at order 4, which fixes the row layout and the record order of the CSV
 writer.  The ``dimers`` document is pinned at further link counts: 0 and
-1 (the segment polynomials of orders 0 and 1), 12, and 5 as CSV.
+1 (the segment polynomials of orders 0 and 1), 12, and 5 as CSV.  The
+``verify --suite dimers`` document is pinned at orders 1, 2 and 7; at
+order 1 its determinant checks carry ``skipped:`` details.
 
 A digest moves when any coefficient, reliable bound, record name or the
 layout of a document moves, so a kernel or solver change that is meant to
@@ -132,6 +134,12 @@ DIMERS_GOLDEN = {
     ("5", "csv"): "946bae4880a7234baf53bef3bfae35011edeaf915f4518a3b16e3453605aba3f",
 }
 
+VERIFY_DIMERS_GOLDEN = {
+    1: "7521c2d873b62bcd5b0d3ca1f5b967e4b333e5c6bae21db99554f478a0af6205",
+    2: "e3650c05ac5ea495add5d73c838b0ff943190c9d88d9603244f63994c1dbc1cb",
+    7: "90a357e79627c835583f238ac82b04669e69a7e9ed97e192ab398941b6288c50",
+}
+
 
 def document_digest(capsys, argv) -> str:
     code = main(argv)
@@ -162,3 +170,10 @@ def test_golden_dimers_document(capsys, links, fmt):
     argv = ["dimers", "--links", links, "--order", "4", "--format", fmt]
     digest = document_digest(capsys, argv)
     assert digest == DIMERS_GOLDEN[links, fmt], f"dimers --links {links} as {fmt} changed"
+
+
+@pytest.mark.parametrize("order", sorted(VERIFY_DIMERS_GOLDEN))
+def test_golden_verify_dimers_document(capsys, order):
+    argv = ["verify", "--suite", "dimers", "--seed", "1", "--order", str(order)]
+    digest = document_digest(capsys, argv)
+    assert digest == VERIFY_DIMERS_GOLDEN[order], f"verify --suite dimers at order {order} changed"

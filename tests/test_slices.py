@@ -21,7 +21,7 @@ from bicmaps.slices import (
     twopoint_from_ladder,
 )
 
-from helpers import S, assert_series
+from helpers import S, assert_series, series_digest
 from printed import (
     HEX_LADDER,
     HEX_TWOPOINT,
@@ -218,9 +218,44 @@ def test_f_color_exchange(quad_tail):
 def test_alpha_proportionality(quad_tail):
     b, w = quad_tail
     tb, tw = R6.gens()
-    coeffs = alpha_coeffs(QUAD, b, w)
-    for aq, atq in zip(coeffs.alpha, coeffs.alpha_tilde):
+    black, white = alpha_coeffs(QUAD, b, w, "black"), alpha_coeffs(QUAD, b, w, "white")
+    assert len(black) == len(white) == QUAD.p + 1
+    for aq, atq in zip(black, white):
         assert agree(exact_div(tb * aq, b), exact_div(tw * atq, w))
+
+
+# F_0..F_4, F_2 from f_direct and conserved(n, d) for n = 1..3, d = 0..2 at
+# order 6, per root color, as computed before the root color was checked
+NAMED_COLOR_DIGESTS = {
+    "black": "8f8bd17d3103c5ed85e82e2b9ad0efa99e6ab35a46f691bed5465cc8bd465f95",
+    "white": "29b2f9d24df5d5ab92439f85605af02739f32322ef5c21fb36003761fed3c8c8",
+}
+
+
+@pytest.mark.parametrize("color", sorted(NAMED_COLOR_DIGESTS))
+def test_named_root_colors_unchanged(quad_tail, quad_ladder, color):
+    b, w = quad_tail
+    values = (
+        f_sequence(4, QUAD, b, w, color)
+        + [f_direct(2, QUAD, b, w, color)]
+        + [conserved(n, d, quad_ladder, QUAD, color) for n in (1, 2, 3) for d in (0, 1, 2)]
+    )
+    assert series_digest(values) == NAMED_COLOR_DIGESTS[color]
+
+
+@pytest.mark.parametrize("color", ["Black", "blue"])
+def test_unknown_root_color_rejected(quad_tail, quad_ladder, color):
+    # a near-miss name must raise, not fall through to the white root
+    b, w = quad_tail
+    calls = (
+        lambda: alpha_coeffs(QUAD, b, w, color),
+        lambda: f_sequence(2, QUAD, b, w, color),
+        lambda: f_direct(1, QUAD, b, w, color),
+        lambda: conserved(1, 0, quad_ladder, QUAD, color),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="'black' or 'white'"):
+            call()
 
 
 def test_twopoint_quad_printed(quad_ladder):

@@ -1,9 +1,12 @@
-"""Scaling curves of the ladder solvers over truncation order.
+"""Scaling curves of the ladder solvers and the dimer layer over truncation order.
 
 Times ``ladder_solve`` (quadrangulations and hexangulations),
-``ternary_solve``, ``tricolor_solve`` and ``determinant_ladder`` (face
-weights g = (1/5, 1), entries 1..10) at several orders, and counts the
-series products each call makes, for one or more source trees of bicmaps.
+``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
+weights g = (1/5, 1), entries 1..10) and ``suites.suite_dimers`` (seed 1:
+transfer against brute force, closed forms at five rational points, and
+the segment reconstruction of the quad and hex determinants) at several
+orders, and counts the series products each call makes, for one or more
+source trees of bicmaps.
 Each (tree, case) pair runs in a fresh interpreter that imports bicmaps
 from that tree's ``src`` directory; the trees alternate case by case so
 drift of the host hits them alike.
@@ -34,6 +37,7 @@ CASES = (
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
     + [("determinant_ladder", "g1=1/5", order) for order in (8, 10, 12, 14)]
+    + [("suite_dimers", "seed=1", order) for order in (5, 7, 9)]
 )
 DETERMINANT_I_MAX = 10
 
@@ -48,6 +52,7 @@ def _child(solver: str, family: str, order: int) -> dict:
     from bicmaps.rational import rat
     from bicmaps.series import MSeries, SeriesRing
     from bicmaps.slices import FaceWeights, ladder_solve
+    from bicmaps.suites import suite_dimers
 
     if solver == "ladder_solve":
         g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
@@ -57,6 +62,8 @@ def _child(solver: str, family: str, order: int) -> dict:
     elif solver == "determinant_ladder":
         g = FaceWeights((rat(1, 5), rat(1)))
         call = partial(determinant_ladder, g, SeriesRing(2, order), DETERMINANT_I_MAX)
+    elif solver == "suite_dimers":
+        call = partial(suite_dimers, order, 1)
     else:
         call = partial(tricolor_solve, SeriesRing(3, order))
 
