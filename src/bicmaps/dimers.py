@@ -15,7 +15,6 @@ whose freedom projects onto hard dimers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
@@ -77,17 +76,23 @@ def zhd(spec: SegmentSpec) -> MSeries:
 
 
 def zhd_brute(spec: SegmentSpec) -> MSeries:
-    """Independence oracle: explicit sum over all 2^links occupancies."""
+    """Independence oracle: explicit sum over all 2^links occupancies.
+
+    Occupancy ``occ`` is a mask with bit j set when link j carries a dimer.
+    It is dropped when two adjacent links are occupied, and otherwise
+    tallied by its numbers of occupied s1 and s2 links.  Each occupancy is
+    tested on its own, with no transfer state, so the oracle shares only
+    the link orientations with ``transfer``.
+    """
     if spec.links > 20:
         raise ValueError("brute force capped at 20 links")
-    weights = spec.link_weights()
+    first = sum(1 << j for j, weight in enumerate(spec.link_weights()) if weight == 1)
     out: dict[tuple[int, int], int] = {}
-    for occ in product((0, 1), repeat=spec.links):
-        if any(occ[j] and occ[j + 1] for j in range(spec.links - 1)):
+    for occ in range(1 << spec.links):
+        if occ & (occ >> 1):
             continue
-        a = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 1)
-        b = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 2)
-        out[(a, b)] = out.get((a, b), 0) + 1
+        key = ((occ & first).bit_count(), (occ & ~first).bit_count())
+        out[key] = out.get(key, 0) + 1
     return MSeries(2, spec.links, out)
 
 

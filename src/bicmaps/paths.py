@@ -343,9 +343,17 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
 # -- exact-rational balanced paths -------------------------------------------
 
 
-def _start_parity(colors: str, start: int) -> int:
-    if colors[0] not in "bw":
-        raise ValueError(f"bad colors {colors!r}")
+def _start_parity(colors: str, start: int, end: int) -> int:
+    """Parity of the black heights of a path from start to end.
+
+    ``colors`` names the start and end colors; heights alternate in color,
+    so the end color must be the start color exactly when end - start is
+    even.
+    """
+    if colors not in ("bb", "bw", "wb", "ww"):
+        raise ValueError(f"colors must be one of bb, bw, wb, ww, not {colors!r}")
+    if (colors[0] == colors[1]) != ((end - start) % 2 == 0):
+        raise ValueError(f"colors {colors!r} do not fit heights {start} -> {end}")
     return start % 2 if colors[0] == "b" else (start + 1) % 2
 
 
@@ -360,12 +368,14 @@ def rat_path(
     """Total balanced weight over admissible paths, as an exact rational.
 
     Every step is weighted by its lower end: b on white, w on black.
-    Returns 0 (never raises) when no path fits the endpoints and length.
+    Returns 0 when no path fits the endpoints and length; raises
+    ValueError when ``colors`` is not a color pair or does not fit the
+    parity of end - start.
     Every path has ``length`` weighted steps, so the walk runs on integer
     numerators over D = lcm of the two denominators and the total is
     divided by D**length once.
     """
-    parity = _start_parity(colors, start)
+    parity = _start_parity(colors, start, end)
     if (start - end - length) % 2 or length < abs(start - end):
         return Rat(0)
     if floor is not None and (start < floor or end < floor):
@@ -392,27 +402,32 @@ def rat_path_brute(
     floor: int | None,
     wt: RatPathWeights,
 ):
-    """Oracle for rat_path: direct enumeration of all 2^length step words."""
-    parity = _start_parity(colors, start)
+    """Oracle for rat_path: direct enumeration of all 2^length step words.
 
-    def lower_weight(h: int):
-        return wt.w if h % 2 == parity else wt.b
-
-    total = Rat(0)
+    Each word is walked on its own and dropped at its first step below the
+    floor.  A surviving word that ends at ``end`` weighs w^k b^(length - k),
+    where k counts its steps whose lower end is a black height, so the words
+    are tallied by k in integers and the weights enter once per tally.  No
+    height DP and no common denominator is involved, so the oracle still
+    shares no arithmetic with rat_path.
+    """
+    parity = _start_parity(colors, start, end)
+    if floor is not None and start < floor:
+        return Rat(0)
+    tally = [0] * (length + 1)
     for word in product((1, -1), repeat=length):
-        h = start
-        weight = Rat(1)
-        ok = True
+        h, k = start, 0
         for s in word:
             nh = h + s
             if floor is not None and nh < floor:
-                ok = False
                 break
-            weight *= lower_weight(min(h, nh))
+            k += min(h, nh) % 2 == parity
             h = nh
-        if ok and h == end:
-            total += weight
-    return total
+        else:
+            if h == end:
+                tally[k] += 1
+    b, w = Rat(wt.b), Rat(wt.w)
+    return sum((n * w**k * b ** (length - k) for k, n in enumerate(tally) if n), Rat(0))
 
 
 def unconstrained_drop(j: int, length: int, wt: RatPathWeights):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from bicmaps.dimers import (
@@ -53,6 +55,27 @@ def test_zhd_brute_frozen_three_links():
     want = MSeries(2, 3, {(0, 0): 1, (1, 0): 2, (0, 1): 1, (2, 0): 1})
     assert zhd_brute(SegmentSpec(3, "bw")) == want
     assert zhd(SegmentSpec(3, "bw")) == want
+
+
+def occupancy_sum(spec: SegmentSpec) -> MSeries:
+    """Reference for zhd_brute: one occupancy tuple at a time."""
+    weights = spec.link_weights()
+    out = {}
+    for occ in product((0, 1), repeat=spec.links):
+        if any(occ[j] and occ[j + 1] for j in range(spec.links - 1)):
+            continue
+        a = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 1)
+        b = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 2)
+        out[(a, b)] = out.get((a, b), 0) + 1
+    return MSeries(2, spec.links, out)
+
+
+def test_zhd_brute_equals_occupancy_sum():
+    for links in range(13):
+        for ends in segment_ends(links):
+            spec = SegmentSpec(links, ends)
+            got, want = zhd_brute(spec), occupancy_sum(spec)
+            assert (got.coeffs, got.order, got.reliable) == (want.coeffs, want.order, want.reliable)
 
 
 def test_zhd_equals_brute_all_families():

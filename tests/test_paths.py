@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -214,17 +215,60 @@ def test_rat_path_balanced_equals_descending_specialization():
         assert rat_path("bb", 0, 0, 2 * n, None, wt) == series_value
 
 
+def consistent_colors(first, start, end):
+    """The color pair starting with ``first`` that fits heights start -> end."""
+    return first + (first if (end - start) % 2 == 0 else "wb"[first == "w"])
+
+
 def test_rat_path_matches_brute():
-    for colors, start, end, length, floor in [
-        ("bb", 0, 0, 6, 0),
-        ("bb", 2, 4, 4, 0),
-        ("ww", 1, 3, 6, 0),
-        ("wb", 1, 0, 5, None),
-        ("bw", 2, 3, 7, 1),
-    ]:
-        assert rat_path(colors, start, end, length, floor, WT) == rat_path_brute(
-            colors, start, end, length, floor, WT
-        )
+    # every start and end in 0..4, with the start below the floor too
+    assert rat_path_brute("bb", 0, 2, 2, 1, WT) == 0
+    for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
+        for first, start, end, length, floor in product(
+            "bw", range(5), range(5), range(9), (None, 0, 1, 2, 3)
+        ):
+            colors = consistent_colors(first, start, end)
+            case = (colors, start, end, length, floor, wt)
+            assert rat_path(*case) == rat_path_brute(*case), case
+
+
+def word_product_sum(colors, start, end, length, floor, wt):
+    """Reference for rat_path_brute: one Fraction product per step word."""
+    black = start % 2 if colors[0] == "b" else (start + 1) % 2
+    total = Fraction(0)
+    for word in product((1, -1), repeat=length):
+        heights = [start]
+        for s in word:
+            heights.append(heights[-1] + s)
+        if heights[-1] != end or (floor is not None and min(heights) < floor):
+            continue
+        weight = Fraction(1)
+        for h, nh in zip(heights, heights[1:]):
+            weight *= wt.w if min(h, nh) % 2 == black else wt.b
+        total += weight
+    return total
+
+
+def test_rat_path_brute_equals_word_products():
+    wt = RatPathWeights(rat(3, 4), rat(5, 7))
+    for length in range(11):
+        for first, start, floor in product("bw", (0, 1, 2), (None, 1)):
+            for end in (start + length % 2, start - 2 + length % 2):
+                colors = consistent_colors(first, start, end)
+                case = (colors, start, end, length, floor, wt)
+                got = rat_path_brute(*case)
+                assert got == word_product_sum(*case), case
+                assert isinstance(got, Fraction)
+
+
+@pytest.mark.parametrize("path", [rat_path, rat_path_brute])
+def test_rat_path_rejects_bad_colors(path):
+    for colors in ("bx", "xb", "b", "bbb", ""):
+        with pytest.raises(ValueError):
+            path(colors, 0, 2, 2, None, WT)
+    for colors, end in (("bb", 1), ("ww", 3), ("bw", 2), ("wb", 0)):
+        with pytest.raises(ValueError):
+            path(colors, 0, end, 3, None, WT)
 
 
 def test_reflection_odd_known_value():

@@ -1,12 +1,14 @@
-"""Scaling curves of the ladder solvers and the dimer layer over truncation order.
+"""Scaling curves of the ladder solvers, the dimer and the path checks over truncation order.
 
 Times ``ladder_solve`` (quadrangulations and hexangulations),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
-weights g = (1/5, 1), entries 1..10) and ``suites.suite_dimers`` (seed 1:
+weights g = (1/5, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
 transfer against brute force, closed forms at five rational points, and
-the segment reconstruction of the quad and hex determinants) at several
-orders, and counts the series products each call makes, for one or more
-source trees of bicmaps.
+the segment reconstruction of the quad and hex determinants) and
+``suites.suite_paths`` (seed 1: the reflection identities at five rational
+points, partly through the brute-force path oracle, and the path DPs
+against each other) at several orders, and counts the series products
+each call makes, for one or more source trees of bicmaps.
 Each (tree, case) pair runs in a fresh interpreter that imports bicmaps
 from that tree's ``src`` directory; the trees alternate case by case so
 drift of the host hits them alike.
@@ -38,6 +40,7 @@ CASES = (
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
     + [("determinant_ladder", "g1=1/5", order) for order in (8, 10, 12, 14)]
     + [("suite_dimers", "seed=1", order) for order in (5, 7, 9)]
+    + [("suite_paths", "seed=1", order) for order in (5, 7, 9)]
 )
 DETERMINANT_I_MAX = 10
 
@@ -52,7 +55,7 @@ def _child(solver: str, family: str, order: int) -> dict:
     from bicmaps.rational import rat
     from bicmaps.series import MSeries, SeriesRing
     from bicmaps.slices import FaceWeights, ladder_solve
-    from bicmaps.suites import suite_dimers
+    from bicmaps.suites import suite_dimers, suite_paths
 
     if solver == "ladder_solve":
         g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
@@ -64,6 +67,8 @@ def _child(solver: str, family: str, order: int) -> dict:
         call = partial(determinant_ladder, g, SeriesRing(2, order), DETERMINANT_I_MAX)
     elif solver == "suite_dimers":
         call = partial(suite_dimers, order, 1)
+    elif solver == "suite_paths":
+        call = partial(suite_paths, order, 1)
     else:
         call = partial(tricolor_solve, SeriesRing(3, order))
 
