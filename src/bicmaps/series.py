@@ -10,20 +10,33 @@ reliable bound, and consumers should not either: use ``agree`` or
 ``first_difference`` which take the bound into account.
 
 Coefficients are ints where the value is integral and Fractions otherwise;
-they are never floats.  A series product does no rational arithmetic:
+they are never floats.  The constructor and every ring operation turn an
+integral value into an int.  A series product does no rational arithmetic:
 each operand is lifted once to integer numerators over the lcm of its
 denominators (one integer polynomial over one denominator, the layout of
 FLINT's fmpq_poly), the convolution runs in plain ints, and each result
-coefficient is reduced once by ``rat``, so integral products come back as
-ints.  ``inv_unit`` and ``sqrt_unit`` share one Newton schedule that
-doubles the working precision (Brent & Kung, J. ACM 1978): step j runs in
-the ring cut to degree min(2^j, order+1) - 1 and only the last step works
-at full order.  All values are immutable after construction and safe to
+coefficient is reduced once by ``rat``.
+
+The convolution accumulates in a flat list, not in a dict keyed by
+exponent tuples.  The list covers the cube of side order + 1, and the
+index of an exponent vector reads the vector in base order + 1.  Every
+term a product keeps has total degree at most ``order``, so each
+coordinate of it is at most ``order`` and no digit carries: the index of
+a product term is the sum of its factors' indices.  The cells' exponent
+tuples are built on the first product of each (arity, order) and cached.
+Storage stays tuple-keyed: the dict is built once from the nonzero cells.
+
+``inv_unit`` and ``sqrt_unit`` share one Newton schedule that doubles the
+working precision (Brent & Kung, J. ACM 1978): step j runs in the ring cut
+to degree min(2^j, order+1) - 1 and only the last step works at full
+order.  All values are immutable after construction and safe to
 share, which is what makes caching the lift sound.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import compress, product
 from math import isqrt, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -66,12 +79,27 @@ def _zero_expo(num_vars: int) -> Expo:
     return (0,) * num_vars
 
 
-def _add_expo(a: Expo, b: Expo) -> Expo:
-    if len(a) == 2:
-        return (a[0] + b[0], a[1] + b[1])
-    if len(a) == 3:
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-    return tuple(x + y for x, y in zip(a, b))
+def _exact(c):
+    """The coefficient c, as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+@cache
+def _layout(num_vars: int, order: int) -> tuple[tuple[Expo, ...], dict[Expo, tuple[int, int]]]:
+    """The dense accumulator of a product truncated at ``order``.
+
+    Cells cover the cube of side order + 1, one per exponent vector in
+    lexicographic order, so a cell's index reads its exponent in base
+    order + 1.  Returns the cells' exponents and, for each exponent of
+    total degree at most ``order``, its (degree, index).
+    """
+    cells = tuple(product(range(order + 1), repeat=num_vars))
+    place = {}
+    for index, e in enumerate(cells):
+        degree = sum(e)
+        if degree <= order:
+            place[e] = (degree, index)
+    return cells, place
 
 
 class MSeries:
@@ -101,7 +129,8 @@ class MSeries:
                 if len(e) != num_vars:
                     raise ValueError(f"exponent {e} has wrong arity")
                 if sum(e) <= order and c:
-                    clean[tuple(e)] = c
+                    # _exact(c), inlined in this loop and in __add__'s: both are hot
+                    clean[tuple(e)] = c if type(c) is int or c.denominator != 1 else c.numerator
         self.coeffs = clean
         self._lifted = None
 
@@ -122,7 +151,6 @@ class MSeries:
         """(integer numerators, common denominator) of the coefficients.
 
         Computed on first use and cached, since the series never changes.
-        Integral ``Fraction`` values become ints here too.
         """
         if self._lifted is None:
             coeffs = self.coeffs
@@ -273,7 +301,7 @@ class MSeries:
         for e, c in terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(e, None)
         return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
@@ -302,7 +330,7 @@ class MSeries:
             return MSeries._wrap(
                 self.num_vars,
                 self.order,
-                {e: c * other for e, c in self.coeffs.items()},
+                {e: _exact(c * other) for e, c in self.coeffs.items()},
                 self.reliable,
             )
         if not isinstance(other, MSeries):
@@ -310,28 +338,25 @@ class MSeries:
         self._check_compatible(other)
         order = min(self.order, other.order)
         (a, da), (b, db) = self._lift(), other._lift()
+        cells, place = _layout(self.num_vars, order)
         # Iterate the sparser operand outside; keep the other sorted by degree
         # so the inner loop can stop as soon as the truncation bound is hit.
+        # Terms above the order have no place and drop out here.
         if len(a) > len(b):
             a, b = b, a
-        b_sorted = sorted(((sum(e), e, c) for e, c in b.items()), key=lambda t: t[0])
-        out: dict[Expo, object] = {}
-        for ea, ca in a.items():
-            room = order - sum(ea)
-            if room < 0:
-                continue
-            for deg, eb, cb in b_sorted:
+        a = [(*at, c) for e, c in a.items() if (at := place.get(e))]
+        b = sorted([(*at, c) for e, c in b.items() if (at := place.get(e))])
+        acc = [0] * len(cells)
+        for deg_a, ia, ca in a:
+            room = order - deg_a
+            for deg, ib, cb in b:
                 if deg > room:
                     break
-                e = _add_expo(ea, eb)
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                acc[ia + ib] += ca * cb
+        # compress and filter walk the nonzero cells in the same order
+        terms = zip(compress(cells, acc), filter(None, acc))
         den = da * db
-        if den != 1:
-            out = {e: rat(n, den) for e, n in out.items()}
+        out = dict(terms) if den == 1 else {e: rat(n, den) for e, n in terms}
         return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
 
     __rmul__ = __mul__

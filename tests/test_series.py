@@ -301,21 +301,92 @@ def naive_product(f, g) -> dict:
     out = {}
     for ea, ca in f.coeffs.items():
         for eb, cb in g.coeffs.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1])
+            e = tuple(x + y for x, y in zip(ea, eb))
             if sum(e) <= order:
                 out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
     return {e: c for e, c in out.items() if c}
 
 
+def assert_exact_types(f):
+    """Every coefficient is an int when integral and a Fraction otherwise."""
+    for c in f.coeffs.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+def assert_naive_product(f, g):
+    prod = f * g
+    assert prod.coeffs == naive_product(f, g)  # so no zero is stored either
+    assert prod.order == min(f.order, g.order)
+    assert prod.reliable == min(f.reliable, g.reliable)
+    assert_exact_types(prod)
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_series(), rational_series())
 def test_rational_product_matches_naive_convolution(f, g):
-    prod = f * g
-    assert prod.coeffs == naive_product(f, g)
-    assert prod.order == min(f.order, g.order)
-    assert prod.reliable == min(f.reliable, g.reliable)
-    for c in prod.coeffs.values():
-        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+    assert_naive_product(f, g)
+
+
+@st.composite
+def series_of_arity(draw, num_vars):
+    """Orders up to 6 with exponents up to 6 in each variable, so a term of
+    one operand often lies past order + 1 of the product it enters."""
+    order = draw(st.integers(0, 6))
+    expos = st.tuples(*(st.integers(0, 6) for _ in range(num_vars)))
+    terms = draw(st.dictionaries(expos, rationals, max_size=6))
+    return MSeries(num_vars, order, terms, draw(st.integers(0, order)))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_matches_naive_convolution_in_any_arity(num_vars, data):
+    f, g = data.draw(series_of_arity(num_vars)), data.draw(series_of_arity(num_vars))
+    assert_naive_product(f, g)
+
+
+def _var(num_vars, order, j, power=1):
+    e = [0] * num_vars
+    e[j] = power
+    return MSeries(num_vars, order, {tuple(e): 1})
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_product_edge_cases_in_any_arity(num_vars):
+    x, y = _var(num_vars, 6, 0), _var(num_vars, 6, num_vars - 1)
+    half = Fraction(1, 2)
+    low = MSeries(num_vars, 2, {(0,) * num_vars: 3}, 1) + _var(num_vars, 2, 0) * half
+    cases = [
+        # a term past order + 1 of the product, in the operand of higher order
+        (_var(num_vars, 6, 0, 5) + 1, low),
+        (low, _var(num_vars, 6, num_vars - 1, 6) * half + x),
+        # (x + y)(x - y): the cross terms cancel, or all of it when x is y
+        (x + y, x - y),
+        ((x + 1) * half, (x - 1) * 2),
+        # an empty operand and a constant one
+        (MSeries(num_vars, 4, {}), x + 1),
+        (MSeries(num_vars, 3, {(0,) * num_vars: Fraction(2, 3)}), low + y * half),
+        (MSeries(num_vars, 0, {(0,) * num_vars: 2}), x * half + 1),
+    ]
+    for f, g in cases:
+        assert_naive_product(f, g)
+        assert_naive_product(g, f)
+
+
+def test_ring_results_turn_integral_fractions_into_ints():
+    f = MSeries(2, 3, {(1, 0): 2, (0, 1): Fraction(1, 2)})
+    assert type((f + f).coeffs[(0, 1)]) is int
+    assert type((f - (-f)).coeffs[(0, 1)]) is int
+    assert type((f * Fraction(1, 2)).coeffs[(1, 0)]) is int
+    assert all(type(c) is int for c in (f * Fraction(2, 1)).coeffs.values())
+    assert type(MSeries(1, 0, {(0,): Fraction(4, 2)}).coeffs[(0,)]) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_series(), rational_series(), rationals)
+def test_ring_operations_leave_no_integral_fraction(f, g, c):
+    for h in (f, f + g, f - g, -f, f + c, c - f, f * c, c * f, f * g):
+        assert_exact_types(h)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
-"""Scaling curves of the ladder solvers, the dimer and the path checks over truncation order.
+"""Scaling curves of a series product, the ladder solvers, the dimer and the path checks over order.
 
-Times ``ladder_solve`` (quadrangulations and hexangulations),
+Times one series product ``B * W`` of the quadrangulation tails
+``tail_solve(quad, SeriesRing(2, order))`` (solved before the timing, so
+only the product is timed), ``ladder_solve`` (quadrangulations and
+hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
 weights g = (1/5, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
 transfer against brute force, closed forms at five rational points, and
@@ -35,7 +38,9 @@ from pathlib import Path
 RUNS = 3
 OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
 CASES = (
-    [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
+    [("series_mul", "quad tails", order) for order in (12, 18, 26)]
+    + [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
+    + [("closed_ladder", "hex", order) for order in (10, 14, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
     + [("determinant_ladder", "g1=1/5", order) for order in (8, 10, 12, 14)]
@@ -43,23 +48,31 @@ CASES = (
     + [("suite_paths", "seed=1", order) for order in (5, 7, 9)]
 )
 DETERMINANT_I_MAX = 10
+CLOSED_I_MAX = 8
 
 
 def _child(solver: str, family: str, order: int) -> dict:
     """Run one case in this process: timed runs, then one counted run."""
     from functools import partial
+    from operator import mul
     from time import perf_counter
 
+    from bicmaps.closedform import closed_ladder
     from bicmaps.extensions import ternary_solve, tricolor_solve
     from bicmaps.hankel import determinant_ladder
     from bicmaps.rational import rat
     from bicmaps.series import MSeries, SeriesRing
-    from bicmaps.slices import FaceWeights, ladder_solve
+    from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
     from bicmaps.suites import suite_dimers, suite_paths
 
-    if solver == "ladder_solve":
+    if solver == "series_mul":
+        call = partial(mul, *tail_solve(FaceWeights.quadrangulations(), SeriesRing(2, order)))
+    elif solver == "ladder_solve":
         g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
         call = partial(ladder_solve, g, SeriesRing(2, order))
+    elif solver == "closed_ladder":
+        g = FaceWeights.hexangulations()
+        call = partial(closed_ladder, g, SeriesRing(2, order), CLOSED_I_MAX)
     elif solver == "ternary_solve":
         call = partial(ternary_solve, SeriesRing(2, order))
     elif solver == "determinant_ladder":
@@ -122,8 +135,8 @@ def main(argv=None) -> int:
                 "solver": solver,
                 "family": family,
                 "order": order,
-                "best_s": round(min(result["seconds"]), 4),
-                "seconds": [round(s, 4) for s in result["seconds"]],
+                "best_s": round(min(result["seconds"]), 6),
+                "seconds": [round(s, 6) for s in result["seconds"]],
                 "products": result["products"],
                 "series_products": result["series_products"],
             })
