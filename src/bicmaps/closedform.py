@@ -191,14 +191,16 @@ def hex_ladder_closed(params: HexParams, i_max: int) -> WeightLadder:
 
 
 def closed_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
-    """Tail solve plus closed-form evaluation for p = 1 or p = 2 families."""
+    """Tail solve plus closed-form evaluation for quadrangulations and
+    hexangulations, g = (0, 1) and (0, 0, 1): the closed forms assume a top
+    face weight of 1 and no lower weights."""
     b, w = tail_solve(g, ring)
-    if g.p == 1 and not g.g[0]:
+    if g == FaceWeights.quadrangulations():
         return quad_ladder_closed(quad_params(b, w), i_max)
-    if g.p == 2 and not g.g[0] and not g.g[1]:
+    if g == FaceWeights.hexangulations():
         return hex_ladder_closed(hex_params(b, w), i_max)
     raise ValueError(
-        "closed forms cover quadrangulations and hexangulations only; "
+        "closed forms cover quadrangulations and hexangulations, g = (0, 1) and (0, 0, 1), only; "
         "use the recursion or determinant routes for other families"
     )
 

@@ -7,15 +7,18 @@ recursion evaluates the sum at weights in any ring: at the generators it is
 the segment polynomial, an ``MSeries`` in (s1, s2) of order and ``reliable``
 equal to the link count, checked against a brute-force subset sum; at
 rational points it meets exact closed forms in an auxiliary (c, x)
-parametrization; at series weights it reconstructs the moment determinants,
-whose mutually avoiding path systems are rigid outside a central strip
-whose freedom projects onto hard dimers.
+parametrization.  The mutually avoiding path systems of the moment
+determinants are rigid outside p central columns, whose freedom projects
+onto hard dimers weighted by the p roots x of a_0 - a_1 x + a_2 x^2 - ...
+The same recursion walks a column modulo that polynomial, and the product
+over the roots is the determinant of multiplication, so no root is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .hankel import det_division_free
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
 
@@ -47,25 +50,31 @@ class SegmentSpec:
 
     def link_weights(self) -> list[int]:
         """Per link: 1 for black-to-white (s1), 2 for white-to-black (s2)."""
-        start_black = self.ends[0] == "b"
-        out = []
-        for j in range(self.links):
-            from_black = (j % 2 == 0) == start_black
-            out.append(1 if from_black else 2)
-        return out
+        start = 0 if self.ends[0] == "b" else 1
+        return [1 + (start + j) % 2 for j in range(self.links)]
+
+
+def _walk(weights, unit, times_x=lambda v: v):
+    """Yield the free state after each link: the dimer sum of the links before it.
+
+    State after node j: configurations with node j free vs covered; a link
+    may only be occupied if its lower node was free.  With ``times_x`` the
+    sums are phi_L = x^ceil(L/2) Z_L(s/x) instead: the free state is scaled
+    by x^floor(L/2) and the covered one by x^ceil(L/2), so a dimer weighs s
+    and the free state takes one factor x after every odd link.
+    """
+    free, covered = unit, unit * 0
+    for j, s in enumerate(weights):
+        free, covered = (times_x(free) if j % 2 else free) + covered, free * s
+        yield free
 
 
 def transfer(spec: SegmentSpec, s1, s2, unit):
-    """The segment's dimer sum at weights (s1, s2) in any ring whose one is ``unit``.
-
-    State after node j: configurations with node j free vs covered; a link
-    may only be occupied if its lower node was free.
-    """
+    """The segment's dimer sum at weights (s1, s2) in any ring whose one is ``unit``:
+    the walk's free state after one more link, of weight 0."""
     s = (s1, s2)
-    free, covered = unit, unit * 0
-    for weight in spec.link_weights():
-        free, covered = free + covered, free * s[weight - 1]
-    return free + covered
+    *_, total = _walk([s[k - 1] for k in spec.link_weights()] + [0], unit)
+    return total
 
 
 def zhd(spec: SegmentSpec) -> MSeries:
@@ -147,74 +156,74 @@ def zhd_closed_check(spec: SegmentSpec, c, x) -> bool:
 # -- determinant reconstruction ----------------------------------------------
 
 
-def _triangle(i: int) -> int:
-    return i * (i + 1) // 2
+class _Residue:
+    """A polynomial in the column weight x modulo the monic characteristic
+    polynomial x^p - sum_q low[q] x^q: its components over 1, x, ..., x^(p-1)."""
+
+    def __init__(self, parts: list, low: list):
+        self.parts, self.low = parts, low
+
+    def __add__(self, other: "_Residue") -> "_Residue":
+        return _Residue([a + b for a, b in zip(self.parts, other.parts)], self.low)
+
+    def __mul__(self, s) -> "_Residue":
+        return _Residue([a * s for a in self.parts], self.low)
+
+    def times_x(self) -> "_Residue":
+        top = self.parts[-1]
+        shifted = [top * 0] + self.parts[:-1]
+        return _Residue([a + top * r for a, r in zip(shifted, self.low)], self.low)
+
+    def norm(self) -> MSeries:
+        """The product over the roots: the determinant of multiplication by self."""
+        rows = [self]
+        while len(rows) < len(self.parts):
+            rows.append(rows[-1].times_x())
+        return det_division_free([r.parts for r in rows])
+
+
+def _column(i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> tuple:
+    """(BW)^(i(i+1)/2) a_p^(i+1) and phi_0 .. phi_(2i+2) from one walk, where
+    phi_L = x^ceil(L/2) Z_L(W/x, B/x), Z_L on the segment of L links that
+    starts black, and x is a root of sum_q (-1)^q a_q x^q.  N_L is the norm
+    of phi_L, its product over the roots."""
+    p = len(alpha) - 1
+    lead = inv_unit(alpha[p])
+    low = [a * lead if (p - q) % 2 else -a * lead for q, a in enumerate(alpha[:p])]
+    nv, order = b.num_vars, b.order
+    unit = _Residue([one(nv, order)] + [zero(nv, order)] * (p - 1), low)
+    weights = [(w, b)[j % 2] for j in range(2 * i + 2)] + [0]
+    pref = (b * w) ** (i * (i + 1) // 2) * alpha[p] ** (i + 1)
+    return pref, list(_walk(weights, unit, _Residue.times_x))
 
 
 def lgv_quad(
     i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
 ) -> tuple[MSeries, MSeries]:
-    """Shift-0 and shift-1 determinants of index i for quadrangulations.
-
-    The avoiding-path freedom sits in one central column whose up/down and
-    down/up detours act as hard dimers with series weights W*a1/a0 and
-    B*a1/a0 on segments of 2i+1 (shift 0) and 2i+2 (shift 1) links; the
-    a_q are ``alpha_coeffs`` for a black root.
-    """
-    a0, a1 = alpha[0], alpha[1]
-    ratio = a1 * inv_unit(a0)
-    s1, s2 = w * ratio, b * ratio
-    unit = one(b.num_vars, min(s1.order, s2.order))
-    pref = (b * w) ** _triangle(i) * a0 ** (i + 1)
-    h0 = pref * transfer(SegmentSpec(2 * i + 1, "bw"), s1, s2, unit)
-    h1 = w ** (i + 1) * pref * transfer(SegmentSpec(2 * i + 2, "bb"), s1, s2, unit)
-    return h0, h1
+    """Shift-0 and shift-1 determinants of index i for quadrangulations: one
+    column, whose detours are hard dimers on 2i+1 and 2i+2 links.  alpha
+    holds the black-root a0, a1 of ``alpha_coeffs``."""
+    pref, phi = _column(i, b, w, alpha)
+    return pref * phi[2 * i + 1].norm(), w ** (i + 1) * pref * phi[2 * i + 2].norm()
 
 
 def lgv_hex(
     i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
 ) -> tuple[MSeries, MSeries]:
-    """Hexangulation determinants from paired dimer segments.
-
-    Two central columns carry horizontal weights p1, p2 that are only known
-    through e1 = p1 + p2 = a1/a2 and e2 = p1*p2 = a0/a2.  The r-th term
-    needs phi_r(p) = p^r * Z(W/p, B/p), a genuine polynomial in p; the
-    symmetric product phi_r(p1)*phi_r(p2) is evaluated by reducing phi_r in
-    the quotient by p^2 - e1*p + e2 and taking the norm
-    (A + C p1)(A + C p2) = A^2 + A C e1 + C^2 e2, so the individual roots
-    never need to exist.  alpha holds the black-root a0, a1, a2.
-    """
-    a0, a1, a2 = alpha
-    inv_a2 = inv_unit(a2)
-    e1, e2 = a1 * inv_a2, a0 * inv_a2
-    nv, order = b.num_vars, b.order
-    # p^k reduced mod p^2 - e1 p + e2, as (constant, linear) component pairs
-    p_pow = [(one(nv, order), zero(nv, order))]
-    for _ in range(i + 1):
-        pa, pc = p_pow[-1]
-        p_pow.append((-pc * e2, pa + pc * e1))
+    """Hexangulation determinants of index i: two columns, whose term r is
+    (BW)^(i+1-r) N_L with L = 2r - 1 links for shift 0 (0 at r = 0) and
+    L = 2r for shift 1.  alpha holds the black-root a0, a1, a2."""
+    pref, phi = _column(i, b, w, alpha)
+    norms = [f.norm() for f in phi]
     bw = b * w
 
-    bw_pow = [one(nv, order)]
-    for _ in range(i + 1):
-        bw_pow.append(bw_pow[-1] * bw)
-
-    def r_sum(segments: list[SegmentSpec]) -> MSeries:
-        total = zero(nv, order)
-        for r, spec in enumerate(segments):
-            comp_a, comp_c = zero(nv, order), zero(nv, order)
-            for (a, b2), n in zhd(spec).coeffs.items():
-                mono = (w ** a) * (b ** b2) * n
-                pa, pc = p_pow[r - a - b2]
-                comp_a = comp_a + mono * pa
-                comp_c = comp_c + mono * pc
-            norm = comp_a * comp_a + comp_a * comp_c * e1 + comp_c * comp_c * e2
-            total = total + bw_pow[i + 1 - r] * norm
+    def r_sum(terms: list[MSeries]) -> MSeries:
+        # the sum over r of (BW)^(i+1-r) terms[r], by Horner's rule
+        total = terms[0]
+        for term in terms[1:]:
+            total = total * bw + term
         return total
 
-    # the r = 0 term of h0 is the zero-link segment, whose polynomial is 1
-    h0_segments = [SegmentSpec(0, "bb")] + [SegmentSpec(2 * r - 1, "bw") for r in range(1, i + 2)]
-    base = a2 ** (i + 1) * (b * w) ** _triangle(i)
-    h0 = base * r_sum(h0_segments)
-    h1 = base * w ** (i + 1) * r_sum([SegmentSpec(2 * r, "bb") for r in range(i + 2)])
+    h0 = pref * r_sum(norms[:1] + norms[1::2])
+    h1 = pref * w ** (i + 1) * r_sum(norms[::2])
     return h0, h1

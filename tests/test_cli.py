@@ -188,6 +188,24 @@ def test_usage_errors_are_clean(capsys, monkeypatch, env, argv, message):
     assert message in err and "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("g", ["0,2", "0,1/2", "0,0,3"])
+def test_closed_route_refuses_other_face_weights(capsys, g):
+    # the closed forms assume a top face weight of 1 and no lower weights
+    with pytest.raises(SystemExit) as exc:
+        main(["ladder", "--family", "general", "--g", g, "--route", "closed", "--order", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "closed forms cover" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("g, family", [("0,1", "quad"), ("0,0,1", "hex")])
+def test_closed_route_general_weights_of_a_named_family(capsys, g, family):
+    args = ("ladder", "--route", "closed", "--order", "5", "--i-max", "3")
+    _, general = run_cli(capsys, *args, "--family", "general", "--g", g)
+    _, named = run_cli(capsys, *args, "--family", family)
+    assert json.loads(general)["records"] == json.loads(named)["records"]
+
 def test_env_var_default_order(capsys, monkeypatch):
     monkeypatch.setenv("BICMAPS_ORDER", "4")
     _, out = run_cli(capsys, "twopoint", "--family", "quad")

@@ -242,6 +242,13 @@ def test_closed_ladder_rejects_general_families():
         closed_ladder(FaceWeights((rat(0), rat(0), rat(0), rat(1))), RING, 3)
 
 
+@pytest.mark.parametrize("g", [(0, 2), (0, rat(1, 2)), (0, 0, 3)])
+def test_closed_ladder_rejects_other_face_weights(g):
+    # same p and zero lower weights as a named family, but a top weight not 1
+    with pytest.raises(ValueError):
+        closed_ladder(FaceWeights(tuple(rat(x) for x in g)), RING, 3)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.sampled_from(("quad", "hex")), st.integers(2, 6), st.integers(1, 2))
 def test_closed_ladder_stable_under_higher_order(name, n, k):

@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+import sympy as sp
 
+from bicmaps import dimers
 from bicmaps.dimers import (
     SegmentSpec,
     dimer_weights_from_cx,
@@ -20,7 +22,16 @@ from bicmaps.dimers import (
 )
 from bicmaps.hankel import hankel_det
 from bicmaps.rational import Rat, rat
-from bicmaps.series import MSeries, SeriesRing, agree, first_difference, inv_unit, one
+from bicmaps.series import (
+    MSeries,
+    SeriesRing,
+    agree,
+    first_difference,
+    inv_unit,
+    one,
+    sqrt_unit,
+    zero,
+)
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, tail_solve
 
 from helpers import series_digest
@@ -302,3 +313,74 @@ def test_lgv_hex_r_zero_convention(hex_moments):
     b, w, coeffs, _ = hex_moments
     h0, _ = lgv_hex(0, b, w, coeffs)
     assert h0.valuation() == 0  # the determinant is 1 + higher order
+
+
+# -- the column walk modulo the characteristic polynomial ----------------------
+
+
+def column_norms(b, w, alpha, links):
+    """N_0 .. N_links from the walk of index i = links/2 - 1."""
+    return [phi.norm() for phi in dimers._column(links // 2 - 1, b, w, alpha)[1]]
+
+
+def segment_at_root(links: int, x, b, w) -> MSeries:
+    """x^ceil(L/2) Z_L(W/x, B/x) on the segment of L links that starts black."""
+    inv_x = inv_unit(x)
+    spec = SegmentSpec(links, segment_ends(links)[0])
+    return x ** ((links + 1) // 2) * transfer(spec, w * inv_x, b * inv_x, one(2, x.order))
+
+
+@pytest.mark.parametrize("label", ["quad", "hex"])
+def test_column_norms_match_explicit_roots(label, quad_moments, hex_moments):
+    b, w, alpha, _ = quad_moments if label == "quad" else hex_moments
+    if label == "quad":
+        roots = [alpha[0] * inv_unit(alpha[1])]
+    else:
+        # a0 - a1 x + a2 x^2 is 1 - x^2 at t = 0: two series roots, near 1 and -1
+        a0, a1, a2 = alpha
+        root_disc = sqrt_unit(a1 * a1 - 4 * a0 * a2)
+        roots = [(a1 + sign * root_disc) * inv_unit(2 * a2) for sign in (1, -1)]
+        assert {x.constant_term() for x in roots} == {1, -1}
+    for x in roots:
+        char = sum(((-1) ** q * a * x ** q for q, a in enumerate(alpha)), zero(2, 8))
+        assert agree(char, zero(2, 8))
+    norms = column_norms(b, w, alpha, 8)
+    for links in range(9):
+        want = one(2, 8)
+        for x in roots:
+            want = want * segment_at_root(links, x, b, w)
+        assert agree(norms[links], want), (links, first_difference(norms[links], want))
+        assert norms[links].reliable >= min(f.reliable for f in (b, w, *alpha)), links
+
+
+def test_column_norms_are_resultants_at_p3():
+    # constant alpha, W and B: the product over the three roots of phi_L is
+    # Res(F, phi_L) / lc(F)^deg(phi_L), with phi_L summed from the brute-force
+    # occupancies, so neither the walk nor the transfer is used
+    x = sp.Symbol("x")
+    a, w_val, b_val = [rat(3), rat(1, 2), rat(-2, 3), rat(5, 4)], rat(2, 3), rat(-5, 7)
+    alpha = tuple(MSeries(2, 2, {(0, 0): c}) for c in a)
+    b, w = MSeries(2, 2, {(0, 0): b_val}), MSeries(2, 2, {(0, 0): w_val})
+    char = sum((-1) ** q * sp.Rational(str(c)) * x ** q for q, c in enumerate(a))
+    sw, sb = sp.Rational(str(w_val)), sp.Rational(str(b_val))
+    norms = column_norms(b, w, alpha, 8)
+    for links in range(9):
+        half = (links + 1) // 2
+        poly = zhd_brute(SegmentSpec(links, segment_ends(links)[0]))
+        phi = sum(n * sw ** i * sb ** j * x ** (half - i - j) for (i, j), n in poly.coeffs.items())
+        phi = sp.expand(phi)
+        want = sp.resultant(char, phi, x) / sp.LC(char, x) ** sp.degree(phi, x)
+        assert norms[links].constant_term() == rat(str(want)), links
+
+
+def test_reconstructions_build_no_segment_polynomial(monkeypatch, quad_moments, hex_moments):
+    def refuse(spec):
+        raise AssertionError(f"segment polynomial built for {spec}")
+
+    monkeypatch.setattr(dimers, "zhd", refuse)
+    b, w, alpha, _ = quad_moments
+    for i in range(4):
+        lgv_quad(i, b, w, alpha)
+    b, w, alpha, _ = hex_moments
+    for i in range(3):
+        lgv_hex(i, b, w, alpha)
