@@ -75,8 +75,8 @@ def series_record(name: str, f: MSeries) -> dict:
     terms = [
         {
             "exponents": list(e),
-            "numerator": str(rat(c).numerator),
-            "denominator": str(rat(c).denominator),
+            "numerator": str(c.numerator),
+            "denominator": str(c.denominator),
         }
         for e, c in f.terms()
     ]

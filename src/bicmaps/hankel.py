@@ -66,8 +66,10 @@ def det_division_free(rows) -> object:
             )
         if rest[0] <= order:
             det = _minors(rows, [order - r for r in rest])
-    coeffs = {} if det is None else det.coeffs
-    return MSeries(entries[0].num_vars, order, coeffs, min(x.reliable for x in entries))
+    reliable = min(x.reliable for x in entries)
+    if det is None:
+        return MSeries(entries[0].num_vars, order, None, reliable)
+    return det.with_reliable(reliable)
 
 
 def _minors(rows, caps) -> object:
@@ -109,7 +111,7 @@ def _minors(rows, caps) -> object:
         if cap is not None:
             if not acc:
                 continue
-            acc = MSeries(acc.num_vars, caps[-1], acc.coeffs)
+            acc = acc.truncate(caps[-1])
         memo[mask] = acc
     return memo.get((1 << n) - 1)
 

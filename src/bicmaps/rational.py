@@ -3,8 +3,10 @@
 ``Rat`` is the stdlib ``Fraction``.  Integral values are kept as plain
 ints (see ``rat``): integer-count series then stay in int arithmetic,
 several times faster than ``Fraction``, and a rational only appears where
-a value really has a denominator.  Series products do not multiply
-rationals at all (see ``series``), so no faster rational type is needed.
+a value really has a denominator.  Series sums and products do not add or
+multiply rationals at all: a series stores integer numerators over one
+denominator (see ``series``) and builds a rational only where its
+coefficients are read, so no faster rational type is needed.
 """
 
 from __future__ import annotations

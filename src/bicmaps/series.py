@@ -9,35 +9,43 @@ degrees.  Nothing in this module ever compares coefficients beyond the
 reliable bound, and consumers should not either: use ``agree`` or
 ``first_difference`` which take the bound into account.
 
-Coefficients are ints where the value is integral and Fractions otherwise;
-they are never floats.  The constructor and every ring operation turn an
-integral value into an int.  A series product does no rational arithmetic:
-each operand is lifted once to integer numerators over the lcm of its
-denominators (one integer polynomial over one denominator, the layout of
-FLINT's fmpq_poly), the convolution runs in plain ints, and each result
-coefficient is reduced once by ``rat``.
+A series is stored as integer numerators over one common denominator
+(one integer polynomial over one denominator, the layout of FLINT's
+fmpq_poly): ``nums`` maps each exponent tuple to a nonzero int and
+``den`` > 0 is shared by every term.  The form is canonical: den and the
+numerators have no common factor, so den is the lcm of the reduced
+denominators, den is 1 exactly when every coefficient is integral, and
+two equal series have equal (nums, den).  Ring operations work on the
+numerators in plain ints (a sum scales each side to the lcm of the two
+denominators, a product multiplies them) and divide out the gcd of den
+and the numerators once per result, so none of them builds a rational.
+``coeffs`` reads the coefficients as values, ints where integral and
+Fractions otherwise (never floats); it is the numerator dict itself when
+den is 1 and is built once, on first read, otherwise.
 
-The convolution accumulates in a flat list, not in a dict keyed by
-exponent tuples.  The list covers the cube of side order + 1, and the
-index of an exponent vector reads the vector in base order + 1.  Every
-term a product keeps has total degree at most ``order``, so each
-coordinate of it is at most ``order`` and no digit carries: the index of
-a product term is the sum of its factors' indices.  The cells' exponent
-tuples are built on the first product of each (arity, order) and cached.
+The product's convolution accumulates in a flat list, not in a dict
+keyed by exponent tuples.  The list covers the cube of side s + 1, where
+s is the product's order, or the sum of the operands' top degrees when
+that is lower, and the index of an exponent vector reads the vector in
+base s + 1.  Every term a product keeps has total degree at most s, so
+each coordinate of it is at most s and no digit carries: the index of a
+product term is the sum of its factors' indices.  The cells' exponent
+tuples are built on the first product of each (arity, s) and cached.
 Storage stays tuple-keyed: the dict is built once from the nonzero cells.
 
 ``inv_unit`` and ``sqrt_unit`` share one Newton schedule that doubles the
 working precision (Brent & Kung, J. ACM 1978): step j runs in the ring cut
 to degree min(2^j, order+1) - 1 and only the last step works at full
 order.  All values are immutable after construction and safe to
-share, which is what makes caching the lift sound.
+share: results that keep every term of an operand share its numerator
+dict.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import compress, product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import Rat, is_rational, rat
@@ -79,11 +87,6 @@ def _zero_expo(num_vars: int) -> Expo:
     return (0,) * num_vars
 
 
-def _exact(c):
-    """The coefficient c, as an int when it is integral."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
 @cache
 def _layout(num_vars: int, order: int) -> tuple[tuple[Expo, ...], dict[Expo, tuple[int, int]]]:
     """The dense accumulator of a product truncated at ``order``.
@@ -103,9 +106,13 @@ def _layout(num_vars: int, order: int) -> tuple[tuple[Expo, ...], dict[Expo, tup
 
 
 class MSeries:
-    """A truncated power series: finite map from exponent vectors to rationals."""
+    """A truncated power series: finite map from exponent vectors to rationals.
 
-    __slots__ = ("num_vars", "order", "reliable", "coeffs", "_lifted")
+    ``nums`` and ``den`` are the stored form (see the module docstring);
+    like every attribute of a series they are read only.
+    """
+
+    __slots__ = ("num_vars", "order", "reliable", "nums", "den", "_top", "_coeffs")
 
     def __init__(
         self,
@@ -129,70 +136,105 @@ class MSeries:
                 if len(e) != num_vars:
                     raise ValueError(f"exponent {e} has wrong arity")
                 if sum(e) <= order and c:
-                    # _exact(c), inlined in this loop and in __add__'s: both are hot
-                    clean[tuple(e)] = c if type(c) is int or c.denominator != 1 else c.numerator
-        self.coeffs = clean
-        self._lifted = None
+                    clean[tuple(e)] = c
+        den = 1
+        if not all(type(c) is int for c in clean.values()):
+            den = lcm(*(c.denominator for c in clean.values()))
+            clean = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.nums = clean
+        self.den = den
+        self._top = None
+        self._coeffs = None
 
     @classmethod
-    def _wrap(cls, num_vars: int, order: int, coeffs: dict, reliable: int) -> "MSeries":
-        """A ring result, taken as is: the caller hands over ``coeffs`` (no
-        zero values, every exponent of the right arity and total degree at
-        most ``order``) and guarantees 0 <= reliable <= order."""
+    def _wrap(
+        cls, num_vars: int, order: int, nums: dict, den: int, reliable: int, top=None
+    ) -> "MSeries":
+        """A ring result in canonical form, taken as is: the caller hands
+        over ``nums`` (no zero values, every exponent of the right arity
+        and total degree at most ``order``, no factor shared with ``den``
+        unless den is 1), guarantees 0 <= reliable <= order, and passes
+        ``top`` only if it is the highest total degree in ``nums``."""
         f = object.__new__(cls)
         f.num_vars = num_vars
         f.order = order
         f.reliable = reliable
-        f.coeffs = coeffs
-        f._lifted = None
+        f.nums = nums
+        f.den = den
+        f._top = top
+        f._coeffs = None
         return f
 
-    def _lift(self) -> tuple[Mapping[Expo, int], int]:
-        """(integer numerators, common denominator) of the coefficients.
+    @classmethod
+    def _make(cls, num_vars: int, order: int, nums: dict, den: int, reliable: int) -> "MSeries":
+        """A ring result, put in canonical form: as ``_wrap``, but ``nums``
+        and ``den`` may share a factor, which is divided out here."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
+        return cls._wrap(num_vars, order, nums, den, reliable)
+
+    def _top_degree(self) -> int:
+        """The highest total degree of a stored term (the series is not zero).
 
         Computed on first use and cached, since the series never changes.
         """
-        if self._lifted is None:
-            coeffs = self.coeffs
-            if all(type(c) is int for c in coeffs.values()):
-                self._lifted = (coeffs, 1)
-            else:
-                den = lcm(*(c.denominator for c in coeffs.values()))
-                self._lifted = (
-                    {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()},
-                    den,
-                )
-        return self._lifted
+        if self._top is None:
+            self._top = max(map(sum, self.nums))
+        return self._top
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping[Expo, object]:
+        """The coefficients as values: ints where integral, Fractions otherwise."""
+        if self.den == 1:
+            return self.nums
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = {e: rat(n, den) for e, n in self.nums.items()}
+        return self._coeffs
+
     def coefficient(self, expo: Sequence[int]):
-        return self.coeffs.get(tuple(expo), 0)
+        n = self.nums.get(tuple(expo), 0)
+        return n if self.den == 1 else rat(n, self.den)
 
     def constant_term(self):
-        return self.coeffs.get(_zero_expo(self.num_vars), 0)
+        return self.coefficient(_zero_expo(self.num_vars))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def valuation(self) -> int | None:
         """Minimal total degree of a stored term, or None for the zero series."""
-        if not self.coeffs:
+        if not self.nums:
             return None
-        return min(sum(e) for e in self.coeffs)
+        return min(map(sum, self.nums))
 
     def terms(self) -> Iterator[tuple[Expo, object]]:
         """Terms sorted by total degree, then lexicographic exponents."""
-        for e in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            yield e, self.coeffs[e]
+        coeffs = self.coeffs
+        for e in sorted(coeffs, key=lambda e: (sum(e), e)):
+            yield e, coeffs[e]
 
     # -- structural helpers -------------------------------------------------
 
     def with_reliable(self, reliable: int) -> "MSeries":
-        return MSeries(self.num_vars, self.order, self.coeffs, reliable)
+        return MSeries._wrap(
+            self.num_vars,
+            self.order,
+            self.nums,
+            self.den,
+            max(0, min(reliable, self.order)),
+            self._top,
+        )
 
     def truncate(self, order: int) -> "MSeries":
-        return MSeries(self.num_vars, order, self._through(order), min(self.reliable, order))
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        return self._cut(order, order, min(self.reliable, order))
 
     def drop_above(self, degree: int) -> "MSeries":
         """The terms of total degree above ``degree`` left out, with
@@ -200,25 +242,36 @@ class MSeries:
         those terms cannot reach its result.  Returns self when nothing
         is dropped."""
         kept = self._through(degree)
-        if len(kept) == len(self.coeffs):
+        if len(kept) == len(self.nums):
             return self
-        return MSeries._wrap(self.num_vars, self.order, kept, self.reliable)
+        return MSeries._make(self.num_vars, self.order, kept, self.den, self.reliable)
 
-    def _through(self, degree: int) -> dict[Expo, object]:
-        """The terms of total degree at most ``degree``, as a new dict."""
-        return {e: c for e, c in self.coeffs.items() if sum(e) <= degree}
+    def _cut(self, degree: int, order: int, reliable: int) -> "MSeries":
+        """The terms of total degree at most ``degree``, at ``order`` and
+        ``reliable``; the numerator dict is shared when every term is kept."""
+        kept = self._through(degree)
+        if kept is self.nums:
+            return MSeries._wrap(self.num_vars, order, kept, self.den, reliable, self._top)
+        return MSeries._make(self.num_vars, order, kept, self.den, reliable)
+
+    def _through(self, degree: int) -> dict[Expo, int]:
+        """The numerators of total degree at most ``degree``: ``nums``
+        itself when the order is within ``degree``, else a new dict."""
+        if degree >= self.order:
+            return self.nums
+        return {e: n for e, n in self.nums.items() if sum(e) <= degree}
 
     def permute_vars(self, perm: Sequence[int]) -> "MSeries":
         """Rename variable j to perm[j]; perm must be a permutation."""
         if sorted(perm) != list(range(self.num_vars)):
             raise ValueError(f"not a permutation of the variables: {perm}")
-        out: dict[Expo, object] = {}
-        for e, c in self.coeffs.items():
+        out: dict[Expo, int] = {}
+        for e, n in self.nums.items():
             ne = [0] * self.num_vars
             for j, x in enumerate(e):
                 ne[perm[j]] = x
-            out[tuple(ne)] = c
-        return MSeries(self.num_vars, self.order, out, self.reliable)
+            out[tuple(ne)] = n
+        return MSeries._wrap(self.num_vars, self.order, out, self.den, self.reliable, self._top)
 
     def swap_vars(self) -> "MSeries":
         """Exchange the first two variables (the black/white color swap)."""
@@ -227,25 +280,26 @@ class MSeries:
 
     def collapse_vars(self) -> "MSeries":
         """Identify all variables with the first one (same arity is kept)."""
-        out: dict[Expo, object] = {}
+        out: dict[Expo, int] = {}
         tail = (0,) * (self.num_vars - 1)
-        for e, c in self.coeffs.items():
+        for e, n in self.nums.items():
             ne = (sum(e),) + tail
-            out[ne] = out.get(ne, 0) + c
-        return MSeries(self.num_vars, self.order, out, self.reliable)
+            out[ne] = out.get(ne, 0) + n
+        out = {e: n for e, n in out.items() if n}
+        return MSeries._make(self.num_vars, self.order, out, self.den, self.reliable)
 
     def evaluate(self, point: Sequence):
         """Evaluate the truncated polynomial at exact rational arguments."""
         if len(point) != self.num_vars:
             raise ValueError("wrong number of values")
         total = Rat(0)
-        for e, c in self.coeffs.items():
-            term = Rat(c)
+        for e, n in self.nums.items():
+            term = Rat(n)
             for p, k in zip(point, e):
                 if k:
                     term *= Rat(p) ** k
             total += term
-        return total
+        return total / self.den
 
     def substitute(self, values: Sequence["MSeries"]) -> "MSeries":
         """Plug series of positive valuation in for the variables.
@@ -266,7 +320,7 @@ class MSeries:
         one = MSeries(nv, order, {_zero_expo(nv): 1})
         powers: list[list[MSeries]] = []
         for j, v in enumerate(values):
-            top = max((e[j] for e in self.coeffs), default=0)
+            top = max((e[j] for e in self.nums), default=0)
             col = [one]
             for _ in range(top):
                 col.append(col[-1] * v)
@@ -288,57 +342,73 @@ class MSeries:
                 f"{self.num_vars}-variable series combined with {other.num_vars}-variable series"
             )
 
-    def __add__(self, other):
-        if is_rational(other):
+    def _add(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
+        if not isinstance(other, MSeries):
+            if not is_rational(other):
+                return NotImplemented
             other = constant(self.num_vars, self.order, other)
-        elif not isinstance(other, MSeries):
-            return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
         # both operands are cut to the lower order before the terms meet
-        out = dict(self.coeffs) if self.order == order else self._through(order)
-        terms = other.coeffs if other.order == order else other._through(order)
-        for e, c in terms.items():
-            s = out.get(e, 0) + c
+        a, b = self._through(order), other._through(order)
+        da, db = self.den, other.den
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+        out = dict(a) if fa == 1 else {e: n * fa for e, n in a.items()}
+        get = out.get
+        for e, n in b.items():
+            s = get(e, 0) + n * fb
             if s:
-                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
+                out[e] = s
             else:
-                out.pop(e, None)
-        return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
+                del out[e]
+        return MSeries._make(self.num_vars, order, out, den, min(self.reliable, other.reliable))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
         return MSeries._wrap(
-            self.num_vars, self.order, {e: -c for e, c in self.coeffs.items()}, self.reliable
+            self.num_vars,
+            self.order,
+            {e: -n for e, n in self.nums.items()},
+            self.den,
+            self.reliable,
+            self._top,
         )
 
     def __sub__(self, other):
-        if is_rational(other):
-            other = constant(self.num_vars, self.order, other)
-        elif not isinstance(other, MSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if is_rational(other):
-            if not other:
-                return MSeries._wrap(self.num_vars, self.order, {}, self.reliable)
-            return MSeries._wrap(
-                self.num_vars,
-                self.order,
-                {e: _exact(c * other) for e, c in self.coeffs.items()},
-                self.reliable,
-            )
         if not isinstance(other, MSeries):
-            return NotImplemented
+            if not is_rational(other):
+                return NotImplemented
+            if not other:
+                return MSeries._wrap(self.num_vars, self.order, {}, 1, self.reliable)
+            p = other.numerator
+            nums = self.nums if p == 1 else {e: n * p for e, n in self.nums.items()}
+            return MSeries._make(
+                self.num_vars, self.order, nums, self.den * other.denominator, self.reliable
+            )
         self._check_compatible(other)
         order = min(self.order, other.order)
-        (a, da), (b, db) = self._lift(), other._lift()
-        cells, place = _layout(self.num_vars, order)
+        reliable = min(self.reliable, other.reliable)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return MSeries._wrap(self.num_vars, order, {}, 1, reliable)
+        # no product term lies above the operands' top degrees added up
+        side = min(order, self._top_degree() + other._top_degree())
+        cells, place = _layout(self.num_vars, side)
         # Iterate the sparser operand outside; keep the other sorted by degree
         # so the inner loop can stop as soon as the truncation bound is hit.
         # Terms above the order have no place and drop out here.
@@ -348,16 +418,14 @@ class MSeries:
         b = sorted([(*at, c) for e, c in b.items() if (at := place.get(e))])
         acc = [0] * len(cells)
         for deg_a, ia, ca in a:
-            room = order - deg_a
+            room = side - deg_a
             for deg, ib, cb in b:
                 if deg > room:
                     break
                 acc[ia + ib] += ca * cb
         # compress and filter walk the nonzero cells in the same order
-        terms = zip(compress(cells, acc), filter(None, acc))
-        den = da * db
-        out = dict(terms) if den == 1 else {e: rat(n, den) for e, n in terms}
-        return MSeries._wrap(self.num_vars, order, out, min(self.reliable, other.reliable))
+        out = dict(zip(compress(cells, acc), filter(None, acc)))
+        return MSeries._make(self.num_vars, order, out, self.den * other.den, reliable)
 
     __rmul__ = __mul__
 
@@ -377,19 +445,23 @@ class MSeries:
 
     def __eq__(self, other):
         """Coefficient equality; order/reliable metadata is not compared."""
-        if is_rational(other):
-            other = constant(self.num_vars, self.order, other)
         if not isinstance(other, MSeries):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.coeffs == other.coeffs
+            if not is_rational(other):
+                return NotImplemented
+            other = constant(self.num_vars, self.order, other)
+        return (
+            self.num_vars == other.num_vars
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         names = _VAR_NAMES.get(self.num_vars) or tuple(
             f"x{j}" for j in range(self.num_vars)
@@ -465,16 +537,14 @@ def valuation_split(f: MSeries) -> Valuation:
     """Split f as monomial times unit, or raise if no such form exists."""
     if f.is_zero():
         raise NotAUnitError("zero series has no monomial-times-unit form")
-    support = list(f.coeffs)
+    support = list(f.nums)
     m = tuple(min(e[j] for e in support) for j in range(f.num_vars))
-    if m not in f.coeffs:
+    if m not in f.nums:
         raise NotAUnitError(
             "series is not a monomial times a unit (minimal support is not a single monomial)"
         )
-    shifted = {
-        tuple(x - y for x, y in zip(e, m)): c for e, c in f.coeffs.items()
-    }
-    return Valuation(m, MSeries(f.num_vars, f.order, shifted, f.reliable))
+    shifted = {tuple(x - y for x, y in zip(e, m)): n for e, n in f.nums.items()}
+    return Valuation(m, MSeries._wrap(f.num_vars, f.order, shifted, f.den, f.reliable))
 
 
 # -- the four nontrivial ring operations -------------------------------------
@@ -530,18 +600,20 @@ def exact_div(f: MSeries, g: MSeries) -> MSeries:
     vdeg = sum(mono)
     bound = min(f.reliable, g.reliable)
     vf = f.valuation()
-    out: dict[Expo, object] = {}
+    out: dict[Expo, int] = {}
+    den = 1
     if vf is not None and vf <= bound:
         # the inverse, extended to order bound, stops the product there
         q0 = f * _graded(inv_unit(_graded(unit, bound - vf)), bound)
-        for e, c in q0.coeffs.items():
+        den = q0.den
+        for e, n in q0.nums.items():
             if any(x < y for x, y in zip(e, mono)):
                 raise DivisibilityError(
                     f"coefficient at {e} (degree {sum(e)}) not divisible by monomial {mono}"
                 )
-            out[tuple(x - y for x, y in zip(e, mono))] = c
+            out[tuple(x - y for x, y in zip(e, mono))] = n
     order = min(f.order, g.order)
-    return MSeries(f.num_vars, order, out, bound - vdeg)
+    return MSeries._wrap(f.num_vars, order, out, den, max(0, min(bound - vdeg, order)))
 
 
 def sqrt_unit(f: MSeries) -> MSeries:
@@ -595,7 +667,7 @@ def _graded(state, degree: int):
     """The state (a series or nested tuples of them) at order and reliable
     ``degree``: cut to it, or extended to it with no new terms."""
     if isinstance(state, MSeries):
-        return MSeries(state.num_vars, degree, state.coeffs, degree)
+        return state._cut(degree, degree, degree)
     return type(state)(_graded(s, degree) for s in state)
 
 
@@ -639,13 +711,12 @@ def first_difference(
     f._check_compatible(g)
     if through is None:
         through = common_reliable(f, g)
-    keys = set(f.coeffs) | set(g.coeffs)
-    for e in sorted(keys, key=lambda e: (sum(e), e)):
+    (nf, df), (ng, dg) = (f.nums, f.den), (g.nums, g.den)
+    for e in sorted(nf.keys() | ng.keys(), key=lambda e: (sum(e), e)):
         if sum(e) > through:
             break
-        cf, cg = f.coeffs.get(e, 0), g.coeffs.get(e, 0)
-        if cf != cg:
-            return e, cf, cg
+        if nf.get(e, 0) * dg != ng.get(e, 0) * df:
+            return e, f.coefficient(e), g.coefficient(e)
     return None
 
 

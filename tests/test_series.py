@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicmaps.series as series_module
 from bicmaps.rational import rat
 from bicmaps.series import (
     DivisibilityError,
@@ -295,16 +297,22 @@ def rational_series(draw):
     return MSeries(2, order, draw(rational_terms), draw(st.integers(0, order)))
 
 
-def naive_product(f, g) -> dict:
-    """Reference convolution: every pair of terms, in Fraction, then cut."""
-    order = min(f.order, g.order)
+def model_product(a: dict, b: dict, order: int) -> dict:
+    """Reference convolution of two coefficient dicts: every pair of
+    terms, then cut to ``order``."""
     out = {}
-    for ea, ca in f.coeffs.items():
-        for eb, cb in g.coeffs.items():
+    for ea, ca in a.items():
+        for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             if sum(e) <= order:
-                out[e] = out.get(e, 0) + Fraction(ca) * Fraction(cb)
+                out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+def naive_product(f, g) -> dict:
+    """Reference convolution: every pair of terms, in Fraction, then cut."""
+    a, b = ({e: Fraction(c) for e, c in h.coeffs.items()} for h in (f, g))
+    return model_product(a, b, min(f.order, g.order))
 
 
 def assert_exact_types(f):
@@ -400,6 +408,169 @@ def test_cached_lift_stays_with_its_series(terms, h, extra):
     assert (g * h).coeffs == naive_product(g, h)
     assert (f * h).coeffs == before.coeffs == naive_product(f, h)
     assert (f.with_reliable(2) * h).coeffs == naive_product(f.with_reliable(2), h)
+
+
+# -- the stored form: integer numerators over one canonical denominator ---------
+
+
+def assert_canonical(f):
+    """Nonzero int numerators whose gcd with den is 1, and den 1 exactly
+    when every coefficient is integral."""
+    assert type(f.den) is int and f.den >= 1
+    assert all(type(n) is int and n for n in f.nums.values())
+    assert gcd(f.den, *f.nums.values()) == 1
+    assert (f.den == 1) == all(Fraction(c).denominator == 1 for c in f.coeffs.values())
+
+
+def model_cut(terms: dict, degree: int) -> dict:
+    return {e: c for e, c in terms.items() if sum(e) <= degree}
+
+
+def model_sum(a: dict, b: dict, sign: int, order: int) -> dict:
+    out = dict(model_cut(a, order))
+    for e, c in model_cut(b, order).items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def modelled_series(draw, num_vars):
+    """A series and its coefficients as a dict of Fractions, built apart."""
+    order = draw(st.integers(0, 5))
+    expos = st.tuples(*(st.integers(0, 4) for _ in range(num_vars)))
+    terms = draw(st.dictionaries(expos, rationals, max_size=6))
+    f = MSeries(num_vars, order, terms, draw(st.integers(0, order)))
+    return f, {e: Fraction(c) for e, c in terms.items() if sum(e) <= order and c}
+
+
+def assert_models(f, terms: dict, order: int, reliable: int):
+    assert f.coeffs == terms
+    assert (f.order, f.reliable) == (order, reliable)
+    assert_exact_types(f)
+    assert_canonical(f)
+
+
+negative_fractions = st.builds(Fraction, st.integers(-7, -1), st.sampled_from([2, 3, 4, 5]))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_operations_match_fraction_arithmetic(num_vars, data):
+    (f, a), (g, b) = data.draw(modelled_series(num_vars)), data.draw(modelled_series(num_vars))
+    k = data.draw(st.integers(-3, 3))
+    q = data.draw(negative_fractions)
+    cut = data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(-1, 7))
+    order, reliable = min(f.order, g.order), min(f.reliable, g.reliable)
+    assert_models(f, a, f.order, f.reliable)
+    assert_models(f + g, model_sum(a, b, 1, order), order, reliable)
+    assert_models(f - g, model_sum(a, b, -1, order), order, reliable)
+    assert_models(-f, {e: -c for e, c in a.items()}, f.order, f.reliable)
+    assert_models(f * k, {e: c * k for e, c in a.items() if k}, f.order, f.reliable)
+    assert_models(q * f, {e: c * q for e, c in a.items()}, f.order, f.reliable)
+    assert_models(f * g, model_product(a, b, order), order, reliable)
+    assert_models(f.truncate(cut), model_cut(a, cut), cut, min(f.reliable, cut))
+    assert_models(f.with_reliable(r), a, f.order, max(0, min(r, f.order)))
+    assert (f == g) == (a == b)
+    # full cancellation, by three routes
+    for zero in (f - f, f + (-f), f + f * -1):
+        assert_models(zero, {}, f.order, f.reliable)
+        assert zero == 0 and not zero and zero.den == 1
+    diff = first_difference(f, g, order)
+    keys = sorted(model_cut(a, order).keys() | model_cut(b, order).keys(), key=lambda e: (sum(e), e))
+    want = next(((e, a.get(e, 0), b.get(e, 0)) for e in keys if a.get(e, 0) != b.get(e, 0)), None)
+    assert diff == want
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_equal_values_built_by_different_routes_compare_equal(num_vars, data):
+    (f, a), (g, _), (h, _) = (data.draw(modelled_series(num_vars)) for _ in range(3))
+    half = Fraction(1, 2)
+    pairs = [
+        (f * half + f * half, f),
+        ((f * 3) * Fraction(1, 3), f),
+        ((f + g) - g, f.truncate(min(f.order, g.order))),
+        ((f + g) * h, f * h + g * h),
+        (f - g, -(g - f)),
+        (MSeries(num_vars, f.order, {e: Fraction(2 * c.numerator, 2 * c.denominator) for e, c in a.items()}), f),
+        (MSeries(num_vars, f.order, {e: int(c) if c.denominator == 1 else c for e, c in a.items()}), f),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert (x.nums, x.den) == (y.nums, y.den)
+        assert_canonical(x)
+
+
+@pytest.mark.parametrize("num_vars", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_structural_operations_on_fractional_series(num_vars, data):
+    f, a = data.draw(modelled_series(num_vars))
+    point = data.draw(st.lists(rationals, min_size=num_vars, max_size=num_vars))
+    swapped = {(e[1], e[0], *e[2:]): c for e, c in a.items()}
+    assert_models(f.swap_vars(), swapped, f.order, f.reliable)
+    collapsed = {}
+    for e, c in a.items():
+        ne = (sum(e),) + (0,) * (num_vars - 1)
+        collapsed[ne] = collapsed.get(ne, 0) + c
+    assert_models(f.collapse_vars(), {e: c for e, c in collapsed.items() if c}, f.order, f.reliable)
+    want = sum((c * Fraction(point[0]) ** e[0] * Fraction(point[1]) ** e[1]
+                * (Fraction(point[2]) ** e[2] if num_vars == 3 else 1)
+                for e, c in a.items()), Fraction(0))
+    assert f.evaluate(point) == want
+    for e, c in a.items():
+        assert f.coefficient(e) == c
+    assert f.constant_term() == a.get((0,) * num_vars, 0)
+    assert f.valuation() == min(map(sum, a), default=None)
+
+
+def test_fractional_ring_operations_build_no_rational(monkeypatch):
+    # sums and products of fractional series run on the numerators alone:
+    # with rat and Fraction arithmetic made to raise, the chain still runs
+    fa = {(0, 0): Fraction(1), (1, 0): Fraction(1, 3), (0, 1): Fraction(-2, 5)}
+    ga = {(0, 0): Fraction(2), (1, 1): Fraction(1, 7), (0, 1): Fraction(3, 2)}
+    f, g = MSeries(2, 7, fa), MSeries(2, 7, ga)
+    c, d = Fraction(-3, 4), Fraction(-3, 1)
+
+    def forbidden(*args):
+        raise AssertionError("a rational was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(series_module, "rat", forbidden)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__"):
+            m.setattr(Fraction, name, forbidden)
+        p = f
+        for _ in range(3):
+            p = (p * g - f) * c + p * p
+        got = p.truncate(5) - (-g).with_reliable(3) + (f * g) * d
+        assert got == got * 1 and got.den > 1
+
+    def scaled(a, k):
+        return {e: v * k for e, v in a.items()}
+
+    p = fa
+    for _ in range(3):
+        p = model_sum(scaled(model_sum(model_product(p, ga, 7), fa, -1, 7), c), model_product(p, p, 7), 1, 7)
+    want = model_sum(model_sum(model_cut(p, 5), scaled(ga, -1), -1, 5), scaled(model_product(fa, ga, 7), d), 1, 5)
+    assert_models(got, want, 5, 3)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_product_layout_is_sized_by_the_operands_top_degrees(monkeypatch, num_vars):
+    # a 10-term by 1-term shift at order 40 walks the cube of side 12 + 1,
+    # not 40 + 1: no product term lies above the top degrees added up
+    seen = []
+    real = series_module._layout
+    monkeypatch.setattr(series_module, "_layout", lambda *shape: seen.append(shape) or real(*shape))
+    poly = MSeries(num_vars, 40, {(k,) + (0,) * (num_vars - 1): k + 1 for k in range(1, 11)})
+    shift = MSeries(num_vars, 40, {(0,) * (num_vars - 1) + (2,): Fraction(1, 3)})
+    prod = poly * shift
+    assert seen == [(num_vars, 12)]
+    assert_models(prod, model_product(dict(poly.coeffs), dict(shift.coeffs), 40), 40, 40)
 
 
 # -- metamorphic: raising the order never changes a reliable coefficient --------

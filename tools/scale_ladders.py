@@ -1,8 +1,10 @@
 """Scaling curves of a series product, the ladder solvers, the dimer and the path checks over order.
 
 Times one series product ``B * W`` of the quadrangulation tails
-``tail_solve(quad, SeriesRing(2, order))`` (solved before the timing, so
-only the product is timed), ``ladder_solve`` (quadrangulations and
+``tail_solve(quad, SeriesRing(2, order))``, integral, and one product
+``beta1 * beta2`` of the hexangulation parameters ``hex_params`` that
+``closed_ladder`` multiplies, fractional (both solved before the timing,
+so only the product is timed), ``ladder_solve`` (quadrangulations and
 hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
 weights g = (1/5, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
@@ -39,6 +41,7 @@ RUNS = 3
 OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
 CASES = (
     [("series_mul", "quad tails", order) for order in (12, 18, 26)]
+    + [("series_mul", "hex beta1*beta2", order) for order in (10, 14, 18)]
     + [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
     + [("closed_ladder", "hex", order) for order in (10, 14, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
@@ -57,7 +60,7 @@ def _child(solver: str, family: str, order: int) -> dict:
     from operator import mul
     from time import perf_counter
 
-    from bicmaps.closedform import closed_ladder
+    from bicmaps.closedform import closed_ladder, hex_params
     from bicmaps.extensions import ternary_solve, tricolor_solve
     from bicmaps.hankel import determinant_ladder
     from bicmaps.rational import rat
@@ -65,8 +68,11 @@ def _child(solver: str, family: str, order: int) -> dict:
     from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
     from bicmaps.suites import suite_dimers, suite_paths
 
-    if solver == "series_mul":
+    if solver == "series_mul" and family == "quad tails":
         call = partial(mul, *tail_solve(FaceWeights.quadrangulations(), SeriesRing(2, order)))
+    elif solver == "series_mul":
+        params = hex_params(*tail_solve(FaceWeights.hexangulations(), SeriesRing(2, order)))
+        call = partial(mul, params.beta1, params.beta2)
     elif solver == "ladder_solve":
         g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
         call = partial(ladder_solve, g, SeriesRing(2, order))
