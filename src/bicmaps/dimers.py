@@ -10,8 +10,9 @@ rational points it meets exact closed forms in an auxiliary (c, x)
 parametrization.  The mutually avoiding path systems of the moment
 determinants are rigid outside p central columns, whose freedom projects
 onto hard dimers weighted by the p roots x of a_0 - a_1 x + a_2 x^2 - ...
-The same recursion walks a column modulo that polynomial, and the product
-over the roots is the determinant of multiplication, so no root is built.
+The same recursion walks one column modulo that polynomial, and each moment
+determinant is a prefactor times the p x p determinant of the components of
+p of the walk's states, so no root and no product over the roots is built.
 """
 
 from __future__ import annotations
@@ -174,56 +175,42 @@ class _Residue:
         shifted = [top * 0] + self.parts[:-1]
         return _Residue([a + top * r for a, r in zip(shifted, self.low)], self.low)
 
-    def norm(self) -> MSeries:
-        """The product over the roots: the determinant of multiplication by self."""
-        rows = [self]
-        while len(rows) < len(self.parts):
-            rows.append(rows[-1].times_x())
-        return det_division_free([r.parts for r in rows])
 
-
-def _column(i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> tuple:
-    """(BW)^(i(i+1)/2) a_p^(i+1) and phi_0 .. phi_(2i+2) from one walk, where
-    phi_L = x^ceil(L/2) Z_L(W/x, B/x), Z_L on the segment of L links that
-    starts black, and x is a root of sum_q (-1)^q a_q x^q.  N_L is the norm
-    of phi_L, its product over the roots."""
+def _column(links: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> list:
+    """phi_0 .. phi_links from one walk, where phi_L = x^ceil(L/2) Z_L(W/x, B/x),
+    Z_L on the segment of L links that starts black, and x is a root of
+    sum_q (-1)^q a_q x^q: each phi_L as its components modulo that polynomial."""
     p = len(alpha) - 1
     lead = inv_unit(alpha[p])
     low = [a * lead if (p - q) % 2 else -a * lead for q, a in enumerate(alpha[:p])]
     nv, order = b.num_vars, b.order
     unit = _Residue([one(nv, order)] + [zero(nv, order)] * (p - 1), low)
-    weights = [(w, b)[j % 2] for j in range(2 * i + 2)] + [0]
+    weights = [(w, b)[j % 2] for j in range(links)] + [0]
+    return list(_walk(weights, unit, _Residue.times_x))
+
+
+def lgv(
+    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
+) -> tuple[MSeries, MSeries]:
+    """Shift-0 and shift-1 Hankel determinants of index i for faces of degree
+    at most 2p + 2, p = len(alpha) - 1 >= 1; alpha holds the black-root
+    a_0 .. a_p of ``alpha_coeffs``.  Shift s is (BW)^(i(i+1)/2) a_p^(i+1)
+    W^(s(i+1)) U_s, where U_s is the p x p determinant whose row k holds the
+    components of phi_(2i+1+s+2k): det phi_(2i+1+s+2k)(x_j) over the
+    Vandermonde determinant of the roots x_j."""
+    p = len(alpha) - 1
+    if i < 0:
+        raise ValueError("determinant index must be non-negative")
+    if p < 1:
+        raise ValueError("alpha must hold a_0 .. a_p with p >= 1")
+    phi = _column(2 * i + 2 * p, b, w, alpha)
     pref = (b * w) ** (i * (i + 1) // 2) * alpha[p] ** (i + 1)
-    return pref, list(_walk(weights, unit, _Residue.times_x))
+    u0, u1 = (
+        det_division_free([phi[2 * i + 1 + s + 2 * k].parts for k in range(p)])
+        for s in (0, 1)
+    )
+    return pref * u0, w ** (i + 1) * pref * u1
 
 
-def lgv_quad(
-    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
-) -> tuple[MSeries, MSeries]:
-    """Shift-0 and shift-1 determinants of index i for quadrangulations: one
-    column, whose detours are hard dimers on 2i+1 and 2i+2 links.  alpha
-    holds the black-root a0, a1 of ``alpha_coeffs``."""
-    pref, phi = _column(i, b, w, alpha)
-    return pref * phi[2 * i + 1].norm(), w ** (i + 1) * pref * phi[2 * i + 2].norm()
-
-
-def lgv_hex(
-    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
-) -> tuple[MSeries, MSeries]:
-    """Hexangulation determinants of index i: two columns, whose term r is
-    (BW)^(i+1-r) N_L with L = 2r - 1 links for shift 0 (0 at r = 0) and
-    L = 2r for shift 1.  alpha holds the black-root a0, a1, a2."""
-    pref, phi = _column(i, b, w, alpha)
-    norms = [f.norm() for f in phi]
-    bw = b * w
-
-    def r_sum(terms: list[MSeries]) -> MSeries:
-        # the sum over r of (BW)^(i+1-r) terms[r], by Horner's rule
-        total = terms[0]
-        for term in terms[1:]:
-            total = total * bw + term
-        return total
-
-    h0 = pref * r_sum(norms[:1] + norms[1::2])
-    h1 = pref * w ** (i + 1) * r_sum(norms[::2])
-    return h0, h1
+# kept because perfbench/spans.py traces the dimer layer under these names
+lgv_quad = lgv_hex = lgv

@@ -519,9 +519,6 @@ class SeriesRing(NamedTuple):
     def one(self) -> MSeries:
         return one(self.num_vars, self.order)
 
-    def const(self, value) -> MSeries:
-        return constant(self.num_vars, self.order, value)
-
     def gens(self) -> tuple[MSeries, ...]:
         return tuple(variable(self.num_vars, self.order, j) for j in range(self.num_vars))
 

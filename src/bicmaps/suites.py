@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .closedform import closed_ladder, hex_params, quad_params
-from .dimers import SegmentSpec, lgv_hex, lgv_quad, segment_ends, zhd, zhd_brute, zhd_closed_check
+from .dimers import SegmentSpec, lgv, segment_ends, zhd, zhd_brute, zhd_closed_check
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -348,10 +348,9 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
         b, w = tail_solve(g, ring)
         alpha = alpha_coeffs(g, b, w)
         fb = f_sequence(2 * top + 2, g, b, w)
-        reconstruct = lgv_quad if label == "quad" else lgv_hex
         pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
-            h0, h1 = reconstruct(i, b, w, alpha)
+            h0, h1 = lgv(i, b, w, alpha)
             pairs += [(h0, hankel_det(fb, 0, i)), (h1, hankel_det(fb, 1, i))]
         bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
         s.pairs_agree(

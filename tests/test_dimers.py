@@ -11,6 +11,7 @@ from bicmaps import dimers
 from bicmaps.dimers import (
     SegmentSpec,
     dimer_weights_from_cx,
+    lgv,
     lgv_hex,
     lgv_quad,
     segment_ends,
@@ -20,7 +21,7 @@ from bicmaps.dimers import (
     zhd_closed_check,
     zhd_closed_value,
 )
-from bicmaps.hankel import hankel_det
+from bicmaps.hankel import det_division_free, hankel_det
 from bicmaps.rational import Rat, rat
 from bicmaps.series import (
     MSeries,
@@ -319,8 +320,15 @@ def test_lgv_hex_r_zero_convention(hex_moments):
 
 
 def column_norms(b, w, alpha, links):
-    """N_0 .. N_links from the walk of index i = links/2 - 1."""
-    return [phi.norm() for phi in dimers._column(links // 2 - 1, b, w, alpha)[1]]
+    """N_0 .. N_links: the product of phi_L over the roots, as the determinant
+    of multiplication by phi_L on the walk's residues."""
+    norms = []
+    for phi in dimers._column(links, b, w, alpha):
+        rows = [phi]
+        while len(rows) < len(phi.parts):
+            rows.append(rows[-1].times_x())
+        norms.append(det_division_free([r.parts for r in rows]))
+    return norms
 
 
 def segment_at_root(links: int, x, b, w) -> MSeries:
@@ -384,3 +392,42 @@ def test_reconstructions_build_no_segment_polynomial(monkeypatch, quad_moments, 
     b, w, alpha, _ = hex_moments
     for i in range(3):
         lgv_hex(i, b, w, alpha)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [(0, 0, 0, 1), (rat(1, 5), 0, 0, 1), (0, 1, 1), (0, 0, 0, 0, 1)],
+    ids=["oct", "oct-g1", "irrational-roots", "deg10"],
+)
+def test_lgv_matches_determinants_for_every_p(g):
+    # (0, 1, 1): a0 - a1 x + a2 x^2 = 1 + x - x^2 at t = 0, roots (1 +- sqrt 5)/2
+    g = FaceWeights(tuple(rat(c) for c in g))
+    order = 10
+    b, w = tail_solve(g, SeriesRing(2, order))
+    alpha = alpha_coeffs(g, b, w)
+    fb = f_sequence(5, g, b, w)
+    for i in range(3):
+        for s, got in enumerate(lgv(i, b, w, alpha)):
+            want = hankel_det(fb, s, i)
+            assert agree(got, want), (i, s, first_difference(got, want))
+            assert got.reliable == want.reliable, (i, s)
+            low = i * (i + 1) + s * (i + 1)
+            if low <= got.reliable:
+                assert got.valuation() == low, (i, s)
+
+
+@pytest.mark.parametrize("i", [-1, -2])
+def test_lgv_rejects_negative_index(i, quad_moments):
+    b, w, alpha, _ = quad_moments
+    with pytest.raises(ValueError, match="non-negative"):
+        lgv(i, b, w, alpha)
+
+
+def test_lgv_rejects_p_zero():
+    # g = (1/2,): only bigons, so alpha is (a_0,) and there is no column
+    g = FaceWeights((rat(1, 2),))
+    b, w = tail_solve(g, SeriesRing(2, 4))
+    alpha = alpha_coeffs(g, b, w)
+    assert len(alpha) == 1
+    with pytest.raises(ValueError, match="p >= 1"):
+        lgv(0, b, w, alpha)

@@ -15,16 +15,18 @@ points, partly through the brute-force path oracle, and the path DPs
 against each other) at several orders, and counts the series products
 each call makes, for one or more source trees of bicmaps.
 Each (tree, case) pair runs in a fresh interpreter that imports bicmaps
-from that tree's ``src`` directory; the trees alternate case by case so
-drift of the host hits them alike.
+from that tree's ``src`` directory, ROUNDS times: the rounds interleave the
+trees, and the tree that runs first rotates from case to case, so drift of
+the host hits them alike.
 
     python tools/scale_ladders.py --tree parent=/path/to/old/src --tree change=src
 
-times each case RUNS times per tree and writes ``BENCH_ladders.json`` at the
-root of this checkout.  Each curve point reports the least of its RUNS
-timings as ``best_s`` (all of them under ``seconds``): noise on the host
-only ever adds time, and for calls under a few tenths of a second it
-swamps a median of three.  Uses the standard library only.
+times each case RUNS times in each of its ROUNDS interpreters per tree and
+writes ``BENCH_ladders.json`` at the root of this checkout.  Each curve point
+reports the least of its ROUNDS x RUNS timings as ``best_s`` (all of them
+under ``seconds``): noise on the host only ever adds time, and for calls
+under a few tenths of a second it swamps a median of three.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import sys
 from pathlib import Path
 
 RUNS = 3
+ROUNDS = 3
 OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
 CASES = (
     [("series_mul", "quad tails", order) for order in (12, 18, 26)]
@@ -132,22 +135,29 @@ def main(argv=None) -> int:
     if not trees or any(len(t) != 2 for t in trees):
         parser.error("give at least one --tree NAME=SRC")
     curves = []
-    for case in CASES:
-        for name, src in trees:
-            result = _measure(src, case)
-            solver, family, order = case
+    for n, case in enumerate(CASES):
+        solver, family, order = case
+        first = n % len(trees)
+        rotated = trees[first:] + trees[:first]
+        results = {name: [] for name, _ in trees}
+        for _ in range(ROUNDS):
+            for name, src in rotated:
+                results[name].append(_measure(src, case))
+        for name, _ in trees:
+            runs = results[name]
+            seconds = [s for result in runs for s in result["seconds"]]
             curves.append({
                 "tree": name,
                 "solver": solver,
                 "family": family,
                 "order": order,
-                "best_s": round(min(result["seconds"]), 6),
-                "seconds": [round(s, 6) for s in result["seconds"]],
-                "products": result["products"],
-                "series_products": result["series_products"],
+                "best_s": round(min(seconds), 6),
+                "seconds": [round(s, 6) for s in seconds],
+                "products": runs[0]["products"],
+                "series_products": runs[0]["series_products"],
             })
             print(f"{name:>10} {solver} {family} order {order}: "
-                  f"{curves[-1]['best_s']:.4f} s, {result['products']} products", file=sys.stderr)
+                  f"{curves[-1]['best_s']:.4f} s, {runs[0]['products']} products", file=sys.stderr)
     doc = {
         "environment": {
             "python": platform.python_version(),
@@ -155,6 +165,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "runs": RUNS,
+        "rounds": ROUNDS,
         "trees": [name for name, _ in trees],
         "curves": curves,
     }
