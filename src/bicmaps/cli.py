@@ -177,11 +177,12 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
     elif config.command == "hankel":
         g = _face_weights(config, parser)
         fam = boundary_hankel_family(g, SeriesRing(2, config.order), config.i_max)
+        h0_tilde, h1_tilde = fam.h0_tilde, fam.h1_tilde
         for i in range(config.i_max + 1):
             records.append(series_record(f"h0_{i}", fam.h0[i]))
             records.append(series_record(f"h1_{i}", fam.h1[i]))
-            records.append(series_record(f"h0_tilde_{i}", fam.h0_tilde[i]))
-            records.append(series_record(f"h1_tilde_{i}", fam.h1_tilde[i]))
+            records.append(series_record(f"h0_tilde_{i}", h0_tilde[i]))
+            records.append(series_record(f"h1_tilde_{i}", h1_tilde[i]))
         meta.update(family=config.family, i_max=config.i_max, variables=_variables(2, config.family))
 
     elif config.command == "dimers":

@@ -13,6 +13,19 @@ degrees that can still reach the determinant, by the entry valuations.
 F_n has valuation n, so the Hankel determinant of index i has valuation
 at least i(i+1): past the order it is zero and costs no product, and
 below it the minors are cut short, the result exact through the order.
+
+Only the black moments are walked.  The face weights do not depend on
+color, so exchanging the two colors together with their vertex weights
+maps the whole problem onto itself: the white moments, the tilde
+determinants built from them, and every white ladder entry are the color
+swaps (``MSeries.swap_vars``) of their black counterparts.  This is exact,
+not a limit: the swap is a ring automorphism that preserves total degree,
+so it commutes with truncation, ``exact_div``, the valuation pruning of
+``det_division_free`` and the degree cut of the moment walk, and carries
+``order`` and ``reliable`` over unchanged.  The recursion route still
+solves both colors in its stability sweep, so agreement with it (the
+``verify`` suites and the tests), and a test that walks the white
+moments on their own, keep checking the symmetry.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .paths import WeightLadder
+from .paths import WeightLadder, color_swap
 from .series import MSeries, SeriesRing, exact_div, one, zero
 from .slices import FaceWeights, f_sequence, tail_solve
 
@@ -150,37 +163,46 @@ def hankel_det(moments: list[MSeries], shift: int, i: int) -> MSeries:
 
 @dataclass(frozen=True)
 class HankelFamily:
-    """The four determinant sequences, indices 0..i_max (index -1 is 1)."""
+    """The determinant sequences of the black moments, indices 0..i_max
+    (index -1 is 1); the tilde sequences, of the white moments, are their
+    color swaps."""
 
     h0: tuple[MSeries, ...]
     h1: tuple[MSeries, ...]
-    h0_tilde: tuple[MSeries, ...]
-    h1_tilde: tuple[MSeries, ...]
+
+    @property
+    def h0_tilde(self) -> tuple[MSeries, ...]:
+        return tuple(d.swap_vars() for d in self.h0)
+
+    @property
+    def h1_tilde(self) -> tuple[MSeries, ...]:
+        return tuple(d.swap_vars() for d in self.h1)
 
     @property
     def i_max(self) -> int:
         return len(self.h0) - 1
 
 
-def hankel_family(
-    moments_black: list[MSeries], moments_white: list[MSeries], i_max: int
-) -> HankelFamily:
-    """All four determinant sequences from the two moment sequences."""
+def hankel_family(moments: list[MSeries], i_max: int) -> HankelFamily:
+    """The determinant sequences 0..i_max of the black moment sequence."""
     return HankelFamily(
-        tuple(hankel_det(moments_black, 0, i) for i in range(i_max + 1)),
-        tuple(hankel_det(moments_black, 1, i) for i in range(i_max + 1)),
-        tuple(hankel_det(moments_white, 0, i) for i in range(i_max + 1)),
-        tuple(hankel_det(moments_white, 1, i) for i in range(i_max + 1)),
+        tuple(hankel_det(moments, 0, i) for i in range(i_max + 1)),
+        tuple(hankel_det(moments, 1, i) for i in range(i_max + 1)),
     )
 
 
 def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, i_max: int) -> HankelFamily:
-    """Determinant sequences 0..i_max of the black and white moments F_n of g."""
+    """Determinant sequences 0..i_max of the moments F_n of g.
+
+    Only the black moments are walked.  The white moments, and so the tilde
+    determinants ``h0_tilde`` and ``h1_tilde``, are their color swaps: the
+    swap is a degree-preserving ring automorphism, so it commutes with the
+    walk's degree cut and with ``det_division_free``, ``reliable``
+    included.  A test walks the white moments on their own and compares
+    them and their determinants with these swaps field by field.
+    """
     b, w = tail_solve(g, ring)
-    n_top = 2 * i_max + 1
-    fb = f_sequence(n_top, g, b, w, "black")
-    fw = f_sequence(n_top, g, b, w, "white")
-    return hankel_family(fb, fw, i_max)
+    return hankel_family(f_sequence(2 * i_max + 1, g, b, w, "black"), i_max)
 
 
 def _ratio(seq: tuple[MSeries, ...], i: int, unit: MSeries) -> MSeries | None:
@@ -205,6 +227,14 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     determinants involved.  Entries whose information content is wiped out
     by truncation come back as zero series with reliable order 0 and
     compare vacuously downstream; raise the working order to recover them.
+
+    Only the black entries are formed, from the plain ratios and the tilde
+    ratios, which are the color swaps of the plain ones; each white entry
+    W_i is B_i.swap_vars().  This is exact because the swap commutes with
+    ``exact_div`` and keeps ``reliable``.  The comparison of the white
+    entries with the recursion route, which solves both colors, in the
+    ``verify`` suites and the tests guards it, beside a test that walks
+    the white moments on their own.
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
@@ -220,22 +250,24 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     def ratios(seq: tuple[MSeries, ...], top: int) -> list[MSeries | None]:
         return [_ratio(seq, i, unit) for i in range(top + 1)]
 
-    # each ratio serves two entries, one of each color
-    even, odd = i_max // 2, (i_max - 1) // 2
-    r0, r1 = ratios(h.h0, even), ratios(h.h1, odd)
-    t0, t1 = ratios(h.h0_tilde, even), ratios(h.h1_tilde, odd)
+    def swapped(rs: list[MSeries | None]) -> list[MSeries | None]:
+        return [None if r is None else r.swap_vars() for r in rs]
+
+    # each plain ratio serves two black entries, once itself, once swapped
+    r0, r1 = ratios(h.h0, i_max // 2), ratios(h.h1, (i_max - 1) // 2)
+    t0, t1 = swapped(r0), swapped(r1)
     blacks: list[MSeries] = []
     whites: list[MSeries] = []
     for idx in range(1, i_max + 1):
         i, parity = divmod(idx, 2)
         if parity == 0:
-            # even index: plain family for black, tilde for white
-            blacks.append(entry(r0[i], r1[i - 1]))
-            whites.append(entry(t0[i], t1[i - 1]))
+            black = entry(r0[i], r1[i - 1])
         else:
-            # odd index 2i+1: shift-1 over shift-0 ratios
-            blacks.append(entry(t1[i], t0[i]))
-            whites.append(entry(r1[i], r0[i]))
+            # odd index 2i+1: shift-1 over shift-0 tilde ratios
+            black = entry(t1[i], t0[i])
+        black, white = color_swap(black)
+        blacks.append(black)
+        whites.append(white)
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])
 
 

@@ -249,14 +249,13 @@ def suite_hankel(order: int, seed: int) -> list[CheckResult]:
         ladder = ladder_solve(g, ring)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(7, g, b, w, color="black")
-        fw = f_sequence(7, g, b, w, color="white")
         s.ok(
             f"hankel/{label}/det-vs-leibniz-series",
             all(hankel_det(fb, 0, i) == det_leibniz(
                 [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
             ) for i in (1, 2)),
         )
-        extracted = cf_extract(hankel_family(fb, fw, 3), 6)
+        extracted = cf_extract(hankel_family(fb, 3), 6)
         s.pairs_agree(
             f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6), order
         )

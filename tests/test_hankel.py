@@ -40,18 +40,14 @@ RING = SeriesRing(2, N)
 def quad_data():
     b, w = tail_solve(QUAD, RING)
     ladder = ladder_solve(QUAD, RING)
-    fb = f_sequence(7, QUAD, b, w, color="black")
-    fw = f_sequence(7, QUAD, b, w, color="white")
-    return ladder, fb, fw
+    return ladder, f_sequence(7, QUAD, b, w, color="black")
 
 
 @pytest.fixture(scope="module")
 def hex_data():
     b, w = tail_solve(HEX, RING)
     ladder = ladder_solve(HEX, RING)
-    fb = f_sequence(7, HEX, b, w, color="black")
-    fw = f_sequence(7, HEX, b, w, color="white")
-    return ladder, fb, fw
+    return ladder, f_sequence(7, HEX, b, w, color="black")
 
 
 def test_det_matches_leibniz_on_random_integers():
@@ -63,14 +59,15 @@ def test_det_matches_leibniz_on_random_integers():
 
 
 def test_det_matches_leibniz_on_series(quad_data):
-    _, fb, _ = quad_data
+    _, fb = quad_data
     for i in (1, 2, 3):
         rows = [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
         assert det_division_free(rows) == det_leibniz(rows)
 
 
 def _fields(f: MSeries) -> tuple:
-    return f.coeffs, f.order, f.reliable
+    """Everything a series stores and a document prints, ``reliable`` included."""
+    return f.nums, f.den, f.order, f.reliable
 
 
 @pytest.fixture(scope="module")
@@ -159,27 +156,27 @@ def test_row_bound_skips_a_large_determinant(series_products):
 
 
 def test_hankel_det_base_cases(quad_data):
-    ladder, fb, _ = quad_data
+    ladder, fb = quad_data
     assert agree(hankel_det(fb, 0, 0), one(2, N))  # F_0 = 1
     assert agree(hankel_det(fb, 1, 0), ladder.white_weight(1))  # F_1 = W_1
 
 
 def test_hankel_det_requires_enough_moments(quad_data):
-    _, fb, _ = quad_data
+    _, fb = quad_data
     with pytest.raises(ValueError):
         hankel_det(fb[:3], 1, 1)
 
 
 def test_cf_extract_first_entry_is_f1(quad_data):
-    _, fb, fw = quad_data
-    fam = hankel_family(fb, fw, 1)
+    _, fb = quad_data
+    fam = hankel_family(fb, 1)
     extracted = cf_extract(fam, 1)
     assert agree(extracted.white_weight(1), fb[1])
 
 
 def test_cf_extract_matches_ladder_quad(quad_data):
-    ladder, fb, fw = quad_data
-    fam = hankel_family(fb, fw, 3)
+    ladder, fb = quad_data
+    fam = hankel_family(fb, 3)
     extracted = cf_extract(fam, 6)
     for i in range(1, 7):
         for side in ("black_weight", "white_weight"):
@@ -192,8 +189,8 @@ def test_cf_extract_matches_ladder_quad(quad_data):
 
 
 def test_cf_extract_matches_ladder_hex(hex_data):
-    ladder, fb, fw = hex_data
-    fam = hankel_family(fb, fw, 3)
+    ladder, fb = hex_data
+    fam = hankel_family(fb, 3)
     extracted = cf_extract(fam, 6)
     for i in range(1, 7):
         assert agree(extracted.black_weight(i), ladder.black_weight(i)), i
@@ -204,15 +201,15 @@ def test_cf_extract_vacuous_entries_convention(quad_data):
     # beyond the truncation-feasible depth (the index-3 determinants have
     # valuation 12 > 8 here, so the ratios are uninformative), entries come
     # back as zero series with reliable order 0 instead of erroring
-    _, fb, fw = quad_data
-    extracted = cf_extract(hankel_family(fb, fw, 3), 7)
+    _, fb = quad_data
+    extracted = cf_extract(hankel_family(fb, 3), 7)
     assert extracted.black_weight(7).is_zero()
     assert extracted.black_weight(7).reliable == 0
     assert extracted.white_weight(7).is_zero()
 
 
 def test_cf_expand_low_coefficients(quad_data):
-    ladder, fb, _ = quad_data
+    ladder, fb = quad_data
     F = cf_expand(ladder, depth=8, n_max=4)
     assert agree(F[0], one(2, N))
     assert agree(F[1], ladder.white_weight(1))  # order-z coefficient
@@ -221,7 +218,7 @@ def test_cf_expand_low_coefficients(quad_data):
 
 
 def test_cf_expand_depth_stability(quad_data):
-    ladder, _, _ = quad_data
+    ladder, _ = quad_data
     shallow = cf_expand(ladder, depth=5, n_max=4)
     deep = cf_expand(ladder, depth=11, n_max=4)
     for a, b in zip(shallow, deep):
@@ -229,10 +226,8 @@ def test_cf_expand_depth_stability(quad_data):
 
 
 def test_cf_round_trip(quad_data):
-    ladder, _, _ = quad_data
-    fb = cf_expand(ladder, depth=9, n_max=7)
-    fw = cf_expand(ladder.swapped(), depth=9, n_max=7)
-    fam = hankel_family(fb, fw, 3)
+    ladder, _ = quad_data
+    fam = hankel_family(cf_expand(ladder, depth=9, n_max=7), 3)
     back = cf_extract(fam, 6)
     for i in range(1, 7):
         assert agree(back.black_weight(i), ladder.black_weight(i)), i
@@ -254,10 +249,54 @@ def test_hankel_positivity_at_small_specialization():
             assert det_division_free(rows) > 0, (shift, i)
 
 
+def _ladder_fields(ladder) -> list:
+    entries = ladder.black + ladder.white + (ladder.tail_black, ladder.tail_white)
+    return [_fields(e) for e in entries]
+
+
 def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
-    _, fb, fw = quad_data
-    assert boundary_hankel_family(QUAD, RING, 3) == hankel_family(fb, fw, 3)
-    assert determinant_ladder(QUAD, RING, 6) == cf_extract(hankel_family(fb, fw, 3), 6)
+    _, fb = quad_data
+    fam = boundary_hankel_family(QUAD, RING, 3)
+    want = hankel_family(fb, 3)
+    for got_seq, want_seq in ((fam.h0, want.h0), (fam.h1, want.h1)):
+        assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
+    got = determinant_ladder(QUAD, RING, 6)
+    assert _ladder_fields(got) == _ladder_fields(cf_extract(want, 6))
+
+
+SYMMETRY_G = [
+    (0, 1), (0, 0, 1), (rat(1, 5), 1), (0, rat(1, 3), 2), (0, 0, 0, 1), (rat(1, 5), 0, 0, 1),
+    (0, 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "weights", SYMMETRY_G, ids=lambda ws: "g=" + ",".join(str(rat(x)) for x in ws)
+)
+def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
+    # the determinant route walks the black moments only and takes every
+    # white quantity from the color swap; here the white moments are walked
+    # on their own and each white quantity is checked field by field
+    g = FaceWeights(tuple(rat(x) for x in weights))
+    ring = SeriesRing(2, 10)
+    b, w = tail_solve(g, ring)
+    fb = f_sequence(11, g, b, w, "black")
+    fw = f_sequence(11, g, b, w, "white")
+    assert [_fields(f) for f in fw] == [_fields(f.swap_vars()) for f in fb]
+    fam = boundary_hankel_family(g, ring, 5)
+    for shift, tilde in ((0, fam.h0_tilde), (1, fam.h1_tilde)):
+        walked = [hankel_det(fw, shift, i) for i in range(6)]
+        assert [_fields(d) for d in tilde] == [_fields(d) for d in walked], shift
+    ladder = determinant_ladder(g, ring, 10)
+    for i in range(1, 11):
+        black, white = ladder.black_weight(i), ladder.white_weight(i)
+        assert _fields(white) == _fields(black.swap_vars()), i
+
+
+def test_determinant_ladder_product_count(series_products):
+    # one color of moments, determinants and ratios: 406 products with both
+    determinant_ladder(FaceWeights((rat(1, 5), rat(1))), SeriesRing(2, 10), 10)
+    assert series_products[0] <= 216
 
 
 @settings(max_examples=8, deadline=None)

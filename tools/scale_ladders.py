@@ -7,7 +7,7 @@ Times one series product ``B * W`` of the quadrangulation tails
 so only the product is timed), ``ladder_solve`` (quadrangulations and
 hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
-weights g = (1/5, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
+weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
 transfer against brute force, closed forms at five rational points, and
 the segment reconstruction of the quad and hex determinants) and
 ``suites.suite_paths`` (seed 1: the reflection identities at five rational
@@ -23,9 +23,12 @@ the host hits them alike.
 
 times each case RUNS times in each of its ROUNDS interpreters per tree and
 writes ``BENCH_ladders.json`` at the root of this checkout.  Each curve point
-reports the least of its ROUNDS x RUNS timings as ``best_s`` (all of them
-under ``seconds``): noise on the host only ever adds time, and for calls
-under a few tenths of a second it swamps a median of three.  Uses the
+reports the least of its ROUNDS x RUNS timings as ``best_s`` and the median
+over the rounds of each round's least timing as ``median_min_s`` (all of
+them under ``seconds``, round by round): noise on the host only ever adds
+time, and for calls under a few tenths of a second it swamps a median of
+three, but the least of all timings can also be one rare fast sample,
+which the median of the per-round minima does not hinge on.  Uses the
 standard library only.
 """
 
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +54,7 @@ CASES = (
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
     + [("determinant_ladder", "g1=1/5", order) for order in (8, 10, 12, 14)]
+    + [("determinant_ladder", "g=0,0,0,1", order) for order in (10, 14)]
     + [("suite_dimers", "seed=1", order) for order in (5, 7, 9)]
     + [("suite_paths", "seed=1", order) for order in (5, 7, 9)]
 )
@@ -85,7 +90,8 @@ def _child(solver: str, family: str, order: int) -> dict:
     elif solver == "ternary_solve":
         call = partial(ternary_solve, SeriesRing(2, order))
     elif solver == "determinant_ladder":
-        g = FaceWeights((rat(1, 5), rat(1)))
+        weights = (rat(1, 5), 1) if family == "g1=1/5" else (0, 0, 0, 1)
+        g = FaceWeights(tuple(rat(x) for x in weights))
         call = partial(determinant_ladder, g, SeriesRing(2, order), DETERMINANT_I_MAX)
     elif solver == "suite_dimers":
         call = partial(suite_dimers, order, 1)
@@ -146,18 +152,20 @@ def main(argv=None) -> int:
         for name, _ in trees:
             runs = results[name]
             seconds = [s for result in runs for s in result["seconds"]]
+            median_min = statistics.median(min(result["seconds"]) for result in runs)
             curves.append({
                 "tree": name,
                 "solver": solver,
                 "family": family,
                 "order": order,
                 "best_s": round(min(seconds), 6),
+                "median_min_s": round(median_min, 6),
                 "seconds": [round(s, 6) for s in seconds],
                 "products": runs[0]["products"],
                 "series_products": runs[0]["series_products"],
             })
-            print(f"{name:>10} {solver} {family} order {order}: "
-                  f"{curves[-1]['best_s']:.4f} s, {runs[0]['products']} products", file=sys.stderr)
+            print(f"{name:>10} {solver} {family} order {order}: {min(seconds):.4f} s best, "
+                  f"{median_min:.4f} s median min, {runs[0]['products']} products", file=sys.stderr)
     doc = {
         "environment": {
             "python": platform.python_version(),
