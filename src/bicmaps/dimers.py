@@ -10,16 +10,17 @@ rational points it meets exact closed forms in an auxiliary (c, x)
 parametrization.  The mutually avoiding path systems of the moment
 determinants are rigid outside p central columns, whose freedom projects
 onto hard dimers weighted by the p roots x of a_0 - a_1 x + a_2 x^2 - ...
-The same recursion walks one column modulo that polynomial, and each moment
-determinant is a prefactor times the p x p determinant of the components of
-p of the walk's states, so no root and no product over the roots is built.
+The same recursion walks one column modulo that polynomial, once for the
+whole family of indices 0..top, and each moment determinant is a prefactor
+times the p x p determinant of the components of p of the walk's states, so
+no root and no product over the roots is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hankel import det_division_free
+from .hankel import HankelFamily, det_division_free
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
 
@@ -189,27 +190,31 @@ def _column(links: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> l
     return list(_walk(weights, unit, _Residue.times_x))
 
 
-def lgv(
-    i: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]
-) -> tuple[MSeries, MSeries]:
-    """Shift-0 and shift-1 Hankel determinants of index i for faces of degree
-    at most 2p + 2, p = len(alpha) - 1 >= 1; alpha holds the black-root
-    a_0 .. a_p of ``alpha_coeffs``.  Shift s is (BW)^(i(i+1)/2) a_p^(i+1)
-    W^(s(i+1)) U_s, where U_s is the p x p determinant whose row k holds the
-    components of phi_(2i+1+s+2k): det phi_(2i+1+s+2k)(x_j) over the
-    Vandermonde determinant of the roots x_j."""
+def lgv(top: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> HankelFamily:
+    """Shift-0 and shift-1 Hankel determinants of indices 0..top for faces of
+    degree at most 2p + 2, p = len(alpha) - 1 >= 1, from one walk of the
+    column; alpha holds the black-root a_0 .. a_p of ``alpha_coeffs``.  Shift
+    s of index i is (BW)^(i(i+1)/2) a_p^(i+1) W^(s(i+1)) U_s, where U_s is the
+    p x p determinant whose row k holds the components of phi_(2i+1+s+2k):
+    det phi_(2i+1+s+2k)(x_j) over the Vandermonde determinant of the roots
+    x_j.  A state of the walk does not depend on the links after it, so every
+    index reads the phi a walk of its own would give."""
     p = len(alpha) - 1
-    if i < 0:
+    if top < 0:
         raise ValueError("determinant index must be non-negative")
     if p < 1:
         raise ValueError("alpha must hold a_0 .. a_p with p >= 1")
-    phi = _column(2 * i + 2 * p, b, w, alpha)
-    pref = (b * w) ** (i * (i + 1) // 2) * alpha[p] ** (i + 1)
-    u0, u1 = (
-        det_division_free([phi[2 * i + 1 + s + 2 * k].parts for k in range(p)])
-        for s in (0, 1)
-    )
-    return pref * u0, w ** (i + 1) * pref * u1
+    phi = _column(2 * top + 2 * p, b, w, alpha)
+    h0, h1, pref, step = [], [], 1, alpha[p]
+    for i in range(top + 1):
+        pref, step = pref * step, step * b * w  # (BW)^(i(i+1)/2) a_p^(i+1), (BW)^(i+1) a_p
+        u0, u1 = (
+            det_division_free([phi[2 * i + 1 + s + 2 * k].parts for k in range(p)])
+            for s in (0, 1)
+        )
+        h0.append(pref * u0)
+        h1.append(w ** (i + 1) * pref * u1)
+    return HankelFamily(tuple(h0), tuple(h1))
 
 
 # kept because perfbench/spans.py traces the dimer layer under these names

@@ -164,8 +164,9 @@ def hankel_det(moments: list[MSeries], shift: int, i: int) -> MSeries:
 @dataclass(frozen=True)
 class HankelFamily:
     """The determinant sequences of the black moments, indices 0..i_max
-    (index -1 is 1); the tilde sequences, of the white moments, are their
-    color swaps."""
+    (index -1 is 1), from the moments (``hankel_family``) or from the dimer
+    column walk (``dimers.lgv``); the tilde sequences, of the white moments,
+    are their color swaps."""
 
     h0: tuple[MSeries, ...]
     h1: tuple[MSeries, ...]
@@ -177,10 +178,6 @@ class HankelFamily:
     @property
     def h1_tilde(self) -> tuple[MSeries, ...]:
         return tuple(d.swap_vars() for d in self.h1)
-
-    @property
-    def i_max(self) -> int:
-        return len(self.h0) - 1
 
 
 def hankel_family(moments: list[MSeries], i_max: int) -> HankelFamily:

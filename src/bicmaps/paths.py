@@ -158,12 +158,6 @@ class WeightLadder:
             return self.black_weight(h)
         return self.white_weight(h)
 
-    def swapped(self) -> "WeightLadder":
-        """Exchange the two colors (black entries become white and vice versa)."""
-        return WeightLadder(
-            self.white, self.black, self.tail_white, self.tail_black, self.constant
-        )
-
 
 def ladder_pairs(a: WeightLadder, b: WeightLadder, i_max: int) -> list:
     """Entries 1..i_max of two ladders, paired color by color."""

@@ -246,10 +246,6 @@ class TwoPointTable:
     black: tuple[MSeries, ...]
     white: tuple[MSeries, ...]
 
-    @property
-    def i_max(self) -> int:
-        return len(self.black)
-
     def g_black(self, i: int) -> MSeries:
         return self.black[i - 1]
 

@@ -346,11 +346,11 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
     for label, g, top in (("quad", QUAD, 3), ("hex", HEX, 2)):
         b, w = tail_solve(g, ring)
         alpha = alpha_coeffs(g, b, w)
-        fb = f_sequence(2 * top + 2, g, b, w)
+        walked = lgv(top, b, w, alpha)
+        dets = hankel_family(f_sequence(2 * top + 2, g, b, w), top)
         pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
-            h0, h1 = lgv(i, b, w, alpha)
-            pairs += [(h0, hankel_det(fb, 0, i)), (h1, hankel_det(fb, 1, i))]
+            pairs += [(walked.h0[i], dets.h0[i]), (walked.h1[i], dets.h1[i])]
         bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
         s.pairs_agree(
             f"dimers/{label}/segment-vs-determinant",

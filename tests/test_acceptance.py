@@ -134,10 +134,10 @@ def test_criterion_04_quad_four_routes():
         ladders_agree(ladder, closed, 6, "recursion-vs-closed")
         ladders_agree(extracted, closed, 6, "determinant-vs-closed")
         coeffs = alpha_coeffs(QUAD, b, w)
+        fam = lgv_quad(5, b, w, coeffs)
         for i in range(6):
-            h0, h1 = lgv_quad(i, b, w, coeffs)
-            assert agree(h0, hankel_det(fb, 0, i)), f"h0 index {i}"
-            assert agree(h1, hankel_det(fb, 1, i)), f"h1 index {i}"
+            assert agree(fam.h0[i], hankel_det(fb, 0, i)), f"h0 index {i}"
+            assert agree(fam.h1[i], hankel_det(fb, 1, i)), f"h1 index {i}"
 
 
 def test_criterion_05_hex_three_routes():
@@ -151,10 +151,10 @@ def test_criterion_05_hex_three_routes():
         ladders_agree(ladder, extracted, 4, "recursion-vs-determinant")
         ladders_agree(ladder, closed, 4, "recursion-vs-closed")
         coeffs = alpha_coeffs(HEX, b, w)
+        fam = lgv_hex(3, b, w, coeffs)
         for i in range(4):
-            h0, h1 = lgv_hex(i, b, w, coeffs)
-            assert agree(h0, hankel_det(fb, 0, i)), f"h0 index {i}"
-            assert agree(h1, hankel_det(fb, 1, i)), f"h1 index {i}"
+            assert agree(fam.h0[i], hankel_det(fb, 0, i)), f"h0 index {i}"
+            assert agree(fam.h1[i], hankel_det(fb, 1, i)), f"h1 index {i}"
 
 
 def test_criterion_06_general_family_routes():

@@ -21,7 +21,7 @@ from bicmaps.dimers import (
     zhd_closed_check,
     zhd_closed_value,
 )
-from bicmaps.hankel import det_division_free, hankel_det
+from bicmaps.hankel import det_division_free, hankel_det, hankel_family
 from bicmaps.rational import Rat, rat
 from bicmaps.series import (
     MSeries,
@@ -34,6 +34,7 @@ from bicmaps.series import (
     zero,
 )
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, tail_solve
+from bicmaps.suites import suite_dimers
 
 from helpers import series_digest
 
@@ -260,9 +261,9 @@ def test_reconstruction_pinned(order):
         b, w = tail_solve(g, ring)
         for color in ("black", "white"):
             got[f"alpha-{label}", color, order] = series_digest(alpha_coeffs(g, b, w, color))
-        alpha = alpha_coeffs(g, b, w)
+        fam = reconstruct(top, b, w, alpha_coeffs(g, b, w))
         for i in range(top + 1):
-            got[f"lgv_{label}", i, order] = series_digest(reconstruct(i, b, w, alpha))
+            got[f"lgv_{label}", i, order] = series_digest((fam.h0[i], fam.h1[i]))
     assert got == {k: v for k, v in PINNED_DIGESTS.items() if k[2] == order}
 
 
@@ -286,15 +287,16 @@ def hex_moments():
 
 def test_lgv_quad_index_zero(quad_moments):
     b, w, coeffs, fb = quad_moments
-    h0, h1 = lgv_quad(0, b, w, coeffs)
-    assert agree(h0, one(2, 8))  # alpha_0 + W*alpha_1 telescopes to F_0 = 1
-    assert agree(h1, hankel_det(fb, 1, 0))
+    fam = lgv_quad(0, b, w, coeffs)
+    assert agree(fam.h0[0], one(2, 8))  # alpha_0 + W*alpha_1 telescopes to F_0 = 1
+    assert agree(fam.h1[0], hankel_det(fb, 1, 0))
 
 
 def test_lgv_quad_matches_determinants(quad_moments):
     b, w, coeffs, fb = quad_moments
+    fam = lgv_quad(3, b, w, coeffs)
     for i in range(4):
-        h0, h1 = lgv_quad(i, b, w, coeffs)
+        h0, h1 = fam.h0[i], fam.h1[i]
         d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
         assert agree(h0, d0), (i, first_difference(h0, d0))
         assert agree(h1, d1), (i, first_difference(h1, d1))
@@ -302,8 +304,9 @@ def test_lgv_quad_matches_determinants(quad_moments):
 
 def test_lgv_hex_matches_determinants(hex_moments):
     b, w, coeffs, fb = hex_moments
+    fam = lgv_hex(2, b, w, coeffs)
     for i in range(3):
-        h0, h1 = lgv_hex(i, b, w, coeffs)
+        h0, h1 = fam.h0[i], fam.h1[i]
         d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
         assert agree(h0, d0), (i, first_difference(h0, d0))
         assert agree(h1, d1), (i, first_difference(h1, d1))
@@ -312,7 +315,7 @@ def test_lgv_hex_matches_determinants(hex_moments):
 def test_lgv_hex_r_zero_convention(hex_moments):
     # at i = 0 the r = 0 term contributes exactly (BW)^{i+1} * a2^{i+1}
     b, w, coeffs, _ = hex_moments
-    h0, _ = lgv_hex(0, b, w, coeffs)
+    h0 = lgv_hex(0, b, w, coeffs).h0[0]
     assert h0.valuation() == 0  # the determinant is 1 + higher order
 
 
@@ -387,11 +390,9 @@ def test_reconstructions_build_no_segment_polynomial(monkeypatch, quad_moments, 
 
     monkeypatch.setattr(dimers, "zhd", refuse)
     b, w, alpha, _ = quad_moments
-    for i in range(4):
-        lgv_quad(i, b, w, alpha)
+    lgv_quad(3, b, w, alpha)
     b, w, alpha, _ = hex_moments
-    for i in range(3):
-        lgv_hex(i, b, w, alpha)
+    lgv_hex(2, b, w, alpha)
 
 
 @pytest.mark.parametrize(
@@ -405,15 +406,37 @@ def test_lgv_matches_determinants_for_every_p(g):
     order = 10
     b, w = tail_solve(g, SeriesRing(2, order))
     alpha = alpha_coeffs(g, b, w)
-    fb = f_sequence(5, g, b, w)
-    for i in range(3):
-        for s, got in enumerate(lgv(i, b, w, alpha)):
-            want = hankel_det(fb, s, i)
-            assert agree(got, want), (i, s, first_difference(got, want))
+    fam = lgv(2, b, w, alpha)
+    dets = hankel_family(f_sequence(5, g, b, w), 2)
+    for s, (walked, moments) in enumerate(((fam.h0, dets.h0), (fam.h1, dets.h1))):
+        for i, (got, want) in enumerate(zip(walked, moments, strict=True)):
+            assert got == want, (i, s, first_difference(got, want))
             assert got.reliable == want.reliable, (i, s)
             low = i * (i + 1) + s * (i + 1)
             if low <= got.reliable:
                 assert got.valuation() == low, (i, s)
+
+
+def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
+    calls = []
+    real = dimers._column
+
+    def counting(links, *args):
+        calls.append(links)
+        return real(links, *args)
+
+    monkeypatch.setattr(dimers, "_column", counting)
+    for (b, w, alpha, _), top in ((quad_moments, 3), (hex_moments, 2)):
+        calls.clear()
+        fam = lgv(top, b, w, alpha)
+        assert calls == [2 * top + 2 * (len(alpha) - 1)]
+        assert len(fam.h0) == len(fam.h1) == top + 1
+
+
+def test_suite_dimers_product_count(series_products):
+    # one column walk per reconstruction: 634 products with one walk per index
+    suite_dimers(7, 1)
+    assert series_products[0] <= 549
 
 
 @pytest.mark.parametrize("i", [-1, -2])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicmaps.dimers import lgv
 from bicmaps.hankel import (
     boundary_hankel_family,
     cf_expand,
@@ -20,7 +21,7 @@ from bicmaps.hankel import (
 )
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
-from bicmaps.slices import FaceWeights, f_sequence, ladder_solve, tail_solve
+from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, ladder_solve, tail_solve
 
 from helpers import assert_ladder_stable
 
@@ -115,21 +116,6 @@ def test_pruned_det_matches_leibniz_on_random_series():
         n = 2 + trial % 4
         rows = [[_random_entry(rng, 6) for _ in range(n)] for _ in range(n)]
         assert _fields(det_division_free(rows)) == _fields(det_leibniz(rows)), trial
-
-
-@pytest.fixture
-def series_products(monkeypatch):
-    """A one-element list counting series-by-series products from now on."""
-    count = [0]
-    real = MSeries.__mul__
-
-    def counting(self, other):
-        count[0] += isinstance(other, MSeries)
-        return real(self, other)
-
-    monkeypatch.setattr(MSeries, "__mul__", counting)
-    monkeypatch.setattr(MSeries, "__rmul__", counting)
-    return count
 
 
 def test_determinants_killed_by_truncation_make_no_products(order10_moments, series_products):
@@ -262,6 +248,22 @@ def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
         assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
     got = determinant_ladder(QUAD, RING, 6)
     assert _ladder_fields(got) == _ladder_fields(cf_extract(want, 6))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(0, 1), (0, 0, 1), (0, 0, 0, 1), (rat(1, 5), 0, 0, 1), (rat(1, 5), 1)],
+    ids=["quad", "hex", "oct", "oct-g1", "g1=1/5"],
+)
+def test_dimer_family_stands_in_for_the_moment_family(weights):
+    # the column walk's family, extracted, is the determinant route's ladder
+    g = FaceWeights(tuple(rat(x) for x in weights))
+    ring = SeriesRing(2, 10)
+    b, w = tail_solve(g, ring)
+    got = cf_extract(lgv(4, b, w, alpha_coeffs(g, b, w)), 8)
+    want = determinant_ladder(g, ring, 8)
+    assert _ladder_fields(got) == _ladder_fields(want)
+    assert [e.reliable for e in got.black] == [9, 8, 6, 4, 1, 0, 0, 0]
 
 
 SYMMETRY_G = [

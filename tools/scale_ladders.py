@@ -9,7 +9,8 @@ hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
 weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
 transfer against brute force, closed forms at five rational points, and
-the segment reconstruction of the quad and hex determinants) and
+the segment reconstruction of the quad and hex determinants of every index
+from one column walk each, against the moment determinants) and
 ``suites.suite_paths`` (seed 1: the reflection identities at five rational
 points, partly through the brute-force path oracle, and the path DPs
 against each other) at several orders, and counts the series products
