@@ -177,12 +177,11 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
     elif config.command == "hankel":
         g = _face_weights(config, parser)
         fam = boundary_hankel_family(g, SeriesRing(2, config.order), config.i_max)
-        h0_tilde, h1_tilde = fam.h0_tilde, fam.h1_tilde
         for i in range(config.i_max + 1):
             records.append(series_record(f"h0_{i}", fam.h0[i]))
             records.append(series_record(f"h1_{i}", fam.h1[i]))
-            records.append(series_record(f"h0_tilde_{i}", h0_tilde[i]))
-            records.append(series_record(f"h1_tilde_{i}", h1_tilde[i]))
+            records.append(series_record(f"h0_tilde_{i}", fam.h0[i].swap_vars()))
+            records.append(series_record(f"h1_tilde_{i}", fam.h1[i].swap_vars()))
         meta.update(family=config.family, i_max=config.i_max, variables=_variables(2, config.family))
 
     elif config.command == "dimers":
@@ -271,21 +270,22 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--i-max", type=int, default=i_max_default, help="largest ladder index")
         p.add_argument("--output", default=None, help="write the document here instead of stdout")
 
+    g_help = "face weights g_1,g_2,..., e.g. '0,0,0,1'; a negative g_1 as --g=-1/2,1"
     p = sub.add_parser("twopoint", help="distance-dependent two-point tables")
     common(p)
     p.add_argument("--family", choices=MAP_FAMILIES, required=True)
-    p.add_argument("--g", type=_parse_face_weights, default=(), help="face weights, e.g. '0,0,0,1'")
+    p.add_argument("--g", type=_parse_face_weights, default=(), help=g_help)
 
     p = sub.add_parser("ladder", help="slice series by any route")
     common(p)
     p.add_argument("--family", choices=LADDER_FAMILIES, required=True)
-    p.add_argument("--g", type=_parse_face_weights, default=())
+    p.add_argument("--g", type=_parse_face_weights, default=(), help=g_help)
     p.add_argument("--route", choices=ROUTES, default="recursion")
 
     p = sub.add_parser("hankel", help="the four determinant sequences")
     common(p)
     p.add_argument("--family", choices=MAP_FAMILIES, required=True)
-    p.add_argument("--g", type=_parse_face_weights, default=())
+    p.add_argument("--g", type=_parse_face_weights, default=(), help=g_help)
 
     p = sub.add_parser("dimers", help="hard-dimer polynomials on segments")
     common(p, i_max_default=None)

@@ -16,16 +16,17 @@ below it the minors are cut short, the result exact through the order.
 
 Only the black moments are walked.  The face weights do not depend on
 color, so exchanging the two colors together with their vertex weights
-maps the whole problem onto itself: the white moments, the tilde
-determinants built from them, and every white ladder entry are the color
-swaps (``MSeries.swap_vars``) of their black counterparts.  This is exact,
-not a limit: the swap is a ring automorphism that preserves total degree,
-so it commutes with truncation, ``exact_div``, the valuation pruning of
-``det_division_free`` and the degree cut of the moment walk, and carries
-``order`` and ``reliable`` over unchanged.  The recursion route still
-solves both colors in its stability sweep, so agreement with it (the
-``verify`` suites and the tests), and a test that walks the white
-moments on their own, keep checking the symmetry.
+maps the whole problem onto itself: the white moments, the determinants
+built from them (the ``hankel`` command's tilde records), and the other
+color of every ladder entry are the color swaps (``MSeries.swap_vars``)
+of what is computed.  This is exact, not a limit: the swap is a ring
+automorphism that preserves total degree, so it commutes with
+truncation, ``exact_div``, the valuation pruning of ``det_division_free``
+and the degree cut of the moment walk, and carries ``order`` and
+``reliable`` over unchanged.  The recursion route still solves both
+colors in its stability sweep, so agreement with it (the ``verify``
+suites and the tests), and a test that walks the white moments on their
+own, keep checking the symmetry.
 """
 
 from __future__ import annotations
@@ -165,19 +166,10 @@ def hankel_det(moments: list[MSeries], shift: int, i: int) -> MSeries:
 class HankelFamily:
     """The determinant sequences of the black moments, indices 0..i_max
     (index -1 is 1), from the moments (``hankel_family``) or from the dimer
-    column walk (``dimers.lgv``); the tilde sequences, of the white moments,
-    are their color swaps."""
+    column walk (``dimers.lgv``)."""
 
     h0: tuple[MSeries, ...]
     h1: tuple[MSeries, ...]
-
-    @property
-    def h0_tilde(self) -> tuple[MSeries, ...]:
-        return tuple(d.swap_vars() for d in self.h0)
-
-    @property
-    def h1_tilde(self) -> tuple[MSeries, ...]:
-        return tuple(d.swap_vars() for d in self.h1)
 
 
 def hankel_family(moments: list[MSeries], i_max: int) -> HankelFamily:
@@ -189,49 +181,25 @@ def hankel_family(moments: list[MSeries], i_max: int) -> HankelFamily:
 
 
 def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, i_max: int) -> HankelFamily:
-    """Determinant sequences 0..i_max of the moments F_n of g.
-
-    Only the black moments are walked.  The white moments, and so the tilde
-    determinants ``h0_tilde`` and ``h1_tilde``, are their color swaps: the
-    swap is a degree-preserving ring automorphism, so it commutes with the
-    walk's degree cut and with ``det_division_free``, ``reliable``
-    included.  A test walks the white moments on their own and compares
-    them and their determinants with these swaps field by field.
-    """
+    """Determinant sequences 0..i_max of the black moments F_n of g,
+    F_0..F_{2 i_max + 1}, which the shift-1 index i_max reaches."""
     b, w = tail_solve(g, ring)
     return hankel_family(f_sequence(2 * i_max + 1, g, b, w, "black"), i_max)
 
 
-def _ratio(seq: tuple[MSeries, ...], i: int, unit: MSeries) -> MSeries | None:
-    """seq[i]/seq[i-1] with seq[-1] = 1, or None once truncation kills it.
-
-    Determinant valuations grow quadratically with the index, so beyond a
-    truncation-dependent depth the stored determinants are identically zero
-    and their ratios carry no information at all.
-    """
-    num = seq[i]
-    den = seq[i - 1] if i >= 1 else unit
-    if den.is_zero():
-        return None
-    return exact_div(num, den)
-
-
 def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
-    """Recover the slice ladder from determinant ratios.
+    """Recover the slice ladder 1..i_max from determinant ratios, h[-1] = 1:
 
-    Every division routes through exact_div, so each extracted entry
-    carries exactly the reliable order that survives the valuations of the
-    determinants involved.  Entries whose information content is wiped out
-    by truncation come back as zero series with reliable order 0 and
-    compare vacuously downstream; raise the working order to recover them.
+        B_2i   = (h0[i]/h0[i-1]) / (h1[i-1]/h1[i-2]),
+        W_2i+1 = (h1[i]/h1[i-1]) / (h0[i]/h0[i-1]),
 
-    Only the black entries are formed, from the plain ratios and the tilde
-    ratios, which are the color swaps of the plain ones; each white entry
-    W_i is B_i.swap_vars().  This is exact because the swap commutes with
-    ``exact_div`` and keeps ``reliable``.  The comparison of the white
-    entries with the recursion route, which solves both colors, in the
-    ``verify`` suites and the tests guards it, beside a test that walks
-    the white moments on their own.
+    the other color of each entry by the color swap.  Each ratio is formed
+    once and divided by ``exact_div``, so an entry carries exactly the
+    reliable order that survives the determinants' valuations.  Past the
+    reach of the truncation the determinants are zero: a division by a
+    zero series, or of a ratio that came out of one, gives the zero series
+    with reliable order 0, which compares vacuously downstream; raise the
+    working order to recover it.
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
@@ -239,30 +207,21 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     unit = one(ref.num_vars, ref.order)
     no_content = zero(ref.num_vars, ref.order).with_reliable(0)
 
-    def entry(num_ratio: MSeries | None, den_ratio: MSeries | None) -> MSeries:
-        if num_ratio is None or den_ratio is None or den_ratio.is_zero():
+    def div(num: MSeries, den: MSeries) -> MSeries:
+        if den.is_zero() or num is no_content:
             return no_content
-        return exact_div(num_ratio, den_ratio)
+        return exact_div(num, den)
 
-    def ratios(seq: tuple[MSeries, ...], top: int) -> list[MSeries | None]:
-        return [_ratio(seq, i, unit) for i in range(top + 1)]
-
-    def swapped(rs: list[MSeries | None]) -> list[MSeries | None]:
-        return [None if r is None else r.swap_vars() for r in rs]
-
-    # each plain ratio serves two black entries, once itself, once swapped
-    r0, r1 = ratios(h.h0, i_max // 2), ratios(h.h1, (i_max - 1) // 2)
-    t0, t1 = swapped(r0), swapped(r1)
+    r0 = [div(h.h0[i], h.h0[i - 1] if i else unit) for i in range(i_max // 2 + 1)]
+    r1 = [div(h.h1[i], h.h1[i - 1] if i else unit) for i in range((i_max + 1) // 2)]
     blacks: list[MSeries] = []
     whites: list[MSeries] = []
     for idx in range(1, i_max + 1):
-        i, parity = divmod(idx, 2)
-        if parity == 0:
-            black = entry(r0[i], r1[i - 1])
+        i, odd = divmod(idx, 2)
+        if odd:
+            white, black = color_swap(div(r1[i], r0[i]))
         else:
-            # odd index 2i+1: shift-1 over shift-0 tilde ratios
-            black = entry(t1[i], t0[i])
-        black, white = color_swap(black)
+            black, white = color_swap(div(r0[i], r1[i - 1]))
         blacks.append(black)
         whites.append(white)
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .closedform import closed_ladder, hex_params, quad_params
+from .closedform import hex_ladder_closed, hex_params, quad_ladder_closed, quad_params
 from .dimers import SegmentSpec, lgv, segment_ends, zhd, zhd_brute, zhd_closed_check
 from .extensions import (
     binary_closed_ladder,
@@ -281,11 +281,11 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
     s.pairs_agree(
         "closedform/quad/y-relation", [(params.y * b, params.d * params.d * w)], order
     )
-    families = [("quad", QUAD, 6)]
+    families = [("quad", QUAD, 6, quad_ladder_closed(params, 6))]
     if order >= 2:  # below it hex_params refuses, its weights vouch for nothing
-        families.append(("hex", HEX, 4))
         hb, hw = tail_solve(HEX, ring)
         hx = hex_params(hb, hw)
+        families.append(("hex", HEX, 4, hex_ladder_closed(hx, 4)))
         s.pairs_agree(
             "closedform/hex/branch-relation",
             [(hw * hx.d1 * hx.d1 - hx.wz1 * hx.d1 + hb, ring.zero())],
@@ -296,9 +296,8 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
             [(hx.lam1 + hx.lam2 + hx.wd, ring.one())],
             order,
         )
-    for label, g, top in families:
+    for label, g, top, closed in families:
         ladder = ladder_solve(g, ring)
-        closed = closed_ladder(g, ring, top)
         s.pairs_agree(
             f"closedform/{label}/closed-vs-recursion", ladder_pairs(closed, ladder, top), order
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -266,6 +267,59 @@ def test_dimer_family_stands_in_for_the_moment_family(weights):
     assert [e.reliable for e in got.black] == [9, 8, 6, 4, 1, 0, 0, 0]
 
 
+# sha256 over (sorted nums, den, order, reliable) of every entry, black,
+# white and the two tails, of determinant_ladder(g, SeriesRing(2, order), 11)
+# and, for p >= 1, of cf_extract(lgv(5, ...), 11) at order 8.  Most of these
+# entries lie past the reach of the truncation: zero with reliable 0.
+CF_PINNED = {
+    ('determinant', '0,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '0,1', 2): '32e1e412bbef89b8b2a5ebfe40e3d900b1e7c5525a3902e3275bcc1f8b7e1e71',
+    ('determinant', '0,1', 6): '9f718e4bfeacd123e83d8c41b296c46d8851fa19567631896e7121ea5351663c',
+    ('determinant', '0,1', 10): '8d513d77573a64418e69b8ee8916f12b023de043814d7c9007ad0eaa8c8715ea',
+    ('lgv', '0,1', 8): 'f15b80b2b2beb0ae4edf01486e50ec2a38e9fbaff7e9fb7821d7e2a00fd2f0ff',
+    ('determinant', '0,0,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '0,0,1', 2): '32e1e412bbef89b8b2a5ebfe40e3d900b1e7c5525a3902e3275bcc1f8b7e1e71',
+    ('determinant', '0,0,1', 6): 'ae189a91245c66c0d5607f68a2ac12ea92915600bd69f8303a5d741d1001085e',
+    ('determinant', '0,0,1', 10): 'f95b7d147c82f6ab7b48a611e9343edcf574bcdac1d14f24557db498a42e6bb0',
+    ('lgv', '0,0,1', 8): '965b6e332578dfde92cc83c1d5adeec447045f8dd00d61538be87399cb19323b',
+    ('determinant', '1/5,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '1/5,1', 2): 'd75a09f46a92a8de85bc63822eead6a909217cf40c7938f8d43f2716d3477653',
+    ('determinant', '1/5,1', 6): '3c668f3b1287885ab87fa212bf04718601633162f269360ef9a3d9450369add2',
+    ('determinant', '1/5,1', 10): 'd975f084819e9ac4bfe51bfdd3f30341ba8879a1f84b0705991395a7fab83406',
+    ('lgv', '1/5,1', 8): '9fd1ff82bb849a9b9e2f52ae2fcb910bea67f7f62c25d1baef6a10873b4a4905',
+    ('determinant', '0,0,0,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '0,0,0,1', 2): '32e1e412bbef89b8b2a5ebfe40e3d900b1e7c5525a3902e3275bcc1f8b7e1e71',
+    ('determinant', '0,0,0,1', 6): '24a24a4bd0b8ee6412ed4df673263b6d2ffccfbc773bbe68e0889777acf06845',
+    ('determinant', '0,0,0,1', 10): 'bdeae7d577f8fe6d8f3d3d04e6cc4e63121a6ff9900c87a80a465cd9d1d10743',
+    ('lgv', '0,0,0,1', 8): '174cb69e15e61fb39ace1bbe229b02db3f65663931687da41ed7a1c612f78579',
+    ('determinant', '0,1,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '0,1,1', 2): '32e1e412bbef89b8b2a5ebfe40e3d900b1e7c5525a3902e3275bcc1f8b7e1e71',
+    ('determinant', '0,1,1', 6): 'bb6880bc3a9a802811bbeabe7eb830eb98dfe82d6fa3477a7acdc23777266550',
+    ('determinant', '0,1,1', 10): '04cc30271bfeec7b98510802049ee3183d9bf5c96affa9edb97e4b72ca823fc8',
+    ('lgv', '0,1,1', 8): 'ea7831e5864e2fa701f7689b44c61f6b5703ff421f0606cec238751081e79079',
+    ('determinant', '1/2', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
+    ('determinant', '1/2', 2): '4ec2f114e00ebd4e17be9c587f45796207bcace423a01e2325f488e2f326f02e',
+    ('determinant', '1/2', 6): 'd8de3324871c9f8ca4e0b320972c42b32ff2f04286d763e4037b5bd968e0174b',
+    ('determinant', '1/2', 10): '5fd4a5f8b7d8de720230e7adb24d60524895c448c3b455c44b78b7a0295be9cb',
+}
+
+
+@pytest.mark.parametrize("case", list(CF_PINNED), ids=lambda c: f"{c[0]}-g={c[1]}-order{c[2]}")
+def test_cf_extract_pinned(case):
+    route, weights, order = case
+    g = FaceWeights(tuple(rat(x) for x in weights.split(",")))
+    ring = SeriesRing(2, order)
+    if route == "determinant":
+        ladder = determinant_ladder(g, ring, 11)
+    else:
+        b, w = tail_solve(g, ring)
+        ladder = cf_extract(lgv(5, b, w, alpha_coeffs(g, b, w)), 11)
+    h = hashlib.sha256()
+    for nums, *rest in _ladder_fields(ladder):
+        h.update(repr((sorted(nums.items()), *rest)).encode())
+    assert h.hexdigest() == CF_PINNED[case]
+
+
 SYMMETRY_G = [
     (0, 1), (0, 0, 1), (rat(1, 5), 1), (0, rat(1, 3), 2), (0, 0, 0, 1), (rat(1, 5), 0, 0, 1),
     (0, 1, 1),
@@ -286,9 +340,9 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
     fw = f_sequence(11, g, b, w, "white")
     assert [_fields(f) for f in fw] == [_fields(f.swap_vars()) for f in fb]
     fam = boundary_hankel_family(g, ring, 5)
-    for shift, tilde in ((0, fam.h0_tilde), (1, fam.h1_tilde)):
+    for shift, seq in ((0, fam.h0), (1, fam.h1)):
         walked = [hankel_det(fw, shift, i) for i in range(6)]
-        assert [_fields(d) for d in tilde] == [_fields(d) for d in walked], shift
+        assert [_fields(d.swap_vars()) for d in seq] == [_fields(d) for d in walked], shift
     ladder = determinant_ladder(g, ring, 10)
     for i in range(1, 11):
         black, white = ladder.black_weight(i), ladder.white_weight(i)
