@@ -176,7 +176,7 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
 
     elif config.command == "hankel":
         g = _face_weights(config, parser)
-        fam = boundary_hankel_family(g, SeriesRing(2, config.order), config.i_max)
+        fam = boundary_hankel_family(g, SeriesRing(2, config.order), 2 * config.i_max + 1)
         for i in range(config.i_max + 1):
             records.append(series_record(f"h0_{i}", fam.h0[i]))
             records.append(series_record(f"h1_{i}", fam.h1[i]))

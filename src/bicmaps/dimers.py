@@ -205,15 +205,16 @@ def lgv(top: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> HankelF
     if p < 1:
         raise ValueError("alpha must hold a_0 .. a_p with p >= 1")
     phi = _column(2 * top + 2 * p, b, w, alpha)
-    h0, h1, pref, step = [], [], 1, alpha[p]
+    h0, h1, pref, step, wpow = [], [], 1, alpha[p], 1
     for i in range(top + 1):
         pref, step = pref * step, step * b * w  # (BW)^(i(i+1)/2) a_p^(i+1), (BW)^(i+1) a_p
+        wpow = wpow * w  # W^(i+1)
         u0, u1 = (
             det_division_free([phi[2 * i + 1 + s + 2 * k].parts for k in range(p)])
             for s in (0, 1)
         )
         h0.append(pref * u0)
-        h1.append(w ** (i + 1) * pref * u1)
+        h1.append(wpow * pref * u1)
     return HankelFamily(tuple(h0), tuple(h1))
 
 

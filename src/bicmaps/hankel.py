@@ -164,27 +164,28 @@ def hankel_det(moments: list[MSeries], shift: int, i: int) -> MSeries:
 
 @dataclass(frozen=True)
 class HankelFamily:
-    """The determinant sequences of the black moments, indices 0..i_max
-    (index -1 is 1), from the moments (``hankel_family``) or from the dimer
-    column walk (``dimers.lgv``)."""
+    """The determinant sequences of the black moments (index -1 is 1), from
+    the moments (``hankel_family``) or the dimer column walk (``dimers.lgv``).
+    F_0..F_n reach shift 0 through index n//2 and shift 1 through (n-1)//2,
+    so ``h1`` is one shorter than ``h0`` when the moment count is odd."""
 
     h0: tuple[MSeries, ...]
     h1: tuple[MSeries, ...]
 
 
-def hankel_family(moments: list[MSeries], i_max: int) -> HankelFamily:
-    """The determinant sequences 0..i_max of the black moment sequence."""
+def hankel_family(moments: list[MSeries]) -> HankelFamily:
+    """Every determinant of the black moment sequence that it reaches."""
+    n = len(moments) - 1
     return HankelFamily(
-        tuple(hankel_det(moments, 0, i) for i in range(i_max + 1)),
-        tuple(hankel_det(moments, 1, i) for i in range(i_max + 1)),
+        tuple(hankel_det(moments, 0, i) for i in range(n // 2 + 1)),
+        tuple(hankel_det(moments, 1, i) for i in range((n + 1) // 2)),
     )
 
 
-def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, i_max: int) -> HankelFamily:
-    """Determinant sequences 0..i_max of the black moments F_n of g,
-    F_0..F_{2 i_max + 1}, which the shift-1 index i_max reaches."""
+def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, n_max: int) -> HankelFamily:
+    """The Hankel family of the black moments F_0..F_{n_max} of g."""
     b, w = tail_solve(g, ring)
-    return hankel_family(f_sequence(2 * i_max + 1, g, b, w, "black"), i_max)
+    return hankel_family(f_sequence(n_max, g, b, w, "black"))
 
 
 def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
@@ -203,8 +204,12 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
+    if len(h.h0) <= i_max // 2 or len(h.h1) < (i_max + 1) // 2:
+        raise ValueError(
+            f"i_max {i_max} needs h0 through index {i_max // 2} and h1 through"
+            f" {(i_max - 1) // 2}; the family reaches {len(h.h0) - 1} and {len(h.h1) - 1}"
+        )
     ref = h.h0[0]
-    unit = one(ref.num_vars, ref.order)
     no_content = zero(ref.num_vars, ref.order).with_reliable(0)
 
     def div(num: MSeries, den: MSeries) -> MSeries:
@@ -212,8 +217,8 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
             return no_content
         return exact_div(num, den)
 
-    r0 = [div(h.h0[i], h.h0[i - 1] if i else unit) for i in range(i_max // 2 + 1)]
-    r1 = [div(h.h1[i], h.h1[i - 1] if i else unit) for i in range((i_max + 1) // 2)]
+    r0 = [h.h0[0]] + [div(h.h0[i], h.h0[i - 1]) for i in range(1, i_max // 2 + 1)]
+    r1 = [h.h1[0]] + [div(h.h1[i], h.h1[i - 1]) for i in range(1, (i_max + 1) // 2)]
     blacks: list[MSeries] = []
     whites: list[MSeries] = []
     for idx in range(1, i_max + 1):
@@ -228,8 +233,8 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
 
 
 def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
-    """The determinant route: entries 1..i_max from the moments' Hankel data."""
-    return cf_extract(boundary_hankel_family(g, ring, i_max // 2), i_max)
+    """The determinant route: entries 1..i_max from the family of F_0..F_{i_max}."""
+    return cf_extract(boundary_hankel_family(g, ring, i_max), i_max)
 
 
 def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:

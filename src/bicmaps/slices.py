@@ -175,13 +175,6 @@ def alpha_coeffs(
     return tuple(alpha)
 
 
-def f_direct(
-    n: int, g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
-) -> MSeries:
-    """Generating function of pointed maps with a boundary of length 2n."""
-    return f_sequence(n, g, b, w, color)[n]
-
-
 def f_sequence(
     n_max: int, g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
 ) -> list[MSeries]:

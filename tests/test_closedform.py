@@ -19,6 +19,7 @@ from bicmaps.closedform import (
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
+from bicmaps.suites import suite_closedform
 
 from helpers import S, assert_ladder_stable, assert_series
 from printed import (
@@ -247,6 +248,12 @@ def test_closed_ladder_rejects_other_face_weights(g):
     # same p and zero lower weights as a named family, but a top weight not 1
     with pytest.raises(ValueError):
         closed_ladder(FaceWeights(tuple(rat(x) for x in g)), RING, 3)
+
+
+def test_suite_closedform_product_count(series_products):
+    # the tails come from the ladders the suite solves, not from a second solve
+    suite_closedform(7, 1)
+    assert series_products[0] <= 940
 
 
 @settings(max_examples=8, deadline=None)

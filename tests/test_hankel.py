@@ -23,6 +23,7 @@ from bicmaps.hankel import (
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, ladder_solve, tail_solve
+from bicmaps.suites import suite_hankel
 
 from helpers import assert_ladder_stable
 
@@ -154,16 +155,35 @@ def test_hankel_det_requires_enough_moments(quad_data):
         hankel_det(fb[:3], 1, 1)
 
 
+def test_hankel_family_reaches_as_far_as_its_moments(order10_moments):
+    # F_0..F_n reach shift 0 through index n // 2 and shift 1 through (n - 1) // 2
+    fb, _ = order10_moments["g1=1/5"]
+    for n in range(12):
+        fam = hankel_family(fb[: n + 1])
+        assert (len(fam.h0), len(fam.h1)) == (n // 2 + 1, (n + 1) // 2), n
+        for shift, seq in ((0, fam.h0), (1, fam.h1)):
+            want = [hankel_det(fb, shift, i) for i in range(len(seq))]
+            assert [_fields(d) for d in seq] == [_fields(d) for d in want], (n, shift)
+
+
+@pytest.mark.parametrize("moments, i_max", [(6, 6), (7, 7), (1, 1)])
+def test_cf_extract_refuses_a_family_that_does_not_reach(quad_data, moments, i_max):
+    # i_max 6 reads h0[3], i_max 7 reads h1[3], i_max 1 reads h1[0]
+    _, fb = quad_data
+    with pytest.raises(ValueError, match="reaches"):
+        cf_extract(hankel_family(fb[:moments]), i_max)
+
+
 def test_cf_extract_first_entry_is_f1(quad_data):
     _, fb = quad_data
-    fam = hankel_family(fb, 1)
+    fam = hankel_family(fb[:4])
     extracted = cf_extract(fam, 1)
     assert agree(extracted.white_weight(1), fb[1])
 
 
 def test_cf_extract_matches_ladder_quad(quad_data):
     ladder, fb = quad_data
-    fam = hankel_family(fb, 3)
+    fam = hankel_family(fb)
     extracted = cf_extract(fam, 6)
     for i in range(1, 7):
         for side in ("black_weight", "white_weight"):
@@ -177,7 +197,7 @@ def test_cf_extract_matches_ladder_quad(quad_data):
 
 def test_cf_extract_matches_ladder_hex(hex_data):
     ladder, fb = hex_data
-    fam = hankel_family(fb, 3)
+    fam = hankel_family(fb)
     extracted = cf_extract(fam, 6)
     for i in range(1, 7):
         assert agree(extracted.black_weight(i), ladder.black_weight(i)), i
@@ -189,7 +209,7 @@ def test_cf_extract_vacuous_entries_convention(quad_data):
     # valuation 12 > 8 here, so the ratios are uninformative), entries come
     # back as zero series with reliable order 0 instead of erroring
     _, fb = quad_data
-    extracted = cf_extract(hankel_family(fb, 3), 7)
+    extracted = cf_extract(hankel_family(fb), 7)
     assert extracted.black_weight(7).is_zero()
     assert extracted.black_weight(7).reliable == 0
     assert extracted.white_weight(7).is_zero()
@@ -214,7 +234,7 @@ def test_cf_expand_depth_stability(quad_data):
 
 def test_cf_round_trip(quad_data):
     ladder, _ = quad_data
-    fam = hankel_family(cf_expand(ladder, depth=9, n_max=7), 3)
+    fam = hankel_family(cf_expand(ladder, depth=9, n_max=7))
     back = cf_extract(fam, 6)
     for i in range(1, 7):
         assert agree(back.black_weight(i), ladder.black_weight(i)), i
@@ -243,8 +263,8 @@ def _ladder_fields(ladder) -> list:
 
 def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
     _, fb = quad_data
-    fam = boundary_hankel_family(QUAD, RING, 3)
-    want = hankel_family(fb, 3)
+    fam = boundary_hankel_family(QUAD, RING, 7)
+    want = hankel_family(fb)
     for got_seq, want_seq in ((fam.h0, want.h0), (fam.h1, want.h1)):
         assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
     got = determinant_ladder(QUAD, RING, 6)
@@ -339,7 +359,7 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
     fb = f_sequence(11, g, b, w, "black")
     fw = f_sequence(11, g, b, w, "white")
     assert [_fields(f) for f in fw] == [_fields(f.swap_vars()) for f in fb]
-    fam = boundary_hankel_family(g, ring, 5)
+    fam = boundary_hankel_family(g, ring, 11)
     for shift, seq in ((0, fam.h0), (1, fam.h1)):
         walked = [hankel_det(fw, shift, i) for i in range(6)]
         assert [_fields(d.swap_vars()) for d in seq] == [_fields(d) for d in walked], shift
@@ -352,7 +372,60 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
 def test_determinant_ladder_product_count(series_products):
     # one color of moments, determinants and ratios: 406 products with both
     determinant_ladder(FaceWeights((rat(1, 5), rat(1))), SeriesRing(2, 10), 10)
-    assert series_products[0] <= 216
+    assert series_products[0] <= 185
+
+
+def test_suite_hankel_product_count(series_products):
+    # each family walks F_0..F_6, all that cf_extract(..., 6) reads
+    suite_hankel(7, 1)
+    assert series_products[0] <= 984
+
+
+def _ladder_digest(ladder) -> str:
+    h = hashlib.sha256()
+    for nums, *rest in _ladder_fields(ladder):
+        h.update(repr((sorted(nums.items()), *rest)).encode())
+    return h.hexdigest()
+
+
+# the digest of CF_PINNED for determinant_ladder(g, SeriesRing(2, order), 10):
+# an even i_max, whose last entry is a B and reads no h1 of index i_max // 2
+DETERMINANT_EVEN_PINNED = {
+    ('0,1', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('0,1', 2): '33aaa64056a1596ea357ac8b7aafef0372e2347dc6b915f625b8f491b5698a0c',
+    ('0,1', 6): '7de456bb0970fc25a86170e95e9e1665905b4ad269fd6c023e855d8237d4957f',
+    ('0,1', 10): 'd06325bf58451938ee20411396db4e9b48be3d3f5f249dd8814dcfc9da443c92',
+    ('0,0,1', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('0,0,1', 2): '33aaa64056a1596ea357ac8b7aafef0372e2347dc6b915f625b8f491b5698a0c',
+    ('0,0,1', 6): '63dd49235ed6a80e9b491226ab2f3361603e70f9a0a9c4b9a3b0c559f8c0093d',
+    ('0,0,1', 10): '2a63e96a04552dd436b49fd228b7ae8f389aac3199480608fe5adde2b8253270',
+    ('1/5,1', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('1/5,1', 2): '66850fd391cdc4b6d9bed72c2da698d9a5e945702aa4126624da1089b1e485a9',
+    ('1/5,1', 6): 'bffc3d0c4389ab23594e82e6a48bb440832b38b625536cb636925c816be0ad57',
+    ('1/5,1', 10): '6c4ebcbc917801d7d8e40a93528d401662e6d50d0716884cea0d027f65d7b574',
+    ('0,0,0,1', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('0,0,0,1', 2): '33aaa64056a1596ea357ac8b7aafef0372e2347dc6b915f625b8f491b5698a0c',
+    ('0,0,0,1', 6): '3168a5576967c4c447d16946c057340203c6b7106880a17712691b01e3667a21',
+    ('0,0,0,1', 10): 'cad31e1efa4fcc19e5aebb5fa5e68eb780bdffb60bb0187c11edc2cbe14ecc96',
+    ('0,1,1', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('0,1,1', 2): '33aaa64056a1596ea357ac8b7aafef0372e2347dc6b915f625b8f491b5698a0c',
+    ('0,1,1', 6): '40eca65c84626cfb44ecfe5a39015188e7fcedd70129e4df5a4e8fefe04e867e',
+    ('0,1,1', 10): '8feab429ec912a72acd187856e89bc8dade55f1f0ddfde07cc44afa846daf83a',
+    ('1/2', 1): 'ff3f6fc2c247771b7d0c14f8d436996233d9aec44a0015ce255293e313bf3662',
+    ('1/2', 2): '10139886d326285f32ac672ddc718e0c77c26cfff7f984a495ee99f74f4b84ad',
+    ('1/2', 6): '6e4425b07b561c5699b7bb2a7e04ec3d19e93ed6f02f3c235b3a2f383a200bd5',
+    ('1/2', 10): '8aee2cd34ebd02e0cb1a085dd588c903be283adb43dd67d30a2e2015ba05e5ea',
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(DETERMINANT_EVEN_PINNED), ids=lambda c: f"g={c[0]}-order{c[1]}"
+)
+def test_determinant_ladder_pinned_at_even_i_max(case):
+    weights, order = case
+    g = FaceWeights(tuple(rat(x) for x in weights.split(",")))
+    ladder = determinant_ladder(g, SeriesRing(2, order), 10)
+    assert _ladder_digest(ladder) == DETERMINANT_EVEN_PINNED[case]
 
 
 @settings(max_examples=8, deadline=None)

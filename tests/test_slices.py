@@ -14,12 +14,12 @@ from bicmaps.slices import (
     FaceWeights,
     alpha_coeffs,
     conserved,
-    f_direct,
     f_sequence,
     ladder_solve,
     tail_solve,
     twopoint_from_ladder,
 )
+from bicmaps.suites import suite_slices
 
 from helpers import S, assert_series, series_digest
 from printed import (
@@ -163,7 +163,7 @@ def test_conserved_white_variant(quad_ladder):
     for d in (1, 2, 3):
         assert agree(conserved(2, d, quad_ladder, QUAD, color="white"), base), d
     b, w = quad_ladder.tail_black, quad_ladder.tail_white
-    assert agree(f_direct(2, QUAD, b, w, color="white"), base)
+    assert agree(f_sequence(2, QUAD, b, w, color="white")[2], base)
 
 
 def test_conserved_mixed_family_independence():
@@ -185,7 +185,7 @@ def test_conserved_constant_ladder_limit(quad_tail):
 def test_f_direct_f0_is_one(quad_tail):
     b, w = quad_tail
     for g, (bb, ww) in ((QUAD, (b, w)), (HEX, tail_solve(HEX, R6))):
-        f0 = f_direct(0, g, bb, ww)
+        f0 = f_sequence(0, g, bb, ww)[0]
         assert agree(f0, R6.one())
 
 
@@ -193,14 +193,36 @@ def test_f_direct_quad_f1(quad_tail, quad_ladder):
     b, w = quad_tail
     tb = variable(2, 6, 0)
     expected = w - exact_div(b * b * w, tb)
-    assert agree(f_direct(1, QUAD, b, w), expected)
-    assert agree(f_direct(1, QUAD, b, w), quad_ladder.white_weight(1))
+    assert agree(f_sequence(1, QUAD, b, w)[1], expected)
+    assert agree(f_sequence(1, QUAD, b, w)[1], quad_ladder.white_weight(1))
 
 
 def test_f_direct_equals_conserved(quad_tail, quad_ladder):
     b, w = quad_tail
     for n in (1, 2, 3):
-        assert agree(f_direct(n, QUAD, b, w), conserved(n, 0, quad_ladder, QUAD)), n
+        assert agree(f_sequence(n, QUAD, b, w)[n], conserved(n, 0, quad_ladder, QUAD)), n
+
+
+@pytest.mark.parametrize("g", [QUAD, HEX, MIXED], ids=["quad", "hex", "mixed"])
+def test_shorter_moment_walk_is_a_prefix_of_a_longer_one(g):
+    # F_k does not depend on how far the walk goes: f_sequence(m)[k] is
+    # f_sequence(n)[k] for every k <= n <= m, which the callers rely on
+    # when they walk only the moments they read
+    b, w = tail_solve(g, SeriesRing(2, 7))
+    walks = [f_sequence(n, g, b, w) for n in range(8)]
+    for m, longer in enumerate(walks):
+        for shorter in walks[:m]:
+            for k, f in enumerate(shorter):
+                got = longer[k]
+                assert (got.nums, got.den, got.order, got.reliable) == (
+                    f.nums, f.den, f.order, f.reliable
+                ), (m, len(shorter) - 1, k)
+
+
+def test_suite_slices_product_count(series_products):
+    # one moment walk of F_0..F_3 per family serves conserved-equals-direct
+    suite_slices(7, 1)
+    assert series_products[0] <= 1185
 
 
 def test_f_color_exchange(quad_tail):
@@ -224,7 +246,7 @@ def test_alpha_proportionality(quad_tail):
         assert agree(exact_div(tb * aq, b), exact_div(tw * atq, w))
 
 
-# F_0..F_4, F_2 from f_direct and conserved(n, d) for n = 1..3, d = 0..2 at
+# F_0..F_4, F_2 from a walk of its own and conserved(n, d) for n = 1..3, d = 0..2 at
 # order 6, per root color, as computed before the root color was checked
 NAMED_COLOR_DIGESTS = {
     "black": "8f8bd17d3103c5ed85e82e2b9ad0efa99e6ab35a46f691bed5465cc8bd465f95",
@@ -237,7 +259,7 @@ def test_named_root_colors_unchanged(quad_tail, quad_ladder, color):
     b, w = quad_tail
     values = (
         f_sequence(4, QUAD, b, w, color)
-        + [f_direct(2, QUAD, b, w, color)]
+        + [f_sequence(2, QUAD, b, w, color)[2]]
         + [conserved(n, d, quad_ladder, QUAD, color) for n in (1, 2, 3) for d in (0, 1, 2)]
     )
     assert series_digest(values) == NAMED_COLOR_DIGESTS[color]
@@ -250,7 +272,7 @@ def test_unknown_root_color_rejected(quad_tail, quad_ladder, color):
     calls = (
         lambda: alpha_coeffs(QUAD, b, w, color),
         lambda: f_sequence(2, QUAD, b, w, color),
-        lambda: f_direct(1, QUAD, b, w, color),
+        lambda: f_sequence(1, QUAD, b, w, color)[1],
         lambda: conserved(1, 0, quad_ladder, QUAD, color),
     )
     for call in calls:

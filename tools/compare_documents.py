@@ -14,8 +14,10 @@ the general face weights of ``WEIGHTS``, ternary, binary and tricolor;
 ``twopoint`` and ``hankel`` for the map families; ``dimers``;
 ``tricolor``; ``verify --suite all`` at seeds 1-3.  Each runs in JSON and
 CSV at orders 1-8 (1-10 for the determinant route and ``hankel``), with
-i_max 3 and 11 where the command takes one.  Commands that exit 2 (a
-route a family lacks) are compared by their exit code like any other.
+i_max 3, 10 and 11 where the command takes one, so that both parities of
+i_max reach the determinant route (an even i_max ends on a B entry and
+reads one shift-1 determinant fewer).  Commands that exit 2 (a route a
+family lacks) are compared by their exit code like any other.
 Uses the standard library only.
 """
 
@@ -36,7 +38,7 @@ LADDER_FAMILIES = MAP_FAMILIES + [["--family", f] for f in ("ternary", "binary",
 ORDERS = range(1, 9)
 DETERMINANT_ORDERS = range(1, 11)
 FORMATS = ("json", "csv")
-I_MAX = (3, 11)
+I_MAX = (3, 10, 11)
 
 
 def _sweep(args: list[str], orders, i_max=I_MAX) -> list[list[str]]:
