@@ -10,7 +10,9 @@ black and white.  Two weighting conventions coexist:
   steps by the color of the step's lower end (b on white, w on black).
 
 Both run on one dynamic program over heights, ``_walk``; only the
-brute-force oracle ``rat_path_brute`` enumerates step words on its own.
+brute-force oracle ``rat_path_brute`` enumerates step words on its own,
+tallying them without weights (``word_tally``) so that one enumeration of a
+path shape serves every sample point.
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``: the tails solve a far row of the ladder with
@@ -26,7 +28,7 @@ reflection identities are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from math import lcm
@@ -388,27 +390,20 @@ def rat_path(
     return Rat(cur.get(end, 0), den**length)
 
 
-def rat_path_brute(
-    colors: str,
-    start: int,
-    end: int,
-    length: int,
-    floor: int | None,
-    wt: RatPathWeights,
-):
-    """Oracle for rat_path: direct enumeration of all 2^length step words.
+def word_tally(
+    colors: str, start: int, end: int, length: int, floor: int | None
+) -> tuple[int, ...]:
+    """The weight-free half of the oracle for rat_path: all 2^length step words.
 
     Each word is walked on its own and dropped at its first step below the
-    floor.  A surviving word that ends at ``end`` weighs w^k b^(length - k),
-    where k counts its steps whose lower end is a black height, so the words
-    are tallied by k in integers and the weights enter once per tally.  No
-    height DP and no common denominator is involved, so the oracle still
-    shares no arithmetic with rat_path.
+    floor.  Entry k counts the surviving words that end at ``end`` with k
+    steps whose lower end is a black height; such a word weighs
+    w^k b^(length - k) (``weigh_tally``).
     """
     parity = _start_parity(colors, start, end)
-    if floor is not None and start < floor:
-        return Rat(0)
     tally = [0] * (length + 1)
+    if floor is not None and start < floor:
+        return tuple(tally)
     for word in product((1, -1), repeat=length):
         h, k = start, 0
         for s in word:
@@ -420,8 +415,32 @@ def rat_path_brute(
         else:
             if h == end:
                 tally[k] += 1
+    return tuple(tally)
+
+
+def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
+    """Balanced weight of the words in a ``word_tally``: w^k b^(length - k) each."""
+    length = len(tally) - 1
     b, w = Rat(wt.b), Rat(wt.w)
     return sum((n * w**k * b ** (length - k) for k, n in enumerate(tally) if n), Rat(0))
+
+
+def rat_path_brute(
+    colors: str,
+    start: int,
+    end: int,
+    length: int,
+    floor: int | None,
+    wt: RatPathWeights,
+):
+    """Oracle for rat_path: direct enumeration of all 2^length step words.
+
+    The words are tallied by their count of black lower ends in integers
+    (``word_tally``) and the weights enter once per tally.  No height DP
+    and no common denominator is involved, so the oracle shares no
+    arithmetic with rat_path.
+    """
+    return weigh_tally(word_tally(colors, start, end, length, floor), wt)
 
 
 def unconstrained_drop(j: int, length: int, wt: RatPathWeights):
@@ -429,20 +448,47 @@ def unconstrained_drop(j: int, length: int, wt: RatPathWeights):
     return rat_path("bb", 2 * abs(j), 0, length, None, wt)
 
 
+@dataclass
+class BalancedSums:
+    """The balanced path sums at one sample point, each computed once.
+
+    ``tallies`` maps a path shape to its ``word_tally``.  A tally does not
+    depend on the weights, so one dict can serve several sample points.
+    """
+
+    wt: RatPathWeights
+    tallies: dict = field(default_factory=dict)
+    drops: dict = field(default_factory=dict, init=False, repr=False)
+
+    def path(self, colors, start, end, length, floor, brute=False):
+        """rat_path at this point, or the brute oracle when ``brute``."""
+        if not brute:
+            return rat_path(colors, start, end, length, floor, self.wt)
+        shape = (colors, start, end, length, floor)
+        if shape not in self.tallies:
+            self.tallies[shape] = word_tally(*shape)
+        return weigh_tally(self.tallies[shape], self.wt)
+
+    def drop(self, j: int, length: int):
+        """unconstrained_drop at this point; it depends on |j| and length only."""
+        key = (abs(j), length)
+        if key not in self.drops:
+            self.drops[key] = unconstrained_drop(j, length, self.wt)
+        return self.drops[key]
+
+
 def check_reflection_odd(
-    k: int, l: int, q: int, wt: RatPathWeights, brute: bool = False
+    k: int, l: int, q: int, sums: BalancedSums, brute: bool = False
 ) -> bool:
     """Floor-zero paths between odd (white) heights vs a two-term difference."""
     if min(k, l) < 1 or q < 0:
         raise ValueError("need k, l >= 1 and q >= 0")
-    path = rat_path_brute if brute else rat_path
-    lhs = path("ww", 2 * k - 1, 2 * l - 1, 2 * q, 0, wt)
-    rhs = unconstrained_drop(k - l, 2 * q, wt) - unconstrained_drop(k + l, 2 * q, wt)
-    return lhs == rhs
+    lhs = sums.path("ww", 2 * k - 1, 2 * l - 1, 2 * q, 0, brute)
+    return lhs == sums.drop(k - l, 2 * q) - sums.drop(k + l, 2 * q)
 
 
 def check_reflection_even(
-    k: int, l: int, q: int, wt: RatPathWeights, brute: bool = False
+    k: int, l: int, q: int, sums: BalancedSums, brute: bool = False
 ) -> bool:
     """Floor-zero paths between even (black) heights vs the alternating sum.
 
@@ -452,14 +498,11 @@ def check_reflection_even(
     """
     if min(k, l) < 0 or q < 0:
         raise ValueError("need k, l >= 0 and q >= 0")
-    path = rat_path_brute if brute else rat_path
-    lhs = path("bb", 2 * k, 2 * l, 2 * q, 0, wt)
-    c = Rat(wt.b) / Rat(wt.w)
-    rhs = unconstrained_drop(k - l, 2 * q, wt) - c * unconstrained_drop(
-        k + l + 1, 2 * q, wt
-    )
+    lhs = sums.path("bb", 2 * k, 2 * l, 2 * q, 0, brute)
+    c = Rat(sums.wt.b) / Rat(sums.wt.w)
+    rhs = sums.drop(k - l, 2 * q) - c * sums.drop(k + l + 1, 2 * q)
     m = 2
     while k + l + m <= q:
-        rhs += (c * c - 1) * (-c) ** (m - 2) * unconstrained_drop(k + l + m, 2 * q, wt)
+        rhs += (c * c - 1) * (-c) ** (m - 2) * sums.drop(k + l + m, 2 * q)
         m += 1
     return lhs == rhs

@@ -5,12 +5,17 @@ order and seed, comparing independent computational routes coefficient by
 coefficient.  Results are plain records; the first differing coefficient is
 reported on failure.  Random rational sample points are small integers over
 small primes drawn from the seeded generator, so reports are reproducible.
+
+Every suite takes one ``SuiteRun``: the order, the seed, the ring, and the
+recursion ladder of each face-weight family, solved the first time a suite
+of the run asks for it.  So ``run_suite("all", ...)`` solves each family's
+recursion once, and the suites that compare other routes with it share it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .closedform import hex_ladder_closed, hex_params, quad_ladder_closed, quad_params
 from .dimers import SegmentSpec, lgv, segment_ends, zhd, zhd_brute, zhd_closed_check
@@ -29,18 +34,16 @@ from .hankel import (
     cf_extract,
     det_division_free,
     det_leibniz,
-    determinant_ladder,
     hankel_det,
     hankel_family,
 )
 from .paths import (
+    BalancedSums,
     RatPathWeights,
     WeightLadder,
     check_reflection_even,
     check_reflection_odd,
     ladder_pairs,
-    rat_path,
-    rat_path_brute,
     z_plus,
 )
 from .rational import Rat, rat
@@ -64,7 +67,6 @@ from .slices import (
     conserved,
     f_sequence,
     ladder_solve,
-    tail_solve,
     twopoint_from_ladder,
 )
 
@@ -126,10 +128,37 @@ MIXED = FaceWeights((rat(1, 2), rat(1)))
 OCT = FaceWeights((rat(0), rat(0), rat(0), rat(1)))
 
 
-def suite_series(order: int, seed: int) -> list[CheckResult]:
+@dataclass
+class SuiteRun:
+    """What the suites of one verify run share: the order, the seed, the
+    ring, and the recursion ladder of each face-weight family."""
+
+    order: int
+    seed: int
+    ring: SeriesRing = field(init=False)
+    ladders: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.ring = SeriesRing(2, self.order)
+
+    def ladder(self, g: FaceWeights) -> WeightLadder:
+        """The recursion ladder of ``g``, solved on first use in this run.
+
+        Height 4 is for ``suite_slices``' two-point table, which needs a
+        height above its i_max of 3.  The solve raises it to order + p + 1
+        anyway, so it only matters for p = 1 at order 1, where entry 4
+        already agrees with the tails through the order: every suite reads
+        the same values as at the default height.
+        """
+        if g not in self.ladders:
+            self.ladders[g] = ladder_solve(g, self.ring, height=4)
+        return self.ladders[g]
+
+
+def suite_series(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    rng = random.Random(seed)
-    ring = SeriesRing(2, order)
+    order, ring = run.order, run.ring
+    rng = random.Random(run.seed)
     for trial in range(4):
         u = _sample_poly(rng, ring, unit=True)
         s.pairs_agree(
@@ -150,37 +179,45 @@ def suite_series(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_paths(order: int, seed: int) -> list[CheckResult]:
+def suite_paths(run: SuiteRun) -> list[CheckResult]:
+    """The reflection identities at five sample points, and the path DPs.
+
+    The brute oracle's word tallies do not depend on the sample point, so
+    one dict of them serves all five.
+    """
     s = _Suite()
-    rng = random.Random(seed)
-    points = [RatPathWeights(_sample_rat(rng), _sample_rat(rng)) for _ in range(5)]
-    for p, wt in enumerate(points):
+    rng = random.Random(run.seed)
+    tallies: dict = {}
+    points = [
+        BalancedSums(RatPathWeights(_sample_rat(rng), _sample_rat(rng)), tallies)
+        for _ in range(5)
+    ]
+    for p, sums in enumerate(points):
         odd_ok = all(
-            check_reflection_odd(k, l, q, wt, brute=(q <= 3))
+            check_reflection_odd(k, l, q, sums, brute=(q <= 3))
             for k in range(1, 4)
             for l in range(1, 4)
             for q in range(6)
         )
         even_ok = all(
-            check_reflection_even(k, l, q, wt, brute=(q <= 3))
+            check_reflection_even(k, l, q, sums, brute=(q <= 3))
             for k in range(4)
             for l in range(4)
             for q in range(6)
         )
         s.ok(f"paths/reflection-odd-point-{p}", odd_ok)
         s.ok(f"paths/reflection-even-point-{p}", even_ok)
-    wt = points[0]
+    sums = points[0]
     s.ok(
         "paths/dp-vs-brute",
         all(
-            rat_path("bb", 0, 2 * dh, length, 0, wt)
-            == rat_path_brute("bb", 0, 2 * dh, length, 0, wt)
+            sums.path("bb", 0, 2 * dh, length, 0)
+            == sums.path("bb", 0, 2 * dh, length, 0, brute=True)
             for dh in (0, 1)
             for length in (4, 6, 8)
         ),
     )
-    ring = SeriesRing(2, order)
-    tb, tw = ring.gens()
+    tb, tw = run.ring.gens()
     const = WeightLadder.constant_ladder(tb, tw)
     s.ok(
         "paths/translation-invariance",
@@ -191,13 +228,12 @@ def suite_paths(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_slices(order: int, seed: int) -> list[CheckResult]:
+def suite_slices(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    ring = SeriesRing(2, order)
-    tb, tw = ring.gens()
+    order = run.order
+    tb, tw = run.ring.gens()
     for label, g in (("quad", QUAD), ("hex", HEX), ("mixed", MIXED)):
-        # the two-point table below needs a height above its i_max of 3
-        ladder = ladder_solve(g, ring, height=4)
+        ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
         s.pairs_agree(
             f"slices/{label}/first-entry-color-identity",
@@ -235,10 +271,10 @@ def suite_slices(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_hankel(order: int, seed: int) -> list[CheckResult]:
+def suite_hankel(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    rng = random.Random(seed)
-    ring = SeriesRing(2, order)
+    order = run.order
+    rng = random.Random(run.seed)
     for n in (2, 3):
         rows = [[rat(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         s.ok(
@@ -246,7 +282,7 @@ def suite_hankel(order: int, seed: int) -> list[CheckResult]:
             det_division_free(rows) == det_leibniz(rows),
         )
     for label, g in (("quad", QUAD), ("hex", HEX)):
-        ladder = ladder_solve(g, ring)
+        ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(6, g, b, w, color="black")
         s.ok(
@@ -268,10 +304,10 @@ def suite_hankel(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_closedform(order: int, seed: int) -> list[CheckResult]:
+def suite_closedform(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    ring = SeriesRing(2, order)
-    quad = ladder_solve(QUAD, ring)
+    order, ring = run.order, run.ring
+    quad = run.ladder(QUAD)
     b, w = quad.tail_black, quad.tail_white
     params = quad_params(b, w)
     s.pairs_agree(
@@ -284,7 +320,7 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
     )
     families = [("quad", quad, 6, quad_ladder_closed(params, 6))]
     if order >= 2:  # below it hex_params refuses, its weights vouch for nothing
-        hexa = ladder_solve(HEX, ring)
+        hexa = run.ladder(HEX)
         hb, hw = hexa.tail_black, hexa.tail_white
         hx = hex_params(hb, hw)
         families.append(("hex", hexa, 4, hex_ladder_closed(hx, 4)))
@@ -313,9 +349,9 @@ def suite_closedform(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_dimers(order: int, seed: int) -> list[CheckResult]:
+def suite_dimers(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
     s.ok(
         "dimers/transfer-vs-brute",
         all(
@@ -342,9 +378,9 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
             for ends in segment_ends(links)
         ),
     )
-    ring = SeriesRing(2, order)
     for label, g, top in (("quad", QUAD, 3), ("hex", HEX, 2)):
-        b, w = tail_solve(g, ring)
+        ladder = run.ladder(g)
+        b, w = ladder.tail_black, ladder.tail_white
         alpha = alpha_coeffs(g, b, w)
         walked = lgv(top, b, w, alpha)
         dets = hankel_family(f_sequence(2 * top + 1, g, b, w))
@@ -355,15 +391,15 @@ def suite_dimers(order: int, seed: int) -> list[CheckResult]:
         s.pairs_agree(
             f"dimers/{label}/segment-vs-determinant",
             pairs,
-            order,
+            run.order,
             f"index {bad[0]} disagrees" if bad else "",
         )
     return s.results
 
 
-def suite_extensions(order: int, seed: int) -> list[CheckResult]:
+def suite_extensions(run: SuiteRun) -> list[CheckResult]:
     s = _Suite()
-    ring = SeriesRing(2, order)
+    order, ring = run.order, run.ring
     for label, solve, closed_form in (
         ("ternary", ternary_solve, ternary_closed_ladder),
         ("binary", binary_solve, binary_closed_ladder),
@@ -394,12 +430,13 @@ def suite_extensions(order: int, seed: int) -> list[CheckResult]:
     return s.results
 
 
-def suite_general(order: int, seed: int) -> list[CheckResult]:
+def suite_general(run: SuiteRun) -> list[CheckResult]:
     """The p = 3 family has no closed form; recursion and determinants must agree."""
     s = _Suite()
-    ring = SeriesRing(2, order)
-    ladder = ladder_solve(OCT, ring)
-    extracted = determinant_ladder(OCT, ring, 4)
+    order = run.order
+    ladder = run.ladder(OCT)
+    b, w = ladder.tail_black, ladder.tail_white
+    extracted = cf_extract(hankel_family(f_sequence(4, OCT, b, w)), 4)
     s.pairs_agree(
         "general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4), order
     )
@@ -425,11 +462,9 @@ SUITES = {
 
 
 def run_suite(name: str, order: int, seed: int) -> list[CheckResult]:
-    if name == "all":
-        out: list[CheckResult] = []
-        for key in SUITES:
-            out.extend(SUITES[key](order, seed))
-        return out
-    if name not in SUITES:
+    """The checks of suite ``name``, or of every suite in turn for ``"all"``."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](order, seed)
+    run = SuiteRun(order, seed)
+    names = SUITES if name == "all" else (name,)
+    return [check for key in names for check in SUITES[key](run)]

@@ -30,7 +30,12 @@ from bicmaps.extensions import (
     tricolor_solve,
 )
 from bicmaps.hankel import cf_extract, determinant_ladder, hankel_det, hankel_family
-from bicmaps.paths import RatPathWeights, check_reflection_even, check_reflection_odd
+from bicmaps.paths import (
+    BalancedSums,
+    RatPathWeights,
+    check_reflection_even,
+    check_reflection_odd,
+)
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, first_difference, one, zero
 from bicmaps.slices import (
@@ -228,13 +233,15 @@ def test_criterion_10_reflection_identities():
             RatPathWeights(rat(3, 5), rat(4, 3)),
             RatPathWeights(rat(9, 2), rat(2, 11)),
         ]
+        tallies = {}  # word tallies are weight-free: one enumeration serves every point
         for wt in points:
+            sums = BalancedSums(wt, tallies)
             for k, l in product(range(1, 4), repeat=2):
                 for q in range(6):
-                    assert check_reflection_odd(k, l, q, wt, brute=True), (k, l, q)
+                    assert check_reflection_odd(k, l, q, sums, brute=True), (k, l, q)
             for k, l in product(range(4), repeat=2):
                 for q in range(6):
-                    assert check_reflection_even(k, l, q, wt, brute=True), (k, l, q)
+                    assert check_reflection_even(k, l, q, sums, brute=True), (k, l, q)
 
 
 def test_criterion_11_extensions():

@@ -19,7 +19,7 @@ from bicmaps.closedform import (
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
-from bicmaps.suites import suite_closedform
+from bicmaps.suites import SuiteRun, suite_closedform
 
 from helpers import S, assert_ladder_stable, assert_series
 from printed import (
@@ -252,7 +252,7 @@ def test_closed_ladder_rejects_other_face_weights(g):
 
 def test_suite_closedform_product_count(series_products):
     # the tails come from the ladders the suite solves, not from a second solve
-    suite_closedform(7, 1)
+    suite_closedform(SuiteRun(7, 1))
     assert series_products[0] <= 940
 
 

@@ -23,7 +23,7 @@ from bicmaps.hankel import (
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, ladder_solve, tail_solve
-from bicmaps.suites import suite_hankel
+from bicmaps.suites import SuiteRun, suite_hankel
 
 from helpers import assert_ladder_stable
 
@@ -377,7 +377,7 @@ def test_determinant_ladder_product_count(series_products):
 
 def test_suite_hankel_product_count(series_products):
     # each family walks F_0..F_6, all that cf_extract(..., 6) reads
-    suite_hankel(7, 1)
+    suite_hankel(SuiteRun(7, 1))
     assert series_products[0] <= 984
 
 

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from bicmaps.paths import (
+    BalancedSums,
     RatPathWeights,
     WeightLadder,
     check_reflection_even,
@@ -15,6 +16,9 @@ from bicmaps.paths import (
     l_zero,
     rat_path,
     rat_path_brute,
+    unconstrained_drop,
+    weigh_tally,
+    word_tally,
     z_plus,
     z_plus_profile,
     z_strip,
@@ -274,13 +278,14 @@ def test_rat_path_rejects_bad_colors(path):
 def test_reflection_odd_known_value():
     # k = l = 1, q = 1: both sides equal b^2 + w^2 = 13 at (b, w) = (2, 3).
     assert rat_path_brute("ww", 1, 1, 2, 0, WT) == 13
-    assert check_reflection_odd(1, 1, 1, WT, brute=True)
+    assert check_reflection_odd(1, 1, 1, BalancedSums(WT), brute=True)
 
 
 def test_reflection_zero_length():
+    sums = BalancedSums(WT)
     for k in (1, 2, 3):
-        assert check_reflection_odd(k, k, 0, WT)
-        assert check_reflection_even(k, k, 0, WT)
+        assert check_reflection_odd(k, k, 0, sums)
+        assert check_reflection_even(k, k, 0, sums)
 
 
 def test_reflection_sweep_small():
@@ -290,9 +295,33 @@ def test_reflection_sweep_small():
         RatPathWeights(rat(7, 4), rat(1, 7)),
     ]
     for wt in points:
+        sums = BalancedSums(wt)
         for k, l in product(range(1, 3), repeat=2):
             for q in range(4):
-                assert check_reflection_odd(k, l, q, wt), (k, l, q)
+                assert check_reflection_odd(k, l, q, sums), (k, l, q)
         for k, l in product(range(0, 3), repeat=2):
             for q in range(4):
-                assert check_reflection_even(k, l, q, wt), (k, l, q)
+                assert check_reflection_even(k, l, q, sums), (k, l, q)
+
+
+def test_word_tally_is_weight_free():
+    # one tally serves every sample point, and weighs to rat_path_brute at each
+    shape = ("bb", 2, 0, 6, 0)
+    tally = word_tally(*shape)
+    assert sum(tally) == 9  # the paths from 2 down to 0 in 6 steps that stay >= 0
+    for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
+        assert weigh_tally(tally, wt) == rat_path_brute(*shape, wt) == rat_path(*shape, wt)
+    assert word_tally("bb", 0, 2, 2, 1) == (0, 0, 0)
+
+
+def test_balanced_sums_share_tallies_and_drops():
+    tallies = {}
+    for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
+        sums = BalancedSums(wt, tallies)
+        for j in range(-3, 4):
+            assert sums.drop(j, 8) == unconstrained_drop(j, 8, sums.wt)
+        assert len(sums.drops) == 4  # |j| = 0..3
+        got = sums.path("ww", 3, 1, 6, 0, brute=True)
+        assert got == rat_path_brute("ww", 3, 1, 6, 0, sums.wt)
+        assert got == sums.path("ww", 3, 1, 6, 0)
+    assert list(tallies) == [("ww", 3, 1, 6, 0)]

@@ -19,7 +19,7 @@ from bicmaps.slices import (
     tail_solve,
     twopoint_from_ladder,
 )
-from bicmaps.suites import suite_slices
+from bicmaps.suites import SuiteRun, suite_slices
 
 from helpers import S, assert_series, series_digest
 from printed import (
@@ -221,7 +221,7 @@ def test_shorter_moment_walk_is_a_prefix_of_a_longer_one(g):
 
 def test_suite_slices_product_count(series_products):
     # one moment walk of F_0..F_3 per family serves conserved-equals-direct
-    suite_slices(7, 1)
+    suite_slices(SuiteRun(7, 1))
     assert series_products[0] <= 1185
 
 

@@ -12,9 +12,10 @@ if any does, 0 if none does.
 The grid: ``ladder`` by every route for quadrangulations, hexangulations,
 the general face weights of ``WEIGHTS``, ternary, binary and tricolor;
 ``twopoint`` and ``hankel`` for the map families; ``dimers``;
-``tricolor``; ``verify --suite all`` at seeds 1-3.  Each runs in JSON and
-CSV at orders 1-8 (1-10 for the determinant route and ``hankel``), with
-i_max 3, 10 and 11 where the command takes one, so that both parities of
+``tricolor``; ``verify --suite all`` at seeds 1-3, and ``verify --suite``
+with each single suite of ``SUITES`` at seed 1.  Each runs in JSON and CSV
+at orders 1-8 (1-10 for the determinant route and ``hankel``), with i_max
+3, 10 and 11 where the command takes one, so that both parities of
 i_max reach the determinant route (an even i_max ends on a B entry and
 reads one shift-1 determinant fewer).  Commands that exit 2 (a route a
 family lacks) are compared by their exit code like any other.
@@ -39,6 +40,7 @@ ORDERS = range(1, 9)
 DETERMINANT_ORDERS = range(1, 11)
 FORMATS = ("json", "csv")
 I_MAX = (3, 10, 11)
+SUITES = ("series", "paths", "slices", "hankel", "closedform", "dimers", "extensions", "general")
 
 
 def _sweep(args: list[str], orders, i_max=I_MAX) -> list[list[str]]:
@@ -62,6 +64,8 @@ def grid() -> list[list[str]]:
     lines += _sweep(["tricolor"], ORDERS)
     for seed in (1, 2, 3):
         lines += _sweep(["verify", "--suite", "all", "--seed", str(seed)], ORDERS, (None,))
+    for suite in SUITES:
+        lines += _sweep(["verify", "--suite", suite, "--seed", "1"], ORDERS, (None,))
     return lines
 
 

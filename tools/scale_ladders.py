@@ -7,14 +7,16 @@ Times one series product ``B * W`` of the quadrangulation tails
 so only the product is timed), ``ladder_solve`` (quadrangulations and
 hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
-weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), ``suites.suite_dimers`` (seed 1:
-transfer against brute force, closed forms at five rational points, and
-the segment reconstruction of the quad and hex determinants of every index
-from one column walk each, against the moment determinants) and
-``suites.suite_paths`` (seed 1: the reflection identities at five rational
-points, partly through the brute-force path oracle, and the path DPs
-against each other) at several orders, and counts the series products
-each call makes, for one or more source trees of bicmaps.
+weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), the ``verify``
+suites ``dimers`` (seed 1: transfer against brute force, closed forms at
+five rational points, and the segment reconstruction of the quad and hex
+determinants of every index from one column walk each, against the moment
+determinants) and ``paths`` (seed 1: the reflection identities at five
+rational points, partly through the brute-force path oracle, and the path
+DPs against each other), and every suite in one run (``all``, seed 1) at
+several orders, and counts the series products each call makes, for one
+or more source trees of bicmaps.  The suites run through
+``suites.run_suite``, so each run includes the ladder solves it needs.
 Each (tree, case) pair runs in a fresh interpreter that imports bicmaps
 from that tree's ``src`` directory, ROUNDS times: the rounds interleave the
 trees, and the tree that runs first rotates from case to case, so drift of
@@ -58,6 +60,7 @@ CASES = (
     + [("determinant_ladder", "g=0,0,0,1", order) for order in (10, 14)]
     + [("suite_dimers", "seed=1", order) for order in (5, 7, 9)]
     + [("suite_paths", "seed=1", order) for order in (5, 7, 9)]
+    + [("run_suite", "all seed=1", order) for order in (5, 7, 9)]
 )
 DETERMINANT_I_MAX = 10
 CLOSED_I_MAX = 8
@@ -75,7 +78,7 @@ def _child(solver: str, family: str, order: int) -> dict:
     from bicmaps.rational import rat
     from bicmaps.series import MSeries, SeriesRing
     from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
-    from bicmaps.suites import suite_dimers, suite_paths
+    from bicmaps.suites import run_suite
 
     if solver == "series_mul" and family == "quad tails":
         call = partial(mul, *tail_solve(FaceWeights.quadrangulations(), SeriesRing(2, order)))
@@ -94,10 +97,10 @@ def _child(solver: str, family: str, order: int) -> dict:
         weights = (rat(1, 5), 1) if family == "g1=1/5" else (0, 0, 0, 1)
         g = FaceWeights(tuple(rat(x) for x in weights))
         call = partial(determinant_ladder, g, SeriesRing(2, order), DETERMINANT_I_MAX)
-    elif solver == "suite_dimers":
-        call = partial(suite_dimers, order, 1)
-    elif solver == "suite_paths":
-        call = partial(suite_paths, order, 1)
+    elif solver in ("suite_dimers", "suite_paths"):
+        call = partial(run_suite, solver.removeprefix("suite_"), order, 1)
+    elif solver == "run_suite":
+        call = partial(run_suite, "all", order, 1)
     else:
         call = partial(tricolor_solve, SeriesRing(3, order))
 
