@@ -433,23 +433,9 @@ def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
         assert len(fam.h0) == len(fam.h1) == top + 1
 
 
-@pytest.fixture(scope="module")
-def solved_run():
-    """A verify run at order 7, seed 1 whose quad and hex ladders are solved.
-
-    The run solves each ladder once for all its suites, so the solve is not
-    suite_dimers' work; it reads its tails from these ladders.
-    """
-    run = SuiteRun(7, 1)
-    for g in (QUAD, HEX):
-        run.ladder(g)
-    return run
-
-
-def test_suite_dimers_product_count(solved_run, series_products):
-    # one column walk per reconstruction: 634 products with one walk per index;
-    # 417 from the run's ladders, 497 when the suite solved its own tails
-    suite_dimers(solved_run)
+def test_suite_dimers_product_count(series_products):
+    # one column walk per reconstruction: 634 products with one walk per index
+    suite_dimers(SuiteRun(7, 1))
     assert series_products[0] <= 497
 
 

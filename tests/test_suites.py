@@ -44,6 +44,16 @@ def test_run_reads_tails_from_its_ladders(monkeypatch):
     assert all(check.passed for check in run_suite("all", 3, 1))
 
 
+def test_dimers_alone_solves_no_ladder(monkeypatch):
+    import bicmaps.suites as suites
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ladder solve for tails alone")
+
+    monkeypatch.setattr(suites, "ladder_solve", refuse)
+    assert all(check.passed for check in run_suite("dimers", 3, 1))
+
+
 def test_run_suite_all_product_count(series_products):
     # one recursion solve per family, whose tails every other route reads:
     # 5591 products when each suite solved its own ladders and tails
