@@ -12,8 +12,8 @@ formulas here are pre-rewritten in combinations that are series:
 One pipeline serves both, and the ternary ladder in ``extensions``:
 ``characteristic`` derives (d, y, beta, gamma) from a root's quadratic,
 ``unit_factors`` builds the three factor families over one root or the
-lambda-weighted hexangulation roots, and ``quad_pattern_ladder`` assembles
-the four-factor entries.
+lambda-weighted hexangulation roots, and ``quad_pattern_ladder`` builds them
+from the roots it is given and assembles the four-factor entries.
 
 Every inverted factor is a unit, every division goes through exact_div,
 and the two quadratic branches are pinned by their leading vertex-weight
@@ -116,13 +116,15 @@ def unit_factors(roots, top: int):
     return families
 
 
-def quad_pattern_ladder(tail_b: MSeries, tail_w: MSeries, u, ub, ug, i_max: int) -> WeightLadder:
+def quad_pattern_ladder(tail_b: MSeries, tail_w: MSeries, roots, i_max: int) -> WeightLadder:
     """Entries 1..i_max of the four-factor product solution.
 
     The same pattern solves the quadrangulation, hexangulation and
-    ternary-tree systems; only the tails and the factor families
-    (``unit_factors`` up to i_max//2 + 2) differ.
+    ternary-tree systems; only the tails and the ``roots`` of the factor
+    families (``unit_factors``) differ.  Entry i_max reads the families up
+    to index i_max//2 + 2.
     """
+    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
     blacks, whites = [], []
     for idx in range(1, i_max + 1):
         m, odd = divmod(idx, 2)
@@ -137,8 +139,7 @@ def quad_pattern_ladder(tail_b: MSeries, tail_w: MSeries, u, ub, ug, i_max: int)
 
 def quad_ladder_closed(params: QuadParams, i_max: int) -> WeightLadder:
     roots = [(params.y, 1, params.beta, params.gamma)]
-    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
-    return quad_pattern_ladder(params.B, params.W, u, ub, ug, i_max)
+    return quad_pattern_ladder(params.B, params.W, roots, i_max)
 
 
 def hex_params(b: MSeries, w: MSeries) -> HexParams:
@@ -186,8 +187,7 @@ def hex_ladder_closed(params: HexParams, i_max: int) -> WeightLadder:
         (p.y2, p.lam2, p.beta2, p.gamma2),
         (p.y1 * p.y2, p.wd, p.beta1 * p.beta2, p.gamma1 * p.gamma2),
     ]
-    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
-    return quad_pattern_ladder(p.B, p.W, u, ub, ug, i_max)
+    return quad_pattern_ladder(p.B, p.W, roots, i_max)
 
 
 def closed_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:

@@ -96,8 +96,7 @@ def ternary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
     """
     p, q = sys.tail_black, sys.tail_white
     _, y, beta, gamma = characteristic(p - 1, -one(p.num_vars, p.order), q - 1)
-    u, ub, ug = unit_factors([(y, 1, beta, gamma)], i_max // 2 + 2)
-    return quad_pattern_ladder(p, q, u, ub, ug, i_max)
+    return quad_pattern_ladder(p, q, [(y, 1, beta, gamma)], i_max)
 
 
 def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:

@@ -232,15 +232,15 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])
 
 
-def moment_ladder(g: FaceWeights, b: MSeries, w: MSeries, i_max: int) -> WeightLadder:
-    """The determinant route from the tails B, W of g: entries 1..i_max
-    from the family of the black moments F_0..F_{i_max}."""
-    return cf_extract(hankel_family(f_sequence(i_max, g, b, w, "black")), i_max)
+def moment_ladder(moments: list[MSeries], i_max: int) -> WeightLadder:
+    """The determinant route from the black moments: entries 1..i_max from
+    the family of F_0..F_{i_max}, all that ``cf_extract`` reads of them."""
+    return cf_extract(hankel_family(moments[: i_max + 1]), i_max)
 
 
 def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
-    """``moment_ladder`` from the tails of ``tail_solve``."""
-    return moment_ladder(g, *tail_solve(g, ring), i_max)
+    """``moment_ladder`` of the moments on the tails of ``tail_solve``."""
+    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring), "black"), i_max)
 
 
 def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:

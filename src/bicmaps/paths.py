@@ -4,8 +4,8 @@ Paths are sequences of +-1 steps on integer heights, colored alternately in
 black and white.  Two weighting conventions coexist:
 
 * series-valued sums weight only descending steps, by the color and height
-  of the step's upper end (weight ladder entries B_i / W_i, or the constant
-  tail values B / W for the height-independent variant);
+  of the step's upper end (weight ladder entries B_i / W_i, with the tail
+  values B / W above them, so a ladder with no entries is height-independent);
 * exact-rational "balanced" sums weight both ascending and descending
   steps by the color of the step's lower end (b on white, w on black).
 
@@ -34,7 +34,7 @@ from itertools import product
 from math import lcm
 
 from .rational import Rat
-from .series import MSeries, SeriesRing, agree, fixed_point, one, zero
+from .series import MSeries, SeriesRing, fixed_point, one, zero
 
 BLACK_WHITE = "bw"
 WHITE_BLACK = "wb"
@@ -121,37 +121,27 @@ class WeightLadder:
     """Slice series B_1..B_H, W_1..W_H plus tail values used above height H.
 
     Index 0 (and below) always weighs zero, matching the convention
-    B_0 = W_0 = 0.  A *constant* ladder returns the tail at every height,
-    including non-positive ones; it models the height-independent weighting
-    where paths may descend below zero.
+    B_0 = W_0 = 0.  A ladder with no entries, ``WeightLadder((), (), B, W)``,
+    weighs every index >= 1 by its tails: the height-independent weighting.
     """
 
     black: tuple[MSeries, ...]
     white: tuple[MSeries, ...]
     tail_black: MSeries
     tail_white: MSeries
-    constant: bool = False
 
     def __post_init__(self):
         if len(self.black) != len(self.white):
             raise ValueError("black and white entry lists must have equal length")
-
-    @classmethod
-    def constant_ladder(cls, b: MSeries, w: MSeries) -> "WeightLadder":
-        return cls((), (), b, w, constant=True)
 
     @property
     def height(self) -> int:
         return len(self.black)
 
     def black_weight(self, i: int) -> MSeries:
-        if self.constant:
-            return self.tail_black
         return ladder_entry(self.black, self.tail_black, i)
 
     def white_weight(self, i: int) -> MSeries:
-        if self.constant:
-            return self.tail_white
         return ladder_entry(self.white, self.tail_white, i)
 
     def step_weight(self, h: int, black_parity: int) -> MSeries:
@@ -171,11 +161,6 @@ def ladder_pairs(a: WeightLadder, b: WeightLadder, i_max: int) -> list:
             (a.white_weight(i), b.white_weight(i)),
         )
     ]
-
-
-def ladders_agree(a: WeightLadder, b: WeightLadder, i_max: int) -> bool:
-    """Entries 1..i_max of both colors agree through their common reliable order."""
-    return all(agree(f, g) for f, g in ladder_pairs(a, b, i_max))
 
 
 @dataclass(frozen=True)
@@ -288,10 +273,11 @@ def z_plus_profile(
     zero.  One forward pass serves all lengths, which matters when building
     long moment sequences.
 
-    On a constant ladder whose weights have valuation v >= 1, a path at
-    height h > d still takes at least h - d descents back to d, so a value
-    there reaches the result only v * (h - d) degrees up: the walk keeps it
-    through degree order - v * (h - d) only, and the result is unchanged.
+    When every nonzero weight of the ladder, entries and tails, has
+    valuation v >= 1, a path at height h > d still takes at least h - d
+    descents back to d, so a value there reaches the result only
+    v * (h - d) degrees up: the walk keeps it through degree
+    order - v * (h - d) only, and the result is unchanged.
     """
     if floor is None:
         floor = d
@@ -299,15 +285,12 @@ def z_plus_profile(
     order = ladder.tail_black.order
     nothing = zero(ladder.tail_black.num_vars, order)
     cut = None
-    if ladder.constant:
-        v = min(
-            (t.valuation() for t in (ladder.tail_black, ladder.tail_white) if t),
-            default=order + 1,
-        )
-        if v >= 1:
+    weights = (*ladder.black, *ladder.white, ladder.tail_black, ladder.tail_white)
+    v = min((t.valuation() for t in weights if t), default=order + 1)
+    if v >= 1:
 
-            def cut(h):
-                return order - v * max(0, h - d)
+        def cut(h):
+            return order - v * max(0, h - d)
 
     walk = _series_walk(d, d, max_length, floor, parity, ladder, cut)
     return [cur.get(d, nothing) for cur in walk]
@@ -329,11 +312,15 @@ def z_strip(colors: str, i: int, length: int, ladder: WeightLadder) -> MSeries:
 
 
 def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
-    """Closed unconstrained round trips with height-independent weights."""
+    """Closed unconstrained round trips with height-independent weights.
+
+    Walked from height length // 2, which is black, so that every descent
+    reads an index >= 1 of the ladder of the tails.
+    """
     if length % 2 or length < 0:
         raise ValueError("need an even non-negative length")
-    ladder = WeightLadder.constant_ladder(b, w)
-    return _series_path_sum(0, 0, length, None, 0, ladder)
+    start = length // 2
+    return _series_path_sum(start, start, length, None, start % 2, WeightLadder((), (), b, w))
 
 
 # -- exact-rational balanced paths -------------------------------------------

@@ -180,7 +180,7 @@ def f_sequence(
 ) -> list[MSeries]:
     """All boundary generating functions F_0..F_{n_max} from one path sweep."""
     weights = alpha_coeffs(g, b, w, color)
-    lad = WeightLadder.constant_ladder(b, w)
+    lad = WeightLadder((), (), b, w)
     profile = z_plus_profile(
         0, 2 * n_max + 2 * g.p, lad, floor=0, black_start=(color == BLACK)
     )
@@ -255,7 +255,7 @@ def twopoint_from_ladder(ladder: WeightLadder, i_max: int) -> TwoPointTable:
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
-    if ladder.height < i_max + 1 and not ladder.constant:
+    if ladder.height < i_max + 1:
         raise ValueError("ladder height must exceed i_max")
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     tb = variable(nv, order, 0)

@@ -31,7 +31,6 @@ from .extensions import (
 )
 from .hankel import (
     cf_expand,
-    cf_extract,
     det_division_free,
     det_leibniz,
     hankel_det,
@@ -228,11 +227,11 @@ def suite_paths(run: SuiteRun) -> list[CheckResult]:
         ),
     )
     tb, tw = run.ring.gens()
-    const = WeightLadder.constant_ladder(tb, tw)
+    tails = WeightLadder((), (), tb, tw)
     s.ok(
         "paths/translation-invariance",
         all(
-            z_plus(d, d, 6, const, floor=d) == z_plus(0, 0, 6, const) for d in (1, 2, 3)
+            z_plus(d, d, 6, tails, floor=d) == z_plus(0, 0, 6, tails) for d in (1, 2, 3)
         ),
     )
     return s.results
@@ -301,7 +300,7 @@ def suite_hankel(run: SuiteRun) -> list[CheckResult]:
                 [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
             ) for i in (1, 2)),
         )
-        extracted = cf_extract(hankel_family(fb), 6)  # fb serves two more checks
+        extracted = moment_ladder(fb, 6)  # fb serves two more checks
         s.pairs_agree(
             f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6), order
         )
@@ -445,7 +444,7 @@ def suite_general(run: SuiteRun) -> list[CheckResult]:
     order = run.order
     ladder = run.ladder(OCT)
     b, w = ladder.tail_black, ladder.tail_white
-    extracted = moment_ladder(OCT, b, w, 4)
+    extracted = moment_ladder(f_sequence(4, OCT, b, w), 4)
     s.pairs_agree(
         "general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4), order
     )

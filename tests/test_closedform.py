@@ -14,7 +14,6 @@ from bicmaps.closedform import (
     quad_params,
     quad_pattern_ladder,
     twopoint_closed,
-    unit_factors,
 )
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
@@ -149,8 +148,7 @@ def test_quad_defining_relations(quad):
 
 def test_quad_closed_entry_zero_at_origin(quad):
     # the 1 - y^0 factor kills the index-0 entry
-    factors = unit_factors([(quad.y, 1, quad.beta, quad.gamma)], 3)
-    quad_pattern_ladder(quad.B, quad.W, *factors, 2)
+    quad_pattern_ladder(quad.B, quad.W, [(quad.y, 1, quad.beta, quad.gamma)], 2)
     u0 = 1 - quad.y ** 0
     assert u0.is_zero()
 

@@ -237,19 +237,20 @@ TAIL_FAMILIES = {
 @pytest.mark.parametrize("order", range(1, 9))
 @pytest.mark.parametrize("name", sorted(TAIL_FAMILIES))
 def test_slice_tails_solve_the_tail_equations(name, order):
-    # B = (t_black + sum_k g_k Z(2k - 1)) / (1 - g_1), Z the unfloored strip
-    # sums from 0 down to -1 on the constant ladder (B, W); W the same
+    # B = (t_black + sum_k g_k Z(2k - 1)) / (1 - g_1), Z the strip sums from
+    # k down to k - 1 on the ladder of the tails (B, W), too short to reach
+    # the floor 0; W the same
     g = TAIL_FAMILIES[name]
     ring = SeriesRing(2, order)
     b, w = tail_solve(g, ring)
     ladder = ladder_solve(g, ring)
     assert (ladder.tail_black, ladder.tail_white) == (b, w)
-    constant = WeightLadder.constant_ladder(b, w)
+    lad = WeightLadder((), (), b, w)
     rb, rw = ring.gens()
     for k in range(2, g.p + 2):
-        rb = rb + g.weight(k) * z_plus(0, -1, 2 * k - 1, constant, floor=-2 * k)
+        rb = rb + g.weight(k) * z_plus(k, k - 1, 2 * k - 1, lad, floor=0)
         rw = rw + g.weight(k) * z_plus(
-            0, -1, 2 * k - 1, constant, floor=-2 * k, black_start=False
+            k, k - 1, 2 * k - 1, lad, floor=0, black_start=False
         )
     assert (1 - g.weight(1)) * b == rb
     assert (1 - g.weight(1)) * w == rw

@@ -19,6 +19,7 @@ from bicmaps.hankel import (
     determinant_ladder,
     hankel_det,
     hankel_family,
+    moment_ladder,
 )
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
@@ -269,6 +270,17 @@ def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
         assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
     got = determinant_ladder(QUAD, RING, 6)
     assert _ladder_fields(got) == _ladder_fields(cf_extract(want, 6))
+
+
+@pytest.mark.parametrize("name", ["quad", "g1=1/5", "p=3"])
+def test_moment_ladder_reads_only_the_moments_it_needs(name):
+    # F_0..F_{i_max} fix the ladder: more moments change no field of it
+    g = FAMILIES[name]
+    fb = f_sequence(9, g, *tail_solve(g, RING))
+    for i_max in (5, 6):
+        got = _ladder_fields(moment_ladder(fb, i_max))
+        assert got == _ladder_fields(cf_extract(hankel_family(fb[: i_max + 1]), i_max))
+        assert got == _ladder_fields(cf_extract(hankel_family(fb), i_max))
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from helpers import assert_series
 
 R = SeriesRing(2, 12)
 tb, tw = R.gens()
-CONST = WeightLadder.constant_ladder(tb, tw)
+CONST = WeightLadder((), (), tb, tw)
 
 
 def indexed_ladder(height):
@@ -60,6 +60,15 @@ def series_brute(start, end, length, floor, black_parity, ladder):
         if ok and h == end:
             total = total + weight
     return total
+
+
+def test_ladder_with_no_entries_reads_its_tails_above_zero():
+    lad = WeightLadder((), (), tb, tw)
+    assert lad.height == 0
+    for i in range(-3, 1):
+        assert lad.black_weight(i).is_zero() and lad.white_weight(i).is_zero(), i
+    for i in range(1, 9):
+        assert lad.black_weight(i) == tb and lad.white_weight(i) == tw, i
 
 
 def test_z_plus_single_updown_is_w1():
@@ -112,8 +121,8 @@ def test_capped_moment_walk_matches_single_walks(g):
     b, w = tail_solve(g, SeriesRing(2, order))
     top = 2 * order + 4
     for lad in (
-        WeightLadder.constant_ladder(b, w),
-        WeightLadder.constant_ladder(b.with_reliable(order - 2), w.with_reliable(order - 1)),
+        WeightLadder((), (), b, w),
+        WeightLadder((), (), b.with_reliable(order - 2), w.with_reliable(order - 1)),
     ):
         for d, floor in ((0, 0), (2, None), (2, 0)):
             for black_start in (True, False):
@@ -185,6 +194,23 @@ def test_l_zero_small_values():
     assert l_zero(4, tb, tw) == tb ** 2 + tw ** 2 + 4 * tb * tw
 
 
+@pytest.mark.parametrize("weights", [(0, 1), (0, rat(1, 3), 2)], ids=["quad", "0,1/3,2"])
+def test_l_zero_matches_brute_round_trips(weights):
+    # unfloored round trips of length 2j from height 2j, black there: the
+    # walk never comes below height j, so every descent reads a tail
+    b, w = tail_solve(FaceWeights(tuple(rat(x) for x in weights)), SeriesRing(2, 6))
+    lad = WeightLadder((), (), b, w)
+    for j in range(5):
+        got = l_zero(2 * j, b, w)
+        want = series_brute(2 * j, 2 * j, 2 * j, None, 0, lad)
+        assert (got.nums, got.den, got.order, got.reliable) == (
+            want.nums,
+            want.den,
+            want.order,
+            want.reliable,
+        ), j
+
+
 def test_series_dp_equals_brute():
     lad = indexed_ladder(8)
     cases = [
@@ -215,7 +241,7 @@ def test_rat_path_balanced_equals_descending_specialization():
     # agree on closed paths.
     wt = RatPathWeights(rat(2), rat(3))
     for n in (1, 2, 3, 4):
-        series_value = z_plus(0, 0, 2 * n, CONST, floor=-2 * n).evaluate([4, 9])
+        series_value = z_plus(n, n, 2 * n, CONST, floor=0).evaluate([4, 9])
         assert rat_path("bb", 0, 0, 2 * n, None, wt) == series_value
 
 

@@ -176,7 +176,7 @@ def test_conserved_mixed_family_independence():
 def test_conserved_constant_ladder_limit(quad_tail):
     # Far from the floor the conserved quantity reduces to W - B^2*W/tb.
     b, w = quad_tail
-    lad = WeightLadder.constant_ladder(b, w)
+    lad = WeightLadder((), (), b, w)
     tb = variable(2, 6, 0)
     expected = w - exact_div(b * b * w, tb)
     assert agree(conserved(1, 8, lad, QUAD), expected)

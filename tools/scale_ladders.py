@@ -31,8 +31,10 @@ over the rounds of each round's least timing as ``median_min_s`` (all of
 them under ``seconds``, round by round): noise on the host only ever adds
 time, and for calls under a few tenths of a second it swamps a median of
 three, but the least of all timings can also be one rare fast sample,
-which the median of the per-round minima does not hinge on.  Uses the
-standard library only.
+which the median of the per-round minima does not hinge on.  ``spread_s``
+is the max minus the min of those per-round minima: a difference between
+two trees smaller than their spreads is not resolved by the curve.  Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -156,7 +158,9 @@ def main(argv=None) -> int:
         for name, _ in trees:
             runs = results[name]
             seconds = [s for result in runs for s in result["seconds"]]
-            median_min = statistics.median(min(result["seconds"]) for result in runs)
+            minima = [min(result["seconds"]) for result in runs]
+            median_min = statistics.median(minima)
+            spread = max(minima) - min(minima)
             curves.append({
                 "tree": name,
                 "solver": solver,
@@ -164,12 +168,14 @@ def main(argv=None) -> int:
                 "order": order,
                 "best_s": round(min(seconds), 6),
                 "median_min_s": round(median_min, 6),
+                "spread_s": round(spread, 6),
                 "seconds": [round(s, 6) for s in seconds],
                 "products": runs[0]["products"],
                 "series_products": runs[0]["series_products"],
             })
             print(f"{name:>10} {solver} {family} order {order}: {min(seconds):.4f} s best, "
-                  f"{median_min:.4f} s median min, {runs[0]['products']} products", file=sys.stderr)
+                  f"{median_min:.4f} s median min, {spread:.4f} s spread, "
+                  f"{runs[0]['products']} products", file=sys.stderr)
     doc = {
         "environment": {
             "python": platform.python_version(),
