@@ -311,8 +311,11 @@ def main(argv=None) -> int:
             parser.error(f"${DEFAULT_ORDER_ENV} must be an integer, not {text!r}")
     code, text = run(config, parser)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write {config.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return code

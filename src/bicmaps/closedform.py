@@ -22,7 +22,7 @@ coefficients, which are asserted at runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import WeightLadder
 from .rational import rat
@@ -40,8 +40,7 @@ from .series import (
 from .slices import FaceWeights, TwoPointTable, tail_solve, twopoint_from_ladder
 
 
-@dataclass(frozen=True)
-class QuadParams:
+class QuadParams(NamedTuple):
     """Series parametrization of the quadrangulation closed forms."""
 
     B: MSeries
@@ -52,8 +51,7 @@ class QuadParams:
     gamma: MSeries
 
 
-@dataclass(frozen=True)
-class HexParams:
+class HexParams(NamedTuple):
     """Series parametrization of the hexangulation closed forms."""
 
     B: MSeries

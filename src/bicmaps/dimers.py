@@ -18,8 +18,6 @@ no root and no product over the roots is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hankel import HankelFamily, det_division_free
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
@@ -33,22 +31,19 @@ def segment_ends(links: int) -> tuple[str, str]:
     return ("bb", "ww") if links % 2 == 0 else ("bw", "wb")
 
 
-@dataclass(frozen=True)
 class SegmentSpec:
     """A bicolored oriented segment: link count plus end-node colors."""
 
-    links: int
-    ends: str
+    __slots__ = ("links", "ends")
 
-    def __post_init__(self):
-        if self.links < 0:
+    def __init__(self, links: int, ends: str):
+        if links < 0:
             raise ValueError("link count must be non-negative")
-        if self.ends not in _ENDS:
+        if ends not in _ENDS:
             raise ValueError(f"ends must be one of {_ENDS}")
-        if self.ends not in segment_ends(self.links):
-            raise ValueError(
-                f"{self.links} links cannot join end colors {self.ends!r}"
-            )
+        if ends not in segment_ends(links):
+            raise ValueError(f"{links} links cannot join end colors {ends!r}")
+        self.links, self.ends = links, ends
 
     def link_weights(self) -> list[int]:
         """Per link: 1 for black-to-white (s1), 2 for white-to-black (s2)."""

@@ -20,8 +20,8 @@ every solve checks the symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .closedform import characteristic, quad_pattern_ladder, unit_factors
 from .paths import WeightLadder, color_swap, ladder_entry, solve_ladder
@@ -124,8 +124,7 @@ def binary_closed_ladder(sys: WeightLadder, i_max: int) -> WeightLadder:
 # -- the tricolored system -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TriColorState:
+class TriColorState(NamedTuple):
     """Solved tricolored ladder plus its height parametrization."""
 
     t_list: tuple[MSeries, ...]

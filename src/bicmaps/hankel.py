@@ -31,8 +31,8 @@ own, keep checking the symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .paths import WeightLadder, color_swap
 from .series import MSeries, SeriesRing, exact_div, one, zero
@@ -162,8 +162,7 @@ def hankel_det(moments: list[MSeries], shift: int, i: int) -> MSeries:
     return det_division_free(rows)
 
 
-@dataclass(frozen=True)
-class HankelFamily:
+class HankelFamily(NamedTuple):
     """The determinant sequences of the black moments (index -1 is 1), from
     the moments (``hankel_family``) or the dimer column walk (``dimers.lgv``).
     F_0..F_n reach shift 0 through index n//2 and shift 1 through (n-1)//2,

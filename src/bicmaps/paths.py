@@ -28,7 +28,6 @@ reflection identities are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from math import lcm
@@ -116,7 +115,6 @@ def solve_ladder(
     return fixed_point(sweep, bare, ring.order, error), tails
 
 
-@dataclass(frozen=True)
 class WeightLadder:
     """Slice series B_1..B_H, W_1..W_H plus tail values used above height H.
 
@@ -125,14 +123,19 @@ class WeightLadder:
     weighs every index >= 1 by its tails: the height-independent weighting.
     """
 
-    black: tuple[MSeries, ...]
-    white: tuple[MSeries, ...]
-    tail_black: MSeries
-    tail_white: MSeries
+    __slots__ = ("black", "white", "tail_black", "tail_white")
 
-    def __post_init__(self):
-        if len(self.black) != len(self.white):
+    def __init__(
+        self,
+        black: tuple[MSeries, ...],
+        white: tuple[MSeries, ...],
+        tail_black: MSeries,
+        tail_white: MSeries,
+    ):
+        if len(black) != len(white):
             raise ValueError("black and white entry lists must have equal length")
+        self.black, self.white = black, white
+        self.tail_black, self.tail_white = tail_black, tail_white
 
     @property
     def height(self) -> int:
@@ -163,16 +166,15 @@ def ladder_pairs(a: WeightLadder, b: WeightLadder, i_max: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
 class RatPathWeights:
     """Rational sample values for the balanced square-root step weights."""
 
-    b: object
-    w: object
+    __slots__ = ("b", "w")
 
-    def __post_init__(self):
-        if not (self.b > 0 and self.w > 0):
+    def __init__(self, b, w):
+        if not (b > 0 and w > 0):
             raise ValueError("step weights must be positive")
+        self.b, self.w = b, w
 
 
 def _walk(start, end, length, floor, up, down, unit, cut=None):
@@ -435,7 +437,6 @@ def unconstrained_drop(j: int, length: int, wt: RatPathWeights):
     return rat_path("bb", 2 * abs(j), 0, length, None, wt)
 
 
-@dataclass
 class BalancedSums:
     """The balanced path sums at one sample point, each computed once.
 
@@ -443,9 +444,12 @@ class BalancedSums:
     depend on the weights, so one dict can serve several sample points.
     """
 
-    wt: RatPathWeights
-    tallies: dict = field(default_factory=dict)
-    drops: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("wt", "tallies", "drops")
+
+    def __init__(self, wt: RatPathWeights, tallies: dict | None = None):
+        self.wt = wt
+        self.tallies = {} if tallies is None else tallies
+        self.drops = {}
 
     def path(self, colors, start, end, length, floor, brute=False):
         """rat_path at this point, or the brute oracle when ``brute``."""

@@ -23,7 +23,7 @@ root color, ``"black"`` or ``"white"``; any other name is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .paths import (
     WeightLadder,
@@ -45,17 +45,25 @@ class ConvergenceError(Exception):
     """A fixed-point sweep failed to stabilize (mis-weighted path sum)."""
 
 
-@dataclass(frozen=True)
 class FaceWeights:
-    """Weights g_1..g_{p+1}, entry k applying to faces of degree 2k."""
+    """Weights g_1..g_{p+1}, entry k applying to faces of degree 2k.
 
-    g: tuple
+    Equal and hashed by ``g``: a verify run keys its ladders by them."""
 
-    def __post_init__(self):
-        if not self.g or not self.g[-1]:
+    __slots__ = ("g",)
+
+    def __init__(self, g: tuple):
+        if not g or not g[-1]:
             raise ValueError("face weight list must be non-empty with nonzero last entry")
-        if not all(is_rational(x) for x in self.g):
+        if not all(is_rational(x) for x in g):
             raise ValueError("face weights must be exact rationals")
+        self.g = g
+
+    def __eq__(self, other):
+        return self.g == other.g if other.__class__ is FaceWeights else NotImplemented
+
+    def __hash__(self):
+        return hash(self.g)
 
     @classmethod
     def quadrangulations(cls) -> "FaceWeights":
@@ -232,8 +240,7 @@ def conserved(
     return main - exact_div(correction, root_weight)
 
 
-@dataclass(frozen=True)
-class TwoPointTable:
+class TwoPointTable(NamedTuple):
     """Distance-indexed two-point generating functions, both root colors."""
 
     black: tuple[MSeries, ...]

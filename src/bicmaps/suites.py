@@ -15,7 +15,7 @@ recursion once, and the suites that compare other routes with it share it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .closedform import hex_ladder_closed, hex_params, quad_ladder_closed, quad_params
 from .dimers import SegmentSpec, lgv, segment_ends, zhd, zhd_brute, zhd_closed_check
@@ -74,8 +74,7 @@ from .slices import (
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -129,18 +128,16 @@ MIXED = FaceWeights((rat(1, 2), rat(1)))
 OCT = FaceWeights((rat(0), rat(0), rat(0), rat(1)))
 
 
-@dataclass
 class SuiteRun:
     """What the suites of one verify run share: the order, the seed, the
     ring, and the recursion ladder of each face-weight family."""
 
-    order: int
-    seed: int
-    ring: SeriesRing = field(init=False)
-    ladders: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("order", "seed", "ring", "ladders")
 
-    def __post_init__(self):
-        self.ring = SeriesRing(2, self.order)
+    def __init__(self, order: int, seed: int):
+        self.order, self.seed = order, seed
+        self.ring = SeriesRing(2, order)
+        self.ladders = {}
 
     def ladder(self, g: FaceWeights) -> WeightLadder:
         """The recursion ladder of ``g``, solved on first use in this run.

@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bicmaps
 from bicmaps.cli import main
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing
@@ -223,6 +227,30 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(target.read_text())["command"] == "twopoint"
     assert capsys.readouterr().out == ""
+
+
+def test_output_under_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["twopoint", "--family", "quad", "--order", "3", "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(target) in err and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_importing_the_cli_skips_dataclasses():
+    # dataclasses imports inspect and ast, and each decorated class execs
+    # generated methods: a fixed cost in the start-up of every command
+    src = str(Path(bicmaps.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bicmaps.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"
 
 
 # -- every command, family and route at the lowest orders ----------------------

@@ -55,6 +55,10 @@ def test_segment_parity_validation():
         SegmentSpec(3, "bb")
     with pytest.raises(ValueError):
         SegmentSpec(2, "wb")
+    with pytest.raises(ValueError, match="non-negative"):
+        SegmentSpec(-1, "bb")
+    with pytest.raises(ValueError, match="ends must be one of"):
+        SegmentSpec(2, "bx")
 
 
 def test_zhd_base_cases():

@@ -44,6 +44,11 @@ def tricolor():
     return tricolor_solve(R3)
 
 
+def test_tricolor_state_height(tricolor):
+    # order + 2 entries per color
+    assert tricolor.height == len(tricolor.u_list) == len(tricolor.v_list) == 8
+
+
 def test_ternary_seed_values(ternary):
     assert ternary.black_weight(0).is_zero()
     assert ternary.white_weight(0).is_zero()

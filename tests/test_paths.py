@@ -96,6 +96,21 @@ def test_z_plus_rejects_bad_geometry():
         z_plus(0, 0, 2, CONST, floor=1)
 
 
+def test_weight_ladder_rejects_unequal_entry_lists():
+    with pytest.raises(ValueError, match="equal length"):
+        WeightLadder((tb,), (), tb, tw)
+    with pytest.raises(ValueError, match="equal length"):
+        WeightLadder((), (tw,), tb, tw)
+
+
+@pytest.mark.parametrize(
+    "b, w", [(0, 1), (1, 0), (rat(-1, 2), 3), (2, rat(-3, 5))]
+)
+def test_rat_path_weights_reject_nonpositive_weights(b, w):
+    with pytest.raises(ValueError, match="positive"):
+        RatPathWeights(b, w)
+
+
 def test_z_plus_translation_invariance_constant_ladder():
     for offset in (0, 1, 2, 5):
         assert z_plus(offset, offset, 6, CONST, floor=offset) == z_plus(0, 0, 6, CONST)

@@ -306,6 +306,35 @@ def test_twopoint_color_swap(quad_ladder):
         assert table.g_black(i).swap_vars() == table.g_white(i)
 
 
+def test_twopoint_table_reads_distance_i(quad_ladder):
+    table = twopoint_from_ladder(quad_ladder, 4)
+    for i in range(1, 5):
+        assert table.g_black(i) is table.black[i - 1]
+        assert table.g_white(i) is table.white[i - 1]
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        ((), "non-empty"),
+        ((rat(1), rat(0)), "nonzero last entry"),
+        ((rat(0), 1.0), "exact rationals"),
+    ],
+    ids=["empty", "zero-last", "float"],
+)
+def test_face_weights_reject_bad_lists(g, message):
+    with pytest.raises(ValueError, match=message):
+        FaceWeights(g)
+
+
+def test_equal_face_weights_are_one_key():
+    # verify's runs key their ladders by FaceWeights
+    a, b = FaceWeights((rat(1, 2), rat(1))), FaceWeights((rat(1, 2), rat(1)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    assert a != FaceWeights.quadrangulations()
+
+
 def test_quadrangulation_census():
     # Tutte, "A census of planar maps" (Canad. J. Math. 1963): there are
     # 2 * 3^f (2f)! / (f! (f + 2)!) rooted quadrangulations with f faces,

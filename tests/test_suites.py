@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bicmaps import paths
-from bicmaps.suites import SUITES, SuiteRun, run_suite, suite_paths
+from bicmaps.suites import SUITES, CheckResult, SuiteRun, run_suite, suite_paths
 
 
 @pytest.mark.parametrize("order", [1, 2, 5])
@@ -16,6 +16,12 @@ def test_all_equals_single_suites(order):
     assert [(c.name, c.passed, c.detail) for c in together] == [
         (c.name, c.passed, c.detail) for c in singles
     ]
+
+
+def test_check_result_fields_by_name():
+    passed, failed = CheckResult("a/b", True), CheckResult("a/c", False, "why")
+    assert (passed.name, passed.passed, passed.detail) == ("a/b", True, "")
+    assert (failed.name, failed.passed, failed.detail) == ("a/c", False, "why")
 
 
 def test_run_solves_each_ladder_once(monkeypatch):
