@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from math import gcd
 
 from . import __version__
 from .closedform import closed_ladder
@@ -71,19 +72,21 @@ def _variables(num_vars: int, family: str) -> list[str]:
     return ["t_black", "t_white", "t_third"][:num_vars]
 
 
-def series_record(name: str, f: MSeries) -> dict:
-    terms = [
-        {
-            "exponents": list(e),
-            "numerator": str(c.numerator),
-            "denominator": str(c.denominator),
-        }
-        for e, c in f.terms()
-    ]
-    return {"name": name, "reliable": f.reliable, "terms": terms}
+def series_record(name: str, f: MSeries) -> tuple:
+    """The record of one series: (name, reliable, terms), each term an
+    (exponents, numerator, denominator) triple with the coefficient in
+    lowest terms and both numbers as decimal strings, in the order of
+    ``MSeries.terms``.  Both document formats write these triples."""
+    nums, den = f.nums, f.den
+    terms = []
+    for e in sorted(nums, key=lambda e: (sum(e), e)):
+        n = nums[e]
+        g = gcd(n, den)
+        terms.append((e, str(n // g), str(den // g)))
+    return name, f.reliable, terms
 
 
-def _ladder_records(ladder: WeightLadder, i_max: int, names=("B", "W")) -> list[dict]:
+def _ladder_records(ladder: WeightLadder, i_max: int, names=("B", "W")) -> list[tuple]:
     out = []
     for i in range(1, i_max + 1):
         out.append(series_record(f"{names[0]}_{i}", ladder.black_weight(i)))
@@ -91,7 +94,7 @@ def _ladder_records(ladder: WeightLadder, i_max: int, names=("B", "W")) -> list[
     return out
 
 
-def _tricolor_records(state, i_max: int) -> list[dict]:
+def _tricolor_records(state, i_max: int) -> list[tuple]:
     out = []
     for i in range(1, i_max + 1):
         out.append(series_record(f"T_{i}", state.t_at(i)))
@@ -143,7 +146,7 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
     weights = config.g if "g" in config else ()
     if weights and config.family != "general":
         parser.error("--g applies only to --family general")
-    records: list[dict] = []
+    records: list[tuple] = []
     meta: dict = {
         "command": config.command,
         "order": config.order,
@@ -211,41 +214,75 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
         checks = run_suite(config.suite, config.order, config.seed)
         meta.update(suite=config.suite)
         passed = all(c.passed for c in checks)
-        doc = dict(meta)
-        doc["checks"] = [
+        meta["checks"] = [
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
         ]
-        doc["passed"] = passed
-        text = _render(doc, config, check_mode=True)
-        return (0 if passed else 1), text
+        meta["passed"] = passed
+        return (0 if passed else 1), _render(meta, None, config)
 
     else:  # pragma: no cover - argparse restricts the choices
         parser.error(f"unknown command {config.command!r}")
 
-    doc = dict(meta)
-    doc["records"] = records
-    return 0, _render(doc, config, check_mode=False)
+    return 0, _render(meta, records, config)
 
 
-def _render(doc: dict, config: argparse.Namespace, check_mode: bool) -> str:
+# Templates of a record and of a term inside the document's "records" list,
+# indented as json.dumps(doc, indent=2, sort_keys=True) indents them.
+_RECORD = '    {\n      "name": %s,\n      "reliable": %d,\n      "terms": %s\n    }'
+_TERM = (
+    '        {\n          "denominator": "%s",\n          "exponents": [\n            %s'
+    '\n          ],\n          "numerator": "%s"\n        }'
+)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already written items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _record_json(name: str, reliable: int, terms) -> str:
+    exponents = ",\n            ".join
+    written = [_TERM % (d, exponents(map(str, e)), n) for e, n, d in terms]
+    return _RECORD % (json.dumps(name), reliable, _json_list(written, "      "))
+
+
+def _json_document(header: dict, records) -> str:
+    """What json.dumps(doc, indent=2, sort_keys=True) + "\\n" writes for doc =
+    ``header`` plus, unless ``records`` is None, the "records" list.
+
+    The records go through the fixed templates.  A raw newline in
+    json.dumps's output can only come from its indentation, so a header
+    value dumped alone moves to depth 1 by indenting each of its lines.
+    """
+    fields = {
+        key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key, value in header.items()
+    }
+    if records is not None:
+        fields["records"] = _json_list([_record_json(*r) for r in records], "  ")
+    body = ",\n".join(f"  {json.dumps(key)}: {fields[key]}" for key in sorted(fields))
+    return "{\n" + body + "\n}\n"
+
+
+def _render(header: dict, records, config: argparse.Namespace) -> str:
+    """The document of ``header`` and the series ``records``; a ``verify``
+    document has no records (None) and its checks in the header."""
     if config.fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_document(header, records)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if check_mode:
+    if records is None:
         writer.writerow(["name", "passed", "detail"])
-        for c in doc["checks"]:
+        for c in header["checks"]:
             writer.writerow([c["name"], "1" if c["passed"] else "0", c["detail"]])
         return buf.getvalue()
-    variables = doc.get("variables", [])
+    variables = header.get("variables", [])
     writer.writerow(["name"] + [f"exp_{v}" for v in variables] + ["numerator", "denominator"])
-    for record in doc["records"]:
-        for term in record["terms"]:
-            writer.writerow(
-                [record["name"]]
-                + [str(x) for x in term["exponents"]]
-                + [term["numerator"], term["denominator"]]
-            )
+    for name, _, terms in records:
+        for e, n, d in terms:
+            writer.writerow([name, *e, n, d])
     return buf.getvalue()
 
 

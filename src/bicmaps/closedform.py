@@ -101,16 +101,20 @@ def unit_factors(roots, top: int):
     lam_a*beta_a and lam_a*gamma_a.
 
     One root with lam = 1 gives 1 - y^j, 1 - beta*y^j, 1 - gamma*y^j.
+    Each root keeps its three weighted terms at the current j and moves
+    them to j + 1 with one product by y_a each.
     """
-    weights = [(lam, lam * beta, lam * gamma) for _, lam, beta, gamma in roots]
-    powers = [[y ** j for j in range(top + 1)] for y, _, _, _ in roots]
+    terms = [[lam, lam * beta, lam * gamma] for _, lam, beta, gamma in roots]
     families = ([], [], [])
     for j in range(top + 1):
         for k, family in enumerate(families):
             f = 1
-            for wt, p in zip(weights, powers):
-                f = f - wt[k] * p[j]
+            for t in terms:
+                f = f - t[k]
             family.append(f)
+        if j < top:
+            for (y, _, _, _), t in zip(roots, terms):
+                t[:] = [x * y for x in t]
     return families
 
 

@@ -33,12 +33,15 @@ product term is the sum of its factors' indices.  The cells' exponent
 tuples are built on the first product of each (arity, s) and cached.
 Storage stays tuple-keyed: the dict is built once from the nonzero cells.
 
-``inv_unit`` and ``sqrt_unit`` share one Newton schedule that doubles the
-working precision (Brent & Kung, J. ACM 1978): step j runs in the ring cut
-to degree min(2^j, order+1) - 1 and only the last step works at full
-order.  All values are immutable after construction and safe to
-share: results that keep every term of an operand share its numerator
-dict.
+``inv_unit`` runs the degree recurrence of the inverse once over that flat
+accumulator, in ints: with this schoolbook product a Newton inversion
+costs about two full products and the recurrence about one (Newton wins
+only over fast products; Brent & Kung, J. ACM 1978).  ``sqrt_unit`` and
+``solve_quadratic_branch`` share one Newton schedule that doubles the
+working precision: step j runs in the ring cut to degree
+min(2^j, order+1) - 1 and only the last step works at full order.  All
+values are immutable after construction and safe to share: results that
+keep every term of an operand share its numerator dict.
 """
 
 from __future__ import annotations
@@ -88,13 +91,14 @@ def _zero_expo(num_vars: int) -> Expo:
 
 
 @cache
-def _layout(num_vars: int, order: int) -> tuple[tuple[Expo, ...], dict[Expo, tuple[int, int]]]:
+def _layout(num_vars: int, order: int):
     """The dense accumulator of a product truncated at ``order``.
 
     Cells cover the cube of side order + 1, one per exponent vector in
     lexicographic order, so a cell's index reads its exponent in base
-    order + 1.  Returns the cells' exponents and, for each exponent of
-    total degree at most ``order``, its (degree, index).
+    order + 1.  Returns the cells' exponents, for each exponent of total
+    degree at most ``order`` its (degree, index), and those (degree,
+    index) pairs sorted.
     """
     cells = tuple(product(range(order + 1), repeat=num_vars))
     place = {}
@@ -102,7 +106,7 @@ def _layout(num_vars: int, order: int) -> tuple[tuple[Expo, ...], dict[Expo, tup
         degree = sum(e)
         if degree <= order:
             place[e] = (degree, index)
-    return cells, place
+    return cells, place, tuple(sorted(place.values()))
 
 
 class MSeries:
@@ -408,7 +412,7 @@ class MSeries:
             return MSeries._wrap(self.num_vars, order, {}, 1, reliable)
         # no product term lies above the operands' top degrees added up
         side = min(order, self._top_degree() + other._top_degree())
-        cells, place = _layout(self.num_vars, side)
+        cells, place, _ = _layout(self.num_vars, side)
         # Iterate the sparser operand outside; keep the other sorted by degree
         # so the inner loop can stop as soon as the truncation bound is hit.
         # Terms above the order have no place and drop out here.
@@ -547,18 +551,21 @@ def valuation_split(f: MSeries) -> Valuation:
 # -- the four nontrivial ring operations -------------------------------------
 
 
-def _newton(f: MSeries, seed, step) -> MSeries:
+def _newton(f, seed, step) -> MSeries:
     """Newton iteration for a function of f, from a constant seed.
 
-    ``step(f, g)`` must double the number of exact degrees of g, so
-    ceil(log2(order+1)) steps suffice.  Step j runs on f and g cut (or
-    extended) to degree min(2^j, order+1) - 1, the most that can be exact
-    after it; the last step works at f's full order.
+    ``f`` is a series or a tuple of series, and the work runs to the lowest
+    order among them.  ``step(f, g)`` must double the number of exact
+    degrees of g, so ceil(log2(order+1)) steps suffice.  Step j runs on f
+    and g cut (or extended) to degree min(2^j, order+1) - 1, the most that
+    can be exact after it; the last step works at full order.
     """
-    g = constant(f.num_vars, 0, seed)
+    series = (f,) if isinstance(f, MSeries) else f
+    order = min(s.order for s in series)
+    g = constant(series[0].num_vars, 0, seed)
     exact = 1
-    while exact <= f.order:
-        exact = min(2 * exact, f.order + 1)
+    while exact <= order:
+        exact = min(2 * exact, order + 1)
         g = step(_graded(f, exact - 1), _graded(g, exact - 1))
     return g
 
@@ -566,13 +573,37 @@ def _newton(f: MSeries, seed, step) -> MSeries:
 def inv_unit(f: MSeries) -> MSeries:
     """Multiplicative inverse of a series with nonzero constant term.
 
-    Newton iteration g <- g*(2 - f*g) on the precision-doubling schedule.
+    One pass of the degree recurrence over the product accumulator.  With
+    f = F/D and F0 the constant numerator, H = F0^(order+1)/F is integral
+    through the order: H_0 = F0^order and, for e of positive degree,
+    H_e = -(sum of F_a H_(e-a) over a != 0)/F0, an exact division in ints.
+    Each H_b, once final, is pushed into the cells b + a it feeds.  The
+    inverse is D*H over F0^(order+1).
     """
-    c0 = f.constant_term()
-    if not c0:
+    num_vars, order = f.num_vars, f.order
+    origin = _zero_expo(num_vars)
+    f0 = f.nums.get(origin)
+    if not f0:
         raise NotAUnitError("cannot invert a series with zero constant term")
-    g = _newton(f, rat(1, c0), lambda f, g: g * (2 - f * g))
-    return g.with_reliable(f.reliable)
+    cells, place, ranked = _layout(num_vars, order)
+    rest = sorted([(*place[e], n) for e, n in f.nums.items() if e != origin])
+    power = f0 ** (order + 1)
+    scale = f.den if power > 0 else -f.den  # the denominator stays positive
+    acc = [0] * len(cells)
+    acc[0] = -power  # so that H_0 = -acc[0] // f0 = F0^order
+    nums = {}
+    for deg, i in ranked:
+        s = acc[i]
+        if not s:
+            continue
+        h = -s // f0
+        nums[cells[i]] = h * scale
+        room = order - deg
+        for deg_a, ia, n in rest:
+            if deg_a > room:
+                break
+            acc[i + ia] += n * h
+    return MSeries._make(num_vars, order, nums, abs(power), f.reliable)
 
 
 def exact_div(f: MSeries, g: MSeries) -> MSeries:
@@ -634,11 +665,11 @@ def sqrt_unit(f: MSeries) -> MSeries:
 
 
 def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
-    """The unique series root mu with mu(0) = 0 of a2*mu^2 + a1*mu + a0 = 0.
+    """The unique series root mu with mu(0) = 0 of P(mu) = a2*mu^2 + a1*mu + a0.
 
-    Requires a1 to be a unit and a0 to have zero constant term.  Each step
-    of mu <- -(a0 + a2*mu^2)/a1 from mu = 0 gains at least one exact total
-    degree, so ``fixed_point`` pins every stored coefficient.
+    Requires a1 to be a unit and a0 to have zero constant term.  Newton's
+    mu <- mu - P(mu)/P'(mu) from mu = 0 doubles the exact degrees each
+    step, since P'(mu) = 2*a2*mu + a1 is a unit along the way.
     """
     a2._check_compatible(a1)
     a1._check_compatible(a0)
@@ -646,14 +677,14 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
         raise NotAUnitError("linear coefficient must be a unit")
     if a0.constant_term():
         raise NoSeriesRootError("constant coefficient must have zero constant term")
-    order = min(a2.order, a1.order, a0.order)
-    inv_a1 = inv_unit(a1.truncate(order))
-    root = fixed_point(
-        lambda mu, _: -(a0 + a2 * mu * mu) * inv_a1,
-        zero(a2.num_vars, order),
-        order,
-        NoSeriesRootError("quadratic iteration failed to stabilize"),
-    )
+
+    def step(coeffs, mu):
+        a2, a1, a0 = coeffs
+        a2mu = a2 * mu
+        slope = a2mu + a1  # P(mu) = slope*mu + a0 and P'(mu) = slope + a2*mu
+        return mu - (slope * mu + a0) * inv_unit(slope + a2mu)
+
+    root = _newton((a2, a1, a0), 0, step)
     return root.with_reliable(min(a2.reliable, a1.reliable, a0.reliable))
 
 

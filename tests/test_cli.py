@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicmaps
+from bicmaps import cli
 from bicmaps.cli import main
 from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing
@@ -107,6 +112,73 @@ def test_csv_layout(capsys):
     assert rows[0] == ["name", "exp_t_black", "exp_t_white", "numerator", "denominator"]
     assert all(len(row) == 5 for row in rows[1:])
     assert any(row[0] == "G_black_1" for row in rows[1:])
+
+
+# -- the document writer against json.dumps of per-term dicts ----------------
+
+
+def dict_record(name, f):
+    """A record as a dict per term, as json.dumps would be handed it."""
+    terms = [
+        {"exponents": list(e), "numerator": str(c.numerator), "denominator": str(c.denominator)}
+        for e, c in f.terms()
+    ]
+    return {"name": name, "reliable": f.reliable, "terms": terms}
+
+
+def csv_rows(variables, records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["name"] + [f"exp_{v}" for v in variables] + ["numerator", "denominator"])
+    for record in records:
+        for term in record["terms"]:
+            writer.writerow(
+                [record["name"]]
+                + [str(x) for x in term["exponents"]]
+                + [term["numerator"], term["denominator"]]
+            )
+    return buf.getvalue()
+
+
+@st.composite
+def named_series(draw, num_vars):
+    """A name and a series, often the zero series or one with Fractions."""
+    order = draw(st.integers(0, 5))
+    expos = st.tuples(*(st.integers(0, 5) for _ in range(num_vars)))
+    coeffs = st.one_of(
+        st.integers(-10**12, 10**12),
+        st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60)),
+    )
+    terms = draw(st.dictionaries(expos, coeffs, max_size=6))
+    return draw(st.text(max_size=6)), MSeries(num_vars, order, terms, draw(st.integers(0, order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(named_series(n), max_size=4)), st.data())
+def test_document_writer_equals_json_dumps_and_the_csv_rows(pairs, data):
+    header = {
+        "command": "ladder",
+        "order": data.draw(st.integers(1, 9)),
+        "seed": data.draw(st.integers(-5, 5)),
+        "variables": ["t_black", "t_white", "t_third"],
+        "face_weights": data.draw(st.lists(st.sampled_from(["1/5", "-1/2", "1"]), max_size=3)),
+    }
+    records = [cli.series_record(name, f) for name, f in pairs]
+    dicts = [dict_record(name, f) for name, f in pairs]
+    text = cli._render(header, records, argparse.Namespace(fmt="json"))
+    assert text == json.dumps({**header, "records": dicts}, indent=2, sort_keys=True) + "\n"
+    text = cli._render(header, records, argparse.Namespace(fmt="csv"))
+    assert text == csv_rows(header["variables"], dicts)
+
+
+def test_document_writer_writes_a_zero_series_and_a_check_list():
+    header = {"command": "verify", "checks": [{"name": "a", "passed": True, "detail": "x\ny"}]}
+    text = cli._render(header, None, argparse.Namespace(fmt="json"))
+    assert text == json.dumps(header, indent=2, sort_keys=True) + "\n"
+    record = cli.series_record("Z", MSeries(2, 3, {}))
+    text = cli._render({"order": 3}, [record], argparse.Namespace(fmt="json"))
+    assert '"terms": []' in text
+    assert json.loads(text) == {"order": 3, "records": [{"name": "Z", "reliable": 3, "terms": []}]}
 
 
 def test_dimers_document(capsys):

@@ -14,9 +14,10 @@ from bicmaps.closedform import (
     quad_params,
     quad_pattern_ladder,
     twopoint_closed,
+    unit_factors,
 )
 from bicmaps.rational import rat
-from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
+from bicmaps.series import MSeries, SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
 from bicmaps.suites import SuiteRun, suite_closedform
 
@@ -249,9 +250,79 @@ def test_closed_ladder_rejects_other_face_weights(g):
 
 
 def test_suite_closedform_product_count(series_products):
-    # the tails come from the ladders the suite solves, not from a second solve
+    # the tails come from the ladders the suite solves, not from a second
+    # solve; 940 products before inv_unit stopped multiplying series
     suite_closedform(SuiteRun(7, 1))
-    assert series_products[0] <= 940
+    assert series_products[0] <= 629
+
+
+def test_closed_ladder_hex_product_count(series_products):
+    # 636 products with Newton inverses, a graded fixed-point quadratic and
+    # a power of y for every (root, j)
+    closed_ladder(HEX, SeriesRing(2, 14), 8)
+    assert series_products[0] <= 288
+
+
+# -- unit_factors against the y ** j formula it replaced ----------------------
+
+
+def power_unit_factors(roots, top):
+    """The factor families with y_a ** j raised afresh for every j."""
+    weights = [(lam, lam * beta, lam * gamma) for _, lam, beta, gamma in roots]
+    powers = [[y ** j for j in range(top + 1)] for y, _, _, _ in roots]
+    families = ([], [], [])
+    for j in range(top + 1):
+        for k, family in enumerate(families):
+            f = 1
+            for wt, p in zip(weights, powers):
+                f = f - wt[k] * p[j]
+            family.append(f)
+    return families
+
+
+def assert_power_unit_factors(roots, top):
+    # at j = 0 no power of y enters, so the order and reliable of a value
+    # are the weights' own there and are compared from j = 1 on
+    for got, want in zip(unit_factors(roots, top), power_unit_factors(roots, top)):
+        assert len(got) == len(want) == top + 1
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert (g, g.order, g.reliable) == (w, w.order, w.reliable)
+
+
+def root_series(order):
+    return st.builds(
+        lambda terms, reliable: MSeries(2, order, terms, reliable),
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(-3, 3, max_denominator=4),
+            max_size=5,
+        ),
+        st.integers(0, order),
+    )
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unit_factors_equal_the_power_formula(count, data):
+    # every caller's roots and weights share one order; reliable varies
+    series = root_series(data.draw(st.integers(1, 6)))
+    roots = data.draw(st.lists(st.tuples(*[series] * 4), min_size=count, max_size=count))
+    assert_power_unit_factors(roots, data.draw(st.integers(0, 5)))
+
+
+def test_unit_factors_of_the_closed_forms_equal_the_power_formula(quad, hexp):
+    assert_power_unit_factors([(quad.y, 1, quad.beta, quad.gamma)], 4)
+    p = hexp
+    assert_power_unit_factors(
+        [
+            (p.y1, p.lam1, p.beta1, p.gamma1),
+            (p.y2, p.lam2, p.beta2, p.gamma2),
+            (p.y1 * p.y2, p.wd, p.beta1 * p.beta2, p.gamma1 * p.gamma2),
+        ],
+        6,
+    )
 
 
 @settings(max_examples=8, deadline=None)

@@ -23,12 +23,14 @@ from bicmaps.series import (
     constant,
     exact_div,
     first_difference,
+    fixed_point,
     inv_unit,
     one,
     solve_quadratic_branch,
     sqrt_unit,
     valuation_split,
     variable,
+    zero,
 )
 
 from helpers import S, assert_stable
@@ -677,3 +679,71 @@ def test_exact_div_equals_the_full_precision_quotient(fterms, cofactor, c0, mono
         return
     got = exact_div(f, g)
     assert (got.coeffs, got.order, got.reliable) == (want.coeffs, want.order, want.reliable)
+
+
+# -- oracles: the inverse and the quadratic root against the iterations ------
+# -- they replaced, field by field ----------------------------------------------
+
+nonzero_constants = st.one_of(rationals.filter(bool), negative_fractions)
+
+
+@st.composite
+def graded_series(draw, num_vars, order, constant_term=None):
+    """A series at ``order`` with reliable often below it; its constant
+    term is ``constant_term`` when given.  Exponents stay low, so that
+    most terms lie within the order."""
+    expos = st.tuples(*(st.integers(0, 2) for _ in range(num_vars)))
+    terms = draw(st.dictionaries(expos, rationals, min_size=1, max_size=6))
+    if constant_term is not None:
+        terms[(0,) * num_vars] = constant_term
+    return MSeries(num_vars, order, terms, draw(st.integers(0, order)))
+
+
+def newton_inverse(f):
+    """g <- g*(2 - f*g) from g = 1/f(0), doubling the exact degrees."""
+    g = constant(f.num_vars, 0, rat(1, f.constant_term()))
+    exact = 1
+    while exact <= f.order:
+        exact = min(2 * exact, f.order + 1)
+        ge = MSeries(f.num_vars, exact - 1, g.coeffs)
+        g = ge * (2 - f.truncate(exact - 1) * ge)
+    return g.with_reliable(f.reliable)
+
+
+def fixed_point_root(a2, a1, a0):
+    """mu <- -(a0 + a2*mu^2)/a1 from mu = 0, one exact degree per sweep."""
+    order = min(a2.order, a1.order, a0.order)
+    inv_a1 = newton_inverse(a1.truncate(order))
+    root = fixed_point(
+        lambda mu, _: -(a0 + a2 * mu * mu) * inv_a1,
+        zero(a2.num_vars, order),
+        order,
+        AssertionError("the iteration did not stabilize"),
+    )
+    return root.with_reliable(min(a2.reliable, a1.reliable, a0.reliable))
+
+
+def fields(f):
+    return f.nums, f.den, f.order, f.reliable
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inv_unit_equals_the_newton_inverse(num_vars, data):
+    order = data.draw(st.integers(0, 6))
+    f = data.draw(graded_series(num_vars, order, data.draw(nonzero_constants)))
+    assert fields(inv_unit(f)) == fields(newton_inverse(f))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quadratic_branch_equals_the_fixed_point_root(num_vars, data):
+    # orders differ by at most one, so the mu^2 term often lies within all three
+    order = data.draw(st.integers(0, 6))
+    orders = st.integers(order, order + 1)
+    a2 = data.draw(graded_series(num_vars, data.draw(orders)))
+    a1 = data.draw(graded_series(num_vars, data.draw(orders), data.draw(nonzero_constants)))
+    a0 = data.draw(graded_series(num_vars, data.draw(orders), 0))
+    assert fields(solve_quadratic_branch(a2, a1, a0)) == fields(fixed_point_root(a2, a1, a0))

@@ -1,10 +1,13 @@
-"""Scaling curves of a series product, the ladder solvers, the dimer and the path checks over order.
+"""Scaling curves of a series product, inverse and quadratic root, the ladder solvers, the dimer and the path checks over order.
 
 Times one series product ``B * W`` of the quadrangulation tails
 ``tail_solve(quad, SeriesRing(2, order))``, integral, and one product
 ``beta1 * beta2`` of the hexangulation parameters ``hex_params`` that
 ``closed_ladder`` multiplies, fractional (both solved before the timing,
-so only the product is timed), ``ladder_solve`` (quadrangulations and
+so only the product is timed), ``inv_unit`` of the hexangulation's
+``1 + d1`` and ``solve_quadratic_branch`` of its first characteristic
+quadratic, the two series layers under ``closed_ladder`` (the inputs again
+solved before the timing), ``ladder_solve`` (quadrangulations and
 hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
 ``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
 weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), the ``verify``
@@ -54,6 +57,8 @@ OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
 CASES = (
     [("series_mul", "quad tails", order) for order in (12, 18, 26)]
     + [("series_mul", "hex beta1*beta2", order) for order in (10, 14, 18)]
+    + [("inv_unit", "hex 1+d1", order) for order in (10, 14, 18)]
+    + [("solve_quadratic_branch", "hex first root", order) for order in (10, 14, 18)]
     + [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
     + [("closed_ladder", "hex", order) for order in (10, 14, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
@@ -78,7 +83,7 @@ def _child(solver: str, family: str, order: int) -> dict:
     from bicmaps.extensions import ternary_solve, tricolor_solve
     from bicmaps.hankel import determinant_ladder
     from bicmaps.rational import rat
-    from bicmaps.series import MSeries, SeriesRing
+    from bicmaps.series import MSeries, SeriesRing, inv_unit, solve_quadratic_branch
     from bicmaps.slices import FaceWeights, ladder_solve, tail_solve
     from bicmaps.suites import run_suite
 
@@ -87,6 +92,13 @@ def _child(solver: str, family: str, order: int) -> dict:
     elif solver == "series_mul":
         params = hex_params(*tail_solve(FaceWeights.hexangulations(), SeriesRing(2, order)))
         call = partial(mul, params.beta1, params.beta2)
+    elif solver in ("inv_unit", "solve_quadratic_branch"):
+        b, w = tail_solve(FaceWeights.hexangulations(), SeriesRing(2, order))
+        params = hex_params(b, w)
+        if solver == "inv_unit":
+            call = partial(inv_unit, 1 + params.d1)
+        else:
+            call = partial(solve_quadratic_branch, w, -params.wz1, b)
     elif solver == "ladder_solve":
         g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
         call = partial(ladder_solve, g, SeriesRing(2, order))
