@@ -91,7 +91,9 @@ def _zero_expo(num_vars: int) -> Expo:
 
 
 @cache
-def _layout(num_vars: int, order: int):
+def _layout(
+    num_vars: int, order: int
+) -> tuple[tuple[Expo, ...], dict[Expo, tuple[int, int]], tuple[tuple[int, int], ...]]:
     """The dense accumulator of a product truncated at ``order``.
 
     Cells cover the cube of side order + 1, one per exponent vector in
