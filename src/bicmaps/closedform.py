@@ -123,10 +123,11 @@ def quad_pattern_ladder(tail_b: MSeries, tail_w: MSeries, roots, i_max: int) -> 
 
     The same pattern solves the quadrangulation, hexangulation and
     ternary-tree systems; only the tails and the ``roots`` of the factor
-    families (``unit_factors``) differ.  Entry i_max reads the families up
-    to index i_max//2 + 2.
+    families (``unit_factors``) differ.  Entries 1..i_max read the families
+    up to index (i_max + 3)//2: u[m + 2] at the last odd entry 2m + 1, and
+    index m + 1 at the last even entry 2m.
     """
-    u, ub, ug = unit_factors(roots, i_max // 2 + 2)
+    u, ub, ug = unit_factors(roots, (i_max + 3) // 2)
     blacks, whites = [], []
     for idx in range(1, i_max + 1):
         m, odd = divmod(idx, 2)

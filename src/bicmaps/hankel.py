@@ -247,18 +247,22 @@ def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:
 
     Level j of the fraction carries W_j at odd j and B_j at even j (the
     black-rooted resolvent); evaluate bottom-up as polynomials in the
-    boundary-length marker, truncated at degree n_max.
+    boundary-length marker.  Level j enters F_0..F_{n_max} times z^(j - 1),
+    so it is needed only through degree n_max - j + 1 in the marker: level
+    n_max + 1 only through degree 0, where it is 1, and deeper levels not
+    at all.  Any depth above n_max gives the same moments.
     """
     if depth <= n_max:
         raise ValueError("depth must exceed n_max")
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
-    tail = [one(nv, order)] + [zero(nv, order)] * n_max
-    for j in range(depth, 0, -1):
+    tail = [one(nv, order)]
+    for j in range(n_max, 0, -1):
         coeff = ladder.white_weight(j) if j % 2 else ladder.black_weight(j)
+        top = n_max - j + 1
         # u = z * coeff * tail, then  next = 1/(1 - u)  via next = 1 + u*next
-        u = [zero(nv, order)] + [coeff * tail[m] for m in range(n_max)]
-        nxt = [one(nv, order)] + [zero(nv, order)] * n_max
-        for m in range(1, n_max + 1):
+        u = [zero(nv, order)] + [coeff * tail[m] for m in range(top)]
+        nxt = [one(nv, order)] + [zero(nv, order)] * top
+        for m in range(1, top + 1):
             acc = zero(nv, order)
             for r in range(1, m + 1):
                 acc = acc + u[r] * nxt[m - r]

@@ -9,10 +9,14 @@ black and white.  Two weighting conventions coexist:
 * exact-rational "balanced" sums weight both ascending and descending
   steps by the color of the step's lower end (b on white, w on black).
 
-Both run on one dynamic program over heights, ``_walk``; only the
-brute-force oracle ``rat_path_brute`` enumerates step words on its own,
-tallying them without weights (``word_tally``) so that one enumeration of a
-path shape serves every sample point.
+Both run on one dynamic program over heights, ``_walk``: the floored and
+free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``),
+the two walks of each slice row (``strip_sum``: the excursions above the
+row's height, then the round trips below it, into which each excursion
+joins at the walk's start height), and the exact-rational balanced sums.
+Only the brute-force oracle ``rat_path_brute`` enumerates step words on
+its own, tallying them without weights (``word_tally``) so that one
+enumeration of a path shape serves every sample point.
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``: the tails solve a far row of the ladder with
@@ -29,7 +33,7 @@ reflection identities are checked.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .rational import Rat
@@ -177,7 +181,7 @@ class RatPathWeights:
         self.b, self.w = b, w
 
 
-def _walk(start, end, length, floor, up, down, unit, cut=None):
+def _walk(start, end, length, floor, up, down, unit, cut=None, joins=None):
     """Height -> weight maps of +-1 paths after 0, 1, ..., length steps.
 
     Only heights from which end is still reachable are kept.  up(h) and
@@ -185,6 +189,10 @@ def _walk(start, end, length, floor, up, down, unit, cut=None):
     weight one and skips the multiplication, and so does a value that is
     still the ``unit`` object itself (a path with no weighted step yet),
     which takes the step weight as it is.  floor=None means no floor.
+    ``joins``, when given, holds values that join a walk ending where it
+    starts: joins[s] is added at the start height after s steps, for
+    s = 1..length, and None adds nothing (joins[0] is not read; the walk
+    starts from ``unit``).
     ``cut(h)``, when given, is the degree through which a series value at
     height h can still reach the result; its terms above that degree are
     dropped after each step, and its order and reliable are kept.  The
@@ -207,6 +215,8 @@ def _walk(start, end, length, floor, up, down, unit, cut=None):
                 else:
                     piece = val * weight(h)
                 nxt[nh] = nxt[nh] + piece if nh in nxt else piece
+        if joins is not None and (joined := joins[step + 1]) is not None:
+            nxt[start] = nxt[start] + joined if start in nxt else joined
         if cut is not None:
             nxt = {
                 h: val if val is unit else val.drop_above(cut(h)) for h, val in nxt.items()
@@ -215,11 +225,11 @@ def _walk(start, end, length, floor, up, down, unit, cut=None):
         yield cur
 
 
-def _series_walk(start, end, length, floor, black_parity, ladder, cut=None):
+def _series_walk(start, end, length, floor, black_parity, ladder, cut=None, joins=None):
     """_walk with descending steps weighted by the ladder at their upper height."""
     down = partial(ladder.step_weight, black_parity=black_parity)
     unit = one(ladder.tail_black.num_vars, ladder.tail_black.order)
-    return _walk(start, end, length, floor, None, down, unit, cut)
+    return _walk(start, end, length, floor, None, down, unit, cut, joins)
 
 
 def _series_path_sum(
@@ -298,19 +308,51 @@ def z_plus_profile(
     return [cur.get(d, nothing) for cur in walk]
 
 
+def _strip_parity(colors: str, i: int) -> int:
+    """Parity of the black heights of strips from height i, which is black
+    for colors "bw" and white for "wb"; ValueError for other colors or i < 1."""
+    if colors not in (BLACK_WHITE, WHITE_BLACK):
+        raise ValueError("colors must be 'bw' or 'wb'")
+    if i < 1:
+        raise ValueError("strip start height must be at least 1")
+    return i % 2 if colors == BLACK_WHITE else (i + 1) % 2
+
+
 def z_strip(colors: str, i: int, length: int, ladder: WeightLadder) -> MSeries:
     """Paths from height i down to i-1, floored at zero (slice recursions).
 
     colors is "bw" (black start) or "wb" (white start); length must be odd.
+    The slice rows call ``strip_sum``; this stays as its oracle, and because
+    ``perfbench/spans.py`` binds it in ``LAYERS``, whose ``Tracer.install``
+    raises KeyError without it.
     """
-    if colors not in (BLACK_WHITE, WHITE_BLACK):
-        raise ValueError("colors must be 'bw' or 'wb'")
+    parity = _strip_parity(colors, i)
     if length % 2 == 0:
         raise ValueError("strip paths have odd length")
-    if i < 1:
-        raise ValueError("strip start height must be at least 1")
-    parity = i % 2 if colors == BLACK_WHITE else (i + 1) % 2
     return _series_path_sum(i, i - 1, length, 0, parity, ladder)
+
+
+def strip_sum(colors: str, i: int, weights, ladder: WeightLadder) -> MSeries:
+    """sum_m weights[m] * z_strip(colors, i, 2m + 1, ladder), by first passage.
+
+    A strip path from i reaches i - 1 first by one descent from i, of
+    weight w_i.  Before it lies an excursion from i back to i that stays
+    at or above i, E(a) after a steps; after it, a round trip from i - 1
+    back to i - 1 over the floor 0, R(b) after b steps.  So the strips of
+    length L sum to w_i * Y(L), Y(L) = sum over a + b = L - 1 of E(a) R(b).
+    One walk gives E(0..2M), M the last m with a nonzero weight; the walk
+    of R from i - 1, into which each E(a) joins after a steps, holds Y(s + 1)
+    at height i - 1 after s steps.  The weighted sum of the Y then takes one
+    product by w_i, not one per strip length and path class.
+    """
+    parity = _strip_parity(colors, i)
+    top = max((m for m, c in enumerate(weights) if c), default=None)
+    if top is None:
+        return zero(ladder.tail_black.num_vars, ladder.tail_black.order)
+    excursions = [cur.get(i) for cur in _series_walk(i, i, 2 * top, i, parity, ladder)]
+    returns = _series_walk(i - 1, i - 1, 2 * top, 0, parity, ladder, joins=excursions)
+    y = [c * cur[i - 1] for c, cur in zip(weights, islice(returns, None, None, 2)) if c]
+    return ladder.step_weight(i, parity) * sum(y[1:], y[0])
 
 
 def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:

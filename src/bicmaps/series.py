@@ -49,6 +49,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import compress, product
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import Rat, is_rational, rat
@@ -172,7 +173,9 @@ class MSeries:
         return f
 
     @classmethod
-    def _make(cls, num_vars: int, order: int, nums: dict, den: int, reliable: int) -> "MSeries":
+    def _make(
+        cls, num_vars: int, order: int, nums: dict, den: int, reliable: int, top=None
+    ) -> "MSeries":
         """A ring result, put in canonical form: as ``_wrap``, but ``nums``
         and ``den`` may share a factor, which is divided out here."""
         if den != 1:
@@ -180,7 +183,7 @@ class MSeries:
             if g != 1:
                 den //= g
                 nums = {e: n // g for e, n in nums.items()}
-        return cls._wrap(num_vars, order, nums, den, reliable)
+        return cls._wrap(num_vars, order, nums, den, reliable, top)
 
     def _top_degree(self) -> int:
         """The highest total degree of a stored term (the series is not zero).
@@ -269,14 +272,15 @@ class MSeries:
 
     def permute_vars(self, perm: Sequence[int]) -> "MSeries":
         """Rename variable j to perm[j]; perm must be a permutation."""
-        if sorted(perm) != list(range(self.num_vars)):
+        identity = list(range(self.num_vars))
+        if sorted(perm) != identity:
             raise ValueError(f"not a permutation of the variables: {perm}")
-        out: dict[Expo, int] = {}
-        for e, n in self.nums.items():
-            ne = [0] * self.num_vars
-            for j, x in enumerate(e):
-                ne[perm[j]] = x
-            out[tuple(ne)] = n
+        # entry k of a new exponent is entry inverse[k] of the old one
+        inverse = sorted(identity, key=perm.__getitem__)
+        if inverse == identity:
+            return self
+        nums = self.nums
+        out = dict(zip(map(itemgetter(*inverse), nums), nums.values()))
         return MSeries._wrap(self.num_vars, self.order, out, self.den, self.reliable, self._top)
 
     def swap_vars(self) -> "MSeries":
@@ -356,11 +360,19 @@ class MSeries:
             other = constant(self.num_vars, self.order, other)
         self._check_compatible(other)
         order = min(self.order, other.order)
+        reliable = min(self.reliable, other.reliable)
+        # a zero operand leaves the other one, cut to the lower order
+        if not other.nums:
+            return self._cut(order, order, reliable)
+        if not self.nums and sign == 1:
+            return other._cut(order, order, reliable)
         # both operands are cut to the lower order before the terms meet
         a, b = self._through(order), other._through(order)
         da, db = self.den, other.den
         if da == db:
             den, fa, fb = da, 1, sign
+            if sign == 1 and len(a) < len(b):
+                a, b = b, a  # copy the larger dict, loop over the smaller
         else:
             den = lcm(da, db)
             fa, fb = den // da, sign * (den // db)
@@ -372,7 +384,7 @@ class MSeries:
                 out[e] = s
             else:
                 del out[e]
-        return MSeries._make(self.num_vars, order, out, den, min(self.reliable, other.reliable))
+        return MSeries._make(self.num_vars, order, out, den, reliable)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -412,18 +424,24 @@ class MSeries:
         a, b = self.nums, other.nums
         if not a or not b:
             return MSeries._wrap(self.num_vars, order, {}, 1, reliable)
-        # no product term lies above the operands' top degrees added up
-        side = min(order, self._top_degree() + other._top_degree())
+        # No product term lies above the operands' top degrees added up.  When
+        # that sum is within the order it is the product's top degree: the
+        # top homogeneous parts multiply to a nonzero part over the rationals.
+        top = self._top_degree() + other._top_degree()
+        side = min(order, top)
         cells, place, _ = _layout(self.num_vars, side)
         # Iterate the sparser operand outside; keep the other sorted by degree
         # so the inner loop can stop as soon as the truncation bound is hit.
         # Terms above the order have no place and drop out here.
         if len(a) > len(b):
             a, b = b, a
-        a = [(*at, c) for e, c in a.items() if (at := place.get(e))]
         b = sorted([(*at, c) for e, c in b.items() if (at := place.get(e))])
         acc = [0] * len(cells)
-        for deg_a, ia, ca in a:
+        for e, ca in a.items():
+            at = place.get(e)
+            if at is None:
+                continue
+            deg_a, ia = at
             room = side - deg_a
             for deg, ib, cb in b:
                 if deg > room:
@@ -431,7 +449,10 @@ class MSeries:
                 acc[ia + ib] += ca * cb
         # compress and filter walk the nonzero cells in the same order
         out = dict(zip(compress(cells, acc), filter(None, acc)))
-        return MSeries._make(self.num_vars, order, out, self.den * other.den, reliable)
+        return MSeries._make(
+            self.num_vars, order, out, self.den * other.den, reliable,
+            top if top <= order else None,
+        )
 
     __rmul__ = __mul__
 

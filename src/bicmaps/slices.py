@@ -9,7 +9,11 @@ nonzero degree-two face weight g_1 contributes a term proportional to the
 unknown itself at the same degree; the sweep divides it out through the
 scalar 1/(1 - g_1), which is why g_1 = 1 is rejected as divergent.
 
-The recursion is written once, as the rule of row i.  The limits B, W are
+The recursion is written once, as the rule of row i, which sums its strips
+by first passage: every strip from i first reaches i - 1 by one descent
+from i, so the strips of all lengths share that descent's weight and the
+row takes one product by it (``paths.strip_sum``; ``z_strip``, one length
+at a time, is its oracle).  The limits B, W are
 its i -> infinity limit: row p + 1 of the ladder with no entries, the
 first row whose strips reach neither index 0 nor the floor, reads only the
 tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
@@ -31,9 +35,9 @@ from .paths import (
     l_zero,
     ladder_tails,
     solve_ladder,
+    strip_sum,
     z_plus,
     z_plus_profile,
-    z_strip,
 )
 from .rational import Rat, is_rational, rat
 from .series import MSeries, SeriesRing, exact_div, variable
@@ -98,6 +102,9 @@ def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
     Row i is B_i = (t_black + sum_k g_k Z(2k - 1)) / (1 - g_1), with Z the
     strip paths of length 2k - 1 from height i down to i - 1, floored at
     zero and starting black, and W_i the same with the colors exchanged.
+    ``strip_sum`` forms the sum over k >= 2 by first passage, with one
+    pair of walks for every k; the k = 1 term is g_1 B_i itself, divided
+    out.
     The face weights do not depend on color, so exchanging the colors
     together with t_black and t_white maps the system onto itself: W_i is
     B_i with the two variables swapped.  Row p + 1 is the first whose
@@ -105,20 +112,14 @@ def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
     """
     scale = _sweep_scale(g)
     tb, tw = ring.gens()[:2]
+    # strips of length 2k - 1 weigh g_k; the g_1 term is divided out by scale
+    weights = (0, *g.g[1:])
 
     def rows(entries, tails):
         lad = WeightLadder(*entries, *tails)
 
         def family(colors, t):
-            def row(i):
-                r = ring.zero()
-                for k in range(2, g.p + 2):
-                    gk = g.weight(k)
-                    if gk:
-                        r = r + gk * z_strip(colors, i, 2 * k - 1, lad)
-                return (t + r) * scale
-
-            return row
+            return lambda i: (t + strip_sum(colors, i, weights, lad)) * scale
 
         return family("bw", tb), family("wb", tw)
 
@@ -219,7 +220,8 @@ def conserved(
     root_weight = variable(nv, order, 0 if black_start else 1)
     main = z_plus(d, d, 2 * n, ladder, floor=d, black_start=black_start)
     correction = MSeries(nv, order, {})
-    for j in range(1, n + 1):
+    # strips of length at most 2p + 1 cannot drop from d + 2j to d - 1 for j > p
+    for j in range(1, min(n, g.p) + 1):
         outer = z_plus(d, d + 2 * j, 2 * n, ladder, floor=d, black_start=black_start)
         if outer.is_zero():
             continue

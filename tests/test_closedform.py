@@ -258,9 +258,10 @@ def test_suite_closedform_product_count(series_products):
 
 def test_closed_ladder_hex_product_count(series_products):
     # 636 products with Newton inverses, a graded fixed-point quadratic and
-    # a power of y for every (root, j)
+    # a power of y for every (root, j); 288 with factor families built one
+    # index too far and the tails' slice rows walked strip by strip
     closed_ladder(HEX, SeriesRing(2, 14), 8)
-    assert series_products[0] <= 288
+    assert series_products[0] <= 262
 
 
 # -- unit_factors against the y ** j formula it replaced ----------------------

@@ -94,24 +94,25 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
 
 @pytest.fixture
 def strip_calls(monkeypatch):
-    """The argument tuples of every ``z_strip`` call the slice solvers make."""
+    """The argument tuples of every ``strip_sum`` call the slice solvers
+    make: one per row evaluated."""
     calls = []
-    real = slices.z_strip
+    real = slices.strip_sum
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(slices, "z_strip", counting)
+    monkeypatch.setattr(slices, "strip_sum", counting)
     return calls
 
 
 def test_ladder_solve_evaluates_only_reachable_rows(strip_calls):
     calls = strip_calls
     ladder_solve(QUAD, SeriesRing(2, 12))
-    # height 14, one strip per row: the 13 graded tail sweeps evaluate the
-    # black row 2, sweeps of degree 0..12 evaluate black rows 1..d, and the
-    # two stability sweeps evaluate row 2 and all 14 rows of both colors
+    # height 14, one strip sum per row: the 13 graded tail sweeps evaluate
+    # the black row 2, sweeps of degree 0..12 evaluate black rows 1..d, and
+    # the two stability sweeps evaluate row 2 and all 14 rows of both colors
     assert len(calls) == 13 + sum(range(13)) + 2 * (1 + 14) == 121
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicmaps.paths import (
     BalancedSums,
@@ -16,6 +18,7 @@ from bicmaps.paths import (
     l_zero,
     rat_path,
     rat_path_brute,
+    strip_sum,
     unconstrained_drop,
     weigh_tally,
     word_tally,
@@ -24,7 +27,7 @@ from bicmaps.paths import (
     z_strip,
 )
 from bicmaps.rational import rat
-from bicmaps.series import SeriesRing, one, zero
+from bicmaps.series import MSeries, SeriesRing, one, zero
 from bicmaps.slices import FaceWeights, tail_solve
 
 from helpers import assert_series
@@ -200,6 +203,51 @@ def test_z_strip_validation():
         z_strip("bw", 1, 2, CONST)
     with pytest.raises(ValueError):
         z_strip("xy", 1, 3, CONST)
+
+
+@st.composite
+def random_ladders(draw):
+    """Ladders of height 0..6 at one order 0..6, in two variables, whose
+    entries and tails have random terms (zero now and then) and reliable."""
+    order = draw(st.integers(0, 6))
+    expos = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    series = st.builds(
+        MSeries,
+        st.just(2),
+        st.just(order),
+        st.dictionaries(expos, coeffs, max_size=3),
+        st.integers(0, order),
+    )
+    height = draw(st.integers(0, 6))
+    black, white = (tuple(draw(series) for _ in range(height)) for _ in range(2))
+    return WeightLadder(black, white, draw(series), draw(series))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    random_ladders(),
+    st.lists(st.sampled_from([0, 1, 2, rat(-1, 3)]), min_size=1, max_size=5),
+    st.integers(1, 6),
+    st.sampled_from(["bw", "wb"]),
+)
+def test_strip_sum_equals_the_weighted_strips(lad, weights, i, colors):
+    # p = 0..4: the first-passage sum against one z_strip walk per length
+    want = zero(2, lad.tail_black.order)
+    for m, c in enumerate(weights):
+        if c:
+            want = want + c * z_strip(colors, i, 2 * m + 1, lad)
+    got = strip_sum(colors, i, weights, lad)
+    assert (got.nums, got.den, got.order, got.reliable) == (
+        want.nums, want.den, want.order, want.reliable
+    )
+
+
+def test_strip_sum_validation():
+    with pytest.raises(ValueError):
+        strip_sum("xy", 1, (0, 1), CONST)
+    with pytest.raises(ValueError):
+        strip_sum("bw", 0, (0, 1), CONST)
 
 
 def test_l_zero_small_values():

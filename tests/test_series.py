@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -747,3 +748,85 @@ def test_quadratic_branch_equals_the_fixed_point_root(num_vars, data):
     a1 = data.draw(graded_series(num_vars, data.draw(orders), data.draw(nonzero_constants)))
     a0 = data.draw(graded_series(num_vars, data.draw(orders), 0))
     assert fields(solve_quadratic_branch(a2, a1, a0)) == fields(fixed_point_root(a2, a1, a0))
+
+
+# -- sums, renamings and recorded top degrees against reference loops ---------
+
+
+@st.composite
+def sized_series(draw, num_vars):
+    """A modelled series of up to 12 terms, zero now and then."""
+    order = draw(st.integers(0, 5))
+    expos = st.tuples(*(st.integers(0, 3) for _ in range(num_vars)))
+    terms = draw(st.dictionaries(expos, rationals, max_size=draw(st.sampled_from([0, 2, 12]))))
+    f = MSeries(num_vars, order, terms, draw(st.integers(0, order)))
+    return f, {e: Fraction(c) for e, c in terms.items() if sum(e) <= order and c}
+
+
+def recorded_top_holds(f):
+    """A recorded top degree is the highest total degree of a stored term."""
+    return f._top is None or f._top == max(map(sum, f.nums))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sums_equal_the_reference_sum(num_vars, data):
+    # operands of different sizes, zero operands and different denominators,
+    # added and subtracted in both orders
+    (f, a), (g, b) = data.draw(sized_series(num_vars)), data.draw(sized_series(num_vars))
+    order, reliable = min(f.order, g.order), min(f.reliable, g.reliable)
+    for got, want in (
+        (f + g, model_sum(a, b, 1, order)),
+        (g + f, model_sum(b, a, 1, order)),
+        (f - g, model_sum(a, b, -1, order)),
+        (g - f, model_sum(b, a, -1, order)),
+    ):
+        assert_models(got, want, order, reliable)
+        assert recorded_top_holds(got)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_adding_zero_shares_the_numerators(num_vars):
+    f = MSeries(num_vars, 4, {(1,) * num_vars: Fraction(2, 3), (0,) * num_vars: 5}, 3)
+    nothing = zero(num_vars, 4)
+    for total in (f + nothing, nothing + f, f - nothing):
+        assert total.nums is f.nums
+        assert (total.den, total.order, total.reliable) == (f.den, 4, 3)
+    # a zero of lower order cuts f to it; its reliable bounds the result
+    low = MSeries(num_vars, 1, {}, 0) + f
+    assert low == f.truncate(1) and (low.order, low.reliable) == (1, 0)
+    assert fields(nothing - f) == fields(-f)
+
+
+def placed_exponent(e, perm):
+    """The exponent with its entry j moved to place perm[j]."""
+    out = [0] * len(e)
+    for j, x in enumerate(e):
+        out[perm[j]] = x
+    return tuple(out)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_permute_vars_equals_the_placement_loop(num_vars, data):
+    f, a = data.draw(sized_series(num_vars))
+    for perm in permutations(range(num_vars)):
+        want = {placed_exponent(e, perm): c for e, c in a.items()}
+        got = f.permute_vars(perm)
+        assert_models(got, want, f.order, f.reliable)
+        assert recorded_top_holds(got)
+    with pytest.raises(ValueError):
+        f.permute_vars((0,) * (num_vars + 1))
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_products_record_their_top_degree(num_vars, data):
+    f, g = data.draw(series_of_arity(num_vars)), data.draw(series_of_arity(num_vars))
+    prod = f * g
+    assert recorded_top_holds(prod)
+    if f and g and max(map(sum, f.nums)) + max(map(sum, g.nums)) <= prod.order:
+        assert prod._top == max(map(sum, prod.nums))

@@ -220,9 +220,27 @@ def test_shorter_moment_walk_is_a_prefix_of_a_longer_one(g):
 
 
 def test_suite_slices_product_count(series_products):
-    # one moment walk of F_0..F_3 per family serves conserved-equals-direct
+    # one moment walk of F_0..F_3 per family serves conserved-equals-direct;
+    # 1185 before the slice rows went by first passage and conserved skipped
+    # its empty strips
     suite_slices(SuiteRun(7, 1))
-    assert series_products[0] <= 1185
+    assert series_products[0] <= 837
+
+
+@pytest.mark.parametrize(
+    "g, order, bound",
+    [
+        (QUAD, 12, 121),  # 228 with one strip walk per length and row
+        (HEX, 7, 264),  # 313
+        (FaceWeights((0, rat(1, 3), rat(2))), 7, 264),  # 420
+        (FaceWeights((0, 0, 0, rat(1))), 7, 644),  # 635, the one rise
+    ],
+    ids=["quad", "hex", "0,1/3,2", "oct"],
+)
+def test_ladder_solve_product_count(series_products, g, order, bound):
+    # each row takes one product by the weight of its first descent
+    ladder_solve(g, SeriesRing(2, order))
+    assert series_products[0] <= bound
 
 
 def test_f_color_exchange(quad_tail):

@@ -31,7 +31,8 @@ import subprocess
 import sys
 from itertools import product
 
-WEIGHTS = ("1/5,1", "0,1/3,2", "0,0,0,1", "1/2")
+# (0,0,0,0,1) reaches p = 4; (1/3,1/7,2) weighs every strip length
+WEIGHTS = ("1/5,1", "0,1/3,2", "0,0,0,1", "1/2", "0,0,0,0,1", "1/3,1/7,2")
 MAP_FAMILIES = [["--family", "quad"], ["--family", "hex"]] + [
     ["--family", "general", f"--g={g}"] for g in WEIGHTS
 ]

@@ -7,14 +7,15 @@ Times one series product ``B * W`` of the quadrangulation tails
 so only the product is timed), ``inv_unit`` of the hexangulation's
 ``1 + d1`` and ``solve_quadratic_branch`` of its first characteristic
 quadratic, the two series layers under ``closed_ladder`` (the inputs again
-solved before the timing), ``ladder_solve`` (quadrangulations and
-hexangulations), ``closed_ladder`` (hexangulations, entries 1..8),
-``ternary_solve``, ``tricolor_solve``, ``determinant_ladder`` (face
-weights g = (1/5, 1) and g = (0, 0, 0, 1), entries 1..10), the ``verify``
-suites ``dimers`` (seed 1: transfer against brute force, closed forms at
-five rational points, and the segment reconstruction of the quad and hex
-determinants of every index from one column walk each, against the moment
-determinants) and ``paths`` (seed 1: the reflection identities at five
+solved before the timing), ``ladder_solve`` (quadrangulations,
+hexangulations and octangulations, g = (0, 0, 0, 1)), ``closed_ladder``
+(hexangulations, entries 1..8), ``ternary_solve``, ``tricolor_solve``,
+``determinant_ladder`` (face weights g = (1/5, 1) and g = (0, 0, 0, 1),
+entries 1..10), the ``verify`` suites ``dimers`` (seed 1: transfer
+against brute force, closed forms at five rational points, and the
+segment reconstruction of the quad and hex determinants of every index
+from one column walk each, against the moment determinants) and
+``paths`` (seed 1: the reflection identities at five
 rational points, partly through the brute-force path oracle, and the path
 DPs against each other), and every suite in one run (``all``, seed 1) at
 several orders, and counts the series products each call makes, for one
@@ -60,6 +61,7 @@ CASES = (
     + [("inv_unit", "hex 1+d1", order) for order in (10, 14, 18)]
     + [("solve_quadratic_branch", "hex first root", order) for order in (10, 14, 18)]
     + [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
+    + [("ladder_solve", "oct", order) for order in (8, 10, 12, 14)]
     + [("closed_ladder", "hex", order) for order in (10, 14, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
     + [("tricolor_solve", "tricolor", order) for order in (4, 6, 8)]
@@ -100,7 +102,8 @@ def _child(solver: str, family: str, order: int) -> dict:
         else:
             call = partial(solve_quadratic_branch, w, -params.wz1, b)
     elif solver == "ladder_solve":
-        g = FaceWeights.quadrangulations() if family == "quad" else FaceWeights.hexangulations()
+        weights = {"quad": (0, 1), "hex": (0, 0, 1), "oct": (0, 0, 0, 1)}[family]
+        g = FaceWeights(tuple(rat(x) for x in weights))
         call = partial(ladder_solve, g, SeriesRing(2, order))
     elif solver == "closed_ladder":
         g = FaceWeights.hexangulations()
