@@ -113,14 +113,14 @@ def _ladder(
         if route == "determinant":
             parser.error(f"route {route!r} is not defined for {config.family}")
         solve = ternary_solve if ternary else binary_solve
-        ladder = solve(ring, height=config.i_max)
+        ladder = solve(ring, reads=config.i_max)
         if route == "closed":
             closed = ternary_closed_ladder if ternary else binary_closed_ladder
             ladder = closed(ladder, config.i_max)
         return ladder
     g = _face_weights(config, parser)
     if route == "recursion":
-        return ladder_solve(g, ring, height=config.i_max + 1)
+        return ladder_solve(g, ring, reads=config.i_max)
     if route == "closed":
         try:
             return closed_ladder(g, ring, config.i_max)
@@ -130,7 +130,7 @@ def _ladder(
 
 
 def _tricolor_state(config: argparse.Namespace):
-    return tricolor_solve(SeriesRing(3, config.order), height=config.i_max)
+    return tricolor_solve(SeriesRing(3, config.order), reads=config.i_max)
 
 
 def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[int, str]:

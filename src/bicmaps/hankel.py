@@ -242,7 +242,7 @@ def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLa
     return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring), "black"), i_max)
 
 
-def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:
+def cf_expand(ladder: WeightLadder, n_max: int) -> list[MSeries]:
     """Moments F_0..F_{n_max} of the truncated continued fraction.
 
     Level j of the fraction carries W_j at odd j and B_j at even j (the
@@ -250,10 +250,8 @@ def cf_expand(ladder: WeightLadder, depth: int, n_max: int) -> list[MSeries]:
     boundary-length marker.  Level j enters F_0..F_{n_max} times z^(j - 1),
     so it is needed only through degree n_max - j + 1 in the marker: level
     n_max + 1 only through degree 0, where it is 1, and deeper levels not
-    at all.  Any depth above n_max gives the same moments.
+    at all, so the evaluation starts at level n_max.
     """
-    if depth <= n_max:
-        raise ValueError("depth must exceed n_max")
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     tail = [one(nv, order)]
     for j in range(n_max, 0, -1):

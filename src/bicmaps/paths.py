@@ -14,9 +14,9 @@ free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``),
 the two walks of each slice row (``strip_sum``: the excursions above the
 row's height, then the round trips below it, into which each excursion
 joins at the walk's start height), and the exact-rational balanced sums.
-Only the brute-force oracle ``rat_path_brute`` enumerates step words on
+Only the brute-force oracle of the balanced sums enumerates step words on
 its own, tallying them without weights (``word_tally``) so that one
-enumeration of a path shape serves every sample point.
+enumeration of a path shape serves every sample point (``BalancedSums``).
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``: the tails solve a far row of the ladder with
@@ -37,7 +37,7 @@ from itertools import islice, product
 from math import lcm
 
 from .rational import Rat
-from .series import MSeries, SeriesRing, fixed_point, one, zero
+from .series import MSeries, SeriesRing, fixed_point, zero
 
 BLACK_WHITE = "bw"
 WHITE_BLACK = "wb"
@@ -74,7 +74,13 @@ def ladder_tails(rows, mirror, far: int, ring: SeriesRing, error: Exception) -> 
 
 
 def solve_ladder(
-    rows, mirror, far: int, ring: SeriesRing, error: Exception, height: int = 0
+    rows,
+    mirror,
+    far: int,
+    ring: SeriesRing,
+    error: Exception,
+    height: int = 0,
+    reads: int | None = None,
 ):
     """Entries 1..H and tails of the ladder system given by ``rows``.
 
@@ -85,9 +91,10 @@ def solve_ladder(
     the values of every family at the same row (the color swap, or the
     cyclic rotation of three colors).  The tails are the fixed point of row
     ``far`` of the ladder with no entries (``ladder_tails``); the entries
-    are then solved below them, from no entries, up to H = max(height,
-    order + far).  Returns (entries, tails), with one tuple of entries per
-    family.
+    are then solved below them, from no entries, up to H.  H is ``height``
+    raised to order + far, or, when the caller reads no entry above
+    ``reads``, to max(reads + 1, ceil((order + reads - 1) / 2)).  Returns
+    (entries, tails), with one tuple of entries per family.
 
     The degree-0 sweep depends on nothing, so the start does not matter.
     In every system solved here entry i agrees with its tail through degree
@@ -99,9 +106,29 @@ def solve_ladder(
     sweep evaluates every row of every family, each by its own rule, so a
     wrong fill or a wrong ``mirror`` cannot reproduce itself there and
     raises ``error``: every solve proves the symmetry it used.
+
+    Why entry i <= reads is exact through the order at the cut height.
+    Let e_j be entry j as solved minus its value on the unbounded ladder:
+    - above H the solve reads the tails, and entry j differs from its tail
+      only from degree j on (above), so e_j has valuation >= j >=
+      2(H + 1) - j for every j > H;
+    - a term of row i that reads entry h carries other factors of total
+      valuation at least max(1, h - i): a slice strip from i that descends
+      from h descends h - i more times to end at i - 1, and at least once
+      more in any case (the strip of length 1 is divided out), every
+      descent weighted by an entry of valuation >= 1; the other systems
+      read h = i - 1, i, i + 1 next to a factor of valuation >= 1.  So
+      degree d of e_i depends only on degrees up to d - max(1, h - i) of
+      e_h: an error at entry j reaches entry i < j only j - i degrees
+      higher;
+    - so, by induction on the degree, e_i has valuation >= 2(H + 1) - i
+      for every i, which is above the order for every i <= reads.  At
+      H = order + far it is above the order for every stored entry.
     """
     tails = ladder_tails(rows, mirror, far, ring, error)
-    height = max(height, ring.order + far)
+    order = ring.order
+    least = order + far if reads is None else max(reads + 1, (order + reads) // 2)
+    height = max(height, least)
 
     def sweep(state, degree):
         row = rows(state, tails)
@@ -116,7 +143,7 @@ def solve_ladder(
         )
 
     bare = ((),) * len(tails)
-    return fixed_point(sweep, bare, ring.order, error), tails
+    return fixed_point(sweep, bare, order, error), tails
 
 
 class WeightLadder:
@@ -228,7 +255,8 @@ def _walk(start, end, length, floor, up, down, unit, cut=None, joins=None):
 def _series_walk(start, end, length, floor, black_parity, ladder, cut=None, joins=None):
     """_walk with descending steps weighted by the ladder at their upper height."""
     down = partial(ladder.step_weight, black_parity=black_parity)
-    unit = one(ladder.tail_black.num_vars, ladder.tail_black.order)
+    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
+    unit = MSeries._wrap(nv, order, {(0,) * nv: 1}, 1, order, 0)
     return _walk(start, end, length, floor, None, down, unit, cut, joins)
 
 
@@ -454,24 +482,6 @@ def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
     length = len(tally) - 1
     b, w = Rat(wt.b), Rat(wt.w)
     return sum((n * w**k * b ** (length - k) for k, n in enumerate(tally) if n), Rat(0))
-
-
-def rat_path_brute(
-    colors: str,
-    start: int,
-    end: int,
-    length: int,
-    floor: int | None,
-    wt: RatPathWeights,
-):
-    """Oracle for rat_path: direct enumeration of all 2^length step words.
-
-    The words are tallied by their count of black lower ends in integers
-    (``word_tally``) and the weights enter once per tally.  No height DP
-    and no common denominator is involved, so the oracle shares no
-    arithmetic with rat_path.
-    """
-    return weigh_tally(word_tally(colors, start, end, length, floor), wt)
 
 
 def unconstrained_drop(j: int, length: int, wt: RatPathWeights):

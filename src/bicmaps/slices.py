@@ -132,7 +132,9 @@ def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
     return ladder_tails(*_slice_system(g, ring))
 
 
-def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int = 0) -> WeightLadder:
+def ladder_solve(
+    g: FaceWeights, ring: SeriesRing, height: int = 0, reads: int | None = None
+) -> WeightLadder:
     """Solve the slice recursion for B_1..B_H, W_1..W_H with tail boundary.
 
     Entries stabilize onto the tail from above: B_i and W_i agree with B
@@ -144,11 +146,15 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int = 0) -> WeightLad
     than agreement through i - 1).  Each graded sweep evaluates the black
     rows only and takes W_i as B_i with t_black and t_white swapped; the
     stability sweep evaluates all H rows of both colors and raises
-    ConvergenceError if a fill or the swap was wrong.  Any boundary height
-    H >= order + p keeps every stored coefficient exact; H is ``height``
-    raised to order + p + 1, one more for margin.
+    ConvergenceError if a fill or the swap was wrong.  A boundary height
+    H >= (order + i - 1) / 2 keeps entry i exact through the order
+    (``solve_ladder`` proves it).  By default H is ``height`` raised to
+    order + p + 1, which keeps every stored entry exact; a caller that
+    reads no entry above ``reads`` gets H raised to
+    max(reads + 1, ceil((order + reads - 1) / 2)) only.
     """
-    (blacks, whites), (tail_b, tail_w) = solve_ladder(*_slice_system(g, ring), height)
+    system = _slice_system(g, ring)
+    (blacks, whites), (tail_b, tail_w) = solve_ladder(*system, height, reads)
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 

@@ -301,7 +301,7 @@ def suite_hankel(run: SuiteRun) -> list[CheckResult]:
         s.pairs_agree(
             f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6), order
         )
-        expanded = cf_expand(ladder, depth=8, n_max=5)
+        expanded = cf_expand(ladder, n_max=5)
         s.pairs_agree(
             f"hankel/{label}/expansion-vs-direct",
             [(expanded[n], fb[n]) for n in range(6)],

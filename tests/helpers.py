@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
+from bicmaps.paths import weigh_tally, word_tally
 from bicmaps.series import MSeries, agree, first_difference
 
 
@@ -50,3 +51,14 @@ def assert_ladder_stable(low, high, i_max):
         ):
             assert b.reliable >= a.reliable, (i, a.reliable, b.reliable)
             assert first_difference(a, b, a.reliable) is None, (i, a, b)
+
+
+def rat_path_brute(colors, start, end, length, floor, wt):
+    """Oracle for rat_path: direct enumeration of all 2^length step words.
+
+    The words are tallied by their count of black lower ends in integers
+    (``word_tally``) and the weights enter once per tally.  No height DP
+    and no common denominator is involved, so the oracle shares no
+    arithmetic with rat_path.
+    """
+    return weigh_tally(word_tally(colors, start, end, length, floor), wt)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmaps import extensions, slices
+from bicmaps import cli, extensions, slices
 from bicmaps.extensions import binary_solve, ternary_solve, tricolor_solve
 from bicmaps.paths import WeightLadder, ladder_entry, ladder_tails, solve_ladder, z_plus
 from bicmaps.rational import rat
@@ -116,6 +116,17 @@ def test_ladder_solve_evaluates_only_reachable_rows(strip_calls):
     assert len(calls) == 13 + sum(range(13)) + 2 * (1 + 14) == 121
 
 
+def test_twopoint_solves_only_the_rows_it_reads(strip_calls, capsys):
+    calls = strip_calls
+    cli.main(["twopoint", "--family", "quad", "--order", "12", "--i-max", "6"])
+    capsys.readouterr()
+    # entries 1..6 are read, so the ladder stores max(6 + 1, ceil(17 / 2)) =
+    # 9 rows, not 14: sweep d evaluates black rows 1..min(9, d) and the
+    # stability sweep all 9 rows of both colors
+    graded = sum(min(9, d) for d in range(13))
+    assert len(calls) == 13 + graded + 2 * (1 + 9) == 105
+
+
 def test_tail_solve_solves_no_entries(strip_calls):
     calls = strip_calls
     tail_solve(QUAD, SeriesRing(2, 12))
@@ -135,6 +146,57 @@ def test_solvers_raise_the_height_to_order_plus_far(asked):
     assert tricolor_solve(SeriesRing(3, 3), height=asked).height == max(asked, 5)
 
 
+def stored(f):
+    return f.nums, f.den, f.reliable
+
+
+def ladder_entries(ladder, i):
+    return ladder.black_weight(i), ladder.white_weight(i)
+
+
+def tricolor_entries(state, i):
+    return state.t_at(i), state.u_at(i), state.v_at(i)
+
+
+def slice_solver(*g):
+    return partial(ladder_solve, FaceWeights(tuple(map(rat, g))))
+
+
+# (solve, number of variables, orders, entries at an index) of every system
+# whose solvers take ``reads``; costlier systems run at fewer orders
+CUT_SYSTEMS = {
+    "quad": (slice_solver(0, 1), 2, (4, 15), ladder_entries),
+    "hex": (slice_solver(0, 0, 1), 2, (5, 9), ladder_entries),
+    "oct": (slice_solver(0, 0, 0, 1), 2, (5, 8), ladder_entries),
+    "1/5,1": (slice_solver("1/5", 1), 2, (5, 11), ladder_entries),
+    "0,1/3,2": (slice_solver(0, "1/3", 2), 2, (3, 7), ladder_entries),
+    "0,2": (slice_solver(0, 2), 2, (7, 12), ladder_entries),
+    "0,0,0,0,1": (slice_solver(0, 0, 0, 0, 1), 2, (3, 6), ladder_entries),
+    "ternary": (ternary_solve, 2, (6, 12), ladder_entries),
+    "binary": (binary_solve, 2, (5, 15), ladder_entries),
+    "tricolor": (tricolor_solve, 3, (3, 6), tricolor_entries),
+}
+
+
+@pytest.mark.parametrize("name", CUT_SYSTEMS)
+def test_cut_ladder_keeps_every_entry_it_reads(name):
+    # a caller that reads entries 1..reads gets max(reads + 1,
+    # ceil((order + reads - 1) / 2)) rows, and each of those entries must
+    # equal the full-height solve's in nums, den and reliable; reads that
+    # share a height share a solve, which is checked through the largest
+    solve, num_vars, orders, entries = CUT_SYSTEMS[name]
+    for order in orders:
+        ring = SeriesRing(num_vars, order)
+        full = solve(ring)
+        largest = {max(reads + 1, (order + reads) // 2): reads for reads in range(1, 10)}
+        for height, reads in largest.items():
+            cut = solve(ring, reads=reads)
+            assert cut.height == height
+            for i in range(1, reads + 1):
+                for a, b in zip(entries(cut, i), entries(full, i)):
+                    assert stored(a) == stored(b), (order, reads, i)
+
+
 SYSTEMS = [
     (lambda: ladder_solve(QUAD, SeriesRing(2, 4)), slices, "slice recursion"),
     (lambda: ladder_solve(MIXED, SeriesRing(2, 4)), slices, "slice recursion"),
@@ -151,7 +213,7 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
     sweeps = []
     heights = []
 
-    def counted(rows, mirror, far, ring, error, height=0):
+    def counted(rows, mirror, far, ring, error, height=0, reads=None):
         def counting(entries, tails):
             row = rows(entries, tails)
             counts = [0] * len(row)
@@ -163,7 +225,7 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
 
             return tuple(partial(family, f) for f in range(len(row)))
 
-        entries, tails = solve_ladder(counting, mirror, far, ring, error, height)
+        entries, tails = solve_ladder(counting, mirror, far, ring, error, height, reads)
         heights.append(len(entries[0]))
         return entries, tails
 
@@ -185,7 +247,7 @@ def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, me
     # the graded sweeps take every family but the first from the symmetry,
     # so only the stability sweep, which evaluates every family, can see a
     # symmetry that does not map the fixed point onto itself
-    def mistaken(rows, mirror, far, ring, error, height=0):
+    def mistaken(rows, mirror, far, ring, error, height=0, reads=None):
         bump = variable(ring.num_vars, ring.order, 0) ** ring.order
 
         def wrong_mirror(x):
@@ -193,7 +255,7 @@ def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, me
                 return (x,) * len(mirror(x))
             return tuple(v + bump if f else v for f, v in enumerate(mirror(x)))
 
-        return solve_ladder(rows, wrong_mirror, far, ring, error, height)
+        return solve_ladder(rows, wrong_mirror, far, ring, error, height, reads)
 
     monkeypatch.setattr(module, "solve_ladder", mistaken)
     with pytest.raises(ConvergenceError, match=message):
@@ -207,7 +269,7 @@ def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
     # tails off by tb^order and its mirror images (the bare ladder's rows
     # are off by them): every row the sweeps fill is wrong at the top degree
     # only, and only the full-height stability sweep can see it
-    def perturbed(rows, mirror, far, ring, error, height=0):
+    def perturbed(rows, mirror, far, ring, error, height=0, reads=None):
         bumps = mirror(variable(ring.num_vars, ring.order, 0) ** ring.order)
 
         def bumped(entries, tails):
@@ -217,7 +279,7 @@ def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
             return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
 
         ladder_tails(bumped, mirror, far, ring, error)  # the tails still solve
-        return solve_ladder(bumped, mirror, far, ring, error, height)
+        return solve_ladder(bumped, mirror, far, ring, error, height, reads)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)
     with pytest.raises(ConvergenceError, match=message):

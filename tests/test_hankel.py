@@ -21,8 +21,17 @@ from bicmaps.hankel import (
     hankel_family,
     moment_ladder,
 )
+from bicmaps.paths import WeightLadder
 from bicmaps.rational import rat
-from bicmaps.series import MSeries, SeriesRing, agree, common_reliable, first_difference, one
+from bicmaps.series import (
+    MSeries,
+    SeriesRing,
+    agree,
+    common_reliable,
+    first_difference,
+    one,
+    zero,
+)
 from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, ladder_solve, tail_solve
 from bicmaps.suites import SuiteRun, suite_hankel
 
@@ -218,24 +227,25 @@ def test_cf_extract_vacuous_entries_convention(quad_data):
 
 def test_cf_expand_low_coefficients(quad_data):
     ladder, fb = quad_data
-    F = cf_expand(ladder, depth=8, n_max=4)
+    F = cf_expand(ladder, n_max=4)
     assert agree(F[0], one(2, N))
     assert agree(F[1], ladder.white_weight(1))  # order-z coefficient
     for n in range(5):
         assert agree(F[n], fb[n]), n
 
 
-def test_cf_expand_depth_stability(quad_data):
+def test_cf_expand_reads_no_level_above_n_max(quad_data):
+    # levels above n_max enter F_0..F_{n_max} at no degree, so a ladder cut
+    # after entry n_max, with zero tails, gives the same moments
     ladder, _ = quad_data
-    shallow = cf_expand(ladder, depth=5, n_max=4)
-    deep = cf_expand(ladder, depth=11, n_max=4)
-    for a, b in zip(shallow, deep):
-        assert a == b
+    nothing = zero(2, N)
+    cut = WeightLadder(ladder.black[:4], ladder.white[:4], nothing, nothing)
+    assert cf_expand(cut, n_max=4) == cf_expand(ladder, n_max=4)
 
 
 def test_cf_round_trip(quad_data):
     ladder, _ = quad_data
-    fam = hankel_family(cf_expand(ladder, depth=9, n_max=7))
+    fam = hankel_family(cf_expand(ladder, n_max=7))
     back = cf_extract(fam, 6)
     for i in range(1, 7):
         assert agree(back.black_weight(i), ladder.black_weight(i)), i

@@ -17,7 +17,6 @@ from bicmaps.paths import (
     check_reflection_odd,
     l_zero,
     rat_path,
-    rat_path_brute,
     strip_sum,
     unconstrained_drop,
     weigh_tally,
@@ -30,7 +29,7 @@ from bicmaps.rational import rat
 from bicmaps.series import MSeries, SeriesRing, one, zero
 from bicmaps.slices import FaceWeights, tail_solve
 
-from helpers import assert_series
+from helpers import assert_series, rat_path_brute
 
 R = SeriesRing(2, 12)
 tb, tw = R.gens()

@@ -8,7 +8,9 @@ so only the product is timed), ``inv_unit`` of the hexangulation's
 ``1 + d1`` and ``solve_quadratic_branch`` of its first characteristic
 quadratic, the two series layers under ``closed_ladder`` (the inputs again
 solved before the timing), ``ladder_solve`` (quadrangulations,
-hexangulations and octangulations, g = (0, 0, 0, 1)), ``closed_ladder``
+hexangulations and octangulations, g = (0, 0, 0, 1)), the ladder that
+``twopoint --i-max 6`` solves (quadrangulations and hexangulations, through
+``cli._ladder``: only the rows that entries 1..6 need), ``closed_ladder``
 (hexangulations, entries 1..8), ``ternary_solve``, ``tricolor_solve``,
 ``determinant_ladder`` (face weights g = (1/5, 1) and g = (0, 0, 0, 1),
 entries 1..10), the ``verify`` suites ``dimers`` (seed 1: transfer
@@ -55,12 +57,14 @@ from pathlib import Path
 RUNS = 3
 ROUNDS = 3
 OUT = Path(__file__).resolve().parents[1] / "BENCH_ladders.json"
+LADDER_ORDERS = (8, 10, 12, 14, 16, 18, 24, 30)
 CASES = (
     [("series_mul", "quad tails", order) for order in (12, 18, 26)]
     + [("series_mul", "hex beta1*beta2", order) for order in (10, 14, 18)]
     + [("inv_unit", "hex 1+d1", order) for order in (10, 14, 18)]
     + [("solve_quadratic_branch", "hex first root", order) for order in (10, 14, 18)]
-    + [("ladder_solve", family, order) for family in ("quad", "hex") for order in (8, 10, 12, 14, 16, 18)]
+    + [("ladder_solve", family, order) for family in ("quad", "hex") for order in LADDER_ORDERS]
+    + [("twopoint_ladder", family, order) for family in ("quad", "hex") for order in LADDER_ORDERS]
     + [("ladder_solve", "oct", order) for order in (8, 10, 12, 14)]
     + [("closed_ladder", "hex", order) for order in (10, 14, 18)]
     + [("ternary_solve", "ternary", order) for order in (8, 12, 16)]
@@ -73,14 +77,17 @@ CASES = (
 )
 DETERMINANT_I_MAX = 10
 CLOSED_I_MAX = 8
+TWOPOINT_I_MAX = 6
 
 
 def _child(solver: str, family: str, order: int) -> dict:
     """Run one case in this process: timed runs, then one counted run."""
+    from argparse import Namespace
     from functools import partial
     from operator import mul
     from time import perf_counter
 
+    from bicmaps.cli import _ladder
     from bicmaps.closedform import closed_ladder, hex_params
     from bicmaps.extensions import ternary_solve, tricolor_solve
     from bicmaps.hankel import determinant_ladder
@@ -105,6 +112,9 @@ def _child(solver: str, family: str, order: int) -> dict:
         weights = {"quad": (0, 1), "hex": (0, 0, 1), "oct": (0, 0, 0, 1)}[family]
         g = FaceWeights(tuple(rat(x) for x in weights))
         call = partial(ladder_solve, g, SeriesRing(2, order))
+    elif solver == "twopoint_ladder":
+        config = Namespace(family=family, order=order, i_max=TWOPOINT_I_MAX, g=())
+        call = partial(_ladder, config, None, "recursion")
     elif solver == "closed_ladder":
         g = FaceWeights.hexangulations()
         call = partial(closed_ladder, g, SeriesRing(2, order), CLOSED_I_MAX)
