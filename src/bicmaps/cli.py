@@ -86,21 +86,15 @@ def series_record(name: str, f: MSeries) -> tuple:
     return name, f.reliable, terms
 
 
-def _ladder_records(ladder: WeightLadder, i_max: int, names=("B", "W")) -> list[tuple]:
-    out = []
-    for i in range(1, i_max + 1):
-        out.append(series_record(f"{names[0]}_{i}", ladder.black_weight(i)))
-        out.append(series_record(f"{names[1]}_{i}", ladder.white_weight(i)))
-    return out
+def _indexed_records(indices, columns) -> list[tuple]:
+    """The records ``name_i`` of every index i, and at each index one per
+    (name, at) column in the given order, of the series ``at(i)``."""
+    return [series_record(f"{name}_{i}", at(i)) for i in indices for name, at in columns]
 
 
 def _tricolor_records(state, i_max: int) -> list[tuple]:
-    out = []
-    for i in range(1, i_max + 1):
-        out.append(series_record(f"T_{i}", state.t_at(i)))
-        out.append(series_record(f"U_{i}", state.u_at(i)))
-        out.append(series_record(f"V_{i}", state.v_at(i)))
-    return out
+    columns = (("T", state.t_at), ("U", state.u_at), ("V", state.v_at))
+    return _indexed_records(range(1, i_max + 1), columns)
 
 
 def _ladder(
@@ -113,14 +107,13 @@ def _ladder(
         if route == "determinant":
             parser.error(f"route {route!r} is not defined for {config.family}")
         solve = ternary_solve if ternary else binary_solve
-        ladder = solve(ring, reads=config.i_max)
-        if route == "closed":
-            closed = ternary_closed_ladder if ternary else binary_closed_ladder
-            ladder = closed(ladder, config.i_max)
-        return ladder
+        if route == "recursion":
+            return solve(ring, height=config.i_max)
+        closed = ternary_closed_ladder if ternary else binary_closed_ladder
+        return closed(solve(ring, height=0), config.i_max)
     g = _face_weights(config, parser)
     if route == "recursion":
-        return ladder_solve(g, ring, reads=config.i_max)
+        return ladder_solve(g, ring, height=config.i_max)
     if route == "closed":
         try:
             return closed_ladder(g, ring, config.i_max)
@@ -130,7 +123,7 @@ def _ladder(
 
 
 def _tricolor_state(config: argparse.Namespace):
-    return tricolor_solve(SeriesRing(3, config.order), reads=config.i_max)
+    return tricolor_solve(SeriesRing(3, config.order), height=config.i_max)
 
 
 def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[int, str]:
@@ -159,9 +152,8 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
 
     if config.command == "twopoint":
         table = twopoint_from_ladder(_ladder(config, parser, "recursion"), config.i_max)
-        for i in range(1, config.i_max + 1):
-            records.append(series_record(f"G_black_{i}", table.g_black(i)))
-            records.append(series_record(f"G_white_{i}", table.g_white(i)))
+        columns = (("G_black", table.g_black), ("G_white", table.g_white))
+        records.extend(_indexed_records(range(1, config.i_max + 1), columns))
         meta.update(family=config.family, i_max=config.i_max, variables=_variables(2, config.family))
 
     elif config.command == "ladder":
@@ -172,19 +164,22 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
             records.extend(_tricolor_records(_tricolor_state(config), config.i_max))
             meta["variables"] = _variables(3, config.family)
         else:
-            names = ENTRY_NAMES.get(config.family, ("B", "W"))
+            black, white = ENTRY_NAMES.get(config.family, ("B", "W"))
             ladder = _ladder(config, parser, config.route)
-            records.extend(_ladder_records(ladder, config.i_max, names))
+            columns = ((black, ladder.black_weight), (white, ladder.white_weight))
+            records.extend(_indexed_records(range(1, config.i_max + 1), columns))
             meta["variables"] = _variables(2, config.family)
 
     elif config.command == "hankel":
         g = _face_weights(config, parser)
         fam = boundary_hankel_family(g, SeriesRing(2, config.order), 2 * config.i_max + 1)
-        for i in range(config.i_max + 1):
-            records.append(series_record(f"h0_{i}", fam.h0[i]))
-            records.append(series_record(f"h1_{i}", fam.h1[i]))
-            records.append(series_record(f"h0_tilde_{i}", fam.h0[i].swap_vars()))
-            records.append(series_record(f"h1_tilde_{i}", fam.h1[i].swap_vars()))
+        columns = (
+            ("h0", fam.h0.__getitem__),
+            ("h1", fam.h1.__getitem__),
+            ("h0_tilde", lambda i: fam.h0[i].swap_vars()),
+            ("h1_tilde", lambda i: fam.h1[i].swap_vars()),
+        )
+        records.extend(_indexed_records(range(config.i_max + 1), columns))
         meta.update(family=config.family, i_max=config.i_max, variables=_variables(2, config.family))
 
     elif config.command == "dimers":

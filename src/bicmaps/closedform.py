@@ -210,4 +210,4 @@ def closed_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
 
 def twopoint_closed(g: FaceWeights, ring: SeriesRing, i_max: int) -> TwoPointTable:
     """Full closed-form pipeline down to the two-point table."""
-    return twopoint_from_ladder(closed_ladder(g, ring, i_max + 1), i_max)
+    return twopoint_from_ladder(closed_ladder(g, ring, i_max), i_max)

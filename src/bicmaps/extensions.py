@@ -11,8 +11,8 @@ the role the quantity c*x plays for quadrangulations.
 Each solver states its row rule once.  Row 2 is the first that reads no
 index 0, so on the ladder with no entries it reads only the tails and is
 the tail equation (P = 1 + z_white Q P Q and so on); ``paths.solve_ladder``
-solves the tails and then the entries from it, and takes each solver's
-``height`` and ``reads``, which set how many entries are stored.  Each
+solves the tails and then the entries from it, and returns as many entries
+as each solver's ``height`` asks for (order + 2 by default).  Each
 system also states its color symmetry (the swap for the trees, the cyclic
 rotation for the tricolored system): the graded sweeps evaluate the first
 family only and take the others from it, and the stability sweep evaluates
@@ -44,9 +44,7 @@ def rotate_colors(f: MSeries) -> MSeries:
     return f.permute_vars(ROTATE)
 
 
-def ternary_solve(
-    ring: SeriesRing, height: int = 0, reads: int | None = None
-) -> WeightLadder:
+def ternary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
     """Embedded-ternary-tree ladder P_i (black) and Q_i (white).
 
     Exchanging the colors together with z_black and z_white maps the
@@ -64,13 +62,11 @@ def ternary_solve(
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("ternary ladder did not stabilize")
-    (ps, qs), (p, q) = solve_ladder(rows, color_swap, 2, ring, error, height, reads)
+    (ps, qs), (p, q) = solve_ladder(rows, color_swap, 2, ring, error, height)
     return WeightLadder(ps, qs, p, q)
 
 
-def binary_solve(
-    ring: SeriesRing, height: int = 0, reads: int | None = None
-) -> WeightLadder:
+def binary_solve(ring: SeriesRing, height: int | None = None) -> WeightLadder:
     """Embedded-binary-tree ladder R_i (black) and S_i (white).
 
     Exchanging the colors together with y_black and y_white maps the
@@ -88,7 +84,7 @@ def binary_solve(
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("binary ladder did not stabilize")
-    (rs, ss), (r, s) = solve_ladder(rows, color_swap, 2, ring, error, height, reads)
+    (rs, ss), (r, s) = solve_ladder(rows, color_swap, 2, ring, error, height)
     return WeightLadder(rs, ss, r, s)
 
 
@@ -192,9 +188,7 @@ def color_rotation(t: MSeries) -> tuple[MSeries, MSeries, MSeries]:
     return t, u, rotate_colors(u)
 
 
-def tricolor_solve(
-    ring: SeriesRing, height: int = 0, reads: int | None = None
-) -> TriColorState:
+def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState:
     """Perturbative solution of the three-color ladder system.
 
     Rotating the colors maps the system onto itself, so U_i and V_i are
@@ -218,9 +212,7 @@ def tricolor_solve(
 
     # Row 2 is the first that reads no index 0.
     error = ConvergenceError("tricolor ladder did not stabilize")
-    (ts, us, vs), (t, u, v) = solve_ladder(
-        rows, color_rotation, 2, ring, error, height, reads
-    )
+    (ts, us, vs), (t, u, v) = solve_ladder(rows, color_rotation, 2, ring, error, height)
 
     y, d, e = solve_height_params(t, u, v)
     a_hat = (e + d + y) * inv_unit(1 + e + d)

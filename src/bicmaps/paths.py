@@ -74,15 +74,9 @@ def ladder_tails(rows, mirror, far: int, ring: SeriesRing, error: Exception) -> 
 
 
 def solve_ladder(
-    rows,
-    mirror,
-    far: int,
-    ring: SeriesRing,
-    error: Exception,
-    height: int = 0,
-    reads: int | None = None,
+    rows, mirror, far: int, ring: SeriesRing, error: Exception, height: int | None = None
 ):
-    """Entries 1..H and tails of the ladder system given by ``rows``.
+    """Entries 1..h and tails of the ladder system given by ``rows``.
 
     ``rows(entries, tails)`` reads a ladder, one tuple of entries and one
     tail per family, and returns one row function per family, in family
@@ -91,10 +85,11 @@ def solve_ladder(
     the values of every family at the same row (the color swap, or the
     cyclic rotation of three colors).  The tails are the fixed point of row
     ``far`` of the ladder with no entries (``ladder_tails``); the entries
-    are then solved below them, from no entries, up to H.  H is ``height``
-    raised to order + far, or, when the caller reads no entry above
-    ``reads``, to max(reads + 1, ceil((order + reads - 1) / 2)).  Returns
-    (entries, tails), with one tuple of entries per family.
+    are then solved below them, from no entries, on a ladder of H rows.
+    ``height`` h = None means h = order + far; otherwise h >= 0, and
+    h = 0 solves the tails alone.  H is max(h, ceil((order + h - 1) / 2)),
+    and the rows above h are dropped.  Returns (entries, tails), with one
+    tuple of entries 1..h per family.
 
     The degree-0 sweep depends on nothing, so the start does not matter.
     In every system solved here entry i agrees with its tail through degree
@@ -107,43 +102,48 @@ def solve_ladder(
     wrong fill or a wrong ``mirror`` cannot reproduce itself there and
     raises ``error``: every solve proves the symmetry it used.
 
-    Why entry i <= reads is exact through the order at the cut height.
+    Why entry i <= h is exact through the order at H rows.
     Let e_j be entry j as solved minus its value on the unbounded ladder:
     - above H the solve reads the tails, and entry j differs from its tail
       only from degree j on (above), so e_j has valuation >= j >=
       2(H + 1) - j for every j > H;
-    - a term of row i that reads entry h carries other factors of total
-      valuation at least max(1, h - i): a slice strip from i that descends
-      from h descends h - i more times to end at i - 1, and at least once
+    - a term of row i that reads entry k carries other factors of total
+      valuation at least max(1, k - i): a slice strip from i that descends
+      from k descends k - i more times to end at i - 1, and at least once
       more in any case (the strip of length 1 is divided out), every
       descent weighted by an entry of valuation >= 1; the other systems
-      read h = i - 1, i, i + 1 next to a factor of valuation >= 1.  So
-      degree d of e_i depends only on degrees up to d - max(1, h - i) of
-      e_h: an error at entry j reaches entry i < j only j - i degrees
+      read k = i - 1, i, i + 1 next to a factor of valuation >= 1.  So
+      degree d of e_i depends only on degrees up to d - max(1, k - i) of
+      e_k: an error at entry j reaches entry i < j only j - i degrees
       higher;
     - so, by induction on the degree, e_i has valuation >= 2(H + 1) - i
-      for every i, which is above the order for every i <= reads.  At
-      H = order + far it is above the order for every stored entry.
+      for every i, which is above the order for every i <= h.
     """
-    tails = ladder_tails(rows, mirror, far, ring, error)
     order = ring.order
-    least = order + far if reads is None else max(reads + 1, (order + reads) // 2)
-    height = max(height, least)
+    if height is None:
+        height = order + far
+    elif height < 0:
+        raise ValueError("ladder height must be non-negative")
+    tails = ladder_tails(rows, mirror, far, ring, error)
+    bare = ((),) * len(tails)
+    if not height:
+        return bare, tails
+    solved = max(height, (order + height) // 2)
 
     def sweep(state, degree):
         row = rows(state, tails)
         if degree is None:
-            return tuple(tuple(map(family, range(1, height + 1))) for family in row)
-        reach = min(height, degree)
+            return tuple(tuple(map(family, range(1, solved + 1))) for family in row)
+        reach = min(solved, degree)
         computed = [mirror(row[0](i)) for i in range(1, reach + 1)]
         return tuple(
             tuple(values[f] for values in computed)
-            + (tail.truncate(degree),) * (height - reach)
+            + (tail.truncate(degree),) * (solved - reach)
             for f, tail in enumerate(tails)
         )
 
-    bare = ((),) * len(tails)
-    return fixed_point(sweep, bare, order, error), tails
+    entries = fixed_point(sweep, bare, order, error)
+    return tuple(family[:height] for family in entries), tails
 
 
 class WeightLadder:

@@ -132,10 +132,13 @@ def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
     return ladder_tails(*_slice_system(g, ring))
 
 
-def ladder_solve(
-    g: FaceWeights, ring: SeriesRing, height: int = 0, reads: int | None = None
-) -> WeightLadder:
-    """Solve the slice recursion for B_1..B_H, W_1..W_H with tail boundary.
+def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) -> WeightLadder:
+    """Solve the slice recursion for B_1..B_h, W_1..W_h with tail boundary.
+
+    ``height`` h, order + p + 1 by default, is the number of entries
+    returned; they are solved on H = max(h, ceil((order + h - 1) / 2))
+    rows, and H >= (order + i - 1) / 2 keeps entry i exact through the
+    order (``solve_ladder`` proves it).  h = 0 returns the tails alone.
 
     Entries stabilize onto the tail from above: B_i and W_i agree with B
     and W through total degree i at least (measured at order 10 for
@@ -146,15 +149,10 @@ def ladder_solve(
     than agreement through i - 1).  Each graded sweep evaluates the black
     rows only and takes W_i as B_i with t_black and t_white swapped; the
     stability sweep evaluates all H rows of both colors and raises
-    ConvergenceError if a fill or the swap was wrong.  A boundary height
-    H >= (order + i - 1) / 2 keeps entry i exact through the order
-    (``solve_ladder`` proves it).  By default H is ``height`` raised to
-    order + p + 1, which keeps every stored entry exact; a caller that
-    reads no entry above ``reads`` gets H raised to
-    max(reads + 1, ceil((order + reads - 1) / 2)) only.
+    ConvergenceError if a fill or the swap was wrong.
     """
     system = _slice_system(g, ring)
-    (blacks, whites), (tail_b, tail_w) = solve_ladder(*system, height, reads)
+    (blacks, whites), (tail_b, tail_w) = solve_ladder(*system, height)
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 
@@ -270,8 +268,8 @@ def twopoint_from_ladder(ladder: WeightLadder, i_max: int) -> TwoPointTable:
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
-    if ladder.height < i_max + 1:
-        raise ValueError("ladder height must exceed i_max")
+    if ladder.height < i_max:
+        raise ValueError("ladder height must reach i_max")
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     tb = variable(nv, order, 0)
     tw = variable(nv, order, 1)

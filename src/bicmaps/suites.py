@@ -140,16 +140,9 @@ class SuiteRun:
         self.ladders = {}
 
     def ladder(self, g: FaceWeights) -> WeightLadder:
-        """The recursion ladder of ``g``, solved on first use in this run.
-
-        Height 4 is for ``suite_slices``' two-point table, which needs a
-        height above its i_max of 3.  The solve raises it to order + p + 1
-        anyway, so it only matters for p = 1 at order 1, where entry 4
-        already agrees with the tails through the order: every suite reads
-        the same values as at the default height.
-        """
+        """The recursion ladder of ``g``, solved on first use in this run."""
         if g not in self.ladders:
-            self.ladders[g] = ladder_solve(g, self.ring, height=4)
+            self.ladders[g] = ladder_solve(g, self.ring)
         return self.ladders[g]
 
     def tails(self, g: FaceWeights) -> tuple[MSeries, MSeries]:

@@ -120,8 +120,8 @@ def test_twopoint_solves_only_the_rows_it_reads(strip_calls, capsys):
     calls = strip_calls
     cli.main(["twopoint", "--family", "quad", "--order", "12", "--i-max", "6"])
     capsys.readouterr()
-    # entries 1..6 are read, so the ladder stores max(6 + 1, ceil(17 / 2)) =
-    # 9 rows, not 14: sweep d evaluates black rows 1..min(9, d) and the
+    # entries 1..6 are read, so the ladder is solved on max(6, ceil(17 / 2))
+    # = 9 rows, not 14: sweep d evaluates black rows 1..min(9, d) and the
     # stability sweep all 9 rows of both colors
     graded = sum(min(9, d) for d in range(13))
     assert len(calls) == 13 + graded + 2 * (1 + 9) == 105
@@ -136,14 +136,47 @@ def test_tail_solve_solves_no_entries(strip_calls):
     assert len(calls) == 13 + 2
 
 
-@pytest.mark.parametrize("asked", [0, 1, 9, 10, 15])
-def test_solvers_raise_the_height_to_order_plus_far(asked):
-    # far is p + 1 for the slice recursion and 2 for the other systems
-    assert ladder_solve(QUAD, SeriesRing(2, 8), height=asked).height == max(asked, 10)
-    assert ladder_solve(HEX, SeriesRing(2, 8), height=asked).height == max(asked, 11)
-    assert ternary_solve(SeriesRing(2, 8), height=asked).height == max(asked, 10)
-    assert binary_solve(SeriesRing(2, 8), height=asked).height == max(asked, 10)
-    assert tricolor_solve(SeriesRing(3, 3), height=asked).height == max(asked, 5)
+def test_height_zero_solves_only_the_tails(strip_calls):
+    ring = SeriesRing(2, 12)
+    bare = ladder_solve(QUAD, ring, height=0)
+    assert bare.height == 0
+    assert (bare.tail_black, bare.tail_white) == tail_solve(QUAD, ring)
+    # row 2 only, 13 + 2 times for each of the two solves
+    assert {args[1] for args in strip_calls} == {2}
+    assert len(strip_calls) == 2 * (13 + 2)
+
+
+def tails(solved):
+    if isinstance(solved, WeightLadder):
+        return solved.tail_black, solved.tail_white
+    return solved.t, solved.u, solved.v
+
+
+# (solve, ring, far): far is p + 1 for the slice recursion and 2 for the
+# other systems
+HEIGHT_SYSTEMS = {
+    "quad": (partial(ladder_solve, QUAD), SeriesRing(2, 8), 2),
+    "hex": (partial(ladder_solve, HEX), SeriesRing(2, 8), 3),
+    "ternary": (ternary_solve, SeriesRing(2, 8), 2),
+    "binary": (binary_solve, SeriesRing(2, 8), 2),
+    "tricolor": (tricolor_solve, SeriesRing(3, 3), 2),
+}
+
+
+@pytest.mark.parametrize("name", HEIGHT_SYSTEMS)
+def test_solvers_return_the_height_asked_for(name):
+    # the default is order + far entries; height h gives exactly h entries,
+    # h = 0 the tails alone, and a negative h is refused
+    solve, ring, far = HEIGHT_SYSTEMS[name]
+    full = solve(ring)
+    assert full.height == ring.order + far
+    for asked in (1, 4, 9, 10, 15):
+        assert solve(ring, height=asked).height == asked
+    bare = solve(ring, height=0)
+    assert bare.height == 0
+    assert tails(bare) == tails(full)
+    with pytest.raises(ValueError, match="non-negative"):
+        solve(ring, height=-1)
 
 
 def stored(f):
@@ -162,10 +195,10 @@ def slice_solver(*g):
     return partial(ladder_solve, FaceWeights(tuple(map(rat, g))))
 
 
-# (solve, number of variables, orders, entries at an index) of every system
-# whose solvers take ``reads``; costlier systems run at fewer orders
+# (solve, number of variables, orders, entries at an index) of every ladder
+# system; costlier systems run at fewer orders
 CUT_SYSTEMS = {
-    "quad": (slice_solver(0, 1), 2, (4, 15), ladder_entries),
+    "quad": (slice_solver(0, 1), 2, (4, 12, 15), ladder_entries),
     "hex": (slice_solver(0, 0, 1), 2, (5, 9), ladder_entries),
     "oct": (slice_solver(0, 0, 0, 1), 2, (5, 8), ladder_entries),
     "1/5,1": (slice_solver("1/5", 1), 2, (5, 11), ladder_entries),
@@ -180,21 +213,19 @@ CUT_SYSTEMS = {
 
 @pytest.mark.parametrize("name", CUT_SYSTEMS)
 def test_cut_ladder_keeps_every_entry_it_reads(name):
-    # a caller that reads entries 1..reads gets max(reads + 1,
-    # ceil((order + reads - 1) / 2)) rows, and each of those entries must
-    # equal the full-height solve's in nums, den and reliable; reads that
-    # share a height share a solve, which is checked through the largest
+    # height h returns entries 1..h, solved on max(h, ceil((order + h - 1)
+    # / 2)) rows, and every entry returned must equal the full-height
+    # solve's in nums, den and reliable
     solve, num_vars, orders, entries = CUT_SYSTEMS[name]
     for order in orders:
         ring = SeriesRing(num_vars, order)
         full = solve(ring)
-        largest = {max(reads + 1, (order + reads) // 2): reads for reads in range(1, 10)}
-        for height, reads in largest.items():
-            cut = solve(ring, reads=reads)
+        for height in range(1, 10):
+            cut = solve(ring, height=height)
             assert cut.height == height
-            for i in range(1, reads + 1):
+            for i in range(1, height + 1):
                 for a, b in zip(entries(cut, i), entries(full, i)):
-                    assert stored(a) == stored(b), (order, reads, i)
+                    assert stored(a) == stored(b), (order, height, i)
 
 
 SYSTEMS = [
@@ -213,7 +244,7 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
     sweeps = []
     heights = []
 
-    def counted(rows, mirror, far, ring, error, height=0, reads=None):
+    def counted(rows, mirror, far, ring, error, height=None):
         def counting(entries, tails):
             row = rows(entries, tails)
             counts = [0] * len(row)
@@ -225,7 +256,7 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
 
             return tuple(partial(family, f) for f in range(len(row)))
 
-        entries, tails = solve_ladder(counting, mirror, far, ring, error, height, reads)
+        entries, tails = solve_ladder(counting, mirror, far, ring, error, height)
         heights.append(len(entries[0]))
         return entries, tails
 
@@ -247,7 +278,7 @@ def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, me
     # the graded sweeps take every family but the first from the symmetry,
     # so only the stability sweep, which evaluates every family, can see a
     # symmetry that does not map the fixed point onto itself
-    def mistaken(rows, mirror, far, ring, error, height=0, reads=None):
+    def mistaken(rows, mirror, far, ring, error, height=None):
         bump = variable(ring.num_vars, ring.order, 0) ** ring.order
 
         def wrong_mirror(x):
@@ -255,7 +286,7 @@ def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, me
                 return (x,) * len(mirror(x))
             return tuple(v + bump if f else v for f, v in enumerate(mirror(x)))
 
-        return solve_ladder(rows, wrong_mirror, far, ring, error, height, reads)
+        return solve_ladder(rows, wrong_mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", mistaken)
     with pytest.raises(ConvergenceError, match=message):
@@ -269,7 +300,7 @@ def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
     # tails off by tb^order and its mirror images (the bare ladder's rows
     # are off by them): every row the sweeps fill is wrong at the top degree
     # only, and only the full-height stability sweep can see it
-    def perturbed(rows, mirror, far, ring, error, height=0, reads=None):
+    def perturbed(rows, mirror, far, ring, error, height=None):
         bumps = mirror(variable(ring.num_vars, ring.order, 0) ** ring.order)
 
         def bumped(entries, tails):
@@ -279,7 +310,7 @@ def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
             return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
 
         ladder_tails(bumped, mirror, far, ring, error)  # the tails still solve
-        return solve_ladder(bumped, mirror, far, ring, error, height, reads)
+        return solve_ladder(bumped, mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)
     with pytest.raises(ConvergenceError, match=message):

@@ -21,7 +21,7 @@ from bicmaps.hankel import (
     hankel_family,
     moment_ladder,
 )
-from bicmaps.paths import WeightLadder
+from bicmaps.paths import WeightLadder, ladder_pairs
 from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
@@ -307,6 +307,34 @@ def test_dimer_family_stands_in_for_the_moment_family(weights):
     want = determinant_ladder(g, ring, 8)
     assert _ladder_fields(got) == _ladder_fields(want)
     assert [e.reliable for e in got.black] == [9, 8, 6, 4, 1, 0, 0, 0]
+
+
+DRAWN_WEIGHTS = (rat(0), rat(1), rat(2), rat(-1, 2), rat(1, 3), rat(-2), rat(3, 4))
+
+
+@st.composite
+def drawn_face_weights(draw):
+    """g_1..g_{p+1} for p = 1..4: g_1 != 1, the top weight nonzero."""
+    p = draw(st.integers(1, 4))
+    first = draw(st.sampled_from([x for x in DRAWN_WEIGHTS if x != 1]))
+    middle = draw(st.lists(st.sampled_from(DRAWN_WEIGHTS), min_size=p - 1, max_size=p - 1))
+    top = draw(st.sampled_from([x for x in DRAWN_WEIGHTS if x]))
+    return FaceWeights((first, *middle, top))
+
+
+@settings(max_examples=20, deadline=None)
+@given(drawn_face_weights(), st.integers(3, 7), st.integers(2, 6))
+def test_routes_agree_over_random_face_weights(g, order, i_max):
+    # the determinant and dimer routes against the recursion; a draw in
+    # which every compared entry has reliable 0 would compare nothing
+    ring = SeriesRing(2, order)
+    recursion = ladder_solve(g, ring, height=i_max)
+    b, w = recursion.tail_black, recursion.tail_white
+    dimers = cf_extract(lgv(i_max // 2, b, w, alpha_coeffs(g, b, w)), i_max)
+    for route in (determinant_ladder(g, ring, i_max), dimers):
+        pairs = ladder_pairs(route, recursion, i_max)
+        assert all(agree(x, y) for x, y in pairs), g.g
+        assert max(common_reliable(x, y) for x, y in pairs) >= 1, g.g
 
 
 # sha256 over (sorted nums, den, order, reliable) of every entry, black,

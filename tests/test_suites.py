@@ -10,7 +10,8 @@ from bicmaps.suites import SUITES, CheckResult, SuiteRun, run_suite, suite_paths
 
 @pytest.mark.parametrize("order", [1, 2, 5])
 def test_all_equals_single_suites(order):
-    # at quad order 1 the shared height 4 exceeds order + p + 1
+    # at quad order 1 the shared ladder has order + p + 1 = 3 entries, as
+    # many as suite_slices' two-point table reads
     singles = [check for name in SUITES for check in run_suite(name, order, 1)]
     together = run_suite("all", order, 1)
     assert [(c.name, c.passed, c.detail) for c in together] == [
@@ -30,7 +31,7 @@ def test_run_solves_each_ladder_once(monkeypatch):
     solved = []
     real = suites.ladder_solve
 
-    def counting(g, ring, height=0):
+    def counting(g, ring, height=None):
         solved.append(g)
         return real(g, ring, height)
 
