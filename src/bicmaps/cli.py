@@ -18,7 +18,7 @@ from math import gcd
 
 from . import __version__
 from .closedform import closed_ladder
-from .dimers import SegmentSpec, segment_ends, zhd
+from .dimers import SegmentSpec, zhd
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -186,8 +186,9 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
         if config.links < 0:
             parser.error("--links must be non-negative")
         for links in range(config.links + 1):
-            for ends in segment_ends(links):
-                records.append(series_record(f"zhd_{ends}_{links}", zhd(SegmentSpec(links, ends))))
+            for black_start in (True, False):
+                spec = SegmentSpec(links, black_start=black_start)
+                records.append(series_record(f"zhd_{spec.ends}_{links}", zhd(spec)))
         meta.update(links=config.links, variables=["s1", "s2"])
 
     elif config.command == "tricolor":

@@ -22,32 +22,26 @@ from .hankel import HankelFamily, det_division_free
 from .rational import Rat
 from .series import MSeries, SeriesRing, inv_unit, one, zero
 
-_ENDS = ("bb", "bw", "wb", "ww")
-
-
-def segment_ends(links: int) -> tuple[str, str]:
-    """The end colors a segment of ``links`` links can join: like colors for
-    an even count, unlike for an odd one (the nodes alternate in color)."""
-    return ("bb", "ww") if links % 2 == 0 else ("bw", "wb")
-
-
 class SegmentSpec:
-    """A bicolored oriented segment: link count plus end-node colors."""
+    """A bicolored oriented segment: its link count, and whether its first
+    node is black.  The nodes alternate in color, so these fix the last one."""
 
-    __slots__ = ("links", "ends")
+    __slots__ = ("links", "black_start")
 
-    def __init__(self, links: int, ends: str):
+    def __init__(self, links: int, *, black_start: bool = True):
         if links < 0:
             raise ValueError("link count must be non-negative")
-        if ends not in _ENDS:
-            raise ValueError(f"ends must be one of {_ENDS}")
-        if ends not in segment_ends(links):
-            raise ValueError(f"{links} links cannot join end colors {ends!r}")
-        self.links, self.ends = links, ends
+        self.links, self.black_start = links, black_start
+
+    @property
+    def ends(self) -> str:
+        """The end-node colors, "bb", "bw", "wb" or "ww", as record names spell them."""
+        colors = "bw" if self.black_start else "wb"
+        return colors[0] + colors[self.links % 2]
 
     def link_weights(self) -> list[int]:
         """Per link: 1 for black-to-white (s1), 2 for white-to-black (s2)."""
-        start = 0 if self.ends[0] == "b" else 1
+        start = 0 if self.black_start else 1
         return [1 + (start + j) % 2 for j in range(self.links)]
 
 
@@ -122,11 +116,11 @@ def zhd_closed_value(spec: SegmentSpec, c, x):
     c, x, den = _cx_point(c, x)
     pref = c / den
     ratio = (c + x) / (1 + c * x)
-    if spec.ends in ("bb", "ww"):
+    if spec.links % 2 == 0:
         i = spec.links // 2
         return pref ** i * (1 - x ** (2 * i + 2)) / (1 - x * x)
     i = (spec.links - 1) // 2
-    if spec.ends == "bw":
+    if spec.black_start:
         return (
             (1 + c * x)
             * pref ** (i + 1)

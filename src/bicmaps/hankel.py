@@ -184,7 +184,7 @@ def hankel_family(moments: list[MSeries]) -> HankelFamily:
 def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, n_max: int) -> HankelFamily:
     """The Hankel family of the black moments F_0..F_{n_max} of g."""
     b, w = tail_solve(g, ring)
-    return hankel_family(f_sequence(n_max, g, b, w, "black"))
+    return hankel_family(f_sequence(n_max, g, b, w))
 
 
 def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
@@ -239,7 +239,7 @@ def moment_ladder(moments: list[MSeries], i_max: int) -> WeightLadder:
 
 def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
     """``moment_ladder`` of the moments on the tails of ``tail_solve``."""
-    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring), "black"), i_max)
+    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring)), i_max)
 
 
 def cf_expand(ladder: WeightLadder, n_max: int) -> list[MSeries]:

@@ -1,7 +1,10 @@
 """Weighted bicolored lattice-path enumerators.
 
 Paths are sequences of +-1 steps on integer heights, colored alternately in
-black and white.  Two weighting conventions coexist:
+black and white.  Every sum takes the color of its start height as a
+keyword-only ``black_start``: the heights of the start's parity are black
+when it is True (the default) and white when it is False.  Two weighting
+conventions coexist:
 
 * series-valued sums weight only descending steps, by the color and height
   of the step's upper end (weight ladder entries B_i / W_i, with the tail
@@ -38,10 +41,6 @@ from math import lcm
 
 from .rational import Rat
 from .series import MSeries, SeriesRing, fixed_point, zero
-
-BLACK_WHITE = "bw"
-WHITE_BLACK = "wb"
-
 
 def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
     """Entry i of a ladder: zero at i <= 0, entries[i-1] up to the height, tail above."""
@@ -280,12 +279,18 @@ def _series_path_sum(
     return cur.get(end, zero(ladder.tail_black.num_vars, ladder.tail_black.order))
 
 
+def _parity(start: int, black_start: bool) -> int:
+    """Parity of the black heights of a path whose start is black or not."""
+    return start % 2 if black_start else (start + 1) % 2
+
+
 def z_plus(
     d: int,
     d2: int,
     length: int,
     ladder: WeightLadder,
     floor: int | None = None,
+    *,
     black_start: bool = True,
 ) -> MSeries:
     """Paths from height d to d2 staying at or above the floor.
@@ -296,8 +301,7 @@ def z_plus(
     """
     if floor is None:
         floor = min(d, d2)
-    parity = d % 2 if black_start else (d + 1) % 2
-    return _series_path_sum(d, d2, length, floor, parity, ladder)
+    return _series_path_sum(d, d2, length, floor, _parity(d, black_start), ladder)
 
 
 def z_plus_profile(
@@ -305,6 +309,7 @@ def z_plus_profile(
     max_length: int,
     ladder: WeightLadder,
     floor: int | None = None,
+    *,
     black_start: bool = True,
 ) -> list[MSeries]:
     """Round-trip sums Z_{d,d}(s) for every s = 0..max_length in one sweep.
@@ -321,7 +326,6 @@ def z_plus_profile(
     """
     if floor is None:
         floor = d
-    parity = d % 2 if black_start else (d + 1) % 2
     order = ladder.tail_black.order
     nothing = zero(ladder.tail_black.num_vars, order)
     cut = None
@@ -332,36 +336,28 @@ def z_plus_profile(
         def cut(h):
             return order - v * max(0, h - d)
 
-    walk = _series_walk(d, d, max_length, floor, parity, ladder, cut)
+    walk = _series_walk(d, d, max_length, floor, _parity(d, black_start), ladder, cut)
     return [cur.get(d, nothing) for cur in walk]
 
 
-def _strip_parity(colors: str, i: int) -> int:
-    """Parity of the black heights of strips from height i, which is black
-    for colors "bw" and white for "wb"; ValueError for other colors or i < 1."""
-    if colors not in (BLACK_WHITE, WHITE_BLACK):
-        raise ValueError("colors must be 'bw' or 'wb'")
-    if i < 1:
-        raise ValueError("strip start height must be at least 1")
-    return i % 2 if colors == BLACK_WHITE else (i + 1) % 2
+def z_strip(i: int, length: int, ladder: WeightLadder, *, black_start: bool = True) -> MSeries:
+    """Paths from height i >= 1 down to i-1, floored at zero (slice recursions).
 
-
-def z_strip(colors: str, i: int, length: int, ladder: WeightLadder) -> MSeries:
-    """Paths from height i down to i-1, floored at zero (slice recursions).
-
-    colors is "bw" (black start) or "wb" (white start); length must be odd.
+    The start i is black unless black_start is False; length must be odd.
     The slice rows call ``strip_sum``; this stays as its oracle, and because
     ``perfbench/spans.py`` binds it in ``LAYERS``, whose ``Tracer.install``
     raises KeyError without it.
     """
-    parity = _strip_parity(colors, i)
+    if i < 1:
+        raise ValueError("strip start height must be at least 1")
     if length % 2 == 0:
         raise ValueError("strip paths have odd length")
-    return _series_path_sum(i, i - 1, length, 0, parity, ladder)
+    return _series_path_sum(i, i - 1, length, 0, _parity(i, black_start), ladder)
 
 
-def strip_sum(colors: str, i: int, weights, ladder: WeightLadder) -> MSeries:
-    """sum_m weights[m] * z_strip(colors, i, 2m + 1, ladder), by first passage.
+def strip_sum(i: int, weights, ladder: WeightLadder, *, black_start: bool = True) -> MSeries:
+    """sum_m weights[m] * z_strip(i, 2m + 1, ladder), by first passage, from
+    a start i >= 1 of the color black_start names.
 
     A strip path from i reaches i - 1 first by one descent from i, of
     weight w_i.  Before it lies an excursion from i back to i that stays
@@ -373,7 +369,9 @@ def strip_sum(colors: str, i: int, weights, ladder: WeightLadder) -> MSeries:
     at height i - 1 after s steps.  The weighted sum of the Y then takes one
     product by w_i, not one per strip length and path class.
     """
-    parity = _strip_parity(colors, i)
+    if i < 1:
+        raise ValueError("strip start height must be at least 1")
+    parity = _parity(i, black_start)
     top = max((m for m, c in enumerate(weights) if c), default=None)
     if top is None:
         return zero(ladder.tail_black.num_vars, ladder.tail_black.order)
@@ -398,39 +396,25 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
 # -- exact-rational balanced paths -------------------------------------------
 
 
-def _start_parity(colors: str, start: int, end: int) -> int:
-    """Parity of the black heights of a path from start to end.
-
-    ``colors`` names the start and end colors; heights alternate in color,
-    so the end color must be the start color exactly when end - start is
-    even.
-    """
-    if colors not in ("bb", "bw", "wb", "ww"):
-        raise ValueError(f"colors must be one of bb, bw, wb, ww, not {colors!r}")
-    if (colors[0] == colors[1]) != ((end - start) % 2 == 0):
-        raise ValueError(f"colors {colors!r} do not fit heights {start} -> {end}")
-    return start % 2 if colors[0] == "b" else (start + 1) % 2
-
-
 def rat_path(
-    colors: str,
     start: int,
     end: int,
     length: int,
     floor: int | None,
     wt: RatPathWeights,
+    *,
+    black_start: bool = True,
 ):
     """Total balanced weight over admissible paths, as an exact rational.
 
-    Every step is weighted by its lower end: b on white, w on black.
-    Returns 0 when no path fits the endpoints and length; raises
-    ValueError when ``colors`` is not a color pair or does not fit the
-    parity of end - start.
+    Every step is weighted by its lower end: b on white, w on black, with
+    the start black unless black_start is False.  Returns 0 when no path
+    fits the endpoints and length.
     Every path has ``length`` weighted steps, so the walk runs on integer
     numerators over D = lcm of the two denominators and the total is
     divided by D**length once.
     """
-    parity = _start_parity(colors, start, end)
+    parity = _parity(start, black_start)
     if (start - end - length) % 2 or length < abs(start - end):
         return Rat(0)
     if floor is not None and (start < floor or end < floor):
@@ -450,7 +434,7 @@ def rat_path(
 
 
 def word_tally(
-    colors: str, start: int, end: int, length: int, floor: int | None
+    start: int, end: int, length: int, floor: int | None, *, black_start: bool = True
 ) -> tuple[int, ...]:
     """The weight-free half of the oracle for rat_path: all 2^length step words.
 
@@ -459,7 +443,7 @@ def word_tally(
     steps whose lower end is a black height; such a word weighs
     w^k b^(length - k) (``weigh_tally``).
     """
-    parity = _start_parity(colors, start, end)
+    parity = _parity(start, black_start)
     tally = [0] * (length + 1)
     if floor is not None and start < floor:
         return tuple(tally)
@@ -486,7 +470,7 @@ def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
 
 def unconstrained_drop(j: int, length: int, wt: RatPathWeights):
     """Balanced weight of unconstrained paths with height decrease 2j."""
-    return rat_path("bb", 2 * abs(j), 0, length, None, wt)
+    return rat_path(2 * abs(j), 0, length, None, wt)
 
 
 class BalancedSums:
@@ -503,13 +487,13 @@ class BalancedSums:
         self.tallies = {} if tallies is None else tallies
         self.drops = {}
 
-    def path(self, colors, start, end, length, floor, brute=False):
+    def path(self, start, end, length, floor, *, black_start=True, brute=False):
         """rat_path at this point, or the brute oracle when ``brute``."""
         if not brute:
-            return rat_path(colors, start, end, length, floor, self.wt)
-        shape = (colors, start, end, length, floor)
+            return rat_path(start, end, length, floor, self.wt, black_start=black_start)
+        shape = (start, end, length, floor, black_start)
         if shape not in self.tallies:
-            self.tallies[shape] = word_tally(*shape)
+            self.tallies[shape] = word_tally(start, end, length, floor, black_start=black_start)
         return weigh_tally(self.tallies[shape], self.wt)
 
     def drop(self, j: int, length: int):
@@ -526,7 +510,7 @@ def check_reflection_odd(
     """Floor-zero paths between odd (white) heights vs a two-term difference."""
     if min(k, l) < 1 or q < 0:
         raise ValueError("need k, l >= 1 and q >= 0")
-    lhs = sums.path("ww", 2 * k - 1, 2 * l - 1, 2 * q, 0, brute)
+    lhs = sums.path(2 * k - 1, 2 * l - 1, 2 * q, 0, black_start=False, brute=brute)
     return lhs == sums.drop(k - l, 2 * q) - sums.drop(k + l, 2 * q)
 
 
@@ -541,7 +525,7 @@ def check_reflection_even(
     """
     if min(k, l) < 0 or q < 0:
         raise ValueError("need k, l >= 0 and q >= 0")
-    lhs = sums.path("bb", 2 * k, 2 * l, 2 * q, 0, brute)
+    lhs = sums.path(2 * k, 2 * l, 2 * q, 0, brute=brute)
     c = Rat(sums.wt.b) / Rat(sums.wt.w)
     rhs = sums.drop(k - l, 2 * q) - c * sums.drop(k + l + 1, 2 * q)
     m = 2

@@ -22,7 +22,7 @@ the black rows only and takes the white ones from the color swap; the
 stability sweep evaluates both colors, so every solve checks the swap.
 
 The boundary functions F_n and their coefficients alpha_q are built for one
-root color, ``"black"`` or ``"white"``; any other name is rejected.
+root color: black unless the keyword-only ``black_start`` is False.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .paths import (
 from .rational import Rat, is_rational, rat
 from .series import MSeries, SeriesRing, exact_div, variable
 
-BLACK, WHITE = "black", "white"
-
 
 class ConvergenceError(Exception):
     """A fixed-point sweep failed to stabilize (mis-weighted path sum)."""
@@ -52,11 +50,13 @@ class ConvergenceError(Exception):
 class FaceWeights:
     """Weights g_1..g_{p+1}, entry k applying to faces of degree 2k.
 
-    Equal and hashed by ``g``: a verify run keys its ladders by them."""
+    Equal and hashed by ``g``, stored as a tuple: a verify run keys its
+    ladders by them."""
 
     __slots__ = ("g",)
 
-    def __init__(self, g: tuple):
+    def __init__(self, g):
+        g = tuple(g)
         if not g or not g[-1]:
             raise ValueError("face weight list must be non-empty with nonzero last entry")
         if not all(is_rational(x) for x in g):
@@ -118,10 +118,10 @@ def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
     def rows(entries, tails):
         lad = WeightLadder(*entries, *tails)
 
-        def family(colors, t):
-            return lambda i: (t + strip_sum(colors, i, weights, lad)) * scale
+        def family(black_start, t):
+            return lambda i: (t + strip_sum(i, weights, lad, black_start=black_start)) * scale
 
-        return family("bw", tb), family("wb", tw)
+        return family(True, tb), family(False, tw)
 
     error = ConvergenceError("slice recursion did not reach a fixed point")
     return rows, color_swap, g.p + 1, ring, error
@@ -156,17 +156,11 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) ->
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 
-def _black_root(color: str) -> bool:
-    """Whether ``color`` names the black root; ValueError unless it names one."""
-    if color not in (BLACK, WHITE):
-        raise ValueError(f"root color must be {BLACK!r} or {WHITE!r}, not {color!r}")
-    return color == BLACK
-
-
 def alpha_coeffs(
-    g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
+    g: FaceWeights, b: MSeries, w: MSeries, *, black_start: bool = True
 ) -> tuple[MSeries, ...]:
-    """Expansion coefficients alpha_0..alpha_p for a root of ``color``.
+    """Expansion coefficients alpha_0..alpha_p for a black root, or a white
+    one when black_start is False.
 
     alpha_q = (B/t_black) * (delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2)) for
     a black root; a white root has the same bracket with prefactor W/t_white,
@@ -174,7 +168,7 @@ def alpha_coeffs(
     """
     p = g.p
     nv, order = b.num_vars, b.order
-    root, index = (b, 0) if _black_root(color) else (w, 1)
+    root, index = (b, 0) if black_start else (w, 1)
     unit = exact_div(root, variable(nv, order, index))
     closed = [l_zero(2 * j, b, w) for j in range(p + 1)]
     alpha = []
@@ -189,14 +183,12 @@ def alpha_coeffs(
 
 
 def f_sequence(
-    n_max: int, g: FaceWeights, b: MSeries, w: MSeries, color: str = BLACK
+    n_max: int, g: FaceWeights, b: MSeries, w: MSeries, *, black_start: bool = True
 ) -> list[MSeries]:
     """All boundary generating functions F_0..F_{n_max} from one path sweep."""
-    weights = alpha_coeffs(g, b, w, color)
+    weights = alpha_coeffs(g, b, w, black_start=black_start)
     lad = WeightLadder((), (), b, w)
-    profile = z_plus_profile(
-        0, 2 * n_max + 2 * g.p, lad, floor=0, black_start=(color == BLACK)
-    )
+    profile = z_plus_profile(0, 2 * n_max + 2 * g.p, lad, floor=0, black_start=black_start)
     out = []
     for n in range(n_max + 1):
         total = weights[0] * profile[2 * n]
@@ -207,7 +199,7 @@ def f_sequence(
 
 
 def conserved(
-    n: int, d: int, ladder: WeightLadder, g: FaceWeights, color: str = BLACK
+    n: int, d: int, ladder: WeightLadder, g: FaceWeights, *, black_start: bool = True
 ) -> MSeries:
     """The boundary generating function computed at height offset d.
 
@@ -219,7 +211,6 @@ def conserved(
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    black_start = _black_root(color)
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     root_weight = variable(nv, order, 0 if black_start else 1)
     main = z_plus(d, d, 2 * n, ladder, floor=d, black_start=black_start)

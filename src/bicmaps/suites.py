@@ -18,7 +18,7 @@ import random
 from typing import NamedTuple
 
 from .closedform import hex_ladder_closed, hex_params, quad_ladder_closed, quad_params
-from .dimers import SegmentSpec, lgv, segment_ends, zhd, zhd_brute, zhd_closed_check
+from .dimers import SegmentSpec, lgv, zhd, zhd_brute, zhd_closed_check
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -210,8 +210,7 @@ def suite_paths(run: SuiteRun) -> list[CheckResult]:
     s.ok(
         "paths/dp-vs-brute",
         all(
-            sums.path("bb", 0, 2 * dh, length, 0)
-            == sums.path("bb", 0, 2 * dh, length, 0, brute=True)
+            sums.path(0, 2 * dh, length, 0) == sums.path(0, 2 * dh, length, 0, brute=True)
             for dh in (0, 1)
             for length in (4, 6, 8)
         ),
@@ -283,7 +282,7 @@ def suite_hankel(run: SuiteRun) -> list[CheckResult]:
     for label, g in (("quad", QUAD), ("hex", HEX)):
         ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
-        fb = f_sequence(6, g, b, w, color="black")
+        fb = f_sequence(6, g, b, w)
         s.ok(
             f"hankel/{label}/det-vs-leibniz-series",
             all(hankel_det(fb, 0, i) == det_leibniz(
@@ -354,9 +353,10 @@ def suite_dimers(run: SuiteRun) -> list[CheckResult]:
     s.ok(
         "dimers/transfer-vs-brute",
         all(
-            zhd(SegmentSpec(links, ends)) == zhd_brute(SegmentSpec(links, ends))
+            zhd(spec) == zhd_brute(spec)
             for links in range(13)
-            for ends in segment_ends(links)
+            for black_start in (True, False)
+            for spec in [SegmentSpec(links, black_start=black_start)]
         ),
     )
     def sample_x() -> Rat:
@@ -371,10 +371,10 @@ def suite_dimers(run: SuiteRun) -> list[CheckResult]:
     s.ok(
         "dimers/closed-forms-at-rational-points",
         all(
-            zhd_closed_check(SegmentSpec(links, ends), c, x)
+            zhd_closed_check(SegmentSpec(links, black_start=black_start), c, x)
             for c, x in points
             for links in range(11)
-            for ends in segment_ends(links)
+            for black_start in (True, False)
         ),
     )
     for label, g, top in (("quad", QUAD, 3), ("hex", HEX, 2)):

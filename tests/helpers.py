@@ -53,7 +53,7 @@ def assert_ladder_stable(low, high, i_max):
             assert first_difference(a, b, a.reliable) is None, (i, a, b)
 
 
-def rat_path_brute(colors, start, end, length, floor, wt):
+def rat_path_brute(start, end, length, floor, wt, *, black_start=True):
     """Oracle for rat_path: direct enumeration of all 2^length step words.
 
     The words are tallied by their count of black lower ends in integers
@@ -61,4 +61,4 @@ def rat_path_brute(colors, start, end, length, floor, wt):
     and no common denominator is involved, so the oracle shares no
     arithmetic with rat_path.
     """
-    return weigh_tally(word_tally(colors, start, end, length, floor), wt)
+    return weigh_tally(word_tally(start, end, length, floor, black_start=black_start), wt)

@@ -132,7 +132,7 @@ def test_criterion_04_quad_four_routes():
         ring = SeriesRing(2, 10)
         ladder = ladder_solve(QUAD, ring)
         b, w = ladder.tail_black, ladder.tail_white
-        fb = f_sequence(11, QUAD, b, w, color="black")
+        fb = f_sequence(11, QUAD, b, w)
         extracted = cf_extract(hankel_family(fb[:8]), 6)
         closed = quad_ladder_closed(quad_params(b, w), 6)
         ladders_agree(ladder, extracted, 6, "recursion-vs-determinant")
@@ -150,7 +150,7 @@ def test_criterion_05_hex_three_routes():
         ring = SeriesRing(2, 10)
         ladder = ladder_solve(HEX, ring)
         b, w = ladder.tail_black, ladder.tail_white
-        fb = f_sequence(9, HEX, b, w, color="black")
+        fb = f_sequence(9, HEX, b, w)
         extracted = cf_extract(hankel_family(fb[:6]), 4)
         closed = hex_ladder_closed(hex_params(b, w), 4)
         ladders_agree(ladder, extracted, 4, "recursion-vs-determinant")
@@ -193,8 +193,8 @@ def test_criterion_08_symmetries():
             ladder = ladder_solve(g, ring)
             b, w = ladder.tail_black, ladder.tail_white
             assert tw * ladder.black_weight(1) == tb * ladder.white_weight(1)
-            fb = f_sequence(4, g, b, w, color="black")
-            fw = f_sequence(4, g, b, w, color="white")
+            fb = f_sequence(4, g, b, w)
+            fw = f_sequence(4, g, b, w, black_start=False)
             for n in range(1, 5):
                 assert agree(tb * fb[n], tw * fw[n]), (g.g, n)
             for i in range(1, 7):
@@ -207,8 +207,8 @@ def test_criterion_08_symmetries():
 def test_criterion_09_dimers():
     with criterion(9, "hard dimers: transfer = brute force; closed forms at rational points", 5.0):
         for links in range(13):
-            for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
-                spec = SegmentSpec(links, ends)
+            for black_start in (True, False):
+                spec = SegmentSpec(links, black_start=black_start)
                 assert zhd(spec) == zhd_brute(spec), spec
         points = [
             (rat(1), rat(1, 3)),  # uncolored collapse included
@@ -219,9 +219,10 @@ def test_criterion_09_dimers():
         ]
         for c, x in points:
             for links in range(11):
-                for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
+                for black_start in (True, False):
                     # the check also enforces invariance under x -> 1/x
-                    assert zhd_closed_check(SegmentSpec(links, ends), c, x), (c, x, links)
+                    spec = SegmentSpec(links, black_start=black_start)
+                    assert zhd_closed_check(spec, c, x), (c, x, links)
 
 
 def test_criterion_10_reflection_identities():

@@ -14,7 +14,6 @@ from bicmaps.dimers import (
     lgv,
     lgv_hex,
     lgv_quad,
-    segment_ends,
     transfer,
     zhd,
     zhd_brute,
@@ -49,29 +48,23 @@ def times(f: MSeries, gen: int, ring: SeriesRing) -> MSeries:
 
 
 def test_segment_parity_validation():
-    SegmentSpec(0, "bb")
-    SegmentSpec(3, "bw")
-    with pytest.raises(ValueError):
-        SegmentSpec(3, "bb")
-    with pytest.raises(ValueError):
-        SegmentSpec(2, "wb")
+    SegmentSpec(0)
+    SegmentSpec(3, black_start=False)
     with pytest.raises(ValueError, match="non-negative"):
-        SegmentSpec(-1, "bb")
-    with pytest.raises(ValueError, match="ends must be one of"):
-        SegmentSpec(2, "bx")
+        SegmentSpec(-1)
 
 
 def test_zhd_base_cases():
-    assert zhd(SegmentSpec(0, "bb")) == MSeries(2, 0, {(0, 0): 1})
-    assert zhd(SegmentSpec(2, "bb")) == MSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert zhd(SegmentSpec(1, "bw")) == MSeries(2, 1, {(0, 0): 1, (1, 0): 1})
+    assert zhd(SegmentSpec(0)) == MSeries(2, 0, {(0, 0): 1})
+    assert zhd(SegmentSpec(2)) == MSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert zhd(SegmentSpec(1)) == MSeries(2, 1, {(0, 0): 1, (1, 0): 1})
 
 
 def test_zhd_brute_frozen_three_links():
     # b-w-b-w segment: empty, three singletons (two s1, one s2), one s1 pair
     want = MSeries(2, 3, {(0, 0): 1, (1, 0): 2, (0, 1): 1, (2, 0): 1})
-    assert zhd_brute(SegmentSpec(3, "bw")) == want
-    assert zhd(SegmentSpec(3, "bw")) == want
+    assert zhd_brute(SegmentSpec(3)) == want
+    assert zhd(SegmentSpec(3)) == want
 
 
 def occupancy_sum(spec: SegmentSpec) -> MSeries:
@@ -89,23 +82,23 @@ def occupancy_sum(spec: SegmentSpec) -> MSeries:
 
 def test_zhd_brute_equals_occupancy_sum():
     for links in range(13):
-        for ends in segment_ends(links):
-            spec = SegmentSpec(links, ends)
+        for black_start in (True, False):
+            spec = SegmentSpec(links, black_start=black_start)
             got, want = zhd_brute(spec), occupancy_sum(spec)
             assert (got.coeffs, got.order, got.reliable) == (want.coeffs, want.order, want.reliable)
 
 
 def test_zhd_equals_brute_all_families():
     for links in range(0, 13):
-        for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
-            spec = SegmentSpec(links, ends)
+        for black_start in (True, False):
+            spec = SegmentSpec(links, black_start=black_start)
             assert zhd(spec) == zhd_brute(spec), spec
 
 
 def test_zhd_counts_and_bounds():
     for links in (5, 8, 11):
-        for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
-            poly = zhd(SegmentSpec(links, ends))
+        for black_start in (True, False):
+            poly = zhd(SegmentSpec(links, black_start=black_start))
             assert poly.reliable == links
             for (a, b), c in poly.terms():
                 assert c > 0 and isinstance(c, int)
@@ -114,23 +107,23 @@ def test_zhd_counts_and_bounds():
 
 def test_appendix_recursions_as_polynomial_identities():
     for i in range(1, 7):
-        lhs = zhd(SegmentSpec(2 * i, "bb"))
-        rhs = zhd(SegmentSpec(2 * i - 1, "bw")) + times(
-            zhd(SegmentSpec(2 * i - 2, "bb")), 1, SeriesRing(2, lhs.order)
+        lhs = zhd(SegmentSpec(2 * i))
+        rhs = zhd(SegmentSpec(2 * i - 1)) + times(
+            zhd(SegmentSpec(2 * i - 2)), 1, SeriesRing(2, lhs.order)
         )
         assert lhs == rhs, i
-        lhs = zhd(SegmentSpec(2 * i + 1, "bw"))
-        rhs = zhd(SegmentSpec(2 * i, "bb")) + times(
-            zhd(SegmentSpec(2 * i - 1, "bw")), 0, SeriesRing(2, lhs.order)
+        lhs = zhd(SegmentSpec(2 * i + 1))
+        rhs = zhd(SegmentSpec(2 * i)) + times(
+            zhd(SegmentSpec(2 * i - 1)), 0, SeriesRing(2, lhs.order)
         )
         assert lhs == rhs, i
 
 
 def test_color_reversal_symmetries():
     for links in range(0, 13, 2):
-        assert zhd(SegmentSpec(links, "bb")) == zhd(SegmentSpec(links, "ww"))
+        assert zhd(SegmentSpec(links)) == zhd(SegmentSpec(links, black_start=False))
     for links in range(1, 12, 2):
-        assert zhd(SegmentSpec(links, "bw")).swap_vars() == zhd(SegmentSpec(links, "wb"))
+        assert zhd(SegmentSpec(links)).swap_vars() == zhd(SegmentSpec(links, black_start=False))
 
 
 CX_POINTS = [
@@ -146,12 +139,13 @@ CX_POINTS = [
 def test_closed_forms_at_rational_points():
     for c, x in CX_POINTS:
         for links in range(0, 11):
-            for ends in ("bb", "ww") if links % 2 == 0 else ("bw", "wb"):
-                assert zhd_closed_check(SegmentSpec(links, ends), c, x), (c, x, links, ends)
+            for black_start in (True, False):
+                spec = SegmentSpec(links, black_start=black_start)
+                assert zhd_closed_check(spec, c, x), (c, x, links, black_start)
 
 
 def test_closed_form_invariances_explicit():
-    spec = SegmentSpec(4, "bb")
+    spec = SegmentSpec(4)
     v = zhd_closed_value(spec, rat(2), rat(1, 3))
     assert v == zhd_closed_value(spec, rat(2), rat(3))
     assert v == zhd_closed_value(spec, rat(-2), rat(-1, 3))
@@ -162,7 +156,7 @@ def test_closed_form_invariances_explicit():
 def test_closed_form_rejects_degenerate_parameters():
     for c, x in [(rat(0), rat(1, 2)), (rat(2), rat(1)), (rat(2), rat(-1, 2))]:
         with pytest.raises(ValueError):
-            zhd_closed_value(SegmentSpec(2, "bb"), c, x)
+            zhd_closed_value(SegmentSpec(2), c, x)
 
 
 def test_uncolored_collapse_matches_plain_dimers():
@@ -172,13 +166,17 @@ def test_uncolored_collapse_matches_plain_dimers():
     s1, s2 = dimer_weights_from_cx(c, x)
     assert s1 == s2
     for links in (4, 6):
-        poly = zhd(SegmentSpec(links, "bb"))
+        poly = zhd(SegmentSpec(links))
         total = sum(cc * s1 ** (a + b) for (a, b), cc in poly.coeffs.items())
-        assert total == zhd_closed_value(SegmentSpec(links, "bb"), c, x)
+        assert total == zhd_closed_value(SegmentSpec(links), c, x)
 
 
 def all_segments(top: int = 10):
-    return [SegmentSpec(links, ends) for links in range(top + 1) for ends in segment_ends(links)]
+    return [
+        SegmentSpec(links, black_start=black_start)
+        for links in range(top + 1)
+        for black_start in (True, False)
+    ]
 
 
 def test_transfer_at_generators_is_zhd():
@@ -263,8 +261,9 @@ def test_reconstruction_pinned(order):
     got = {}
     for label, g, top, reconstruct in (("quad", QUAD, 3, lgv_quad), ("hex", HEX, 2, lgv_hex)):
         b, w = tail_solve(g, ring)
-        for color in ("black", "white"):
-            got[f"alpha-{label}", color, order] = series_digest(alpha_coeffs(g, b, w, color))
+        for color, black_start in (("black", True), ("white", False)):
+            alpha = alpha_coeffs(g, b, w, black_start=black_start)
+            got[f"alpha-{label}", color, order] = series_digest(alpha)
         fam = reconstruct(top, b, w, alpha_coeffs(g, b, w))
         for i in range(top + 1):
             got[f"lgv_{label}", i, order] = series_digest((fam.h0[i], fam.h1[i]))
@@ -341,7 +340,7 @@ def column_norms(b, w, alpha, links):
 def segment_at_root(links: int, x, b, w) -> MSeries:
     """x^ceil(L/2) Z_L(W/x, B/x) on the segment of L links that starts black."""
     inv_x = inv_unit(x)
-    spec = SegmentSpec(links, segment_ends(links)[0])
+    spec = SegmentSpec(links)
     return x ** ((links + 1) // 2) * transfer(spec, w * inv_x, b * inv_x, one(2, x.order))
 
 
@@ -381,7 +380,7 @@ def test_column_norms_are_resultants_at_p3():
     norms = column_norms(b, w, alpha, 8)
     for links in range(9):
         half = (links + 1) // 2
-        poly = zhd_brute(SegmentSpec(links, segment_ends(links)[0]))
+        poly = zhd_brute(SegmentSpec(links))
         phi = sum(n * sw ** i * sb ** j * x ** (half - i - j) for (i, j), n in poly.coeffs.items())
         phi = sp.expand(phi)
         want = sp.resultant(char, phi, x) / sp.LC(char, x) ** sp.degree(phi, x)

@@ -53,14 +53,14 @@ RING = SeriesRing(2, N)
 def quad_data():
     b, w = tail_solve(QUAD, RING)
     ladder = ladder_solve(QUAD, RING)
-    return ladder, f_sequence(7, QUAD, b, w, color="black")
+    return ladder, f_sequence(7, QUAD, b, w)
 
 
 @pytest.fixture(scope="module")
 def hex_data():
     b, w = tail_solve(HEX, RING)
     ladder = ladder_solve(HEX, RING)
-    return ladder, f_sequence(7, HEX, b, w, color="black")
+    return ladder, f_sequence(7, HEX, b, w)
 
 
 def test_det_matches_leibniz_on_random_integers():
@@ -91,7 +91,7 @@ def order10_moments():
     for name in ("quad", "g1=1/5"):
         g = FAMILIES[name]
         b, w = tail_solve(g, ring)
-        out[name] = (f_sequence(11, g, b, w, "black"), f_sequence(11, g, b, w, "white"))
+        out[name] = (f_sequence(11, g, b, w), f_sequence(11, g, b, w, black_start=False))
     return out
 
 
@@ -406,8 +406,8 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
     g = FaceWeights(tuple(rat(x) for x in weights))
     ring = SeriesRing(2, 10)
     b, w = tail_solve(g, ring)
-    fb = f_sequence(11, g, b, w, "black")
-    fw = f_sequence(11, g, b, w, "white")
+    fb = f_sequence(11, g, b, w)
+    fw = f_sequence(11, g, b, w, black_start=False)
     assert [_fields(f) for f in fw] == [_fields(f.swap_vars()) for f in fb]
     fam = boundary_hankel_family(g, ring, 11)
     for shift, seq in ((0, fam.h0), (1, fam.h1)):

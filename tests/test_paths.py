@@ -143,9 +143,9 @@ def test_capped_moment_walk_matches_single_walks(g):
     ):
         for d, floor in ((0, 0), (2, None), (2, 0)):
             for black_start in (True, False):
-                prof = z_plus_profile(d, top, lad, floor, black_start)
+                prof = z_plus_profile(d, top, lad, floor, black_start=black_start)
                 for s in range(0, top + 1, 2):
-                    want = z_plus(d, d, s, lad, floor, black_start)
+                    want = z_plus(d, d, s, lad, floor, black_start=black_start)
                     got = prof[s]
                     assert (got.coeffs, got.order, got.reliable) == (
                         want.coeffs,
@@ -160,18 +160,18 @@ def test_z_strip_quad_shape():
     for i in (1, 2, 3):
         bi = lad.black_weight(i)
         expected = bi * (lad.white_weight(i - 1) + bi + lad.white_weight(i + 1))
-        assert_series(z_strip("bw", i, 3, lad), expected, label=f"strip i={i}")
+        assert_series(z_strip(i, 3, lad), expected, label=f"strip i={i}")
 
 
 def test_z_strip_single_step():
     lad = indexed_ladder(3)
-    assert z_strip("bw", 1, 1, lad) == lad.black_weight(1)
-    assert z_strip("wb", 1, 1, lad) == lad.white_weight(1)
+    assert z_strip(1, 1, lad) == lad.black_weight(1)
+    assert z_strip(1, 1, lad, black_start=False) == lad.white_weight(1)
 
 
 def test_z_strip_hex_limit():
     # Far from the floor the degree-5 strip equals B(B^2 + 6BW + 3W^2).
-    got = z_strip("bw", 7, 5, CONST)
+    got = z_strip(7, 5, CONST)
     b, w = tb, tw
     assert_series(got, b * (b * b + 6 * b * w + 3 * w * w))
 
@@ -192,16 +192,16 @@ def test_z_strip_degree_five_height_dependent():
             + lad.white_weight(i - 1) * lad.white_weight(i + 1)
             + lad.white_weight(i + 1) * lad.black_weight(i + 2)
         )
-        got = z_strip("bw", i, 5, lad)
+        got = z_strip(i, 5, lad)
         assert_series(got, bi * bracket, label=f"degree-5 strip i={i}")
         assert_series(got, series_brute(i, i - 1, 5, 0, i % 2, lad))
 
 
 def test_z_strip_validation():
     with pytest.raises(ValueError):
-        z_strip("bw", 1, 2, CONST)
+        z_strip(1, 2, CONST)
     with pytest.raises(ValueError):
-        z_strip("xy", 1, 3, CONST)
+        z_strip(0, 3, CONST)
 
 
 @st.composite
@@ -228,15 +228,15 @@ def random_ladders(draw):
     random_ladders(),
     st.lists(st.sampled_from([0, 1, 2, rat(-1, 3)]), min_size=1, max_size=5),
     st.integers(1, 6),
-    st.sampled_from(["bw", "wb"]),
+    st.booleans(),
 )
-def test_strip_sum_equals_the_weighted_strips(lad, weights, i, colors):
+def test_strip_sum_equals_the_weighted_strips(lad, weights, i, black_start):
     # p = 0..4: the first-passage sum against one z_strip walk per length
     want = zero(2, lad.tail_black.order)
     for m, c in enumerate(weights):
         if c:
-            want = want + c * z_strip(colors, i, 2 * m + 1, lad)
-    got = strip_sum(colors, i, weights, lad)
+            want = want + c * z_strip(i, 2 * m + 1, lad, black_start=black_start)
+    got = strip_sum(i, weights, lad, black_start=black_start)
     assert (got.nums, got.den, got.order, got.reliable) == (
         want.nums, want.den, want.order, want.reliable
     )
@@ -244,9 +244,7 @@ def test_strip_sum_equals_the_weighted_strips(lad, weights, i, colors):
 
 def test_strip_sum_validation():
     with pytest.raises(ValueError):
-        strip_sum("xy", 1, (0, 1), CONST)
-    with pytest.raises(ValueError):
-        strip_sum("bw", 0, (0, 1), CONST)
+        strip_sum(0, (0, 1), CONST)
 
 
 def test_l_zero_small_values():
@@ -293,9 +291,9 @@ WT = RatPathWeights(rat(2), rat(3))
 
 
 def test_rat_path_small():
-    assert rat_path("ww", 1, 1, 2, 0, WT) == 4 + 9  # b^2 + w^2
-    assert rat_path("bb", 0, 0, 0, None, WT) == 1
-    assert rat_path("bb", 0, 2, 1, None, WT) == 0  # impossible length
+    assert rat_path(1, 1, 2, 0, WT, black_start=False) == 4 + 9  # b^2 + w^2
+    assert rat_path(0, 0, 0, None, WT) == 1
+    assert rat_path(0, 2, 1, None, WT) == 0  # impossible length
 
 
 def test_rat_path_balanced_equals_descending_specialization():
@@ -304,29 +302,24 @@ def test_rat_path_balanced_equals_descending_specialization():
     wt = RatPathWeights(rat(2), rat(3))
     for n in (1, 2, 3, 4):
         series_value = z_plus(n, n, 2 * n, CONST, floor=0).evaluate([4, 9])
-        assert rat_path("bb", 0, 0, 2 * n, None, wt) == series_value
-
-
-def consistent_colors(first, start, end):
-    """The color pair starting with ``first`` that fits heights start -> end."""
-    return first + (first if (end - start) % 2 == 0 else "wb"[first == "w"])
+        assert rat_path(0, 0, 2 * n, None, wt) == series_value
 
 
 def test_rat_path_matches_brute():
     # every start and end in 0..4, with the start below the floor too
-    assert rat_path_brute("bb", 0, 2, 2, 1, WT) == 0
+    assert rat_path_brute(0, 2, 2, 1, WT) == 0
     for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
-        for first, start, end, length, floor in product(
-            "bw", range(5), range(5), range(9), (None, 0, 1, 2, 3)
+        for black_start, start, end, length, floor in product(
+            (True, False), range(5), range(5), range(9), (None, 0, 1, 2, 3)
         ):
-            colors = consistent_colors(first, start, end)
-            case = (colors, start, end, length, floor, wt)
-            assert rat_path(*case) == rat_path_brute(*case), case
+            case = (start, end, length, floor, wt)
+            got = rat_path(*case, black_start=black_start)
+            assert got == rat_path_brute(*case, black_start=black_start), (case, black_start)
 
 
-def word_product_sum(colors, start, end, length, floor, wt):
+def word_product_sum(start, end, length, floor, wt, black_start):
     """Reference for rat_path_brute: one Fraction product per step word."""
-    black = start % 2 if colors[0] == "b" else (start + 1) % 2
+    black = start % 2 if black_start else (start + 1) % 2
     total = Fraction(0)
     for word in product((1, -1), repeat=length):
         heights = [start]
@@ -344,28 +337,17 @@ def word_product_sum(colors, start, end, length, floor, wt):
 def test_rat_path_brute_equals_word_products():
     wt = RatPathWeights(rat(3, 4), rat(5, 7))
     for length in range(11):
-        for first, start, floor in product("bw", (0, 1, 2), (None, 1)):
+        for black_start, start, floor in product((True, False), (0, 1, 2), (None, 1)):
             for end in (start + length % 2, start - 2 + length % 2):
-                colors = consistent_colors(first, start, end)
-                case = (colors, start, end, length, floor, wt)
-                got = rat_path_brute(*case)
-                assert got == word_product_sum(*case), case
+                case = (start, end, length, floor, wt)
+                got = rat_path_brute(*case, black_start=black_start)
+                assert got == word_product_sum(*case, black_start), (case, black_start)
                 assert isinstance(got, Fraction)
-
-
-@pytest.mark.parametrize("path", [rat_path, rat_path_brute])
-def test_rat_path_rejects_bad_colors(path):
-    for colors in ("bx", "xb", "b", "bbb", ""):
-        with pytest.raises(ValueError):
-            path(colors, 0, 2, 2, None, WT)
-    for colors, end in (("bb", 1), ("ww", 3), ("bw", 2), ("wb", 0)):
-        with pytest.raises(ValueError):
-            path(colors, 0, end, 3, None, WT)
 
 
 def test_reflection_odd_known_value():
     # k = l = 1, q = 1: both sides equal b^2 + w^2 = 13 at (b, w) = (2, 3).
-    assert rat_path_brute("ww", 1, 1, 2, 0, WT) == 13
+    assert rat_path_brute(1, 1, 2, 0, WT, black_start=False) == 13
     assert check_reflection_odd(1, 1, 1, BalancedSums(WT), brute=True)
 
 
@@ -394,12 +376,12 @@ def test_reflection_sweep_small():
 
 def test_word_tally_is_weight_free():
     # one tally serves every sample point, and weighs to rat_path_brute at each
-    shape = ("bb", 2, 0, 6, 0)
+    shape = (2, 0, 6, 0)
     tally = word_tally(*shape)
     assert sum(tally) == 9  # the paths from 2 down to 0 in 6 steps that stay >= 0
     for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
         assert weigh_tally(tally, wt) == rat_path_brute(*shape, wt) == rat_path(*shape, wt)
-    assert word_tally("bb", 0, 2, 2, 1) == (0, 0, 0)
+    assert word_tally(0, 2, 2, 1) == (0, 0, 0)
 
 
 def test_balanced_sums_share_tallies_and_drops():
@@ -409,7 +391,7 @@ def test_balanced_sums_share_tallies_and_drops():
         for j in range(-3, 4):
             assert sums.drop(j, 8) == unconstrained_drop(j, 8, sums.wt)
         assert len(sums.drops) == 4  # |j| = 0..3
-        got = sums.path("ww", 3, 1, 6, 0, brute=True)
-        assert got == rat_path_brute("ww", 3, 1, 6, 0, sums.wt)
-        assert got == sums.path("ww", 3, 1, 6, 0)
-    assert list(tallies) == [("ww", 3, 1, 6, 0)]
+        got = sums.path(3, 1, 6, 0, black_start=False, brute=True)
+        assert got == rat_path_brute(3, 1, 6, 0, sums.wt, black_start=False)
+        assert got == sums.path(3, 1, 6, 0, black_start=False)
+    assert list(tallies) == [(3, 1, 6, 0, False)]

@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from bicmaps.paths import WeightLadder
+from bicmaps.closedform import closed_ladder
+from bicmaps.paths import WeightLadder, ladder_pairs
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, variable
 from bicmaps.slices import (
@@ -135,6 +136,17 @@ def test_quad_first_entries_rational_closed_forms(quad_ladder):
     assert w1 * (1 - 2 * w - b) == w * (1 - 2 * b - 2 * w)
 
 
+def test_face_weights_from_a_list_are_the_tuple_ones():
+    # FaceWeights keeps g as a tuple, so a list input is equal, hashes alike
+    # and keys a verify run's ladders
+    listed = FaceWeights([rat(0), rat(1)])
+    assert listed == QUAD and hash(listed) == hash(QUAD)
+    pairs = ladder_pairs(closed_ladder(listed, R6, 4), closed_ladder(QUAD, R6, 4), 4)
+    assert all(got == want for got, want in pairs)
+    run = SuiteRun(4, 1)
+    assert run.ladder(listed) is run.ladder(QUAD)
+
+
 def test_conserved_quad_at_origin_is_w1(quad_ladder):
     got = conserved(1, 0, quad_ladder, QUAD)
     assert agree(got, quad_ladder.white_weight(1))
@@ -157,13 +169,13 @@ def test_conserved_independent_of_offset(quad_ladder, hex_ladder):
 
 
 def test_conserved_white_variant(quad_ladder):
-    got = conserved(1, 0, quad_ladder, QUAD, color="white")
+    got = conserved(1, 0, quad_ladder, QUAD, black_start=False)
     assert agree(got, quad_ladder.black_weight(1))  # F_1 white = B_1
-    base = conserved(2, 0, quad_ladder, QUAD, color="white")
+    base = conserved(2, 0, quad_ladder, QUAD, black_start=False)
     for d in (1, 2, 3):
-        assert agree(conserved(2, d, quad_ladder, QUAD, color="white"), base), d
+        assert agree(conserved(2, d, quad_ladder, QUAD, black_start=False), base), d
     b, w = quad_ladder.tail_black, quad_ladder.tail_white
-    assert agree(f_sequence(2, QUAD, b, w, color="white")[2], base)
+    assert agree(f_sequence(2, QUAD, b, w, black_start=False)[2], base)
 
 
 def test_conserved_mixed_family_independence():
@@ -246,8 +258,8 @@ def test_ladder_solve_product_count(series_products, g, order, bound):
 def test_f_color_exchange(quad_tail):
     b, w = quad_tail
     tb, tw = R6.gens()
-    fb = f_sequence(4, QUAD, b, w, color="black")
-    fw = f_sequence(4, QUAD, b, w, color="white")
+    fb = f_sequence(4, QUAD, b, w)
+    fw = f_sequence(4, QUAD, b, w, black_start=False)
     # n = 0 is the bare convention F_0 = 1, not a map count, so the color
     # exchange identity starts at n = 1.
     for n in range(1, 5):
@@ -258,44 +270,33 @@ def test_f_color_exchange(quad_tail):
 def test_alpha_proportionality(quad_tail):
     b, w = quad_tail
     tb, tw = R6.gens()
-    black, white = alpha_coeffs(QUAD, b, w, "black"), alpha_coeffs(QUAD, b, w, "white")
+    black, white = alpha_coeffs(QUAD, b, w), alpha_coeffs(QUAD, b, w, black_start=False)
     assert len(black) == len(white) == QUAD.p + 1
     for aq, atq in zip(black, white):
         assert agree(exact_div(tb * aq, b), exact_div(tw * atq, w))
 
 
 # F_0..F_4, F_2 from a walk of its own and conserved(n, d) for n = 1..3, d = 0..2 at
-# order 6, per root color, as computed before the root color was checked
+# order 6, per root color, as computed when the root color was named by a string
 NAMED_COLOR_DIGESTS = {
-    "black": "8f8bd17d3103c5ed85e82e2b9ad0efa99e6ab35a46f691bed5465cc8bd465f95",
-    "white": "29b2f9d24df5d5ab92439f85605af02739f32322ef5c21fb36003761fed3c8c8",
+    True: "8f8bd17d3103c5ed85e82e2b9ad0efa99e6ab35a46f691bed5465cc8bd465f95",
+    False: "29b2f9d24df5d5ab92439f85605af02739f32322ef5c21fb36003761fed3c8c8",
 }
 
 
-@pytest.mark.parametrize("color", sorted(NAMED_COLOR_DIGESTS))
-def test_named_root_colors_unchanged(quad_tail, quad_ladder, color):
+@pytest.mark.parametrize("black_start", [True, False], ids=["black", "white"])
+def test_named_root_colors_unchanged(quad_tail, quad_ladder, black_start):
     b, w = quad_tail
     values = (
-        f_sequence(4, QUAD, b, w, color)
-        + [f_sequence(2, QUAD, b, w, color)[2]]
-        + [conserved(n, d, quad_ladder, QUAD, color) for n in (1, 2, 3) for d in (0, 1, 2)]
+        f_sequence(4, QUAD, b, w, black_start=black_start)
+        + [f_sequence(2, QUAD, b, w, black_start=black_start)[2]]
+        + [
+            conserved(n, d, quad_ladder, QUAD, black_start=black_start)
+            for n in (1, 2, 3)
+            for d in (0, 1, 2)
+        ]
     )
-    assert series_digest(values) == NAMED_COLOR_DIGESTS[color]
-
-
-@pytest.mark.parametrize("color", ["Black", "blue"])
-def test_unknown_root_color_rejected(quad_tail, quad_ladder, color):
-    # a near-miss name must raise, not fall through to the white root
-    b, w = quad_tail
-    calls = (
-        lambda: alpha_coeffs(QUAD, b, w, color),
-        lambda: f_sequence(2, QUAD, b, w, color),
-        lambda: f_sequence(1, QUAD, b, w, color)[1],
-        lambda: conserved(1, 0, quad_ladder, QUAD, color),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="'black' or 'white'"):
-            call()
+    assert series_digest(values) == NAMED_COLOR_DIGESTS[black_start]
 
 
 def test_twopoint_quad_printed(quad_ladder):

@@ -74,9 +74,9 @@ def _counting(monkeypatch, name):
     calls = [0]
     real = getattr(paths, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(paths, name, counting)
     return calls

@@ -11,15 +11,16 @@ if any does, 0 if none does.
 
 The grid: ``ladder`` by every route for quadrangulations, hexangulations,
 the general face weights of ``WEIGHTS``, ternary, binary and tricolor;
-``twopoint`` and ``hankel`` for the map families; ``dimers``;
-``tricolor``; ``verify --suite all`` at seeds 1-3, and ``verify --suite``
-with each single suite of ``SUITES`` at seed 1.  Each runs in JSON and CSV
-at orders 1-8 (1-10 for the determinant route and ``hankel``), with i_max
+``twopoint`` and ``hankel`` for the map families; ``tricolor``;
+``verify --suite all`` at seeds 1-3, and ``verify --suite`` with each
+single suite of ``SUITES`` at seed 1.  Each runs in JSON and CSV at
+orders 1-8 (1-10 for the determinant route and ``hankel``), with i_max
 3, 10 and 11 where the command takes one, so that both parities of
 i_max reach the determinant route (an even i_max ends on a B entry and
-reads one shift-1 determinant fewer).  Commands that exit 2 (a route a
-family lacks) are compared by their exit code like any other.
-Uses the standard library only.
+reads one shift-1 determinant fewer).  ``dimers`` ignores ``--order``, so
+it runs at each link count of ``DIMER_LINKS`` instead, at orders 1 and 8
+only.  Commands that exit 2 (a route a family lacks) are compared by their
+exit code like any other.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ ORDERS = range(1, 9)
 DETERMINANT_ORDERS = range(1, 11)
 FORMATS = ("json", "csv")
 I_MAX = (3, 10, 11)
+DIMER_LINKS = (0, 1, 2, 7, 13)
 SUITES = ("series", "paths", "slices", "hankel", "closedform", "dimers", "extensions", "general")
 
 
@@ -61,7 +63,8 @@ def grid() -> list[list[str]]:
     for family in MAP_FAMILIES:
         lines += _sweep(["twopoint", *family], ORDERS)
         lines += _sweep(["hankel", *family], DETERMINANT_ORDERS)
-    lines += _sweep(["dimers"], ORDERS, (None,))
+    for links in DIMER_LINKS:
+        lines += _sweep(["dimers", "--links", str(links)], (1, 8), (None,))
     lines += _sweep(["tricolor"], ORDERS)
     for seed in (1, 2, 3):
         lines += _sweep(["verify", "--suite", "all", "--seed", str(seed)], ORDERS, (None,))
