@@ -57,11 +57,10 @@ def _face_weights(config: argparse.Namespace, parser: argparse.ArgumentParser) -
         return FaceWeights.hexangulations()
     if not config.g:
         parser.error("--family general requires --g")
-    if not config.g[-1]:
-        parser.error("the last face weight must be nonzero")
-    if config.g[0] == 1:
-        parser.error("the degree-two face weight g_1 = 1 makes the series divergent")
-    return FaceWeights(config.g)
+    try:
+        return FaceWeights(config.g)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _variables(num_vars: int, family: str) -> list[str]:
@@ -210,9 +209,7 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
         checks = run_suite(config.suite, config.order, config.seed)
         meta.update(suite=config.suite)
         passed = all(c.passed for c in checks)
-        meta["checks"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ]
+        meta["checks"] = [c._asdict() for c in checks]
         meta["passed"] = passed
         return (0 if passed else 1), _render(meta, None, config)
 

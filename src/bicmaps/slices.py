@@ -39,7 +39,7 @@ from .paths import (
     z_plus,
     z_plus_profile,
 )
-from .rational import Rat, is_rational, rat
+from .rational import is_rational, rat
 from .series import MSeries, SeriesRing, exact_div, variable
 
 
@@ -50,8 +50,10 @@ class ConvergenceError(Exception):
 class FaceWeights:
     """Weights g_1..g_{p+1}, entry k applying to faces of degree 2k.
 
-    Equal and hashed by ``g``, stored as a tuple: a verify run keys its
-    ladders by them."""
+    The list is non-empty, its entries are exact rationals, its last one is
+    nonzero, and g_1 != 1, which would make the series divergent.  Equal
+    and hashed by ``g``, stored as a tuple: a verify run keys its ladders
+    by them."""
 
     __slots__ = ("g",)
 
@@ -61,6 +63,8 @@ class FaceWeights:
             raise ValueError("face weight list must be non-empty with nonzero last entry")
         if not all(is_rational(x) for x in g):
             raise ValueError("face weights must be exact rationals")
+        if g[0] == 1:
+            raise ValueError("the degree-two face weight g_1 = 1 makes the series divergent")
         self.g = g
 
     def __eq__(self, other):
@@ -86,15 +90,6 @@ class FaceWeights:
         return self.g[k - 1] if 1 <= k <= len(self.g) else rat(0)
 
 
-def _sweep_scale(g: FaceWeights):
-    g1 = g.g[0]
-    if g1 == 1:
-        raise ConvergenceError(
-            "degree-two face weight 1 makes the generating functions divergent"
-        )
-    return rat(1 / (1 - Rat(g1)))
-
-
 def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
     """The slice recursion as ``solve_ladder`` takes it: (rows, mirror,
     far, ring, error).
@@ -110,7 +105,7 @@ def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
     B_i with the two variables swapped.  Row p + 1 is the first whose
     strips, of length at most 2p + 1, reach neither index 0 nor the floor.
     """
-    scale = _sweep_scale(g)
+    scale = rat(1, 1 - g.g[0])
     tb, tw = ring.gens()[:2]
     # strips of length 2k - 1 weigh g_k; the g_1 term is divided out by scale
     weights = (0, *g.g[1:])

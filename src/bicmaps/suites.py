@@ -6,10 +6,11 @@ coefficient.  Results are plain records; the first differing coefficient is
 reported on failure.  Random rational sample points are small integers over
 small primes drawn from the seeded generator, so reports are reproducible.
 
-Every suite takes one ``SuiteRun``: the order, the seed, the ring, and the
-recursion ladder of each face-weight family, solved the first time a suite
-of the run asks for it.  So ``run_suite("all", ...)`` solves each family's
-recursion once, and the suites that compare other routes with it share it.
+Every suite records its checks on one ``SuiteRun`` and returns None.  The
+run holds the order, the seed, the ring, the checks, and the recursion
+ladder of each face-weight family, solved the first time a suite asks for
+it.  So ``run_suite("all", ...)`` solves each family's recursion once, and
+the suites that compare other routes with it share it.
 """
 
 from __future__ import annotations
@@ -80,34 +81,6 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-class _Suite:
-    """Collects named pass/fail outcomes with coefficient-level diagnostics."""
-
-    def __init__(self):
-        self.results: list[CheckResult] = []
-
-    def ok(self, name: str, condition: bool, detail: str = ""):
-        self.results.append(CheckResult(name, bool(condition), "" if condition else detail))
-
-    def pairs_agree(self, name: str, pairs: list, order: int, detail: str = ""):
-        """Each pair of series agrees through its common reliable degree.
-
-        A passing check whose pairs are all reliable to degree 0 only
-        compared constant terms; its detail says it was skipped.  A failing
-        check reports ``detail``, or else the first differing coefficient
-        of the first pair that disagrees.
-        """
-        diffs = [d for d in (first_difference(f, g) for f, g in pairs) if d is not None]
-        if not diffs and all(common_reliable(f, g) == 0 for f, g in pairs):
-            detail = f"skipped: no compared pair is reliable above degree 0 at order {order}"
-            self.results.append(CheckResult(name, True, detail))
-            return
-        if diffs and not detail:
-            e, cf, cg = diffs[0]
-            detail = f"first differing coefficient at {e}: {cf} != {cg}"
-        self.ok(name, not diffs, detail)
-
-
 def _sample_rat(rng: random.Random) -> Rat:
     return rat(rng.randint(1, 9), rng.choice(_PRIMES))
 
@@ -129,15 +102,37 @@ OCT = FaceWeights((rat(0), rat(0), rat(0), rat(1)))
 
 
 class SuiteRun:
-    """What the suites of one verify run share: the order, the seed, the
-    ring, and the recursion ladder of each face-weight family."""
+    """One verify run: the order, the seed, the ring, the recursion ladder
+    of each face-weight family, and the checks its suites record."""
 
-    __slots__ = ("order", "seed", "ring", "ladders")
+    __slots__ = ("order", "seed", "ring", "ladders", "results")
 
     def __init__(self, order: int, seed: int):
         self.order, self.seed = order, seed
         self.ring = SeriesRing(2, order)
         self.ladders = {}
+        self.results: list[CheckResult] = []
+
+    def ok(self, name: str, condition: bool, detail: str = ""):
+        self.results.append(CheckResult(name, bool(condition), "" if condition else detail))
+
+    def pairs_agree(self, name: str, pairs: list, detail: str = ""):
+        """Each pair of series agrees through its common reliable degree.
+
+        A passing check whose pairs are all reliable to degree 0 only
+        compared constant terms; its detail says it was skipped.  A failing
+        check reports ``detail``, or else the first differing coefficient
+        of the first pair that disagrees.
+        """
+        diffs = [d for d in (first_difference(f, g) for f, g in pairs) if d is not None]
+        if not diffs and all(common_reliable(f, g) == 0 for f, g in pairs):
+            detail = f"skipped: no compared pair is reliable above degree 0 at order {self.order}"
+            self.results.append(CheckResult(name, True, detail))
+            return
+        if diffs and not detail:
+            e, cf, cg = diffs[0]
+            detail = f"first differing coefficient at {e}: {cf} != {cg}"
+        self.ok(name, not diffs, detail)
 
     def ladder(self, g: FaceWeights) -> WeightLadder:
         """The recursion ladder of ``g``, solved on first use in this run."""
@@ -154,37 +149,30 @@ class SuiteRun:
         return tail_solve(g, self.ring)
 
 
-def suite_series(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
+def suite_series(run: SuiteRun) -> None:
     order, ring = run.order, run.ring
     rng = random.Random(run.seed)
     for trial in range(4):
         u = _sample_poly(rng, ring, unit=True)
-        s.pairs_agree(
-            f"series/inverse-roundtrip-{trial}", [(u * inv_unit(u), ring.one())], order
-        )
+        run.pairs_agree(f"series/inverse-roundtrip-{trial}", [(u * inv_unit(u), ring.one())])
         g = variable(2, order, 0) * u
         f = g * _sample_poly(rng, ring, unit=True)
-        s.pairs_agree(f"series/division-roundtrip-{trial}", [(exact_div(f, g) * g, f)], order)
+        run.pairs_agree(f"series/division-roundtrip-{trial}", [(exact_div(f, g) * g, f)])
         sq = sqrt_unit(u * u)
-        s.pairs_agree(f"series/sqrt-roundtrip-{trial}", [(sq * sq, u * u)], order)
+        run.pairs_agree(f"series/sqrt-roundtrip-{trial}", [(sq * sq, u * u)])
     a2 = _sample_poly(rng, ring, unit=True)
     a1 = _sample_poly(rng, ring, unit=True)
     a0 = variable(2, order, 1) * _sample_poly(rng, ring, unit=True)
     mu = solve_quadratic_branch(a2, a1, a0)
-    s.pairs_agree(
-        "series/quadratic-residual", [(a2 * mu * mu + a1 * mu + a0, ring.zero())], order
-    )
-    return s.results
+    run.pairs_agree("series/quadratic-residual", [(a2 * mu * mu + a1 * mu + a0, ring.zero())])
 
 
-def suite_paths(run: SuiteRun) -> list[CheckResult]:
+def suite_paths(run: SuiteRun) -> None:
     """The reflection identities at five sample points, and the path DPs.
 
     The brute oracle's word tallies do not depend on the sample point, so
     one dict of them serves all five.
     """
-    s = _Suite()
     rng = random.Random(run.seed)
     tallies: dict = {}
     points = [
@@ -204,10 +192,10 @@ def suite_paths(run: SuiteRun) -> list[CheckResult]:
             for l in range(4)
             for q in range(6)
         )
-        s.ok(f"paths/reflection-odd-point-{p}", odd_ok)
-        s.ok(f"paths/reflection-even-point-{p}", even_ok)
+        run.ok(f"paths/reflection-odd-point-{p}", odd_ok)
+        run.ok(f"paths/reflection-even-point-{p}", even_ok)
     sums = points[0]
-    s.ok(
+    run.ok(
         "paths/dp-vs-brute",
         all(
             sums.path(0, 2 * dh, length, 0) == sums.path(0, 2 * dh, length, 0, brute=True)
@@ -217,48 +205,41 @@ def suite_paths(run: SuiteRun) -> list[CheckResult]:
     )
     tb, tw = run.ring.gens()
     tails = WeightLadder((), (), tb, tw)
-    s.ok(
+    run.ok(
         "paths/translation-invariance",
         all(
             z_plus(d, d, 6, tails, floor=d) == z_plus(0, 0, 6, tails) for d in (1, 2, 3)
         ),
     )
-    return s.results
 
 
-def suite_slices(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
-    order = run.order
+def suite_slices(run: SuiteRun) -> None:
     tb, tw = run.ring.gens()
     for label, g in (("quad", QUAD), ("hex", HEX), ("mixed", MIXED)):
         ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
-        s.pairs_agree(
+        run.pairs_agree(
             f"slices/{label}/first-entry-color-identity",
             [(tw * ladder.black_weight(1), tb * ladder.white_weight(1))],
-            order,
         )
         for i in (1, 2, 3):
-            s.pairs_agree(
+            run.pairs_agree(
                 f"slices/{label}/color-swap-{i}",
                 [(ladder.black_weight(i).swap_vars(), ladder.white_weight(i))],
-                order,
             )
         base = {n: conserved(n, 0, ladder, g) for n in (1, 2, 3)}
-        s.pairs_agree(
+        run.pairs_agree(
             f"slices/{label}/conserved-offset-independence",
             [(conserved(n, d, ladder, g), base[n]) for n in (1, 2, 3) for d in range(1, 5)],
-            order,
         )
         direct = f_sequence(3, g, b, w)
-        s.pairs_agree(
+        run.pairs_agree(
             f"slices/{label}/conserved-equals-direct",
             [(direct[n], base[n]) for n in (1, 2, 3)],
-            order,
         )
         if label != "mixed":  # fractional face weights do not produce counts
             table = twopoint_from_ladder(ladder, 3)
-            s.ok(
+            run.ok(
                 f"slices/{label}/two-point-counts",
                 all(
                     c > 0 and rat(c).denominator == 1
@@ -266,16 +247,13 @@ def suite_slices(run: SuiteRun) -> list[CheckResult]:
                     for _, c in series.terms()
                 ),
             )
-    return s.results
 
 
-def suite_hankel(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
-    order = run.order
+def suite_hankel(run: SuiteRun) -> None:
     rng = random.Random(run.seed)
     for n in (2, 3):
         rows = [[rat(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        s.ok(
+        run.ok(
             f"hankel/det-vs-leibniz-{n}x{n}",
             det_division_free(rows) == det_leibniz(rows),
         )
@@ -283,74 +261,63 @@ def suite_hankel(run: SuiteRun) -> list[CheckResult]:
         ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(6, g, b, w)
-        s.ok(
+        run.ok(
             f"hankel/{label}/det-vs-leibniz-series",
             all(hankel_det(fb, 0, i) == det_leibniz(
                 [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
             ) for i in (1, 2)),
         )
         extracted = moment_ladder(fb, 6)  # fb serves two more checks
-        s.pairs_agree(
-            f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6), order
+        run.pairs_agree(
+            f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6)
         )
         expanded = cf_expand(ladder, n_max=5)
-        s.pairs_agree(
+        run.pairs_agree(
             f"hankel/{label}/expansion-vs-direct",
             [(expanded[n], fb[n]) for n in range(6)],
-            order,
         )
-    return s.results
 
 
-def suite_closedform(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
+def suite_closedform(run: SuiteRun) -> None:
     order, ring = run.order, run.ring
     quad = run.ladder(QUAD)
     b, w = quad.tail_black, quad.tail_white
     params = quad_params(b, w)
-    s.pairs_agree(
+    run.pairs_agree(
         "closedform/quad/characteristic-residual",
         [(w * params.d * params.d + (2 * (b + w) - 1) * params.d + b, ring.zero())],
-        order,
     )
-    s.pairs_agree(
-        "closedform/quad/y-relation", [(params.y * b, params.d * params.d * w)], order
-    )
+    run.pairs_agree("closedform/quad/y-relation", [(params.y * b, params.d * params.d * w)])
     families = [("quad", quad, 6, quad_ladder_closed(params, 6))]
     if order >= 2:  # below it hex_params refuses, its weights vouch for nothing
         hexa = run.ladder(HEX)
         hb, hw = hexa.tail_black, hexa.tail_white
         hx = hex_params(hb, hw)
         families.append(("hex", hexa, 4, hex_ladder_closed(hx, 4)))
-        s.pairs_agree(
+        run.pairs_agree(
             "closedform/hex/branch-relation",
             [(hw * hx.d1 * hx.d1 - hx.wz1 * hx.d1 + hb, ring.zero())],
-            order,
         )
-        s.pairs_agree(
+        run.pairs_agree(
             "closedform/hex/weights-resolve-unity",
             [(hx.lam1 + hx.lam2 + hx.wd, ring.one())],
-            order,
         )
     for label, ladder, top, closed in families:
-        s.pairs_agree(
-            f"closedform/{label}/closed-vs-recursion", ladder_pairs(closed, ladder, top), order
+        run.pairs_agree(
+            f"closedform/{label}/closed-vs-recursion", ladder_pairs(closed, ladder, top)
         )
-        s.pairs_agree(
+        run.pairs_agree(
             f"closedform/{label}/uncolored-collapse",
             [
                 (closed.black_weight(i).collapse_vars(), closed.white_weight(i).collapse_vars())
                 for i in range(1, top + 1)
             ],
-            order,
         )
-    return s.results
 
 
-def suite_dimers(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
+def suite_dimers(run: SuiteRun) -> None:
     rng = random.Random(run.seed)
-    s.ok(
+    run.ok(
         "dimers/transfer-vs-brute",
         all(
             zhd(spec) == zhd_brute(spec)
@@ -368,7 +335,7 @@ def suite_dimers(run: SuiteRun) -> list[CheckResult]:
     points = [(rat(1), sample_x())]  # always include the uncolored collapse
     while len(points) < 5:
         points.append((_sample_rat(rng), sample_x()))
-    s.ok(
+    run.ok(
         "dimers/closed-forms-at-rational-points",
         all(
             zhd_closed_check(SegmentSpec(links, black_start=black_start), c, x)
@@ -386,38 +353,33 @@ def suite_dimers(run: SuiteRun) -> list[CheckResult]:
         for i in range(top + 1):
             pairs += [(walked.h0[i], dets.h0[i]), (walked.h1[i], dets.h1[i])]
         bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
-        s.pairs_agree(
+        run.pairs_agree(
             f"dimers/{label}/segment-vs-determinant",
             pairs,
-            run.order,
             f"index {bad[0]} disagrees" if bad else "",
         )
-    return s.results
 
 
-def suite_extensions(run: SuiteRun) -> list[CheckResult]:
-    s = _Suite()
+def suite_extensions(run: SuiteRun) -> None:
     order, ring = run.order, run.ring
     for label, solve, closed_form in (
         ("ternary", ternary_solve, ternary_closed_ladder),
         ("binary", binary_solve, binary_closed_ladder),
     ):
         ladder = solve(ring)
-        s.ok(f"extensions/{label}/unit-seeds", ladder.black_weight(1) == one(2, order))
-        s.pairs_agree(
+        run.ok(f"extensions/{label}/unit-seeds", ladder.black_weight(1) == one(2, order))
+        run.pairs_agree(
             f"extensions/{label}/closed-vs-perturbative",
             ladder_pairs(closed_form(ladder, 6), ladder, 6),
-            order,
         )
     tri_order = min(order, 8)
     state = tricolor_solve(SeriesRing(3, tri_order))
-    s.ok("extensions/tricolor/closed-and-symmetry", tricolor_closed_check(state, 6))
-    s.pairs_agree(
+    run.ok("extensions/tricolor/closed-and-symmetry", tricolor_closed_check(state, 6))
+    run.pairs_agree(
         "extensions/tricolor/characteristic-identity",
         [(tricolor_characteristic_residual(state), zero(3, tri_order))],
-        order,
     )
-    s.ok(
+    run.ok(
         "extensions/tricolor/rotation",
         all(
             rotate_colors(state.t_at(i)) == state.u_at(i)
@@ -425,26 +387,19 @@ def suite_extensions(run: SuiteRun) -> list[CheckResult]:
             for i in range(1, state.height + 1)
         ),
     )
-    return s.results
 
 
-def suite_general(run: SuiteRun) -> list[CheckResult]:
+def suite_general(run: SuiteRun) -> None:
     """The p = 3 family has no closed form; recursion and determinants must agree."""
-    s = _Suite()
-    order = run.order
     ladder = run.ladder(OCT)
     b, w = ladder.tail_black, ladder.tail_white
     extracted = moment_ladder(f_sequence(4, OCT, b, w), 4)
-    s.pairs_agree(
-        "general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4), order
-    )
+    run.pairs_agree("general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4))
     base = conserved(1, 0, ladder, OCT)
-    s.pairs_agree(
+    run.pairs_agree(
         "general/oct/conserved-independence",
         [(conserved(1, d, ladder, OCT), base) for d in range(1, 4)],
-        order,
     )
-    return s.results
 
 
 SUITES = {
@@ -464,5 +419,6 @@ def run_suite(name: str, order: int, seed: int) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     run = SuiteRun(order, seed)
-    names = SUITES if name == "all" else (name,)
-    return [check for key in names for check in SUITES[key](run)]
+    for key in SUITES if name == "all" else (name,):
+        SUITES[key](run)
+    return run.results

@@ -114,6 +114,18 @@ def test_csv_layout(capsys):
     assert any(row[0] == "G_black_1" for row in rows[1:])
 
 
+def test_csv_verify_rows_are_the_json_checks(capsys):
+    args = ("verify", "--suite", "series", "--order", "3")
+    _, out = run_cli(capsys, *args, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "passed", "detail"]
+    _, out = run_cli(capsys, *args)
+    checks = json.loads(out)["checks"]
+    assert checks and rows[1:] == [
+        [c["name"], "1" if c["passed"] else "0", c["detail"]] for c in checks
+    ]
+
+
 # -- the document writer against json.dumps of per-term dicts ----------------
 
 
@@ -250,9 +262,21 @@ def test_i_max_rejected_where_unused(capsys, command):
         ({}, ["twopoint", "--family", "quad", "--g", "0,1"], "--g applies only"),
         ({}, ["hankel", "--family", "hex", "--g", "0,0,1"], "--g applies only"),
         ({}, ["ladder", "--family", "ternary", "--g", "1"], "--g applies only"),
+        ({}, ["twopoint", "--family", "general", "--g=1/0"], "bad face weight list"),
+        ({}, ["twopoint", "--family", "general", "--g=x"], "bad face weight list"),
+        ({}, ["twopoint", "--family", "general", "--g=,"], "face weight list is empty"),
+        ({}, ["twopoint", "--family", "general", "--g", "1,0"], "nonzero last entry"),
+        ({}, ["ladder", "--family", "ternary", "--route", "determinant"],
+         "route 'determinant' is not defined for ternary"),
+        ({}, ["twopoint", "--family", "quad", "--i-max", "0"], "--i-max must be at least 1"),
+        ({}, ["ladder", "--family", "tricolor", "--route", "closed"],
+         "family tricolor supports --route recursion"),
+        ({}, ["dimers", "--links", "-1"], "--links must be non-negative"),
     ],
     ids=["order-env-not-int", "g1-one-twopoint", "g1-one-ladder", "g-with-quad",
-         "g-with-hex", "g-with-ternary"],
+         "g-with-hex", "g-with-ternary", "g-zero-denominator", "g-not-a-number",
+         "g-empty", "g-zero-last", "ternary-determinant", "i-max-zero", "tricolor-closed",
+         "links-negative"],
 )
 def test_usage_errors_are_clean(capsys, monkeypatch, env, argv, message):
     for key, value in env.items():
@@ -411,18 +435,18 @@ def test_every_command_runs_at_low_order(capsys, argv, order):
 
 
 def test_pairs_reliable_to_degree_zero_still_compare_constant_terms():
-    from bicmaps.suites import _Suite
+    from bicmaps.suites import SuiteRun
 
     def const(c, reliable):
         return MSeries(2, 3, {(0, 0): c, (1, 0): reliable}, reliable)
 
-    s = _Suite()
-    s.pairs_agree("equal", [(const(1, 0), const(1, 0))], 3)
-    s.pairs_agree("constants-differ", [(const(1, 0), const(2, 0))], 3)
-    s.pairs_agree("reliable", [(const(1, 1), const(1, 1))], 3)
-    s.pairs_agree("told-why", [(const(1, 0), const(2, 0))], 3, "index 0 disagrees")
-    s.pairs_agree("passed-why", [(const(1, 1), const(1, 1))], 3, "index 0 disagrees")
-    got = [(c.name, c.passed, c.detail.split(":")[0]) for c in s.results]
+    run = SuiteRun(3, 0)
+    run.pairs_agree("equal", [(const(1, 0), const(1, 0))])
+    run.pairs_agree("constants-differ", [(const(1, 0), const(2, 0))])
+    run.pairs_agree("reliable", [(const(1, 1), const(1, 1))])
+    run.pairs_agree("told-why", [(const(1, 0), const(2, 0))], "index 0 disagrees")
+    run.pairs_agree("passed-why", [(const(1, 1), const(1, 1))], "index 0 disagrees")
+    got = [(c.name, c.passed, c.detail.split(":")[0]) for c in run.results]
     assert got == [
         ("equal", True, "skipped"),
         ("constants-differ", False, "first differing coefficient at (0, 0)"),

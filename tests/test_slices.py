@@ -11,7 +11,6 @@ from bicmaps.paths import WeightLadder, ladder_pairs
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, variable
 from bicmaps.slices import (
-    ConvergenceError,
     FaceWeights,
     alpha_coeffs,
     conserved,
@@ -93,11 +92,6 @@ def test_tail_mixed_family_equations():
     tb, tw = R6.gens()
     assert b == tb + rat(1, 2) * b + b * (b + 2 * w)
     assert w == tw + rat(1, 2) * w + w * (w + 2 * b)
-
-
-def test_degree_two_weight_one_rejected():
-    with pytest.raises(ConvergenceError):
-        tail_solve(FaceWeights((rat(1), rat(1))), R6)
 
 
 def test_quad_ladder_printed_expansions(quad_ladder):
@@ -338,8 +332,9 @@ def test_twopoint_table_reads_distance_i(quad_ladder):
         ((), "non-empty"),
         ((rat(1), rat(0)), "nonzero last entry"),
         ((rat(0), 1.0), "exact rationals"),
+        ((rat(1), rat(1)), "g_1 = 1"),
     ],
-    ids=["empty", "zero-last", "float"],
+    ids=["empty", "zero-last", "float", "g1-one"],
 )
 def test_face_weights_reject_bad_lists(g, message):
     with pytest.raises(ValueError, match=message):

@@ -19,8 +19,11 @@ orders 1-8 (1-10 for the determinant route and ``hankel``), with i_max
 i_max reach the determinant route (an even i_max ends on a B entry and
 reads one shift-1 determinant fewer).  ``dimers`` ignores ``--order``, so
 it runs at each link count of ``DIMER_LINKS`` instead, at orders 1 and 8
-only.  Commands that exit 2 (a route a family lacks) are compared by their
-exit code like any other.  Uses the standard library only.
+only.  The face weights of ``REFUSED_WEIGHTS``, which the CLI refuses, run
+through ``twopoint``, ``hankel`` and ``ladder --route determinant`` at
+orders 1 and 4.  Commands that exit 2 (a route a family lacks, refused
+face weights) are compared by their exit code like any other.  The grid
+has 2932 command lines.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from itertools import product
 
 # (0,0,0,0,1) reaches p = 4; (1/3,1/7,2) weighs every strip length
 WEIGHTS = ("1/5,1", "0,1/3,2", "0,0,0,1", "1/2", "0,0,0,0,1", "1/3,1/7,2")
+# g_1 = 1 diverges; a zero last weight would misstate the top degree p
+REFUSED_WEIGHTS = ("1,1", "1,0", "0,0")
 MAP_FAMILIES = [["--family", "quad"], ["--family", "hex"]] + [
     ["--family", "general", f"--g={g}"] for g in WEIGHTS
 ]
@@ -63,6 +68,9 @@ def grid() -> list[list[str]]:
     for family in MAP_FAMILIES:
         lines += _sweep(["twopoint", *family], ORDERS)
         lines += _sweep(["hankel", *family], DETERMINANT_ORDERS)
+    for g in REFUSED_WEIGHTS:
+        for command in (["twopoint"], ["hankel"], ["ladder", "--route", "determinant"]):
+            lines += _sweep([*command, "--family", "general", f"--g={g}"], (1, 4))
     for links in DIMER_LINKS:
         lines += _sweep(["dimers", "--links", str(links)], (1, 8), (None,))
     lines += _sweep(["tricolor"], ORDERS)
