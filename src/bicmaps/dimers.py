@@ -9,18 +9,19 @@ equal to the link count, checked against a brute-force subset sum; at
 rational points it meets exact closed forms in an auxiliary (c, x)
 parametrization.  The mutually avoiding path systems of the moment
 determinants are rigid outside p central columns, whose freedom projects
-onto hard dimers weighted by the p roots x of a_0 - a_1 x + a_2 x^2 - ...
-The same recursion walks one column modulo that polynomial, once for the
-whole family of indices 0..top, and each moment determinant is a prefactor
-times the p x p determinant of the components of p of the walk's states, so
-no root and no product over the roots is built.
+onto hard dimers weighted by the p roots x of sum_q (-1)^q c_q x^q, c_q the
+``alpha_brackets``.  The same recursion walks one column modulo that
+polynomial, once for the whole family of indices 0..top, and each moment
+determinant is a prefactor times the p x p determinant of the components of
+p of the walk's states, so no root and no product over the roots is built.
 """
 
 from __future__ import annotations
 
 from .hankel import HankelFamily, det_division_free
-from .rational import Rat
-from .series import MSeries, SeriesRing, inv_unit, one, zero
+from .rational import Rat, rat
+from .series import MSeries, SeriesRing, exact_div, one, variable, zero
+from .slices import FaceWeights, alpha_brackets
 
 class SegmentSpec:
     """A bicolored oriented segment: its link count, and whether its first
@@ -166,35 +167,37 @@ class _Residue:
         return _Residue([a + top * r for a, r in zip(shifted, self.low)], self.low)
 
 
-def _column(links: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> list:
+def _column(links: int, b: MSeries, w: MSeries, brackets: tuple[MSeries, ...]) -> list:
     """phi_0 .. phi_links from one walk, where phi_L = x^ceil(L/2) Z_L(W/x, B/x),
-    Z_L on the segment of L links that starts black, and x is a root of
-    sum_q (-1)^q a_q x^q: each phi_L as its components modulo that polynomial."""
-    p = len(alpha) - 1
-    lead = inv_unit(alpha[p])
-    low = [a * lead if (p - q) % 2 else -a * lead for q, a in enumerate(alpha[:p])]
+    Z_L on the segment of L links that starts black, and x is a root of the
+    brackets' polynomial: each phi_L as its components modulo it, made monic by 1/c_p."""
+    p = len(brackets) - 1
+    lead = rat(1, brackets[p].constant_term())
+    low = [c * lead if (p - q) % 2 else -c * lead for q, c in enumerate(brackets[:p])]
     nv, order = b.num_vars, b.order
     unit = _Residue([one(nv, order)] + [zero(nv, order)] * (p - 1), low)
     weights = [(w, b)[j % 2] for j in range(links)] + [0]
     return list(_walk(weights, unit, _Residue.times_x))
 
 
-def lgv(top: int, b: MSeries, w: MSeries, alpha: tuple[MSeries, ...]) -> HankelFamily:
-    """Shift-0 and shift-1 Hankel determinants of indices 0..top for faces of
-    degree at most 2p + 2, p = len(alpha) - 1 >= 1, from one walk of the
-    column; alpha holds the black-root a_0 .. a_p of ``alpha_coeffs``.  Shift
-    s of index i is (BW)^(i(i+1)/2) a_p^(i+1) W^(s(i+1)) U_s, where U_s is the
-    p x p determinant whose row k holds the components of phi_(2i+1+s+2k):
+def lgv(top: int, g: FaceWeights, b: MSeries, w: MSeries) -> HankelFamily:
+    """Shift-0 and shift-1 Hankel determinants of indices 0..top for the face
+    weights g, p = g.p >= 1, from one walk of the column on g's brackets.
+    Shift s of index i is (BW)^(i(i+1)/2) a_p^(i+1) W^(s(i+1)) U_s, where
+    a_p = -g_(p+1) B/t_black is the black-root alpha_p and U_s is the p x p
+    determinant whose row k holds the components of phi_(2i+1+s+2k):
     det phi_(2i+1+s+2k)(x_j) over the Vandermonde determinant of the roots
     x_j.  A state of the walk does not depend on the links after it, so every
     index reads the phi a walk of its own would give."""
-    p = len(alpha) - 1
+    p = g.p
     if top < 0:
         raise ValueError("determinant index must be non-negative")
     if p < 1:
-        raise ValueError("alpha must hold a_0 .. a_p with p >= 1")
-    phi = _column(2 * top + 2 * p, b, w, alpha)
-    h0, h1, pref, step, wpow = [], [], 1, alpha[p], 1
+        raise ValueError("the column needs faces of degree 4 or more: p >= 1")
+    brackets = alpha_brackets(g, b, w)
+    phi = _column(2 * top + 2 * p, b, w, brackets)
+    a_p = exact_div(b, variable(b.num_vars, b.order, 0)) * brackets[p]
+    h0, h1, pref, step, wpow = [], [], 1, a_p, 1
     for i in range(top + 1):
         pref, step = pref * step, step * b * w  # (BW)^(i(i+1)/2) a_p^(i+1), (BW)^(i+1) a_p
         wpow = wpow * w  # W^(i+1)

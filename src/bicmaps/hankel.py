@@ -166,7 +166,8 @@ class HankelFamily(NamedTuple):
     """The determinant sequences of the black moments (index -1 is 1), from
     the moments (``hankel_family``) or the dimer column walk (``dimers.lgv``).
     F_0..F_n reach shift 0 through index n//2 and shift 1 through (n-1)//2,
-    so ``h1`` is one shorter than ``h0`` when the moment count is odd."""
+    so ``h1`` is one shorter than ``h0`` when the moment count is odd;
+    ``lgv(top)`` is the family of F_0..F_{2 top + 1}."""
 
     h0: tuple[MSeries, ...]
     h1: tuple[MSeries, ...]
@@ -187,8 +188,9 @@ def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, n_max: int) -> Hank
     return hankel_family(f_sequence(n_max, g, b, w))
 
 
-def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
-    """Recover the slice ladder 1..i_max from determinant ratios, h[-1] = 1:
+def cf_extract(h: HankelFamily) -> WeightLadder:
+    """Recover the slice ladder 1..n from determinant ratios, h[-1] = 1, for
+    the family of F_0..F_n, n = len(h.h0) + len(h.h1) - 1 >= 1:
 
         B_2i   = (h0[i]/h0[i-1]) / (h1[i-1]/h1[i-2]),
         W_2i+1 = (h1[i]/h1[i-1]) / (h0[i]/h0[i-1]),
@@ -197,30 +199,23 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     once and divided by ``exact_div``, so an entry carries exactly the
     reliable order that survives the determinants' valuations.  Past the
     reach of the truncation the determinants are zero: a division by a
-    zero series, or of a ratio that came out of one, gives the zero series
-    with reliable order 0, which compares vacuously downstream; raise the
+    zero series gives the zero series with reliable order 0, which compares
+    vacuously downstream (``exact_div`` of it gives it again); raise the
     working order to recover it.
     """
-    if i_max < 1:
-        raise ValueError("need i_max >= 1")
-    if len(h.h0) <= i_max // 2 or len(h.h1) < (i_max + 1) // 2:
-        raise ValueError(
-            f"i_max {i_max} needs h0 through index {i_max // 2} and h1 through"
-            f" {(i_max - 1) // 2}; the family reaches {len(h.h0) - 1} and {len(h.h1) - 1}"
-        )
-    ref = h.h0[0]
-    no_content = zero(ref.num_vars, ref.order).with_reliable(0)
+    n = len(h.h0) + len(h.h1) - 1
+    if n < 1:
+        raise ValueError("need the family of F_0 and F_1 at least")
+    no_content = zero(h.h0[0].num_vars, h.h0[0].order).with_reliable(0)
 
     def div(num: MSeries, den: MSeries) -> MSeries:
-        if den.is_zero() or num is no_content:
-            return no_content
-        return exact_div(num, den)
+        return no_content if den.is_zero() else exact_div(num, den)
 
-    r0 = [h.h0[0]] + [div(h.h0[i], h.h0[i - 1]) for i in range(1, i_max // 2 + 1)]
-    r1 = [h.h1[0]] + [div(h.h1[i], h.h1[i - 1]) for i in range(1, (i_max + 1) // 2)]
+    r0 = [h.h0[0]] + [div(h.h0[i], h.h0[i - 1]) for i in range(1, len(h.h0))]
+    r1 = [h.h1[0]] + [div(h.h1[i], h.h1[i - 1]) for i in range(1, len(h.h1))]
     blacks: list[MSeries] = []
     whites: list[MSeries] = []
-    for idx in range(1, i_max + 1):
+    for idx in range(1, n + 1):
         i, odd = divmod(idx, 2)
         if odd:
             white, black = color_swap(div(r1[i], r0[i]))
@@ -231,15 +226,15 @@ def cf_extract(h: HankelFamily, i_max: int) -> WeightLadder:
     return WeightLadder(tuple(blacks), tuple(whites), blacks[-1], whites[-1])
 
 
-def moment_ladder(moments: list[MSeries], i_max: int) -> WeightLadder:
-    """The determinant route from the black moments: entries 1..i_max from
-    the family of F_0..F_{i_max}, all that ``cf_extract`` reads of them."""
-    return cf_extract(hankel_family(moments[: i_max + 1]), i_max)
+def moment_ladder(moments: list[MSeries]) -> WeightLadder:
+    """The determinant route from the black moments F_0..F_n: entries 1..n,
+    ``cf_extract`` of their Hankel family."""
+    return cf_extract(hankel_family(moments))
 
 
 def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
-    """``moment_ladder`` of the moments on the tails of ``tail_solve``."""
-    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring)), i_max)
+    """``moment_ladder`` of the moments F_0..F_{i_max} on the tails of ``tail_solve``."""
+    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring)))
 
 
 def cf_expand(ladder: WeightLadder, n_max: int) -> list[MSeries]:

@@ -151,30 +151,31 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) ->
     return WeightLadder(blacks, whites, tail_b, tail_w)
 
 
-def alpha_coeffs(
-    g: FaceWeights, b: MSeries, w: MSeries, *, black_start: bool = True
-) -> tuple[MSeries, ...]:
-    """Expansion coefficients alpha_0..alpha_p for a black root, or a white
-    one when black_start is False.
-
-    alpha_q = (B/t_black) * (delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2)) for
-    a black root; a white root has the same bracket with prefactor W/t_white,
-    so t_white*alpha_q(white)/W = t_black*alpha_q(black)/B identically.
-    """
-    p = g.p
+def alpha_brackets(g: FaceWeights, b: MSeries, w: MSeries) -> tuple[MSeries, ...]:
+    """The brackets delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2), q = 0..p, of ``alpha_coeffs``:
+    the same for both root colors, the last one the constant -g_{p+1}."""
     nv, order = b.num_vars, b.order
-    root, index = (b, 0) if black_start else (w, 1)
-    unit = exact_div(root, variable(nv, order, index))
-    closed = [l_zero(2 * j, b, w) for j in range(p + 1)]
-    alpha = []
-    for q in range(p + 1):
+    closed = [l_zero(2 * j, b, w) for j in range(g.p + 1)]
+    brackets = []
+    for q in range(g.p + 1):
         bracket = MSeries(nv, order, {(0,) * nv: 1} if q == 0 else {})
-        for k in range(q + 1, p + 2):
+        for k in range(q + 1, g.p + 2):
             gk = g.weight(k)
             if gk:
                 bracket = bracket - gk * closed[k - q - 1]
-        alpha.append(unit * bracket)
-    return tuple(alpha)
+        brackets.append(bracket)
+    return tuple(brackets)
+
+
+def alpha_coeffs(
+    g: FaceWeights, b: MSeries, w: MSeries, *, black_start: bool = True
+) -> tuple[MSeries, ...]:
+    """alpha_0..alpha_p for a black root, or a white one when black_start is
+    False: the ``alpha_brackets`` times the unit B/t_black, or W/t_white, so
+    t_white*alpha_q(white)/W = t_black*alpha_q(black)/B identically."""
+    root, index = (b, 0) if black_start else (w, 1)
+    unit = exact_div(root, variable(b.num_vars, b.order, index))
+    return tuple(unit * bracket for bracket in alpha_brackets(g, b, w))
 
 
 def f_sequence(

@@ -64,7 +64,6 @@ from .series import (
 )
 from .slices import (
     FaceWeights,
-    alpha_coeffs,
     conserved,
     f_sequence,
     ladder_solve,
@@ -267,7 +266,7 @@ def suite_hankel(run: SuiteRun) -> None:
                 [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
             ) for i in (1, 2)),
         )
-        extracted = moment_ladder(fb, 6)  # fb serves two more checks
+        extracted = moment_ladder(fb)  # fb serves two more checks
         run.pairs_agree(
             f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6)
         )
@@ -346,8 +345,7 @@ def suite_dimers(run: SuiteRun) -> None:
     )
     for label, g, top in (("quad", QUAD, 3), ("hex", HEX, 2)):
         b, w = run.tails(g)
-        alpha = alpha_coeffs(g, b, w)
-        walked = lgv(top, b, w, alpha)
+        walked = lgv(top, g, b, w)
         dets = hankel_family(f_sequence(2 * top + 1, g, b, w))
         pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
@@ -393,7 +391,7 @@ def suite_general(run: SuiteRun) -> None:
     """The p = 3 family has no closed form; recursion and determinants must agree."""
     ladder = run.ladder(OCT)
     b, w = ladder.tail_black, ladder.tail_white
-    extracted = moment_ladder(f_sequence(4, OCT, b, w), 4)
+    extracted = moment_ladder(f_sequence(4, OCT, b, w))
     run.pairs_agree("general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4))
     base = conserved(1, 0, ladder, OCT)
     run.pairs_agree(

@@ -40,7 +40,6 @@ from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, first_difference, one, zero
 from bicmaps.slices import (
     FaceWeights,
-    alpha_coeffs,
     conserved,
     f_sequence,
     ladder_solve,
@@ -133,13 +132,12 @@ def test_criterion_04_quad_four_routes():
         ladder = ladder_solve(QUAD, ring)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(11, QUAD, b, w)
-        extracted = cf_extract(hankel_family(fb[:8]), 6)
+        extracted = cf_extract(hankel_family(fb[:7]))
         closed = quad_ladder_closed(quad_params(b, w), 6)
         ladders_agree(ladder, extracted, 6, "recursion-vs-determinant")
         ladders_agree(ladder, closed, 6, "recursion-vs-closed")
         ladders_agree(extracted, closed, 6, "determinant-vs-closed")
-        coeffs = alpha_coeffs(QUAD, b, w)
-        fam = lgv_quad(5, b, w, coeffs)
+        fam = lgv_quad(5, QUAD, b, w)
         for i in range(6):
             assert agree(fam.h0[i], hankel_det(fb, 0, i)), f"h0 index {i}"
             assert agree(fam.h1[i], hankel_det(fb, 1, i)), f"h1 index {i}"
@@ -151,12 +149,11 @@ def test_criterion_05_hex_three_routes():
         ladder = ladder_solve(HEX, ring)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(9, HEX, b, w)
-        extracted = cf_extract(hankel_family(fb[:6]), 4)
+        extracted = cf_extract(hankel_family(fb[:5]))
         closed = hex_ladder_closed(hex_params(b, w), 4)
         ladders_agree(ladder, extracted, 4, "recursion-vs-determinant")
         ladders_agree(ladder, closed, 4, "recursion-vs-closed")
-        coeffs = alpha_coeffs(HEX, b, w)
-        fam = lgv_hex(3, b, w, coeffs)
+        fam = lgv_hex(3, HEX, b, w)
         for i in range(4):
             assert agree(fam.h0[i], hankel_det(fb, 0, i)), f"h0 index {i}"
             assert agree(fam.h1[i], hankel_det(fb, 1, i)), f"h1 index {i}"

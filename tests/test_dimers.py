@@ -32,7 +32,7 @@ from bicmaps.series import (
     sqrt_unit,
     zero,
 )
-from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, tail_solve
+from bicmaps.slices import FaceWeights, alpha_brackets, alpha_coeffs, f_sequence, tail_solve
 from bicmaps.suites import SuiteRun, suite_dimers
 
 from helpers import series_digest
@@ -200,7 +200,8 @@ def test_transfer_at_series_weights_is_substitution(quad_moments):
     # substituted into it.  Substitution bounds ``reliable``
     # by both weights; the transfer only by the weights the segment has, so
     # the two bounds differ on segments of 0 links and of 1 link alone.
-    b, w, alpha, _ = quad_moments
+    b, w, _, _ = quad_moments
+    alpha = alpha_coeffs(QUAD, b, w)
     ratio = alpha[1] * inv_unit(alpha[0])
     for s1, s2 in ((w * ratio, b * ratio), (w, b.truncate(5)), (w, b.with_reliable(6))):
         order = min(s1.order, s2.order)
@@ -264,7 +265,7 @@ def test_reconstruction_pinned(order):
         for color, black_start in (("black", True), ("white", False)):
             alpha = alpha_coeffs(g, b, w, black_start=black_start)
             got[f"alpha-{label}", color, order] = series_digest(alpha)
-        fam = reconstruct(top, b, w, alpha_coeffs(g, b, w))
+        fam = reconstruct(top, g, b, w)
         for i in range(top + 1):
             got[f"lgv_{label}", i, order] = series_digest((fam.h0[i], fam.h1[i]))
     assert got == {k: v for k, v in PINNED_DIGESTS.items() if k[2] == order}
@@ -274,30 +275,28 @@ def test_reconstruction_pinned(order):
 def quad_moments():
     ring = SeriesRing(2, 8)
     b, w = tail_solve(QUAD, ring)
-    coeffs = alpha_coeffs(QUAD, b, w)
     fb = f_sequence(7, QUAD, b, w)
-    return b, w, coeffs, fb
+    return b, w, alpha_brackets(QUAD, b, w), fb
 
 
 @pytest.fixture(scope="module")
 def hex_moments():
     ring = SeriesRing(2, 8)
     b, w = tail_solve(HEX, ring)
-    coeffs = alpha_coeffs(HEX, b, w)
     fb = f_sequence(7, HEX, b, w)
-    return b, w, coeffs, fb
+    return b, w, alpha_brackets(HEX, b, w), fb
 
 
 def test_lgv_quad_index_zero(quad_moments):
-    b, w, coeffs, fb = quad_moments
-    fam = lgv_quad(0, b, w, coeffs)
+    b, w, _, fb = quad_moments
+    fam = lgv_quad(0, QUAD, b, w)
     assert agree(fam.h0[0], one(2, 8))  # alpha_0 + W*alpha_1 telescopes to F_0 = 1
     assert agree(fam.h1[0], hankel_det(fb, 1, 0))
 
 
 def test_lgv_quad_matches_determinants(quad_moments):
-    b, w, coeffs, fb = quad_moments
-    fam = lgv_quad(3, b, w, coeffs)
+    b, w, _, fb = quad_moments
+    fam = lgv_quad(3, QUAD, b, w)
     for i in range(4):
         h0, h1 = fam.h0[i], fam.h1[i]
         d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
@@ -306,8 +305,8 @@ def test_lgv_quad_matches_determinants(quad_moments):
 
 
 def test_lgv_hex_matches_determinants(hex_moments):
-    b, w, coeffs, fb = hex_moments
-    fam = lgv_hex(2, b, w, coeffs)
+    b, w, _, fb = hex_moments
+    fam = lgv_hex(2, HEX, b, w)
     for i in range(3):
         h0, h1 = fam.h0[i], fam.h1[i]
         d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
@@ -317,19 +316,19 @@ def test_lgv_hex_matches_determinants(hex_moments):
 
 def test_lgv_hex_r_zero_convention(hex_moments):
     # at i = 0 the r = 0 term contributes exactly (BW)^{i+1} * a2^{i+1}
-    b, w, coeffs, _ = hex_moments
-    h0 = lgv_hex(0, b, w, coeffs).h0[0]
+    b, w, _, _ = hex_moments
+    h0 = lgv_hex(0, HEX, b, w).h0[0]
     assert h0.valuation() == 0  # the determinant is 1 + higher order
 
 
 # -- the column walk modulo the characteristic polynomial ----------------------
 
 
-def column_norms(b, w, alpha, links):
+def column_norms(b, w, brackets, links):
     """N_0 .. N_links: the product of phi_L over the roots, as the determinant
     of multiplication by phi_L on the walk's residues."""
     norms = []
-    for phi in dimers._column(links, b, w, alpha):
+    for phi in dimers._column(links, b, w, brackets):
         rows = [phi]
         while len(rows) < len(phi.parts):
             rows.append(rows[-1].times_x())
@@ -346,38 +345,38 @@ def segment_at_root(links: int, x, b, w) -> MSeries:
 
 @pytest.mark.parametrize("label", ["quad", "hex"])
 def test_column_norms_match_explicit_roots(label, quad_moments, hex_moments):
-    b, w, alpha, _ = quad_moments if label == "quad" else hex_moments
+    b, w, brackets, _ = quad_moments if label == "quad" else hex_moments
     if label == "quad":
-        roots = [alpha[0] * inv_unit(alpha[1])]
+        roots = [brackets[0] * inv_unit(brackets[1])]
     else:
-        # a0 - a1 x + a2 x^2 is 1 - x^2 at t = 0: two series roots, near 1 and -1
-        a0, a1, a2 = alpha
-        root_disc = sqrt_unit(a1 * a1 - 4 * a0 * a2)
-        roots = [(a1 + sign * root_disc) * inv_unit(2 * a2) for sign in (1, -1)]
+        # c0 - c1 x + c2 x^2 is 1 - x^2 at t = 0: two series roots, near 1 and -1
+        c0, c1, c2 = brackets
+        root_disc = sqrt_unit(c1 * c1 - 4 * c0 * c2)
+        roots = [(c1 + sign * root_disc) * inv_unit(2 * c2) for sign in (1, -1)]
         assert {x.constant_term() for x in roots} == {1, -1}
     for x in roots:
-        char = sum(((-1) ** q * a * x ** q for q, a in enumerate(alpha)), zero(2, 8))
+        char = sum(((-1) ** q * c * x ** q for q, c in enumerate(brackets)), zero(2, 8))
         assert agree(char, zero(2, 8))
-    norms = column_norms(b, w, alpha, 8)
+    norms = column_norms(b, w, brackets, 8)
     for links in range(9):
         want = one(2, 8)
         for x in roots:
             want = want * segment_at_root(links, x, b, w)
         assert agree(norms[links], want), (links, first_difference(norms[links], want))
-        assert norms[links].reliable >= min(f.reliable for f in (b, w, *alpha)), links
+        assert norms[links].reliable >= min(f.reliable for f in (b, w, *brackets)), links
 
 
 def test_column_norms_are_resultants_at_p3():
-    # constant alpha, W and B: the product over the three roots of phi_L is
+    # constant brackets, W and B: the product over the three roots of phi_L is
     # Res(F, phi_L) / lc(F)^deg(phi_L), with phi_L summed from the brute-force
     # occupancies, so neither the walk nor the transfer is used
     x = sp.Symbol("x")
     a, w_val, b_val = [rat(3), rat(1, 2), rat(-2, 3), rat(5, 4)], rat(2, 3), rat(-5, 7)
-    alpha = tuple(MSeries(2, 2, {(0, 0): c}) for c in a)
+    brackets = tuple(MSeries(2, 2, {(0, 0): c}) for c in a)
     b, w = MSeries(2, 2, {(0, 0): b_val}), MSeries(2, 2, {(0, 0): w_val})
     char = sum((-1) ** q * sp.Rational(str(c)) * x ** q for q, c in enumerate(a))
     sw, sb = sp.Rational(str(w_val)), sp.Rational(str(b_val))
-    norms = column_norms(b, w, alpha, 8)
+    norms = column_norms(b, w, brackets, 8)
     for links in range(9):
         half = (links + 1) // 2
         poly = zhd_brute(SegmentSpec(links))
@@ -392,10 +391,10 @@ def test_reconstructions_build_no_segment_polynomial(monkeypatch, quad_moments, 
         raise AssertionError(f"segment polynomial built for {spec}")
 
     monkeypatch.setattr(dimers, "zhd", refuse)
-    b, w, alpha, _ = quad_moments
-    lgv_quad(3, b, w, alpha)
-    b, w, alpha, _ = hex_moments
-    lgv_hex(2, b, w, alpha)
+    b, w, _, _ = quad_moments
+    lgv_quad(3, QUAD, b, w)
+    b, w, _, _ = hex_moments
+    lgv_hex(2, HEX, b, w)
 
 
 @pytest.mark.parametrize(
@@ -408,8 +407,7 @@ def test_lgv_matches_determinants_for_every_p(g):
     g = FaceWeights(tuple(rat(c) for c in g))
     order = 10
     b, w = tail_solve(g, SeriesRing(2, order))
-    alpha = alpha_coeffs(g, b, w)
-    fam = lgv(2, b, w, alpha)
+    fam = lgv(2, g, b, w)
     dets = hankel_family(f_sequence(5, g, b, w))
     for s, (walked, moments) in enumerate(((fam.h0, dets.h0), (fam.h1, dets.h1))):
         for i, (got, want) in enumerate(zip(walked, moments, strict=True)):
@@ -418,6 +416,32 @@ def test_lgv_matches_determinants_for_every_p(g):
             low = i * (i + 1) + s * (i + 1)
             if low <= got.reliable:
                 assert got.valuation() == low, (i, s)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [(0, 1), (0, 0, 1), (0, 0, 0, 1), (rat(1, 5), 0, 0, 1), (0, 1, 1), (0, 0, 0, 0, 1)],
+    ids=["quad", "hex", "oct", "oct-g1", "irrational-roots", "deg10"],
+)
+def test_column_is_exact_through_the_order(monkeypatch, g):
+    # the walk reads the brackets, whose last one is a nonzero rational, so
+    # no component loses a degree, and neither does any unit determinant
+    g = FaceWeights(tuple(rat(c) for c in g))
+    order, top = 10, 3
+    b, w = tail_solve(g, SeriesRing(2, order))
+    phi = dimers._column(2 * top + 2 * g.p, b, w, alpha_brackets(g, b, w))
+    assert {part.reliable for state in phi for part in state.parts} == {order}
+    units = []
+    real = dimers.det_division_free
+
+    def recording(rows):
+        units.append(real(rows))
+        return units[-1]
+
+    monkeypatch.setattr(dimers, "det_division_free", recording)
+    lgv(top, g, b, w)
+    assert len(units) == 2 * (top + 1)
+    assert {u.reliable for u in units} == {order}
 
 
 def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
@@ -429,31 +453,31 @@ def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
         return real(links, *args)
 
     monkeypatch.setattr(dimers, "_column", counting)
-    for (b, w, alpha, _), top in ((quad_moments, 3), (hex_moments, 2)):
+    for g, (b, w, _, _), top in ((QUAD, quad_moments, 3), (HEX, hex_moments, 2)):
         calls.clear()
-        fam = lgv(top, b, w, alpha)
-        assert calls == [2 * top + 2 * (len(alpha) - 1)]
+        fam = lgv(top, g, b, w)
+        assert calls == [2 * top + 2 * g.p]
         assert len(fam.h0) == len(fam.h1) == top + 1
 
 
 def test_suite_dimers_product_count(series_products):
-    # one column walk per reconstruction: 634 products with one walk per index
+    # one column walk per reconstruction, on the brackets: 634 products with
+    # one walk per index, 441 when the walk divided the root-color unit out
     suite_dimers(SuiteRun(7, 1))
-    assert series_products[0] <= 497
+    assert series_products[0] <= 435
 
 
 @pytest.mark.parametrize("i", [-1, -2])
 def test_lgv_rejects_negative_index(i, quad_moments):
-    b, w, alpha, _ = quad_moments
+    b, w, _, _ = quad_moments
     with pytest.raises(ValueError, match="non-negative"):
-        lgv(i, b, w, alpha)
+        lgv(i, QUAD, b, w)
 
 
 def test_lgv_rejects_p_zero():
-    # g = (1/2,): only bigons, so alpha is (a_0,) and there is no column
+    # g = (1/2,): only bigons, so the brackets are (c_0,) and there is no column
     g = FaceWeights((rat(1, 2),))
     b, w = tail_solve(g, SeriesRing(2, 4))
-    alpha = alpha_coeffs(g, b, w)
-    assert len(alpha) == 1
+    assert len(alpha_brackets(g, b, w)) == 1
     with pytest.raises(ValueError, match="p >= 1"):
-        lgv(0, b, w, alpha)
+        lgv(0, g, b, w)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicmaps.dimers import lgv
+from bicmaps.dimers import _column, lgv
 from bicmaps.hankel import (
     boundary_hankel_family,
     cf_expand,
@@ -32,7 +32,7 @@ from bicmaps.series import (
     one,
     zero,
 )
-from bicmaps.slices import FaceWeights, alpha_coeffs, f_sequence, ladder_solve, tail_solve
+from bicmaps.slices import FaceWeights, alpha_brackets, f_sequence, ladder_solve, tail_solve
 from bicmaps.suites import SuiteRun, suite_hankel
 
 from helpers import assert_ladder_stable
@@ -176,25 +176,30 @@ def test_hankel_family_reaches_as_far_as_its_moments(order10_moments):
             assert [_fields(d) for d in seq] == [_fields(d) for d in want], (n, shift)
 
 
-@pytest.mark.parametrize("moments, i_max", [(6, 6), (7, 7), (1, 1)])
-def test_cf_extract_refuses_a_family_that_does_not_reach(quad_data, moments, i_max):
-    # i_max 6 reads h0[3], i_max 7 reads h1[3], i_max 1 reads h1[0]
+def test_cf_extract_reaches_as_far_as_its_family(quad_data):
+    # the family of F_0..F_n fixes entries 1..n, and lgv(top) is the family
+    # of F_0..F_{2 top + 1}
     _, fb = quad_data
-    with pytest.raises(ValueError, match="reaches"):
-        cf_extract(hankel_family(fb[:moments]), i_max)
+    for n in range(1, 8):
+        assert cf_extract(hankel_family(fb[: n + 1])).height == n, n
+    b, w = tail_solve(QUAD, RING)
+    for top in range(4):
+        assert cf_extract(lgv(top, QUAD, b, w)).height == 2 * top + 1, top
+    with pytest.raises(ValueError, match="F_0 and F_1"):
+        cf_extract(hankel_family(fb[:1]))
 
 
 def test_cf_extract_first_entry_is_f1(quad_data):
     _, fb = quad_data
     fam = hankel_family(fb[:4])
-    extracted = cf_extract(fam, 1)
+    extracted = cf_extract(fam)
     assert agree(extracted.white_weight(1), fb[1])
 
 
 def test_cf_extract_matches_ladder_quad(quad_data):
     ladder, fb = quad_data
     fam = hankel_family(fb)
-    extracted = cf_extract(fam, 6)
+    extracted = cf_extract(fam)
     for i in range(1, 7):
         for side in ("black_weight", "white_weight"):
             got = getattr(extracted, side)(i)
@@ -208,7 +213,7 @@ def test_cf_extract_matches_ladder_quad(quad_data):
 def test_cf_extract_matches_ladder_hex(hex_data):
     ladder, fb = hex_data
     fam = hankel_family(fb)
-    extracted = cf_extract(fam, 6)
+    extracted = cf_extract(fam)
     for i in range(1, 7):
         assert agree(extracted.black_weight(i), ladder.black_weight(i)), i
         assert agree(extracted.white_weight(i), ladder.white_weight(i)), i
@@ -219,7 +224,7 @@ def test_cf_extract_vacuous_entries_convention(quad_data):
     # valuation 12 > 8 here, so the ratios are uninformative), entries come
     # back as zero series with reliable order 0 instead of erroring
     _, fb = quad_data
-    extracted = cf_extract(hankel_family(fb), 7)
+    extracted = cf_extract(hankel_family(fb))
     assert extracted.black_weight(7).is_zero()
     assert extracted.black_weight(7).reliable == 0
     assert extracted.white_weight(7).is_zero()
@@ -246,7 +251,7 @@ def test_cf_expand_reads_no_level_above_n_max(quad_data):
 def test_cf_round_trip(quad_data):
     ladder, _ = quad_data
     fam = hankel_family(cf_expand(ladder, n_max=7))
-    back = cf_extract(fam, 6)
+    back = cf_extract(fam)
     for i in range(1, 7):
         assert agree(back.black_weight(i), ladder.black_weight(i)), i
         assert agree(back.white_weight(i), ladder.white_weight(i)), i
@@ -278,19 +283,22 @@ def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
     want = hankel_family(fb)
     for got_seq, want_seq in ((fam.h0, want.h0), (fam.h1, want.h1)):
         assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
-    got = determinant_ladder(QUAD, RING, 6)
-    assert _ladder_fields(got) == _ladder_fields(cf_extract(want, 6))
+    got = determinant_ladder(QUAD, RING, 7)
+    assert _ladder_fields(got) == _ladder_fields(cf_extract(want))
 
 
 @pytest.mark.parametrize("name", ["quad", "g1=1/5", "p=3"])
 def test_moment_ladder_reads_only_the_moments_it_needs(name):
-    # F_0..F_{i_max} fix the ladder: more moments change no field of it
+    # F_0..F_i fix entries 1..i: more moments change no field of them
     g = FAMILIES[name]
     fb = f_sequence(9, g, *tail_solve(g, RING))
-    for i_max in (5, 6):
-        got = _ladder_fields(moment_ladder(fb, i_max))
-        assert got == _ladder_fields(cf_extract(hankel_family(fb[: i_max + 1]), i_max))
-        assert got == _ladder_fields(cf_extract(hankel_family(fb), i_max))
+    full = moment_ladder(fb)
+    for i in (5, 6):
+        got = moment_ladder(fb[: i + 1])
+        assert got.height == i
+        for side in ("black", "white"):
+            prefix = getattr(full, side)[:i]
+            assert [_fields(e) for e in getattr(got, side)] == [_fields(e) for e in prefix]
 
 
 @pytest.mark.parametrize(
@@ -303,10 +311,10 @@ def test_dimer_family_stands_in_for_the_moment_family(weights):
     g = FaceWeights(tuple(rat(x) for x in weights))
     ring = SeriesRing(2, 10)
     b, w = tail_solve(g, ring)
-    got = cf_extract(lgv(4, b, w, alpha_coeffs(g, b, w)), 8)
-    want = determinant_ladder(g, ring, 8)
+    got = cf_extract(lgv(4, g, b, w))
+    want = determinant_ladder(g, ring, 9)
     assert _ladder_fields(got) == _ladder_fields(want)
-    assert [e.reliable for e in got.black] == [9, 8, 6, 4, 1, 0, 0, 0]
+    assert [e.reliable for e in got.black] == [9, 8, 6, 4, 1, 0, 0, 0, 0]
 
 
 DRAWN_WEIGHTS = (rat(0), rat(1), rat(2), rat(-1, 2), rat(1, 3), rat(-2), rat(3, 4))
@@ -326,11 +334,15 @@ def drawn_face_weights(draw):
 @given(drawn_face_weights(), st.integers(3, 7), st.integers(2, 6))
 def test_routes_agree_over_random_face_weights(g, order, i_max):
     # the determinant and dimer routes against the recursion; a draw in
-    # which every compared entry has reliable 0 would compare nothing
+    # which every compared entry has reliable 0 would compare nothing.  The
+    # column the dimer route walks is exact through the order.
     ring = SeriesRing(2, order)
     recursion = ladder_solve(g, ring, height=i_max)
     b, w = recursion.tail_black, recursion.tail_white
-    dimers = cf_extract(lgv(i_max // 2, b, w, alpha_coeffs(g, b, w)), i_max)
+    top = i_max // 2
+    column = _column(2 * top + 2 * g.p, b, w, alpha_brackets(g, b, w))
+    assert {part.reliable for state in column for part in state.parts} == {order}, g.g
+    dimers = cf_extract(lgv(top, g, b, w))
     for route in (determinant_ladder(g, ring, i_max), dimers):
         pairs = ladder_pairs(route, recursion, i_max)
         assert all(agree(x, y) for x, y in pairs), g.g
@@ -339,7 +351,7 @@ def test_routes_agree_over_random_face_weights(g, order, i_max):
 
 # sha256 over (sorted nums, den, order, reliable) of every entry, black,
 # white and the two tails, of determinant_ladder(g, SeriesRing(2, order), 11)
-# and, for p >= 1, of cf_extract(lgv(5, ...), 11) at order 8.  Most of these
+# and, for p >= 1, of cf_extract(lgv(5, ...)) at order 8.  Most of these
 # entries lie past the reach of the truncation: zero with reliable 0.
 CF_PINNED = {
     ('determinant', '0,1', 1): '5c7989bceaa8a336ddba59bb12e136877a33a4199c3f304bb26f54b970b7db6d',
@@ -383,7 +395,7 @@ def test_cf_extract_pinned(case):
         ladder = determinant_ladder(g, ring, 11)
     else:
         b, w = tail_solve(g, ring)
-        ladder = cf_extract(lgv(5, b, w, alpha_coeffs(g, b, w)), 11)
+        ladder = cf_extract(lgv(5, g, b, w))
     h = hashlib.sha256()
     for nums, *rest in _ladder_fields(ladder):
         h.update(repr((sorted(nums.items()), *rest)).encode())
@@ -427,7 +439,7 @@ def test_determinant_ladder_product_count(series_products):
 
 
 def test_suite_hankel_product_count(series_products):
-    # each family walks F_0..F_6, all that cf_extract(..., 6) reads; 984
+    # each family walks F_0..F_6, all that entries 1..6 read; 984
     # before cf_expand cut each level to the degree F_0..F_5 read of it
     suite_hankel(SuiteRun(7, 1))
     assert series_products[0] <= 604
