@@ -11,12 +11,13 @@ the role the quantity c*x plays for quadrangulations.
 Each solver states its row rule once.  Row 2 is the first that reads no
 index 0, so on the ladder with no entries it reads only the tails and is
 the tail equation (P = 1 + z_white Q P Q and so on); ``paths.solve_ladder``
-solves the tails and then the entries from it, and returns as many entries
-as each solver's ``height`` asks for (order + 2 by default).  Each
-system also states its color symmetry (the swap for the trees, the cyclic
-rotation for the tricolored system): the graded sweeps evaluate the first
-family only and take the others from it, and the stability sweep evaluates
-every family, so every solve checks the symmetry.
+solves the tails and the entries together from it, in one fixed point, and
+returns as many entries as each solver's ``height`` asks for (order + 2 by
+default).  Each system also states its color symmetry (the swap for the
+trees, the cyclic rotation for the tricolored system): the graded sweeps
+evaluate the first family only and take the others from it, and the
+stability sweep evaluates every family, so every solve checks the
+symmetry.
 """
 
 from __future__ import annotations
@@ -236,17 +237,12 @@ def tricolor_characteristic_residual(state: TriColorState) -> MSeries:
 
 
 def tricolor_closed_check(state: TriColorState, i_max: int) -> bool:
-    """Closed multiples-of-three entries, their rotations, the characteristic
-    identity, and the cyclic symmetry of the solved ladder."""
+    """Closed multiples-of-three entries against the solved ladder, and
+    their rotations against the other two color families."""
     checks = []
     for i in range(0, i_max // 3 + 1):
         closed = tricolor_closed_t(state, i)
         checks.append(agree(closed, state.t_at(3 * i)))
         checks.append(agree(rotate_colors(closed), state.u_at(3 * i)))
         checks.append(agree(rotate_colors(rotate_colors(closed)), state.v_at(3 * i)))
-    for i in range(1, state.height + 1):
-        checks.append(agree(rotate_colors(state.t_at(i)), state.u_at(i)))
-        checks.append(agree(rotate_colors(state.u_at(i)), state.v_at(i)))
-    residual = tricolor_characteristic_residual(state)
-    checks.append(agree(residual, zero(3, state.t.order)))
     return all(checks)

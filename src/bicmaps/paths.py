@@ -22,11 +22,12 @@ its own, tallying them without weights (``word_tally``) so that one
 enumeration of a path shape serves every sample point (``BalancedSums``).
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
-one solver, ``solve_ladder``: the tails solve a far row of the ladder with
-no entries, and the entry sweeps evaluate only the rows a degree can reach.
-Each graded sweep evaluates family 0 alone and takes the other families
-from the symmetry; the stability sweep evaluates every family, so each
-solve also proves the symmetry.
+one solver, ``solve_ladder``, whose one fixed point solves the tails and
+the entries together: each sweep evaluates a far row of the ladder with no
+entries for the tails, then only the rows its degree can reach.  Each
+graded sweep evaluates family 0 alone and takes the other families from
+the symmetry; the stability sweep evaluates every family, so each solve
+also proves the symmetry.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -55,23 +56,6 @@ def color_swap(b: MSeries) -> tuple[MSeries, MSeries]:
     return b, b.swap_vars()
 
 
-def ladder_tails(rows, mirror, far: int, ring: SeriesRing, error: Exception) -> tuple:
-    """The tails of the ladder system given by ``rows`` (see ``solve_ladder``).
-
-    Row ``far`` is the first whose paths reach neither index 0 nor a floor,
-    so on the ladder with no entries it reads only the tails: the tails are
-    its fixed point, solved from the zero tails.
-    """
-
-    def sweep(tails, degree):
-        row = rows(((),) * len(tails), tails)
-        if degree is None:
-            return tuple(family(far) for family in row)
-        return mirror(row[0](far))
-
-    return fixed_point(sweep, mirror(ring.zero()), ring.order, error)
-
-
 def solve_ladder(
     rows, mirror, far: int, ring: SeriesRing, error: Exception, height: int | None = None
 ):
@@ -82,24 +66,29 @@ def solve_ladder(
     order: ``row[f](i)`` is the right-hand side of family f at row i.
     ``mirror(x)`` is the system's symmetry: it maps a value of family 0 to
     the values of every family at the same row (the color swap, or the
-    cyclic rotation of three colors).  The tails are the fixed point of row
-    ``far`` of the ladder with no entries (``ladder_tails``); the entries
-    are then solved below them, from no entries, on a ladder of H rows.
+    cyclic rotation of three colors).  Row ``far`` is the first whose paths
+    reach neither index 0 nor a floor, so on the ladder with no entries it
+    reads only the tails: the tails are its fixed point.  One fixed point
+    solves the tails and the entries of a ladder of H rows together.
     ``height`` h = None means h = order + far; otherwise h >= 0, and
-    h = 0 solves the tails alone.  H is max(h, ceil((order + h - 1) / 2)),
-    and the rows above h are dropped.  Returns (entries, tails), with one
-    tuple of entries 1..h per family.
+    h = 0 solves the tails alone.  H is max(h, ceil((order + h - 1) / 2))
+    for h >= 1, and the rows above h are dropped.  Returns (entries,
+    tails), with one tuple of entries 1..h per family.
 
     The degree-0 sweep depends on nothing, so the start does not matter.
-    In every system solved here entry i agrees with its tail through degree
-    i - 1 at least, so the sweep of degree d evaluates rows 1..min(H, d)
-    only and fills the rows above with the tails cut to degree d.  It
-    evaluates family 0 only and takes the other families from ``mirror``:
+    The sweep of degree d first evaluates row ``far`` of the ladder with no
+    entries: the tail row gains one degree per sweep, so the tails it
+    returns, at order d like everything the sweep computes, are exact
+    through degree d.  In every system solved here entry i agrees with its
+    tail through degree i - 1 at least, so the sweep then evaluates rows
+    1..min(H, d) only, on those tails, and fills the rows above with them.
+    It evaluates family 0 only and takes the other families from ``mirror``:
     the symmetry maps the system onto itself and the fixed point is unique
     through the order, so the fixed point is symmetric too.  The stability
-    sweep evaluates every row of every family, each by its own rule, so a
-    wrong fill or a wrong ``mirror`` cannot reproduce itself there and
-    raises ``error``: every solve proves the symmetry it used.
+    sweep evaluates row ``far`` and every stored row of every family, each
+    by its own rule, so wrong tails, a wrong fill or a wrong ``mirror``
+    cannot reproduce itself there and raises ``error``: every solve proves
+    the symmetry it used.
 
     Why entry i <= h is exact through the order at H rows.
     Let e_j be entry j as solved minus its value on the unbounded ladder:
@@ -123,25 +112,26 @@ def solve_ladder(
         height = order + far
     elif height < 0:
         raise ValueError("ladder height must be non-negative")
-    tails = ladder_tails(rows, mirror, far, ring, error)
-    bare = ((),) * len(tails)
-    if not height:
-        return bare, tails
-    solved = max(height, (order + height) // 2)
+    solved = height and max(height, (order + height) // 2)
+    zeros = mirror(ring.zero())
+    bare = ((),) * len(zeros)
 
     def sweep(state, degree):
-        row = rows(state, tails)
+        tails, entries = state
         if degree is None:
-            return tuple(tuple(map(family, range(1, solved + 1))) for family in row)
+            return tuple(family(far) for family in rows(bare, tails)), tuple(
+                tuple(map(family, range(1, solved + 1))) for family in rows(entries, tails)
+            )
+        tails = mirror(rows(bare, tails)[0](far))
+        row = rows(entries, tails)[0]
         reach = min(solved, degree)
-        computed = [mirror(row[0](i)) for i in range(1, reach + 1)]
-        return tuple(
-            tuple(values[f] for values in computed)
-            + (tail.truncate(degree),) * (solved - reach)
+        computed = [mirror(row(i)) for i in range(1, reach + 1)]
+        return tails, tuple(
+            tuple(values[f] for values in computed) + (tail,) * (solved - reach)
             for f, tail in enumerate(tails)
         )
 
-    entries = fixed_point(sweep, bare, order, error)
+    tails, entries = fixed_point(sweep, (zeros, bare), order, error)
     return tuple(family[:height] for family in entries), tails
 
 

@@ -17,9 +17,11 @@ at a time, is its oracle).  The limits B, W are
 its i -> infinity limit: row p + 1 of the ladder with no entries, the
 first row whose strips reach neither index 0 nor the floor, reads only the
 tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
-tails and then the entries from that one rule.  Each graded sweep evaluates
-the black rows only and takes the white ones from the color swap; the
-stability sweep evaluates both colors, so every solve checks the swap.
+tails and the entries together, in one fixed point of that one rule: each
+sweep evaluates row p + 1 of the ladder with no entries first, then the
+entry rows on the tails it gave.  Each graded sweep evaluates the black
+rows only and takes the white ones from the color swap; the stability
+sweep evaluates both colors, so every solve checks the swap.
 
 The boundary functions F_n and their coefficients alpha_q are built for one
 root color: black unless the keyword-only ``black_start`` is False.
@@ -33,7 +35,6 @@ from .paths import (
     WeightLadder,
     color_swap,
     l_zero,
-    ladder_tails,
     solve_ladder,
     strip_sum,
     z_plus,
@@ -124,7 +125,7 @@ def _slice_system(g: FaceWeights, ring: SeriesRing) -> tuple:
 
 def tail_solve(g: FaceWeights, ring: SeriesRing) -> tuple[MSeries, MSeries]:
     """Height-independent limits B, W of the slice series, exact to ring.order."""
-    return ladder_tails(*_slice_system(g, ring))
+    return solve_ladder(*_slice_system(g, ring), 0)[1]
 
 
 def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) -> WeightLadder:
@@ -140,11 +141,12 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) ->
     quadrangulations, hexangulations and g = (1/5, 1), (0, 1/3, 2),
     (0, 0, 0, 1); hexangulation entries agree through i + 1 at odd i).
     So the sweep of degree d evaluates rows 1..min(H, d) only and takes
-    the tail cut to degree d above (``solve_ladder``, which needs no more
-    than agreement through i - 1).  Each graded sweep evaluates the black
-    rows only and takes W_i as B_i with t_black and t_white swapped; the
-    stability sweep evaluates all H rows of both colors and raises
-    ConvergenceError if a fill or the swap was wrong.
+    above them the tails it solved, exact through degree d
+    (``solve_ladder``, which needs no more than agreement through i - 1).
+    Each graded sweep evaluates the black rows only and takes W_i as B_i
+    with t_black and t_white swapped; the stability sweep evaluates row
+    p + 1 and all H rows of both colors and raises ConvergenceError if the
+    tails, a fill or the swap was wrong.
     """
     system = _slice_system(g, ring)
     (blacks, whites), (tail_b, tail_w) = solve_ladder(*system, height)

@@ -32,9 +32,9 @@ from .extensions import (
 )
 from .hankel import (
     cf_expand,
+    cf_extract,
     det_division_free,
     det_leibniz,
-    hankel_det,
     hankel_family,
     moment_ladder,
 )
@@ -260,15 +260,15 @@ def suite_hankel(run: SuiteRun) -> None:
         ladder = run.ladder(g)
         b, w = ladder.tail_black, ladder.tail_white
         fb = f_sequence(6, g, b, w)
+        fam = hankel_family(fb)  # serves the Leibniz check and the extraction
         run.ok(
             f"hankel/{label}/det-vs-leibniz-series",
-            all(hankel_det(fb, 0, i) == det_leibniz(
+            all(fam.h0[i] == det_leibniz(
                 [[fb[n + m] for m in range(i + 1)] for n in range(i + 1)]
             ) for i in (1, 2)),
         )
-        extracted = moment_ladder(fb)  # fb serves two more checks
         run.pairs_agree(
-            f"hankel/{label}/extraction-vs-recursion", ladder_pairs(extracted, ladder, 6)
+            f"hankel/{label}/extraction-vs-recursion", ladder_pairs(cf_extract(fam), ladder, 6)
         )
         expanded = cf_expand(ladder, n_max=5)
         run.pairs_agree(

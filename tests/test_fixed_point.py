@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bicmaps import cli, extensions, slices
 from bicmaps.extensions import binary_solve, ternary_solve, tricolor_solve
-from bicmaps.paths import WeightLadder, ladder_entry, ladder_tails, solve_ladder, z_plus
+from bicmaps.paths import WeightLadder, ladder_entry, solve_ladder, z_plus
 from bicmaps.rational import rat
 from bicmaps.series import (
     MSeries,
@@ -74,18 +74,20 @@ def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
 
     def rows(entries, tails):
         at = partial(ladder_entry, entries[0], tails[0])
-        evaluated.append(0)
+        evaluated.append([])
 
         def row(i):
-            evaluated[-1] += 1
+            evaluated[-1].append(i)
             return 1 + tb * at(i - 1) * at(i + 1)
 
         return (row,)
 
     (entries,), tails = solve_ladder(rows, lambda f: (f,), 2, R, ConvergenceError("no"))
-    # the tail sweeps evaluate row 2 once each; then sweep d evaluates rows
-    # 1..d and the stability sweep evaluates every row
-    assert evaluated == [1] * (R.order + 2) + list(range(R.order + 1)) + [height]
+    # sweep d evaluates the tail row 2 of the ladder with no entries, then
+    # rows 1..d on the tails it just solved; the stability sweep evaluates
+    # row 2 and every row
+    graded = [rows for d in range(R.order + 1) for rows in ([2], list(range(1, d + 1)))]
+    assert evaluated == graded + [[2], list(range(1, height + 1))]
     assert tails == (tail,)
     assert entries[0] == R.one()
     for i in range(2, height + 1):
@@ -110,9 +112,9 @@ def strip_calls(monkeypatch):
 def test_ladder_solve_evaluates_only_reachable_rows(strip_calls):
     calls = strip_calls
     ladder_solve(QUAD, SeriesRing(2, 12))
-    # height 14, one strip sum per row: the 13 graded tail sweeps evaluate
-    # the black row 2, sweeps of degree 0..12 evaluate black rows 1..d, and
-    # the two stability sweeps evaluate row 2 and all 14 rows of both colors
+    # height 14, one strip sum per row: the sweep of degree d = 0..12
+    # evaluates the black row 2 of the ladder with no entries and black rows
+    # 1..d, and the stability sweep row 2 and all 14 rows of both colors
     assert len(calls) == 13 + sum(range(13)) + 2 * (1 + 14) == 121
 
 
@@ -240,7 +242,8 @@ SYSTEM_IDS = ["quad", "mixed", "ternary", "binary", "tricolor"]
 
 @pytest.mark.parametrize("solve, module, message", SYSTEMS, ids=SYSTEM_IDS)
 def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, message):
-    # one count per family and sweep: the tails' sweeps, then the entries'
+    # one count per family and ladder read: each sweep reads the ladder
+    # with no entries for the tail row, then the solved rows
     sweeps = []
     heights = []
 
@@ -265,11 +268,8 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
     order, (height,) = 4, heights
     families = len(sweeps[0])
     rest = [0] * (families - 1)
-    graded_tails = [[1] + rest] * (order + 1)
-    graded_entries = [[min(height, d)] + rest for d in range(order + 1)]
-    assert sweeps == (
-        graded_tails + [[1] * families] + graded_entries + [[height] * families]
-    )
+    graded = [c for d in range(order + 1) for c in ([1] + rest, [min(height, d)] + rest)]
+    assert sweeps == graded + [[1] * families, [height] * families]
 
 
 @pytest.mark.parametrize("wrong", ["identity", "top-degree"])
@@ -309,7 +309,7 @@ def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
                 return row
             return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
 
-        ladder_tails(bumped, mirror, far, ring, error)  # the tails still solve
+        solve_ladder(bumped, mirror, far, ring, error, 0)  # the tails still solve
         return solve_ladder(bumped, mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)

@@ -440,9 +440,11 @@ def test_determinant_ladder_product_count(series_products):
 
 def test_suite_hankel_product_count(series_products):
     # each family walks F_0..F_6, all that entries 1..6 read; 984
-    # before cf_expand cut each level to the degree F_0..F_5 read of it
+    # before cf_expand cut each level to the degree F_0..F_5 read of it, 604
+    # before the Leibniz check read its determinants from the extraction's
+    # Hankel family
     suite_hankel(SuiteRun(7, 1))
-    assert series_products[0] <= 604
+    assert series_products[0] <= 582
 
 
 def _ladder_digest(ladder) -> str:
@@ -492,10 +494,9 @@ def test_determinant_ladder_pinned_at_even_i_max(case):
     assert _ladder_digest(ladder) == DETERMINANT_EVEN_PINNED[case]
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.sampled_from(sorted(FAMILIES)), st.integers(2, 6), st.integers(1, 2))
-def test_determinant_ladder_stable_under_higher_order(name, n, k):
-    g = FAMILIES[name]
+@settings(max_examples=20, deadline=None)
+@given(drawn_face_weights(), st.integers(2, 6), st.integers(1, 2))
+def test_determinant_ladder_stable_under_higher_order(g, n, k):
     low = determinant_ladder(g, SeriesRing(2, n), 6)
     high = determinant_ladder(g, SeriesRing(2, n + k), 6)
     assert low.black_weight(1).reliable == n - 1
