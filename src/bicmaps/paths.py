@@ -24,10 +24,11 @@ The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``, whose one fixed point solves the tails and
 the entries together: each sweep evaluates a far row of the ladder with no
-entries for the tails, then only the rows its degree can reach.  Each
-graded sweep evaluates family 0 alone and takes the other families from
-the symmetry; the stability sweep evaluates every family, so each solve
-also proves the symmetry.
+entries for the tails, then only the rows its degree can reach, and a row
+above the height the caller reads only through the degree that can still
+reach it.  Each graded sweep evaluates family 0 alone and takes the other
+families from the symmetry; the stability sweep, the last, evaluates
+every family, so each solve also proves the symmetry.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -41,7 +42,7 @@ from itertools import islice, product
 from math import lcm
 
 from .rational import Rat
-from .series import MSeries, SeriesRing, fixed_point, zero
+from .series import MSeries, SeriesRing, _graded, fixed_point, zero
 
 def ladder_entry(entries: tuple, tail: MSeries, i: int) -> MSeries:
     """Entry i of a ladder: zero at i <= 0, entries[i-1] up to the height, tail above."""
@@ -76,25 +77,34 @@ def solve_ladder(
     tails), with one tuple of entries 1..h per family.
 
     The degree-0 sweep depends on nothing, so the start does not matter.
-    The sweep of degree d first evaluates row ``far`` of the ladder with no
-    entries: the tail row gains one degree per sweep, so the tails it
-    returns, at order d like everything the sweep computes, are exact
+    The sweep of degree d < order first evaluates row ``far`` of the ladder
+    with no entries: the tail row gains one degree per sweep, so the tails
+    it returns, at order d like everything the sweep computes, are exact
     through degree d.  In every system solved here entry i agrees with its
     tail through degree i - 1 at least, so the sweep then evaluates rows
     1..min(H, d) only, on those tails, and fills the rows above with them.
     It evaluates family 0 only and takes the other families from ``mirror``:
     the symmetry maps the system onto itself and the fixed point is unique
     through the order, so the fixed point is symmetric too.  The stability
-    sweep evaluates row ``far`` and every stored row of every family, each
-    by its own rule, so wrong tails, a wrong fill or a wrong ``mirror``
-    cannot reproduce itself there and raises ``error``: every solve proves
-    the symmetry it used.
+    sweep, the last one (``fixed_point``), evaluates row ``far`` and every
+    stored row of every family, each by its own rule, so wrong tails, a
+    wrong fill or a wrong ``mirror`` below the top degree cannot reproduce
+    itself there and raises ``error``: every solve proves the symmetry it
+    used.  A fault at the top degree only is never read: the graded sweeps
+    stop one degree below the order.
 
-    Why entry i <= h is exact through the order at H rows.
+    Row k needs to be exact only through need(k) = order + h - k (below),
+    which is the order or more for k <= h.  So a graded sweep of degree
+    d > need(k) keeps row k as it is, and the stability sweep evaluates
+    row k on the ladder cut to need(k).  Row k > h then holds no term above
+    need(k) on either side of the stability check, which so proves it
+    exact through need(k).
+
+    Why entry i <= h is exact through the order.
     Let e_j be entry j as solved minus its value on the unbounded ladder:
     - above H the solve reads the tails, and entry j differs from its tail
       only from degree j on (above), so e_j has valuation >= j >=
-      2(H + 1) - j for every j > H;
+      2(H + 1) - j > need(j) for every j > H;
     - a term of row i that reads entry k carries other factors of total
       valuation at least max(1, k - i): a slice strip from i that descends
       from k descends k - i more times to end at i - 1, and at least once
@@ -104,8 +114,11 @@ def solve_ladder(
       degree d of e_i depends only on degrees up to d - max(1, k - i) of
       e_k: an error at entry j reaches entry i < j only j - i degrees
       higher;
-    - so, by induction on the degree, e_i has valuation >= 2(H + 1) - i
-      for every i, which is above the order for every i <= h.
+    - so, by induction on the degree, e_i has valuation > need(i) for
+      every i: an error of row k > h at degree need(k) + 1 reaches row
+      i < k at degree need(k) + 1 + k - i = need(i) + 1 at the lowest,
+      and row i > k at need(k) + 2 > need(i).  Cutting row k > h to
+      need(k) is such an error too.  For i <= h, need(i) >= order.
     """
     order = ring.order
     if height is None:
@@ -119,16 +132,23 @@ def solve_ladder(
     def sweep(state, degree):
         tails, entries = state
         if degree is None:
-            return tuple(family(far) for family in rows(bare, tails)), tuple(
-                tuple(map(family, range(1, solved + 1))) for family in rows(entries, tails)
+            tails_out = tuple(family(far) for family in rows(bare, tails))
+            ladder = (entries, tails)
+            ladders = [rows(*ladder)] * height
+            for i in range(height + 1, solved + 1):  # on the ladder cut to need(i)
+                ladder = _graded(ladder, order + height - i)
+                ladders.append(rows(*ladder))
+            return tails_out, tuple(
+                tuple(row[f](i) for i, row in enumerate(ladders, 1)) for f in range(len(tails))
             )
         tails = mirror(rows(bare, tails)[0](far))
         row = rows(entries, tails)[0]
-        reach = min(solved, degree)
-        computed = [mirror(row(i)) for i in range(1, reach + 1)]
+        top = min(solved, degree)  # the tails fill the rows above
+        last = min(top, order + height - degree)  # rows last + 1..top are kept
+        computed = [mirror(row(i)) for i in range(1, last + 1)]
         return tails, tuple(
-            tuple(values[f] for values in computed) + (tail,) * (solved - reach)
-            for f, tail in enumerate(tails)
+            tuple(values[f] for values in computed) + column[last:top] + (tail,) * (solved - top)
+            for f, (column, tail) in enumerate(zip(entries, tails))
         )
 
     tails, entries = fixed_point(sweep, (zeros, bare), order, error)
@@ -386,6 +406,14 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
 # -- exact-rational balanced paths -------------------------------------------
 
 
+def _numerators(wt: RatPathWeights) -> tuple[int, int, int]:
+    """(nb, nw, D): b = nb / D and w = nw / D over D, the lcm of their
+    denominators."""
+    b, w = Rat(wt.b), Rat(wt.w)
+    den = lcm(b.denominator, w.denominator)
+    return b.numerator * (den // b.denominator), w.numerator * (den // w.denominator), den
+
+
 def rat_path(
     start: int,
     end: int,
@@ -409,9 +437,7 @@ def rat_path(
         return Rat(0)
     if floor is not None and (start < floor or end < floor):
         return Rat(0)
-    b, w = Rat(wt.b), Rat(wt.w)
-    den = lcm(b.denominator, w.denominator)
-    nb, nw = b.numerator * (den // b.denominator), w.numerator * (den // w.denominator)
+    nb, nw, den = _numerators(wt)
 
     def lower_weight(h: int):
         return nw if h % 2 == parity else nb
@@ -452,10 +478,14 @@ def word_tally(
 
 
 def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
-    """Balanced weight of the words in a ``word_tally``: w^k b^(length - k) each."""
+    """Balanced weight of the words in a ``word_tally``: w^k b^(length - k) each.
+
+    Summed in integers over one denominator D^length, as ``rat_path`` does.
+    """
     length = len(tally) - 1
-    b, w = Rat(wt.b), Rat(wt.w)
-    return sum((n * w**k * b ** (length - k) for k, n in enumerate(tally) if n), Rat(0))
+    nb, nw, den = _numerators(wt)
+    total = sum(n * nw**k * nb ** (length - k) for k, n in enumerate(tally) if n)
+    return Rat(total, den**length)
 
 
 def unconstrained_drop(j: int, length: int, wt: RatPathWeights):

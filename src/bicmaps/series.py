@@ -731,18 +731,28 @@ def fixed_point(step, seed, order: int, error: Exception):
     degree above k can be exact yet, and sweep k runs on the state cut to
     degree k (order and reliable k); ``step`` then works at that order,
     because ring operations truncate to the lower order of their operands.
-    One more sweep at full order must reproduce the state, otherwise
-    ``error`` is raised.  ``step(state, degree)`` is told the degree of
-    its sweep, and None on that stability sweep, which must evaluate the
-    whole state: it is the check that the state is the fixed point.  This
-    is the one place that sets how many sweeps the solvers run.
+    ``step(state, degree)`` is told the degree of its sweep.
+
+    The graded sweeps run for degrees 0..order - 1; the last sweep, the
+    stability sweep, is told None and runs on their state extended to the
+    order.  It must evaluate the whole state, and its result must equal
+    its argument through degree order - 1, otherwise ``error`` is raised.
+    That agreement proves the argument is the fixed point through
+    order - 1, since degree k of a step depends only on degrees below k;
+    one more step is then exact through the order, and it is returned.
+    At order 0 no degree lies below the top one, and the step's premise
+    alone makes the one sweep exact.  This is the one place that sets how
+    many sweeps the solvers run.
     """
     state = seed
-    for degree in range(order + 1):
+    for degree in range(order):
         state = step(_graded(state, degree), degree)
-    if step(state, None) != state:
+    state = _graded(state, order)
+    result = step(state, None)
+    # the extended state holds no term above order - 1
+    if order and _graded(result, order - 1) != state:
         raise error
-    return state
+    return result
 
 
 # -- comparison helpers -------------------------------------------------------

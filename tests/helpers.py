@@ -4,8 +4,24 @@ from __future__ import annotations
 
 import hashlib
 
+from hypothesis import strategies as st
+
 from bicmaps.paths import weigh_tally, word_tally
+from bicmaps.rational import rat
 from bicmaps.series import MSeries, agree, first_difference
+from bicmaps.slices import FaceWeights
+
+DRAWN_WEIGHTS = (rat(0), rat(1), rat(2), rat(-1, 2), rat(1, 3), rat(-2), rat(3, 4))
+
+
+@st.composite
+def drawn_face_weights(draw):
+    """g_1..g_{p+1} for p = 1..4: g_1 != 1, the top weight nonzero."""
+    p = draw(st.integers(1, 4))
+    first = draw(st.sampled_from([x for x in DRAWN_WEIGHTS if x != 1]))
+    middle = draw(st.lists(st.sampled_from(DRAWN_WEIGHTS), min_size=p - 1, max_size=p - 1))
+    top = draw(st.sampled_from([x for x in DRAWN_WEIGHTS if x]))
+    return FaceWeights((first, *middle, top))
 
 
 def S(num_vars, order, terms, reliable=None):

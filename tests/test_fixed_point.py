@@ -23,7 +23,7 @@ from bicmaps.series import (
 )
 from bicmaps.slices import ConvergenceError, FaceWeights, ladder_solve, tail_solve
 
-from helpers import S, assert_series, assert_stable
+from helpers import S, assert_series, assert_stable, drawn_face_weights
 from printed import MIXED_HALF_B, MIXED_THIRD_B
 
 QUAD = FaceWeights.quadrangulations()
@@ -51,9 +51,22 @@ def test_fixed_point_grades_the_sweeps():
 
     f = fixed_point(catalan, R.zero(), R.order, ConvergenceError("no"))
     assert_series(f, S(2, 5, {(k, 0): c for k, c in enumerate((1, 1, 2, 5, 14, 42))}))
-    # sweep k sees the state cut to degree k and is told k; the stability
-    # sweep sees the full state and is told None
-    assert seen == [(k, k, k) for k in range(R.order + 1)] + [(R.order, R.order, None)]
+    # sweep k < order sees the state cut to degree k and is told k; the
+    # stability sweep, the last, sees that state extended to the order and
+    # is told None
+    assert seen == [(k, k, k) for k in range(R.order)] + [(R.order, R.order, None)]
+
+
+def test_fixed_point_at_order_zero_runs_the_stability_sweep_alone():
+    seen = []
+
+    def catalan(f, degree):
+        seen.append((f.order, degree))
+        return 1 + tb * f * f
+
+    ring = SeriesRing(2, 0)
+    assert fixed_point(catalan, ring.zero(), 0, ConvergenceError("no")) == ring.one()
+    assert seen == [(0, None)]
 
 
 def test_fixed_point_raises_the_given_error_without_contraction():
@@ -66,32 +79,51 @@ def test_fixed_point_raises_the_given_error_without_contraction():
 # -- the ladder sweep --------------------------------------------------------------
 
 
-def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
-    # F_i = 1 + tb * F_{i-1} * F_{i+1}, F_0 = 0, tail the Catalan series
-    tail = fixed_point(lambda f, _: 1 + tb * f * f, R.one(), R.order, ConvergenceError("no"))
-    height = R.order + 2
+def catalan_ladder():
+    """The rows of F_i = 1 + tb * F_{i-1} * F_{i+1}, F_0 = 0, whose tail is
+    the Catalan series, and the list of rows each ladder read evaluates."""
     evaluated = []
 
     def rows(entries, tails):
         at = partial(ladder_entry, entries[0], tails[0])
-        evaluated.append([])
+        read = []
+        evaluated.append(read)
 
         def row(i):
-            evaluated[-1].append(i)
+            read.append(i)
             return 1 + tb * at(i - 1) * at(i + 1)
 
         return (row,)
 
+    return rows, evaluated
+
+
+def test_solve_ladder_sweeps_only_the_rows_a_degree_reaches():
+    tail = fixed_point(lambda f, _: 1 + tb * f * f, R.one(), R.order, ConvergenceError("no"))
+    height = R.order + 2
+    rows, evaluated = catalan_ladder()
     (entries,), tails = solve_ladder(rows, lambda f: (f,), 2, R, ConvergenceError("no"))
-    # sweep d evaluates the tail row 2 of the ladder with no entries, then
-    # rows 1..d on the tails it just solved; the stability sweep evaluates
-    # row 2 and every row
-    graded = [rows for d in range(R.order + 1) for rows in ([2], list(range(1, d + 1)))]
+    # sweep d = 0..4 evaluates the tail row 2 of the ladder with no entries,
+    # then rows 1..d on the tails it just solved; the stability sweep
+    # evaluates row 2 and every row
+    graded = [read for d in range(R.order) for read in ([2], list(range(1, d + 1)))]
     assert evaluated == graded + [[2], list(range(1, height + 1))]
     assert tails == (tail,)
     assert entries[0] == R.one()
     for i in range(2, height + 1):
         assert agree(entries[i - 1], tail, through=i - 1)
+
+
+def test_solve_ladder_stops_the_rows_above_the_height_at_their_degree():
+    # entry 1 is solved on max(1, ceil(5 / 2)) = 3 rows, and row k > 1 needs
+    # only degrees through 5 + 1 - k: sweep 4 keeps row 3 as it is, and the
+    # stability sweep evaluates rows 2 and 3 on ladders cut to degrees 4 and 3
+    rows, evaluated = catalan_ladder()
+    (entries,), _ = solve_ladder(rows, lambda f: (f,), 2, R, ConvergenceError("no"), 1)
+    graded = [[2], [], [2], [1], [2], [1, 2], [2], [1, 2, 3], [2], [1, 2]]
+    assert evaluated == graded + [[2], [1], [2], [3]]
+    (full,), _ = solve_ladder(rows, lambda f: (f,), 2, R, ConvergenceError("no"))
+    assert stored(entries[0]) == stored(full[0])
 
 
 @pytest.fixture
@@ -112,10 +144,10 @@ def strip_calls(monkeypatch):
 def test_ladder_solve_evaluates_only_reachable_rows(strip_calls):
     calls = strip_calls
     ladder_solve(QUAD, SeriesRing(2, 12))
-    # height 14, one strip sum per row: the sweep of degree d = 0..12
+    # height 14, one strip sum per row: the sweep of degree d = 0..11
     # evaluates the black row 2 of the ladder with no entries and black rows
     # 1..d, and the stability sweep row 2 and all 14 rows of both colors
-    assert len(calls) == 13 + sum(range(13)) + 2 * (1 + 14) == 121
+    assert len(calls) == 12 + sum(range(12)) + 2 * (1 + 14) == 108
 
 
 def test_twopoint_solves_only_the_rows_it_reads(strip_calls, capsys):
@@ -123,19 +155,20 @@ def test_twopoint_solves_only_the_rows_it_reads(strip_calls, capsys):
     cli.main(["twopoint", "--family", "quad", "--order", "12", "--i-max", "6"])
     capsys.readouterr()
     # entries 1..6 are read, so the ladder is solved on max(6, ceil(17 / 2))
-    # = 9 rows, not 14: sweep d evaluates black rows 1..min(9, d) and the
+    # = 9 rows, not 14, and row k > 6 needs only degrees through 18 - k:
+    # sweep d = 0..11 evaluates black rows 1..min(9, d, 18 - d) and the
     # stability sweep all 9 rows of both colors
-    graded = sum(min(9, d) for d in range(13))
-    assert len(calls) == 13 + graded + 2 * (1 + 9) == 105
+    graded = sum(min(9, d, 18 - d) for d in range(12))
+    assert len(calls) == 12 + graded + 2 * (1 + 9) == 92
 
 
 def test_tail_solve_solves_no_entries(strip_calls):
     calls = strip_calls
     tail_solve(QUAD, SeriesRing(2, 12))
-    # only row 2 of the ladder with no entries: black in the 13 graded
+    # only row 2 of the ladder with no entries: black in the 12 graded
     # sweeps, both colors in the stability sweep
     assert {args[0] for args in calls} == {2}
-    assert len(calls) == 13 + 2
+    assert len(calls) == 12 + 2
 
 
 def test_height_zero_solves_only_the_tails(strip_calls):
@@ -143,9 +176,9 @@ def test_height_zero_solves_only_the_tails(strip_calls):
     bare = ladder_solve(QUAD, ring, height=0)
     assert bare.height == 0
     assert (bare.tail_black, bare.tail_white) == tail_solve(QUAD, ring)
-    # row 2 only, 13 + 2 times for each of the two solves
+    # row 2 only, 12 + 2 times for each of the two solves
     assert {args[0] for args in strip_calls} == {2}
-    assert len(strip_calls) == 2 * (13 + 2)
+    assert len(strip_calls) == 2 * (12 + 2)
 
 
 def tails(solved):
@@ -230,6 +263,22 @@ def test_cut_ladder_keeps_every_entry_it_reads(name):
                     assert stored(a) == stored(b), (order, height, i)
 
 
+@settings(max_examples=25, deadline=None)
+@given(drawn_face_weights(), st.data())
+def test_cut_ladder_keeps_every_entry_over_random_face_weights(g, data):
+    # the per-row cut over face weights beyond the named systems, g_1 != 0
+    # among them: every entry returned equals the full-height solve's
+    order = data.draw(st.integers(3, 9), label="order")
+    height = data.draw(st.integers(1, order), label="height")
+    ring = SeriesRing(2, order)
+    full = ladder_solve(g, ring)
+    cut = ladder_solve(g, ring, height=height)
+    assert cut.height == height
+    for i in range(1, height + 1):
+        for a, b in zip(ladder_entries(cut, i), ladder_entries(full, i)):
+            assert stored(a) == stored(b), (g.g, order, height, i)
+
+
 SYSTEMS = [
     (lambda: ladder_solve(QUAD, SeriesRing(2, 4)), slices, "slice recursion"),
     (lambda: ladder_solve(MIXED, SeriesRing(2, 4)), slices, "slice recursion"),
@@ -268,8 +317,28 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
     order, (height,) = 4, heights
     families = len(sweeps[0])
     rest = [0] * (families - 1)
-    graded = [c for d in range(order + 1) for c in ([1] + rest, [min(height, d)] + rest)]
+    graded = [c for d in range(order) for c in ([1] + rest, [min(height, d)] + rest)]
     assert sweeps == graded + [[1] * families, [height] * families]
+
+
+def bumped_mirror(mirror, ring, degree):
+    """``mirror`` with every family but the first off by tb^degree."""
+    bump = variable(ring.num_vars, ring.order, 0) ** degree
+    return lambda x: tuple(v + bump if f else v for f, v in enumerate(mirror(x)))
+
+
+def bumped_tails(rows, mirror, ring, degree):
+    """``rows`` with the rows of the ladder with no entries, the tail rows,
+    off by tb^degree and its mirror images."""
+    bumps = mirror(variable(ring.num_vars, ring.order, 0) ** degree)
+
+    def bumped(entries, tails):
+        row = rows(entries, tails)
+        if entries[0]:
+            return row
+        return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
+
+    return bumped
 
 
 @pytest.mark.parametrize("wrong", ["identity", "top-degree"])
@@ -277,15 +346,15 @@ def test_graded_sweeps_evaluate_family_zero_only(monkeypatch, solve, module, mes
 def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, message, wrong):
     # the graded sweeps take every family but the first from the symmetry,
     # so only the stability sweep, which evaluates every family, can see a
-    # symmetry that does not map the fixed point onto itself
+    # symmetry that does not map the fixed point onto itself, down to one
+    # wrong only at order - 1, the top degree the graded sweeps solve
     def mistaken(rows, mirror, far, ring, error, height=None):
-        bump = variable(ring.num_vars, ring.order, 0) ** ring.order
+        def identity(x):
+            return (x,) * len(mirror(x))
 
-        def wrong_mirror(x):
-            if wrong == "identity":
-                return (x,) * len(mirror(x))
-            return tuple(v + bump if f else v for f, v in enumerate(mirror(x)))
-
+        if wrong == "identity":
+            return solve_ladder(rows, identity, far, ring, error, height)
+        wrong_mirror = bumped_mirror(mirror, ring, ring.order - 1)
         return solve_ladder(rows, wrong_mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", mistaken)
@@ -297,24 +366,44 @@ def test_stability_sweep_rejects_a_wrong_symmetry(monkeypatch, solve, module, me
 def test_stability_sweep_rejects_a_fill_wrong_at_the_top_degree(
     monkeypatch, solve, module, message
 ):
-    # tails off by tb^order and its mirror images (the bare ladder's rows
-    # are off by them): every row the sweeps fill is wrong at the top degree
-    # only, and only the full-height stability sweep can see it
+    # tails off by tb^(order - 1) and its mirror images (the bare ladder's
+    # rows are off by them): every row the sweeps fill is wrong at order - 1
+    # only, the top degree the graded sweeps solve, and only the full-height
+    # stability sweep can see it
     def perturbed(rows, mirror, far, ring, error, height=None):
-        bumps = mirror(variable(ring.num_vars, ring.order, 0) ** ring.order)
-
-        def bumped(entries, tails):
-            row = rows(entries, tails)
-            if entries[0]:
-                return row
-            return tuple(partial(lambda r, b, i: r(i) + b, r, b) for r, b in zip(row, bumps))
-
+        bumped = bumped_tails(rows, mirror, ring, ring.order - 1)
         solve_ladder(bumped, mirror, far, ring, error, 0)  # the tails still solve
         return solve_ladder(bumped, mirror, far, ring, error, height)
 
     monkeypatch.setattr(module, "solve_ladder", perturbed)
     with pytest.raises(ConvergenceError, match=message):
         solve()
+
+
+@pytest.mark.parametrize("fault", ["symmetry", "fill"])
+@pytest.mark.parametrize("solve, module, message", SYSTEMS, ids=SYSTEM_IDS)
+def test_faults_at_the_order_itself_never_reach_the_entries(
+    monkeypatch, solve, module, message, fault
+):
+    # the faults above, moved to degree order: the graded sweeps stop at
+    # order - 1 and the stability sweep evaluates every row by its own rule,
+    # so the returned entries equal the unperturbed solve's
+    expected = solve()
+
+    def perturbed(rows, mirror, far, ring, error, height=None):
+        if fault == "symmetry":
+            mirror = bumped_mirror(mirror, ring, ring.order)
+        else:
+            rows = bumped_tails(rows, mirror, ring, ring.order)
+        return solve_ladder(rows, mirror, far, ring, error, height)
+
+    monkeypatch.setattr(module, "solve_ladder", perturbed)
+    solved = solve()
+    entries = ladder_entries if isinstance(solved, WeightLadder) else tricolor_entries
+    assert solved.height == expected.height
+    for i in range(1, solved.height + 1):
+        for a, b in zip(entries(solved, i), entries(expected, i), strict=True):
+            assert stored(a) == stored(b), i
 
 
 # -- the tails: the far row of a ladder with no entries ---------------------------

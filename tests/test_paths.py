@@ -384,6 +384,19 @@ def test_word_tally_is_weight_free():
     assert word_tally(0, 2, 2, 1) == (0, 0, 0)
 
 
+positive = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=10), positive, positive)
+def test_weigh_tally_equals_the_fraction_powers(tally, b, w):
+    # the integer sum over one denominator against sum n * w^k * b^(L - k)
+    length = len(tally) - 1
+    want = sum((n * w**k * b ** (length - k) for k, n in enumerate(tally)), Fraction(0))
+    got = weigh_tally(tuple(tally), RatPathWeights(b, w))
+    assert got == want and type(got) is Fraction
+
+
 def test_balanced_sums_share_tallies_and_drops():
     tallies = {}
     for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
