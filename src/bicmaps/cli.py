@@ -26,11 +26,11 @@ from .extensions import (
     ternary_solve,
     tricolor_solve,
 )
-from .hankel import boundary_hankel_family, determinant_ladder
+from .hankel import determinant_ladder, hankel_family
 from .paths import WeightLadder
 from .rational import rat
 from .series import MSeries, SeriesRing
-from .slices import FaceWeights, ladder_solve, twopoint_from_ladder
+from .slices import FaceWeights, f_sequence, ladder_solve, tail_solve, twopoint_from_ladder
 from .suites import SUITES, run_suite
 
 MAP_FAMILIES = ("quad", "hex", "general")
@@ -171,7 +171,8 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
 
     elif config.command == "hankel":
         g = _face_weights(config, parser)
-        fam = boundary_hankel_family(g, SeriesRing(2, config.order), 2 * config.i_max + 1)
+        b, w = tail_solve(g, SeriesRing(2, config.order))
+        fam = hankel_family(f_sequence(2 * config.i_max + 1, g, b, w))
         columns = (
             ("h0", fam.h0.__getitem__),
             ("h1", fam.h1.__getitem__),

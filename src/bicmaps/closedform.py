@@ -196,16 +196,18 @@ def hex_ladder_closed(params: HexParams, i_max: int) -> WeightLadder:
 def closed_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
     """Tail solve plus closed-form evaluation for quadrangulations and
     hexangulations, g = (0, 1) and (0, 0, 1): the closed forms assume a top
-    face weight of 1 and no lower weights."""
+    face weight of 1 and no lower weights, so any other g is refused before
+    the tails are solved."""
+    quad = g == FaceWeights.quadrangulations()
+    if not quad and g != FaceWeights.hexangulations():
+        raise ValueError(
+            "closed forms cover quadrangulations and hexangulations, g = (0, 1) and (0, 0, 1), "
+            "only; use the recursion or determinant routes for other families"
+        )
     b, w = tail_solve(g, ring)
-    if g == FaceWeights.quadrangulations():
+    if quad:
         return quad_ladder_closed(quad_params(b, w), i_max)
-    if g == FaceWeights.hexangulations():
-        return hex_ladder_closed(hex_params(b, w), i_max)
-    raise ValueError(
-        "closed forms cover quadrangulations and hexangulations, g = (0, 1) and (0, 0, 1), only; "
-        "use the recursion or determinant routes for other families"
-    )
+    return hex_ladder_closed(hex_params(b, w), i_max)
 
 
 def twopoint_closed(g: FaceWeights, ring: SeriesRing, i_max: int) -> TwoPointTable:

@@ -10,15 +10,12 @@ the role the quantity c*x plays for quadrangulations.
 
 Each solver states its row rule once.  Row 2 is the first that reads no
 index 0, so on the ladder with no entries it reads only the tails and is
-the tail equation (P = 1 + z_white Q P Q and so on); ``paths.solve_ladder``
-solves the tails and the entries together from it, in one fixed point, and
-returns as many entries as each solver's ``height`` asks for (order + 2 by
-default), the rows above that height only through the degrees that can
-still reach it.  Each system also states its color symmetry (the swap for
-the trees, the cyclic rotation for the tricolored system): the graded
-sweeps evaluate the first family only and take the others from it, and
-the stability sweep, the last one, evaluates every family, so every solve
-checks the symmetry.
+the tail equation (P = 1 + z_white Q P Q and so on), next to the system's
+color symmetry (the swap for the trees, the cyclic rotation for the
+tricolored system).  ``paths.solve_ladder`` solves the tails and as many
+entries as each solver's ``height`` asks for (order + 2 by default)
+together from it, in one fixed point, and its docstring states the sweep
+schedule and proves it.
 """
 
 from __future__ import annotations

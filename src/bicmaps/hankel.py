@@ -2,8 +2,9 @@
 
 The moment sequences F_n feed two kinds of matrices, shifted by 0 or 1
 along the antidiagonal.  Their determinants recover the slice series as
-quotients of consecutive determinant ratios, and conversely the truncated
-continued fraction built from a slice ladder reproduces the moments.
+quotients of consecutive determinant ratios, and conversely the continued
+fraction of a slice ladder reproduces the moments: they are its weighted
+Dyck paths, summed by the path engine (``paths.z_plus_profile``).
 
 Determinants are computed division-free: the truncated series ring has
 zero divisors (any monomial of degree above half the order squares to
@@ -34,8 +35,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .paths import WeightLadder, color_swap
-from .series import MSeries, SeriesRing, exact_div, one, zero
+from .paths import WeightLadder, color_swap, z_plus_profile
+from .series import MSeries, SeriesRing, exact_div, zero
 from .slices import FaceWeights, f_sequence, tail_solve
 
 
@@ -182,12 +183,6 @@ def hankel_family(moments: list[MSeries]) -> HankelFamily:
     )
 
 
-def boundary_hankel_family(g: FaceWeights, ring: SeriesRing, n_max: int) -> HankelFamily:
-    """The Hankel family of the black moments F_0..F_{n_max} of g."""
-    b, w = tail_solve(g, ring)
-    return hankel_family(f_sequence(n_max, g, b, w))
-
-
 def cf_extract(h: HankelFamily) -> WeightLadder:
     """Recover the slice ladder 1..n from determinant ratios, h[-1] = 1, for
     the family of F_0..F_n, n = len(h.h0) + len(h.h1) - 1 >= 1:
@@ -238,27 +233,14 @@ def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLa
 
 
 def cf_expand(ladder: WeightLadder, n_max: int) -> list[MSeries]:
-    """Moments F_0..F_{n_max} of the truncated continued fraction.
+    """Moments F_0..F_{n_max} of the continued fraction of the ladder.
 
     Level j of the fraction carries W_j at odd j and B_j at even j (the
-    black-rooted resolvent); evaluate bottom-up as polynomials in the
-    boundary-length marker.  Level j enters F_0..F_{n_max} times z^(j - 1),
-    so it is needed only through degree n_max - j + 1 in the marker: level
-    n_max + 1 only through degree 0, where it is 1, and deeper levels not
-    at all, so the evaluation starts at level n_max.
+    black-rooted resolvent), so by Flajolet's theorem F_n sums the Dyck
+    paths of length 2n from height 0, each descent from height j weighted
+    by level j: the even round trips of ``z_plus_profile``.  ``f_sequence``
+    builds the same moments from the tails alone, as α-weighted round trips
+    on the height-independent ladder, so a check of one against the other
+    still compares two formulas of the slice decomposition.
     """
-    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
-    tail = [one(nv, order)]
-    for j in range(n_max, 0, -1):
-        coeff = ladder.white_weight(j) if j % 2 else ladder.black_weight(j)
-        top = n_max - j + 1
-        # u = z * coeff * tail, then  next = 1/(1 - u)  via next = 1 + u*next
-        u = [zero(nv, order)] + [coeff * tail[m] for m in range(top)]
-        nxt = [one(nv, order)] + [zero(nv, order)] * top
-        for m in range(1, top + 1):
-            acc = zero(nv, order)
-            for r in range(1, m + 1):
-                acc = acc + u[r] * nxt[m - r]
-            nxt[m] = acc
-        tail = nxt
-    return tail
+    return z_plus_profile(0, 2 * n_max, ladder, floor=0)[::2]

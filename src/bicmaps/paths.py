@@ -13,7 +13,8 @@ conventions coexist:
   steps by the color of the step's lower end (b on white, w on black).
 
 Both run on one dynamic program over heights, ``_walk``: the floored and
-free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``),
+free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``;
+``hankel.cf_expand`` is ``z_plus_profile`` from height 0),
 the two walks of each slice row (``strip_sum``: the excursions above the
 row's height, then the round trips below it, into which each excursion
 joins at the walk's start height), and the exact-rational balanced sums.
@@ -23,12 +24,7 @@ enumeration of a path shape serves every sample point (``BalancedSums``).
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``, whose one fixed point solves the tails and
-the entries together: each sweep evaluates a far row of the ladder with no
-entries for the tails, then only the rows its degree can reach, and a row
-above the height the caller reads only through the degree that can still
-reach it.  Each graded sweep evaluates family 0 alone and takes the other
-families from the symmetry; the stability sweep, the last, evaluates
-every family, so each solve also proves the symmetry.
+the entries together; its docstring states the sweep schedule and proves it.
 
 The square-root weights of the second convention are never materialized as
 series; they only appear through rational sample values, which is where the
@@ -81,8 +77,11 @@ def solve_ladder(
     with no entries: the tail row gains one degree per sweep, so the tails
     it returns, at order d like everything the sweep computes, are exact
     through degree d.  In every system solved here entry i agrees with its
-    tail through degree i - 1 at least, so the sweep then evaluates rows
-    1..min(H, d) only, on those tails, and fills the rows above with them.
+    tail through degree i - 1 at least (the slice entries through degree i,
+    measured at order 10 for quadrangulations, hexangulations and
+    g = (1/5, 1), (0, 1/3, 2), (0, 0, 0, 1)), so the sweep then evaluates
+    rows 1..min(H, d) only, on those tails, and fills the rows above with
+    them.
     It evaluates family 0 only and takes the other families from ``mirror``:
     the symmetry maps the system onto itself and the fixed point is unique
     through the order, so the fixed point is symmetric too.  The stability

@@ -311,39 +311,6 @@ class MSeries:
             total += term
         return total / self.den
 
-    def substitute(self, values: Sequence["MSeries"]) -> "MSeries":
-        """Plug series of positive valuation in for the variables.
-
-        Positive valuation is required to keep truncation sound: a term of
-        degree d then only feeds degrees >= d of the result.
-        """
-        if len(values) != self.num_vars:
-            raise ValueError("wrong number of substitution values")
-        nv = values[0].num_vars
-        order = min([self.order] + [v.order for v in values])
-        reliable = min([self.reliable] + [v.reliable for v in values])
-        for v in values:
-            if v.num_vars != nv:
-                raise VariableMismatchError("substitution values disagree on arity")
-            if v.constant_term():
-                raise SeriesError("substitution requires positive valuation")
-        one = MSeries(nv, order, {_zero_expo(nv): 1})
-        powers: list[list[MSeries]] = []
-        for j, v in enumerate(values):
-            top = max((e[j] for e in self.nums), default=0)
-            col = [one]
-            for _ in range(top):
-                col.append(col[-1] * v)
-            powers.append(col)
-        acc = MSeries(nv, order, {})
-        for e, c in self.coeffs.items():
-            term = one * c
-            for j, k in enumerate(e):
-                if k:
-                    term = term * powers[j][k]
-            acc = acc + term
-        return acc.with_reliable(reliable)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_compatible(self, other: "MSeries") -> None:

@@ -17,13 +17,8 @@ at a time, is its oracle).  The limits B, W are
 its i -> infinity limit: row p + 1 of the ladder with no entries, the
 first row whose strips reach neither index 0 nor the floor, reads only the
 tails, and B, W are its fixed point.  ``paths.solve_ladder`` solves the
-tails and the entries together, in one fixed point of that one rule: each
-sweep evaluates row p + 1 of the ladder with no entries first, then the
-entry rows on the tails it gave.  Each graded sweep evaluates the black
-rows only and takes the white ones from the color swap; the stability
-sweep, the last one, evaluates both colors, so every solve checks the
-swap, and its result is returned.  Rows above the height a caller reads
-are solved only through the degrees that can still reach it.
+tails and the entries together, in one fixed point of that one rule, and
+its docstring states the sweep schedule and proves it.
 
 The boundary functions F_n and their coefficients alpha_q are built for one
 root color: black unless the keyword-only ``black_start`` is False.
@@ -134,24 +129,10 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) ->
     """Solve the slice recursion for B_1..B_h, W_1..W_h with tail boundary.
 
     ``height`` h, order + p + 1 by default, is the number of entries
-    returned; they are solved on H = max(h, ceil((order + h - 1) / 2))
-    rows, row k > h only through degree order + h - k, and that keeps
-    every entry i <= h exact through the order (``solve_ladder`` proves
-    it).  h = 0 returns the tails alone.
-
-    Entries stabilize onto the tail from above: B_i and W_i agree with B
-    and W through total degree i at least (measured at order 10 for
-    quadrangulations, hexangulations and g = (1/5, 1), (0, 1/3, 2),
-    (0, 0, 0, 1); hexangulation entries agree through i + 1 at odd i).
-    So the sweep of degree d < order evaluates rows 1..min(H, d) only,
-    keeps each row k > h with d > order + h - k as it is, and fills the
-    rows above d with the tails it solved, exact through degree d
-    (``solve_ladder``, which needs no more than agreement through i - 1).
-    Each graded sweep evaluates the black rows only and takes W_i as B_i
-    with t_black and t_white swapped; the stability sweep, the last,
-    evaluates row p + 1 and all H rows of both colors, each row k > h on
-    the ladder cut to degree order + h - k, and raises ConvergenceError if
-    the tails, a fill or the swap was wrong below the top degree.
+    returned, each exact through the order, and h = 0 returns the tails
+    alone.  ``paths.solve_ladder`` solves them, raising ConvergenceError
+    when its stability sweep fails, and its docstring states the sweep
+    schedule and proves it.
     """
     system = _slice_system(g, ring)
     (blacks, whites), (tail_b, tail_w) = solve_ladder(*system, height)

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from bicmaps.paths import weigh_tally, word_tally
 from bicmaps.rational import rat
-from bicmaps.series import MSeries, agree, first_difference
+from bicmaps.series import (
+    MSeries,
+    SeriesError,
+    VariableMismatchError,
+    agree,
+    first_difference,
+    one,
+    zero,
+)
 from bicmaps.slices import FaceWeights
 
 DRAWN_WEIGHTS = (rat(0), rat(1), rat(2), rat(-1, 2), rat(1, 3), rat(-2), rat(3, 4))
@@ -47,7 +55,6 @@ def assert_series(actual, expected, through=None, label=""):
         )
 
 
-
 def assert_stable(low, high, reliable):
     """``low`` reports ``reliable`` and agrees with ``high`` through it."""
     assert low.reliable == reliable
@@ -78,3 +85,63 @@ def rat_path_brute(start, end, length, floor, wt, *, black_start=True):
     arithmetic with rat_path.
     """
     return weigh_tally(word_tally(start, end, length, floor, black_start=black_start), wt)
+
+
+def cf_expand_recurrence(ladder, n_max):
+    """Oracle for cf_expand: the continued fraction evaluated bottom-up as
+    polynomials in the boundary-length marker z, with no path walk.
+
+    Level j carries W_j at odd j and B_j at even j.  It enters
+    F_0..F_{n_max} times z^(j - 1), so it is needed only through degree
+    n_max - j + 1 in z: level n_max + 1 only through degree 0, where it is
+    1, and deeper levels not at all, so the evaluation starts at level n_max.
+    """
+    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
+    tail = [one(nv, order)]
+    for j in range(n_max, 0, -1):
+        coeff = ladder.white_weight(j) if j % 2 else ladder.black_weight(j)
+        top = n_max - j + 1
+        # u = z * coeff * tail, then  next = 1/(1 - u)  via next = 1 + u*next
+        u = [zero(nv, order)] + [coeff * tail[m] for m in range(top)]
+        nxt = [one(nv, order)] + [zero(nv, order)] * top
+        for m in range(1, top + 1):
+            acc = zero(nv, order)
+            for r in range(1, m + 1):
+                acc = acc + u[r] * nxt[m - r]
+            nxt[m] = acc
+        tail = nxt
+    return tail
+
+
+def substitute(f, values):
+    """f with series of positive valuation plugged in for its variables.
+
+    Positive valuation is required to keep truncation sound: a term of
+    degree d then only feeds degrees >= d of the result.
+    """
+    if len(values) != f.num_vars:
+        raise ValueError("wrong number of substitution values")
+    nv = values[0].num_vars
+    order = min([f.order] + [v.order for v in values])
+    reliable = min([f.reliable] + [v.reliable for v in values])
+    for v in values:
+        if v.num_vars != nv:
+            raise VariableMismatchError("substitution values disagree on arity")
+        if v.constant_term():
+            raise SeriesError("substitution requires positive valuation")
+    unit = one(nv, order)
+    powers: list[list[MSeries]] = []
+    for j, v in enumerate(values):
+        top = max((e[j] for e in f.nums), default=0)
+        col = [unit]
+        for _ in range(top):
+            col.append(col[-1] * v)
+        powers.append(col)
+    acc = zero(nv, order)
+    for e, c in f.coeffs.items():
+        term = unit * c
+        for j, k in enumerate(e):
+            if k:
+                term = term * powers[j][k]
+        acc = acc + term
+    return acc.with_reliable(reliable)

@@ -278,7 +278,7 @@ def test_i_max_rejected_where_unused(capsys, command):
          "g-empty", "g-zero-last", "ternary-determinant", "i-max-zero", "tricolor-closed",
          "links-negative"],
 )
-def test_usage_errors_are_clean(capsys, monkeypatch, env, argv, message):
+def test_usage_errors_are_clean(capsys, monkeypatch, series_products, env, argv, message):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     with pytest.raises(SystemExit) as exc:
@@ -286,17 +286,19 @@ def test_usage_errors_are_clean(capsys, monkeypatch, env, argv, message):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-
+    assert series_products[0] == 0  # refused before any solve
 
 
 @pytest.mark.parametrize("g", ["0,2", "0,1/2", "0,0,3"])
-def test_closed_route_refuses_other_face_weights(capsys, g):
-    # the closed forms assume a top face weight of 1 and no lower weights
+def test_closed_route_refuses_other_face_weights(capsys, series_products, g):
+    # the closed forms assume a top face weight of 1 and no lower weights;
+    # refused before the tails are solved (6 products at order 4 when after)
     with pytest.raises(SystemExit) as exc:
         main(["ladder", "--family", "general", "--g", g, "--route", "closed", "--order", "4"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "closed forms cover" in err and "Traceback" not in err
+    assert series_products[0] == 0
 
 
 @pytest.mark.parametrize("g, family", [("0,1", "quad"), ("0,0,1", "hex")])

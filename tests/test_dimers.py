@@ -35,7 +35,7 @@ from bicmaps.series import (
 from bicmaps.slices import FaceWeights, alpha_brackets, alpha_coeffs, f_sequence, tail_solve
 from bicmaps.suites import SuiteRun, suite_dimers
 
-from helpers import series_digest
+from helpers import series_digest, substitute
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -207,7 +207,7 @@ def test_transfer_at_series_weights_is_substitution(quad_moments):
         order = min(s1.order, s2.order)
         for spec in all_segments():
             got = transfer(spec, s1, s2, one(2, order))
-            want = MSeries(2, order, zhd(spec).coeffs).substitute([s1, s2])
+            want = substitute(MSeries(2, order, zhd(spec).coeffs), [s1, s2])
             assert got == want, spec
             assert got.order == want.order, spec
             used = [(s1, s2)[k - 1].reliable for k in set(spec.link_weights())]

@@ -23,7 +23,7 @@ from bicmaps.rational import rat
 from bicmaps.series import SeriesRing, agree, exact_div, first_difference, one, zero
 from bicmaps.slices import FaceWeights, ladder_solve
 
-from helpers import assert_ladder_stable
+from helpers import assert_ladder_stable, substitute
 
 R2 = SeriesRing(2, 8)
 R3 = SeriesRing(3, 6)
@@ -157,8 +157,8 @@ def test_ternary_specializes_to_quad_slices(quad_ladder_for_collapse):
     for i in range(1, 6):
         p_quad = exact_div(lad.black_weight(i), b1)
         q_quad = exact_div(lad.white_weight(i), w1)
-        assert agree(sys.black_weight(i).substitute([z_black, z_white]), p_quad), i
-        assert agree(sys.white_weight(i).substitute([z_black, z_white]), q_quad), i
+        assert agree(substitute(sys.black_weight(i), [z_black, z_white]), p_quad), i
+        assert agree(substitute(sys.white_weight(i), [z_black, z_white]), q_quad), i
 
 
 def test_binary_specializes_through_delta(quad_ladder_for_collapse):
@@ -180,7 +180,7 @@ def test_binary_specializes_through_delta(quad_ladder_for_collapse):
     for i in range(1, 5):
         p_next = exact_div(lad.black_weight(i + 1), b1)
         r_quad = exact_div(p_next - 1, z_white * delta)
-        assert agree(sys.black_weight(i).substitute([y_black, y_white]), r_quad), i
+        assert agree(substitute(sys.black_weight(i), [y_black, y_white]), r_quad), i
 
 
 # -- tricolored system ----------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bicmaps.dimers import _column, lgv
 from bicmaps.hankel import (
-    boundary_hankel_family,
     cf_expand,
     cf_extract,
     det_division_free,
@@ -35,7 +34,7 @@ from bicmaps.series import (
 from bicmaps.slices import FaceWeights, alpha_brackets, f_sequence, ladder_solve, tail_solve
 from bicmaps.suites import SuiteRun, suite_hankel
 
-from helpers import assert_ladder_stable, drawn_face_weights
+from helpers import DRAWN_WEIGHTS, assert_ladder_stable, cf_expand_recurrence, drawn_face_weights
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -257,6 +256,36 @@ def test_cf_round_trip(quad_data):
         assert agree(back.white_weight(i), ladder.white_weight(i)), i
 
 
+@st.composite
+def drawn_ladders(draw):
+    """A ladder of random series at one order 0-8, with 0-6 entries per
+    color, every entry and tail with its own reliable, and all of them
+    with a constant term allowed or none with one."""
+    order = draw(st.integers(0, 8))
+    height = draw(st.integers(0, 6))
+    low = draw(st.integers(0, 1))
+    exponents = [(a, d - a) for d in range(low, order + 1) for a in range(d + 1)]
+    terms = st.dictionaries(st.sampled_from(exponents), st.sampled_from(DRAWN_WEIGHTS), max_size=4)
+
+    def series():
+        drawn = draw(terms) if exponents else {}
+        return MSeries(2, order, drawn, draw(st.integers(0, order)))
+
+    black = tuple(series() for _ in range(height))
+    white = tuple(series() for _ in range(height))
+    return WeightLadder(black, white, series(), series())
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_ladders(), st.integers(0, 6))
+def test_cf_expand_equals_the_recurrence(ladder, n_max):
+    # the Dyck-path walk against the fraction evaluated as polynomials in
+    # the boundary-length marker, field by field
+    got = cf_expand(ladder, n_max)
+    want = cf_expand_recurrence(ladder, n_max)
+    assert [_fields(f) for f in got] == [_fields(f) for f in want]
+
+
 def test_hankel_positivity_at_small_specialization():
     # Stieltjes-moment positivity: every determinant specializes positive at
     # a small positive vertex weight.  The index-4 shifted determinant only
@@ -279,7 +308,7 @@ def _ladder_fields(ladder) -> list:
 
 def test_determinant_ladder_is_the_extraction_of_the_moment_family(quad_data):
     _, fb = quad_data
-    fam = boundary_hankel_family(QUAD, RING, 7)
+    fam = hankel_family(f_sequence(7, QUAD, *tail_solve(QUAD, RING)))
     want = hankel_family(fb)
     for got_seq, want_seq in ((fam.h0, want.h0), (fam.h1, want.h1)):
         assert [_fields(d) for d in got_seq] == [_fields(d) for d in want_seq]
@@ -408,7 +437,7 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
     fb = f_sequence(11, g, b, w)
     fw = f_sequence(11, g, b, w, black_start=False)
     assert [_fields(f) for f in fw] == [_fields(f.swap_vars()) for f in fb]
-    fam = boundary_hankel_family(g, ring, 11)
+    fam = hankel_family(fb)
     for shift, seq in ((0, fam.h0), (1, fam.h1)):
         walked = [hankel_det(fw, shift, i) for i in range(6)]
         assert [_fields(d.swap_vars()) for d in seq] == [_fields(d) for d in walked], shift
@@ -430,9 +459,10 @@ def test_suite_hankel_product_count(series_products):
     # each family walks F_0..F_6, all that entries 1..6 read; 984
     # before cf_expand cut each level to the degree F_0..F_5 read of it, 604
     # before the Leibniz check read its determinants from the extraction's
-    # Hankel family, 582 with a graded sweep at the order
+    # Hankel family, 582 with a graded sweep at the order, 537 before
+    # cf_expand walked the ladder's Dyck paths
     suite_hankel(SuiteRun(7, 1))
-    assert series_products[0] <= 537
+    assert series_products[0] <= 457
 
 
 def _ladder_digest(ladder) -> str:

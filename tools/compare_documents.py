@@ -4,10 +4,11 @@
 
 runs every command line of the grid in one fresh interpreter per tree,
 which imports bicmaps from that tree's ``src`` directory and calls
-``bicmaps.cli.main`` in process for each line, and records the exit code
-and the sha256 of the document written to stdout.  It prints every
-command whose exit code or digest differs between the trees and exits 1
-if any does, 0 if none does.
+``bicmaps.cli.main`` in process for each line, and records the exit code,
+the sha256 of the document written to stdout and the sha256 of what went
+to stderr (a refusal's message).  It prints every command whose exit
+code or either digest differs between the trees and exits 1 if any does,
+0 if none does.
 
 The grid: ``ladder`` by every route for quadrangulations, hexangulations,
 the general face weights of ``WEIGHTS``, ternary, binary and tricolor;
@@ -22,7 +23,7 @@ it runs at each link count of ``DIMER_LINKS`` instead, at orders 1 and 8
 only.  The face weights of ``REFUSED_WEIGHTS``, which the CLI refuses, run
 through ``twopoint``, ``hankel`` and ``ladder --route determinant`` at
 orders 1 and 4.  Commands that exit 2 (a route a family lacks, refused
-face weights) are compared by their exit code like any other.  The grid
+face weights) are compared by their exit code and messages like any other.  The grid
 has 2932 command lines.  Uses the standard library only.
 """
 
@@ -82,7 +83,8 @@ def grid() -> list[list[str]]:
 
 
 def _child() -> list:
-    """[exit code, sha256 of stdout] of every grid line, run in this process."""
+    """[exit code, sha256 of stdout, sha256 of stderr] of every grid line,
+    run in this process."""
     import contextlib
     import hashlib
     import io
@@ -91,15 +93,16 @@ def _child() -> list:
 
     out = []
     for argv in grid():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:  # a traceback is a difference like any other
                 code = f"raised {type(exc).__name__}: {exc}"
-        out.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()])
+        digests = [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (stdout, stderr)]
+        out.append([code, *digests])
     return out
 
 
@@ -138,8 +141,8 @@ def main(argv=None) -> int:
         if len(set(outcomes.values())) > 1:
             differ += 1
             print("bicmaps " + " ".join(argv))
-            for name, (code, digest) in outcomes.items():
-                print(f"  {name}: exit {code}, sha256 {digest}")
+            for name, (code, out, err) in outcomes.items():
+                print(f"  {name}: exit {code}, stdout sha256 {out}, stderr sha256 {err}")
     print(f"{len(lines)} command lines, {differ} differ", file=sys.stderr)
     return 1 if differ else 0
 
