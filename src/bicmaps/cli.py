@@ -214,9 +214,6 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
         meta["passed"] = passed
         return (0 if passed else 1), _render(meta, None, config)
 
-    else:  # pragma: no cover - argparse restricts the choices
-        parser.error(f"unknown command {config.command!r}")
-
     return 0, _render(meta, records, config)
 
 

@@ -113,27 +113,19 @@ def dimer_weights_from_cx(c, x) -> tuple:
 
 
 def zhd_closed_value(spec: SegmentSpec, c, x):
-    """Closed form of the segment polynomial at the (c, x) point."""
+    """Closed form of the segment polynomial at the (c, x) point.  A white
+    start exchanges s1 and s2, which at that point is c -> 1/c: den scales
+    by 1/c^2, so pref is unchanged and ratio inverts."""
     c, x, den = _cx_point(c, x)
+    if not spec.black_start:
+        c, den = 1 / c, den / (c * c)
     pref = c / den
-    ratio = (c + x) / (1 + c * x)
     if spec.links % 2 == 0:
         i = spec.links // 2
         return pref ** i * (1 - x ** (2 * i + 2)) / (1 - x * x)
     i = (spec.links - 1) // 2
-    if spec.black_start:
-        return (
-            (1 + c * x)
-            * pref ** (i + 1)
-            * (1 - ratio * x ** (2 * i + 3))
-            / (1 - x * x)
-        )
-    return (
-        (1 + x / c)
-        * pref ** (i + 1)
-        * (1 - x ** (2 * i + 3) / ratio)
-        / (1 - x * x)
-    )
+    ratio = (c + x) / (1 + c * x)
+    return (1 + c * x) * pref ** (i + 1) * (1 - ratio * x ** (2 * i + 3)) / (1 - x * x)
 
 
 def zhd_closed_check(spec: SegmentSpec, c, x) -> bool:
@@ -196,7 +188,7 @@ def lgv(top: int, g: FaceWeights, b: MSeries, w: MSeries) -> HankelFamily:
         raise ValueError("the column needs faces of degree 4 or more: p >= 1")
     brackets = alpha_brackets(g, b, w)
     phi = _column(2 * top + 2 * p, b, w, brackets)
-    a_p = exact_div(b, variable(b.num_vars, b.order, 0)) * brackets[p]
+    a_p = exact_div(b, variable(b.num_vars, b.order, 0)) * -g.g[-1]
     h0, h1, pref, step, wpow = [], [], 1, a_p, 1
     for i in range(top + 1):
         pref, step = pref * step, step * b * w  # (BW)^(i(i+1)/2) a_p^(i+1), (BW)^(i+1) a_p

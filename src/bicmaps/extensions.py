@@ -219,11 +219,11 @@ def tricolor_solve(ring: SeriesRing, height: int | None = None) -> TriColorState
 
 
 def tricolor_closed_t(state: TriColorState, i: int) -> MSeries:
-    """Closed form of the index-3i entry of the first color family."""
-    y, a = state.y, state.a_hat
-    yi = y ** i
-    yi1 = y ** (i + 1)
-    return state.t * (1 - yi) * (1 - a * yi1) * inv_unit((1 - a * yi) * (1 - yi1))
+    """Closed form of the index-3i entry of the first color family:
+    ``quad_pattern_ladder``'s even-entry pattern t u_i ub_(i+1) / (u_(i+1) ub_i)
+    on the factor families of the one root (y, 1, a_hat, 0)."""
+    u, ub, _ = unit_factors([(state.y, 1, state.a_hat, 0)], i + 1)
+    return state.t * u[i] * ub[i + 1] * inv_unit(u[i + 1] * ub[i])
 
 
 def tricolor_characteristic_residual(state: TriColorState) -> MSeries:

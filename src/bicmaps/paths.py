@@ -394,7 +394,10 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
     """Closed unconstrained round trips with height-independent weights.
 
     Walked from height length // 2, which is black, so that every descent
-    reads an index >= 1 of the ladder of the tails.
+    reads an index >= 1 of the ladder of the tails.  ``slices.alpha_brackets``
+    takes these sums from one ``z_plus_profile`` walk; this stays as its
+    oracle, and because ``perfbench/spans.py`` binds it in ``LAYERS``, whose
+    ``Tracer.install`` raises KeyError without it.
     """
     if length % 2 or length < 0:
         raise ValueError("need an even non-negative length")

@@ -119,7 +119,7 @@ class MSeries:
     like every attribute of a series they are read only.
     """
 
-    __slots__ = ("num_vars", "order", "reliable", "nums", "den", "_top", "_coeffs")
+    __slots__ = ("num_vars", "order", "reliable", "nums", "den", "_top")
 
     def __init__(
         self,
@@ -151,7 +151,6 @@ class MSeries:
         self.nums = clean
         self.den = den
         self._top = None
-        self._coeffs = None
 
     @classmethod
     def _wrap(
@@ -169,7 +168,6 @@ class MSeries:
         f.nums = nums
         f.den = den
         f._top = top
-        f._coeffs = None
         return f
 
     @classmethod
@@ -201,10 +199,8 @@ class MSeries:
         """The coefficients as values: ints where integral, Fractions otherwise."""
         if self.den == 1:
             return self.nums
-        if self._coeffs is None:
-            den = self.den
-            self._coeffs = {e: rat(n, den) for e, n in self.nums.items()}
-        return self._coeffs
+        den = self.den
+        return {e: rat(n, den) for e, n in self.nums.items()}
 
     def coefficient(self, expo: Sequence[int]):
         n = self.nums.get(tuple(expo), 0)

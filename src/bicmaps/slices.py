@@ -31,7 +31,6 @@ from typing import NamedTuple
 from .paths import (
     WeightLadder,
     color_swap,
-    l_zero,
     solve_ladder,
     strip_sum,
     z_plus,
@@ -141,9 +140,13 @@ def ladder_solve(g: FaceWeights, ring: SeriesRing, height: int | None = None) ->
 
 def alpha_brackets(g: FaceWeights, b: MSeries, w: MSeries) -> tuple[MSeries, ...]:
     """The brackets delta_{q,0} - sum_{k>q} g_k L_0(2k-2q-2), q = 0..p, of ``alpha_coeffs``:
-    the same for both root colors, the last one the constant -g_{p+1}."""
+    the same for both root colors, the last one the constant -g_{p+1}.
+
+    L_0(0), L_0(2), ..., L_0(2p) come from one profile walk from height p,
+    black: on the tails' ladder a round trip of length 2j <= 2p from there
+    never reads an index below 1 and never meets the floor."""
     nv, order = b.num_vars, b.order
-    closed = [l_zero(2 * j, b, w) for j in range(g.p + 1)]
+    closed = z_plus_profile(g.p, 2 * g.p, WeightLadder((), (), b, w), floor=0)[::2]
     brackets = []
     for q in range(g.p + 1):
         bracket = MSeries(nv, order, {(0,) * nv: 1} if q == 0 else {})

@@ -250,18 +250,14 @@ def test_closed_ladder_rejects_other_face_weights(g):
 
 
 def test_suite_closedform_product_count(series_products):
-    # the tails come from the ladders the suite solves, not from a second
-    # solve; 940 products before inv_unit stopped multiplying series, 521
-    # with a graded sweep at the order
+    # the tails come from the ladders the suite solves, not from a second solve
     suite_closedform(SuiteRun(7, 1))
     assert series_products[0] <= 476
 
 
 def test_closed_ladder_hex_product_count(series_products):
-    # 636 products with Newton inverses, a graded fixed-point quadratic and
-    # a power of y for every (root, j); 288 with factor families built one
-    # index too far and the tails' slice rows walked strip by strip, 262
-    # with a graded sweep at the order
+    # the closed hex ladder, its factor families built only through the
+    # indices its entries read
     closed_ladder(HEX, SeriesRing(2, 14), 8)
     assert series_products[0] <= 257
 

@@ -461,11 +461,9 @@ def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
 
 
 def test_suite_dimers_product_count(series_products):
-    # one column walk per reconstruction, on the brackets: 634 products with
-    # one walk per index, 441 when the walk divided the root-color unit out,
-    # 435 with a graded sweep at the order
+    # one column walk per reconstruction, on the brackets
     suite_dimers(SuiteRun(7, 1))
-    assert series_products[0] <= 429
+    assert series_products[0] <= 427
 
 
 @pytest.mark.parametrize("i", [-1, -2])

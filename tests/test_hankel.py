@@ -448,19 +448,14 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
 
 
 def test_determinant_ladder_product_count(series_products):
-    # one color of moments, determinants and ratios: 406 products with both,
-    # 185 before the tails' slice rows went by first passage, 124 with a
-    # graded sweep at the order
+    # the determinant route on one color of moments, determinants and ratios
     determinant_ladder(FaceWeights((rat(1, 5), rat(1))), SeriesRing(2, 10), 10)
     assert series_products[0] <= 123
 
 
 def test_suite_hankel_product_count(series_products):
-    # each family walks F_0..F_6, all that entries 1..6 read; 984
-    # before cf_expand cut each level to the degree F_0..F_5 read of it, 604
-    # before the Leibniz check read its determinants from the extraction's
-    # Hankel family, 582 with a graded sweep at the order, 537 before
-    # cf_expand walked the ladder's Dyck paths
+    # each family walks F_0..F_6, all that entries 1..6 read, and the
+    # Leibniz check reads its determinants from the extraction's Hankel family
     suite_hankel(SuiteRun(7, 1))
     assert series_products[0] <= 457
 

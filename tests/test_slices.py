@@ -5,13 +5,16 @@ from __future__ import annotations
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bicmaps.closedform import closed_ladder
-from bicmaps.paths import WeightLadder, ladder_pairs
+from bicmaps.paths import WeightLadder, l_zero, ladder_pairs
 from bicmaps.rational import rat
-from bicmaps.series import SeriesRing, agree, exact_div, variable
+from bicmaps.series import MSeries, SeriesRing, agree, exact_div, variable
 from bicmaps.slices import (
     FaceWeights,
+    alpha_brackets,
     alpha_coeffs,
     conserved,
     f_sequence,
@@ -21,7 +24,7 @@ from bicmaps.slices import (
 )
 from bicmaps.suites import SuiteRun, suite_slices
 
-from helpers import S, assert_series, series_digest
+from helpers import S, assert_series, drawn_face_weights, series_digest
 from printed import (
     HEX_LADDER,
     HEX_TWOPOINT,
@@ -32,6 +35,7 @@ from printed import (
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
 MIXED = FaceWeights((rat(1, 2), rat(1)))  # degrees 2 and 4 together
+HALF = FaceWeights((rat(1, 2),))  # p = 0: bigons only
 
 R6 = SeriesRing(2, 6)
 R7 = SeriesRing(2, 7)
@@ -226,9 +230,7 @@ def test_shorter_moment_walk_is_a_prefix_of_a_longer_one(g):
 
 
 def test_suite_slices_product_count(series_products):
-    # one moment walk of F_0..F_3 per family serves conserved-equals-direct;
-    # 1185 before the slice rows went by first passage and conserved skipped
-    # its empty strips, 837 with a graded sweep at the order
+    # one moment walk of F_0..F_3 per family serves conserved-equals-direct
     suite_slices(SuiteRun(7, 1))
     assert series_products[0] <= 784
 
@@ -236,24 +238,23 @@ def test_suite_slices_product_count(series_products):
 @pytest.mark.parametrize(
     "g, order, bound",
     [
-        (QUAD, 12, 108),  # 228 with one strip walk per length and row, 121
-        (HEX, 7, 227),  # 313, 264
-        (FaceWeights((0, rat(1, 3), rat(2))), 7, 227),  # 420, 264
-        (FaceWeights((0, 0, 0, rat(1))), 7, 557),  # 635, the one rise, 644
+        (QUAD, 12, 108),
+        (HEX, 7, 227),
+        (FaceWeights((0, rat(1, 3), rat(2))), 7, 227),
+        (FaceWeights((0, 0, 0, rat(1))), 7, 557),
     ],
     ids=["quad", "hex", "0,1/3,2", "oct"],
 )
 def test_ladder_solve_product_count(series_products, g, order, bound):
-    # each row takes one product by the weight of its first descent; the
-    # second numbers are from when a graded sweep ran at the order too
+    # each row takes one product by the weight of its first descent
     ladder_solve(g, SeriesRing(2, order))
     assert series_products[0] <= bound
 
 
 @pytest.mark.parametrize("order, bound", [(12, 92), (30, 371)])
 def test_headline_ladder_solve_product_count(series_products, order, bound):
-    # the ladder the two-point table reads to i_max 6: 105 and 456 products
-    # when a graded sweep ran at the order and every row was solved to it
+    # the ladder the two-point table reads to i_max 6, each row above it
+    # solved only to the degree that can reach the entries read
     ladder_solve(QUAD, SeriesRing(2, order), height=6)
     assert series_products[0] <= bound
 
@@ -278,6 +279,25 @@ def test_alpha_proportionality(quad_tail):
     for aq, atq in zip(black, white):
         assert agree(exact_div(tb * aq, b), exact_div(tw * atq, w))
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(HALF), drawn_face_weights()), st.integers(0, 8))
+@example(HALF, 0)
+@example(HALF, 8)
+def test_alpha_brackets_equal_the_l_zero_formula(g, order):
+    # the one profile walk against one l_zero walk per round-trip length,
+    # field by field, on the tails of g
+    b, w = tail_solve(g, SeriesRing(2, order))
+    got = alpha_brackets(g, b, w)
+    assert len(got) == g.p + 1
+    for q, bracket in enumerate(got):
+        want = MSeries(2, order, {(0, 0): 1} if q == 0 else {})
+        for k in range(q + 1, g.p + 2):
+            want = want - g.weight(k) * l_zero(2 * k - 2 * q - 2, b, w)
+        assert (bracket.nums, bracket.den, bracket.order, bracket.reliable) == (
+            want.nums, want.den, want.order, want.reliable
+        ), q
 
 # F_0..F_4, F_2 from a walk of its own and conserved(n, d) for n = 1..3, d = 0..2 at
 # order 6, per root color, as computed when the root color was named by a string

@@ -62,16 +62,10 @@ def test_dimers_alone_solves_no_ladder(monkeypatch):
 
 
 def test_run_suite_all_product_count(series_products):
-    # one recursion solve per family, whose tails every other route reads:
-    # 5591 products when each suite solved its own ladders and tails, 4559
-    # before inv_unit stopped multiplying series, 3585 before the slice rows
-    # went by first passage, 3181 before the dimer column walked the brackets,
-    # 3175 before suite_hankel built one Hankel family per moment list and
-    # tricolor_closed_check left the rotation and the characteristic
-    # identity to their own checks, 3147 with a graded sweep at the order,
-    # 2952 before cf_expand walked the ladder's Dyck paths
+    # every series product of a full verify run, with one recursion solve
+    # per family, whose tails every other route reads
     run_suite("all", 7, 1)
-    assert series_products[0] <= 2872
+    assert series_products[0] <= 2863
 
 
 def _counting(monkeypatch, name):
