@@ -112,29 +112,42 @@ def dimer_weights_from_cx(c, x) -> tuple:
     return -x / den, -c * c * x / den
 
 
-def zhd_closed_value(spec: SegmentSpec, c, x):
-    """Closed form of the segment polynomial at the (c, x) point.  A white
-    start exchanges s1 and s2, which at that point is c -> 1/c: den scales
-    by 1/c^2, so pref is unchanged and ratio inverts."""
+def zhd_closed_values(links_max: int, c, x, *, black_start: bool = True) -> list:
+    """Closed forms of the segment polynomials of 0..links_max links at the
+    (c, x) point, with pref = c / den and ratio = (c + x) / (1 + c x):
+    pref^i (1 - x^(2i+2)) / (1 - x^2) at 2i links, and
+    (1 + c x) pref^(i+1) (1 - ratio x^(2i+3)) / (1 - x^2) at 2i + 1.  A
+    white start exchanges s1 and s2, which at that point is c -> 1/c: den
+    scales by 1/c^2, so pref is unchanged and ratio inverts."""
     c, x, den = _cx_point(c, x)
-    if not spec.black_start:
+    if not black_start:
         c, den = 1 / c, den / (c * c)
-    pref = c / den
-    if spec.links % 2 == 0:
-        i = spec.links // 2
-        return pref ** i * (1 - x ** (2 * i + 2)) / (1 - x * x)
-    i = (spec.links - 1) // 2
-    ratio = (c + x) / (1 + c * x)
-    return (1 + c * x) * pref ** (i + 1) * (1 - ratio * x ** (2 * i + 3)) / (1 - x * x)
+    pref, scale = c / den, 1 / (1 - x * x)
+    odd = (1 + c * x) * scale
+    ratio_x = (c + x) / (1 + c * x) * x
+    values, power, x_power = [], 1, x * x  # pref^i and x^(2i+2) at 2i or 2i + 1 links
+    for links in range(links_max + 1):
+        if links % 2 == 0:
+            values.append(power * (1 - x_power) * scale)
+        else:
+            power *= pref
+            values.append(odd * power * (1 - ratio_x * x_power))
+            x_power *= x * x
+    return values
 
 
-def zhd_closed_check(spec: SegmentSpec, c, x) -> bool:
-    """The transfer at the (c, x) point vs closed form, plus the two stated invariances."""
-    value = transfer(spec, *dimer_weights_from_cx(c, x), Rat(1))
-    closed = zhd_closed_value(spec, c, x)
-    inverted = zhd_closed_value(spec, c, Rat(1) / Rat(x))
-    negated = zhd_closed_value(spec, -Rat(c), -Rat(x))
-    return value == closed == inverted == negated
+def zhd_closed_check(links_max: int, c, x, *, black_start: bool = True) -> bool:
+    """The transfer at the (c, x) point vs the closed form, plus the two
+    stated invariances x -> 1/x and (c, x) -> (-c, -x), at every link count
+    0..links_max.  One walk of links_max links serves every count: its free
+    state after L links is the L-link segment's sum (``lgv``)."""
+    s = dimer_weights_from_cx(c, x)
+    links = SegmentSpec(links_max, black_start=black_start).link_weights()
+    walked = list(_walk([s[k - 1] for k in links] + [0], Rat(1)))
+    closed = zhd_closed_values(links_max, c, x, black_start=black_start)
+    inverted = zhd_closed_values(links_max, c, 1 / Rat(x), black_start=black_start)
+    negated = zhd_closed_values(links_max, -Rat(c), -Rat(x), black_start=black_start)
+    return walked == closed == inverted == negated
 
 
 # -- determinant reconstruction ----------------------------------------------

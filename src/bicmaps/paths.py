@@ -17,10 +17,12 @@ free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``;
 ``hankel.cf_expand`` is ``z_plus_profile`` from height 0),
 the two walks of each slice row (``strip_sum``: the excursions above the
 row's height, then the round trips below it, into which each excursion
-joins at the walk's start height), and the exact-rational balanced sums.
-Only the brute-force oracle of the balanced sums enumerates step words on
-its own, tallying them without weights (``word_tally``) so that one
-enumeration of a path shape serves every sample point (``BalancedSums``).
+joins at the walk's start height), and the exact-rational balanced sums
+(``rat_path``, and ``BalancedSums``, which reads every end and length of
+one walk per start).  Only the brute-force oracle of the balanced sums
+enumerates step words on its own, tallying them without weights
+(``word_tally``) so that one enumeration of a path shape serves every
+sample point.
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``, whose one fixed point solves the tails and
@@ -216,10 +218,15 @@ class RatPathWeights:
         self.b, self.w = b, w
 
 
-def _walk(start, end, length, floor, up, down, unit, cut=None, joins=None):
+def _walk(start, ends, length, floor, up, down, unit, cut=None, joins=None):
     """Height -> weight maps of +-1 paths after 0, 1, ..., length steps.
 
-    Only heights from which end is still reachable are kept.  up(h) and
+    ``ends`` is an interval (lo, hi) of end heights: only heights from which
+    one of them is still reachable are kept, so with lo = hi a walk serves
+    one end, and with (start - length, start + length) it is not pruned by
+    end.  The value at a kept height sums every path that reaches it, so a
+    walk pruned to an interval holds the same values as a walk to any end
+    in it, at every length.  up(h) and
     down(h) weigh the step leaving height h upwards or downwards; None means
     weight one and skips the multiplication, and so does a value that is
     still the ``unit`` object itself (a path with no weighted step yet),
@@ -234,14 +241,18 @@ def _walk(start, end, length, floor, up, down, unit, cut=None, joins=None):
     ``unit`` object is left as it is, so that it keeps taking step
     weights without a product.
     """
+    lo, hi = ends
     cur = {start: unit}
     yield cur
     for step in range(length):
         remaining = length - step - 1
+        low, high = lo - remaining, hi + remaining
+        if floor is not None and low < floor:
+            low = floor
         nxt = {}
         for h, val in cur.items():
             for nh, weight in ((h + 1, up), (h - 1, down)):
-                if (floor is not None and nh < floor) or abs(nh - end) > remaining:
+                if nh < low or nh > high:
                     continue
                 if weight is None:
                     piece = val
@@ -260,12 +271,12 @@ def _walk(start, end, length, floor, up, down, unit, cut=None, joins=None):
         yield cur
 
 
-def _series_walk(start, end, length, floor, black_parity, ladder, cut=None, joins=None):
+def _series_walk(start, ends, length, floor, black_parity, ladder, cut=None, joins=None):
     """_walk with descending steps weighted by the ladder at their upper height."""
     down = partial(ladder.step_weight, black_parity=black_parity)
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     unit = MSeries._wrap(nv, order, {(0,) * nv: 1}, 1, order, 0)
-    return _walk(start, end, length, floor, None, down, unit, cut, joins)
+    return _walk(start, ends, length, floor, None, down, unit, cut, joins)
 
 
 def _series_path_sum(
@@ -283,7 +294,7 @@ def _series_path_sum(
         raise ValueError(
             f"no path of length {length} from height {start} to {end}"
         )
-    for cur in _series_walk(start, end, length, floor, black_parity, ladder):
+    for cur in _series_walk(start, (end, end), length, floor, black_parity, ladder):
         pass
     return cur.get(end, zero(ladder.tail_black.num_vars, ladder.tail_black.order))
 
@@ -345,7 +356,7 @@ def z_plus_profile(
         def cut(h):
             return order - v * max(0, h - d)
 
-    walk = _series_walk(d, d, max_length, floor, _parity(d, black_start), ladder, cut)
+    walk = _series_walk(d, (d, d), max_length, floor, _parity(d, black_start), ladder, cut)
     return [cur.get(d, nothing) for cur in walk]
 
 
@@ -384,8 +395,8 @@ def strip_sum(i: int, weights, ladder: WeightLadder, *, black_start: bool = True
     top = max((m for m, c in enumerate(weights) if c), default=None)
     if top is None:
         return zero(ladder.tail_black.num_vars, ladder.tail_black.order)
-    excursions = [cur.get(i) for cur in _series_walk(i, i, 2 * top, i, parity, ladder)]
-    returns = _series_walk(i - 1, i - 1, 2 * top, 0, parity, ladder, joins=excursions)
+    excursions = [cur.get(i) for cur in _series_walk(i, (i, i), 2 * top, i, parity, ladder)]
+    returns = _series_walk(i - 1, (i - 1, i - 1), 2 * top, 0, parity, ladder, joins=excursions)
     y = [c * cur[i - 1] for c, cur in zip(weights, islice(returns, None, None, 2)) if c]
     return ladder.step_weight(i, parity) * sum(y[1:], y[0])
 
@@ -416,6 +427,18 @@ def _numerators(wt: RatPathWeights) -> tuple[int, int, int]:
     return b.numerator * (den // b.denominator), w.numerator * (den // w.denominator), den
 
 
+def _balanced_walk(start, ends, length, floor, nb, nw, black_start):
+    """The ``_walk`` of the balanced sums: every step weighted by its lower
+    end, nw on black and nb on white, so that step s holds the numerators
+    of the sums over D**s."""
+    parity = _parity(start, black_start)
+
+    def lower_weight(h: int):
+        return nw if h % 2 == parity else nb
+
+    return _walk(start, ends, length, floor, lower_weight, lambda h: lower_weight(h - 1), 1)
+
+
 def rat_path(
     start: int,
     end: int,
@@ -434,19 +457,12 @@ def rat_path(
     numerators over D = lcm of the two denominators and the total is
     divided by D**length once.
     """
-    parity = _parity(start, black_start)
     if (start - end - length) % 2 or length < abs(start - end):
         return Rat(0)
     if floor is not None and (start < floor or end < floor):
         return Rat(0)
     nb, nw, den = _numerators(wt)
-
-    def lower_weight(h: int):
-        return nw if h % 2 == parity else nb
-
-    for cur in _walk(
-        start, end, length, floor, lower_weight, lambda h: lower_weight(h - 1), 1
-    ):
+    for cur in _balanced_walk(start, (end, end), length, floor, nb, nw, black_start):
         pass
     return Rat(cur.get(end, 0), den**length)
 
@@ -490,40 +506,53 @@ def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
     return Rat(total, den**length)
 
 
-def unconstrained_drop(j: int, length: int, wt: RatPathWeights):
-    """Balanced weight of unconstrained paths with height decrease 2j."""
-    return rat_path(2 * abs(j), 0, length, None, wt)
-
-
 class BalancedSums:
-    """The balanced path sums at one sample point, each computed once.
+    """The balanced path sums of at most ``length`` steps at one sample point.
 
+    Each (start, floor, start color) is walked once, through ``length``
+    steps and not pruned by end, and every (end, length) is read from that
+    walk, each value as a ``Rat`` once.  ``c`` is the color ratio b/w.
     ``tallies`` maps a path shape to its ``word_tally``.  A tally does not
     depend on the weights, so one dict can serve several sample points.
     """
 
-    __slots__ = ("wt", "tallies", "drops")
+    __slots__ = ("wt", "length", "tallies", "c", "_weights", "_walks", "_values")
 
-    def __init__(self, wt: RatPathWeights, tallies: dict | None = None):
-        self.wt = wt
+    def __init__(self, wt: RatPathWeights, length: int, tallies: dict | None = None):
+        self.wt, self.length = wt, length
         self.tallies = {} if tallies is None else tallies
-        self.drops = {}
+        self._weights = nb, nw, _ = _numerators(wt)
+        self.c = Rat(nb, nw)
+        self._walks, self._values = {}, {}
 
     def path(self, start, end, length, floor, *, black_start=True, brute=False):
         """rat_path at this point, or the brute oracle when ``brute``."""
-        if not brute:
-            return rat_path(start, end, length, floor, self.wt, black_start=black_start)
         shape = (start, end, length, floor, black_start)
-        if shape not in self.tallies:
-            self.tallies[shape] = word_tally(start, end, length, floor, black_start=black_start)
-        return weigh_tally(self.tallies[shape], self.wt)
+        if brute:
+            if shape not in self.tallies:
+                self.tallies[shape] = word_tally(*shape[:4], black_start=black_start)
+            return weigh_tally(self.tallies[shape], self.wt)
+        if shape in self._values:
+            return self._values[shape]
+        if not 0 <= length <= self.length:
+            raise ValueError(f"path length must lie in 0..{self.length}")
+        if floor is not None and start < floor:
+            return Rat(0)
+        nb, nw, den = self._weights
+        key = (start, floor, black_start)
+        if key not in self._walks:
+            ends = (start - self.length, start + self.length)  # every end
+            walk = _balanced_walk(start, ends, self.length, floor, nb, nw, black_start)
+            self._walks[key] = list(walk)
+        value = self._values[shape] = Rat(self._walks[key][length].get(end, 0), den**length)
+        return value
 
     def drop(self, j: int, length: int):
-        """unconstrained_drop at this point; it depends on |j| and length only."""
-        key = (abs(j), length)
-        if key not in self.drops:
-            self.drops[key] = unconstrained_drop(j, length, self.wt)
-        return self.drops[key]
+        """The free paths of height decrease 2|j|: end -2|j| of the free walk
+        from height 0.  Weights depend only on the parity of a step's lower
+        end, so the shift by 2|j| maps the paths from 2|j| down to 0 onto
+        the paths from 0 down to -2|j|, weights included."""
+        return self.path(0, -2 * abs(j), length, None)
 
 
 def check_reflection_odd(
@@ -548,7 +577,7 @@ def check_reflection_even(
     if min(k, l) < 0 or q < 0:
         raise ValueError("need k, l >= 0 and q >= 0")
     lhs = sums.path(2 * k, 2 * l, 2 * q, 0, brute=brute)
-    c = Rat(sums.wt.b) / Rat(sums.wt.w)
+    c = sums.c
     rhs = sums.drop(k - l, 2 * q) - c * sums.drop(k + l + 1, 2 * q)
     m = 2
     while k + l + m <= q:

@@ -26,14 +26,16 @@ root color: black unless the keyword-only ``black_start`` is False.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from .paths import (
     WeightLadder,
+    _parity,
+    _series_walk,
     color_swap,
     solve_ladder,
     strip_sum,
-    z_plus,
     z_plus_profile,
 )
 from .rational import is_rational, rat
@@ -186,42 +188,51 @@ def f_sequence(
 
 
 def conserved(
-    n: int, d: int, ladder: WeightLadder, g: FaceWeights, *, black_start: bool = True
-) -> MSeries:
-    """The boundary generating function computed at height offset d.
+    n_max: int, d: int, ladder: WeightLadder, g: FaceWeights, *, black_start: bool = True
+) -> list[MSeries]:
+    """The boundary generating functions F_0..F_{n_max} computed at height
+    offset d, indexed like ``f_sequence``.
 
     The value is independent of d: the d-dependence of the round trips is
     cancelled by subtracting the configurations whose root sits strictly
     closer to the marked vertex, resolved through strips dropping to d-1.
+    F_n is main - outer_j * strip_j / t_root summed over j = 1..min(n, p):
+    main sums the paths of length 2n from d back to d, outer_j those to
+    d + 2j, both floored at d, and strip_j is sum_{k>j} g_k times the paths
+    of length 2k - 1 from d + 2j down to d - 1; strips of length at most
+    2p + 1 cannot drop that far for j > p.  One walk from d of 2 n_max
+    steps, pruned to the ends d..d + 2 min(n_max, p), gives main and every
+    outer_j at every n, and one walk from each d + 2j every strip length.
     The division by the root vertex weight is exact by construction;
     DivisibilityError here means a mis-weighted path sum.
     """
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+    if n_max < 0 or d < 0:
+        raise ValueError("need n_max >= 0 and d >= 0")
     nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
     root_weight = variable(nv, order, 0 if black_start else 1)
-    main = z_plus(d, d, 2 * n, ladder, floor=d, black_start=black_start)
-    correction = MSeries(nv, order, {})
-    # strips of length at most 2p + 1 cannot drop from d + 2j to d - 1 for j > p
-    for j in range(1, min(n, g.p) + 1):
-        outer = z_plus(d, d + 2 * j, 2 * n, ladder, floor=d, black_start=black_start)
-        if outer.is_zero():
-            continue
-        strip = MSeries(nv, order, {})
+    nothing = MSeries(nv, order, {})
+    parity = _parity(d, black_start)
+    top = min(n_max, g.p)
+    strips = []
+    below = d - 1
+    for j in range(1, top + 1):
+        down = _series_walk(d + 2 * j, (below, below), 2 * g.p + 1, min(0, below), parity, ladder)
+        drops = [cur.get(below, nothing) for cur in down]
+        strip = nothing
         for k in range(j + 1, g.p + 2):
-            gk = g.weight(k)
-            if not gk:
-                continue
-            strip = strip + gk * z_plus(
-                d + 2 * j,
-                d - 1,
-                2 * k - 1,
-                ladder,
-                floor=min(0, d - 1),
-                black_start=black_start,
-            )
-        correction = correction + outer * strip
-    return main - exact_div(correction, root_weight)
+            if g.weight(k):
+                strip = strip + g.weight(k) * drops[2 * k - 1]
+        strips.append(strip)
+    out = []
+    walk = _series_walk(d, (d, d + 2 * top), 2 * n_max, d, parity, ladder)
+    for n, cur in enumerate(islice(walk, None, None, 2)):
+        correction = nothing
+        for j, strip in enumerate(strips[:n], 1):
+            outer = cur.get(d + 2 * j)
+            if outer is not None and not outer.is_zero():
+                correction = correction + outer * strip
+        out.append(cur[d] - exact_div(correction, root_weight))
+    return out
 
 
 class TwoPointTable(NamedTuple):

@@ -169,13 +169,15 @@ def suite_series(run: SuiteRun) -> None:
 def suite_paths(run: SuiteRun) -> None:
     """The reflection identities at five sample points, and the path DPs.
 
-    The brute oracle's word tallies do not depend on the sample point, so
-    one dict of them serves all five.
+    Each point walks each of its starts once, through length 10, and reads
+    every end and length from that walk: seven floored starts and the free
+    walk of the drops, 40 walks in all.  The brute oracle's word tallies do
+    not depend on the sample point, so one dict of them serves all five.
     """
     rng = random.Random(run.seed)
     tallies: dict = {}
     points = [
-        BalancedSums(RatPathWeights(_sample_rat(rng), _sample_rat(rng)), tallies)
+        BalancedSums(RatPathWeights(_sample_rat(rng), _sample_rat(rng)), 10, tallies)
         for _ in range(5)
     ]
     for p, sums in enumerate(points):
@@ -226,10 +228,10 @@ def suite_slices(run: SuiteRun) -> None:
                 f"slices/{label}/color-swap-{i}",
                 [(ladder.black_weight(i).swap_vars(), ladder.white_weight(i))],
             )
-        base = {n: conserved(n, 0, ladder, g) for n in (1, 2, 3)}
+        base, *offsets = (conserved(3, d, ladder, g) for d in range(5))
         run.pairs_agree(
             f"slices/{label}/conserved-offset-independence",
-            [(conserved(n, d, ladder, g), base[n]) for n in (1, 2, 3) for d in range(1, 5)],
+            [(f[n], base[n]) for n in (1, 2, 3) for f in offsets],
         )
         direct = f_sequence(3, g, b, w)
         run.pairs_agree(
@@ -337,9 +339,8 @@ def suite_dimers(run: SuiteRun) -> None:
     run.ok(
         "dimers/closed-forms-at-rational-points",
         all(
-            zhd_closed_check(SegmentSpec(links, black_start=black_start), c, x)
+            zhd_closed_check(10, c, x, black_start=black_start)
             for c, x in points
-            for links in range(11)
             for black_start in (True, False)
         ),
     )
@@ -393,11 +394,8 @@ def suite_general(run: SuiteRun) -> None:
     b, w = ladder.tail_black, ladder.tail_white
     extracted = moment_ladder(f_sequence(4, OCT, b, w))
     run.pairs_agree("general/oct/extraction-vs-recursion", ladder_pairs(extracted, ladder, 4))
-    base = conserved(1, 0, ladder, OCT)
-    run.pairs_agree(
-        "general/oct/conserved-independence",
-        [(conserved(1, d, ladder, OCT), base) for d in range(1, 4)],
-    )
+    base, *offsets = (conserved(1, d, ladder, OCT)[1] for d in range(4))
+    run.pairs_agree("general/oct/conserved-independence", [(f, base) for f in offsets])
 
 
 SUITES = {

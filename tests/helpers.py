@@ -6,15 +6,17 @@ import hashlib
 
 from hypothesis import strategies as st
 
-from bicmaps.paths import weigh_tally, word_tally
-from bicmaps.rational import rat
+from bicmaps.paths import weigh_tally, word_tally, z_plus
+from bicmaps.rational import Rat, rat
 from bicmaps.series import (
     MSeries,
     SeriesError,
     VariableMismatchError,
     agree,
+    exact_div,
     first_difference,
     one,
+    variable,
     zero,
 )
 from bicmaps.slices import FaceWeights
@@ -85,6 +87,46 @@ def rat_path_brute(start, end, length, floor, wt, *, black_start=True):
     arithmetic with rat_path.
     """
     return weigh_tally(word_tally(start, end, length, floor, black_start=black_start), wt)
+
+
+def conserved_at(n, d, ladder, g, *, black_start=True):
+    """Oracle for slices.conserved: F_n alone at height offset d,
+    main - sum_j outer_j * strip_j / t_root, with one ``z_plus`` walk for
+    main, for each outer_j and for each strip length."""
+    nv, order = ladder.tail_black.num_vars, ladder.tail_black.order
+    root_weight = variable(nv, order, 0 if black_start else 1)
+    main = z_plus(d, d, 2 * n, ladder, floor=d, black_start=black_start)
+    correction = MSeries(nv, order, {})
+    for j in range(1, min(n, g.p) + 1):
+        outer = z_plus(d, d + 2 * j, 2 * n, ladder, floor=d, black_start=black_start)
+        if outer.is_zero():
+            continue
+        strip = MSeries(nv, order, {})
+        for k in range(j + 1, g.p + 2):
+            gk = g.weight(k)
+            if gk:
+                strip = strip + gk * z_plus(
+                    d + 2 * j, d - 1, 2 * k - 1, ladder, floor=min(0, d - 1),
+                    black_start=black_start,
+                )
+        correction = correction + outer * strip
+    return main - exact_div(correction, root_weight)
+
+
+def zhd_closed_value(links, c, x, *, black_start=True):
+    """Oracle for dimers.zhd_closed_values: the closed form of one segment
+    at the (c, x) point from its own powers, a white start by s1 <-> s2."""
+    c, x = Rat(c), Rat(x)
+    den = (c + x) * (1 + c * x)
+    if not black_start:
+        c, den = 1 / c, den / (c * c)
+    pref = c / den
+    if links % 2 == 0:
+        i = links // 2
+        return pref**i * (1 - x ** (2 * i + 2)) / (1 - x * x)
+    i = (links - 1) // 2
+    ratio = (c + x) / (1 + c * x)
+    return (1 + c * x) * pref ** (i + 1) * (1 - ratio * x ** (2 * i + 3)) / (1 - x * x)
 
 
 def cf_expand_recurrence(ladder, n_max):

@@ -18,7 +18,7 @@ from bicmaps.dimers import (
     zhd,
     zhd_brute,
     zhd_closed_check,
-    zhd_closed_value,
+    zhd_closed_values,
 )
 from bicmaps.hankel import det_division_free, hankel_det, hankel_family
 from bicmaps.rational import Rat, rat
@@ -35,7 +35,7 @@ from bicmaps.series import (
 from bicmaps.slices import FaceWeights, alpha_brackets, alpha_coeffs, f_sequence, tail_solve
 from bicmaps.suites import SuiteRun, suite_dimers
 
-from helpers import series_digest, substitute
+from helpers import series_digest, substitute, zhd_closed_value
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -138,17 +138,15 @@ CX_POINTS = [
 
 def test_closed_forms_at_rational_points():
     for c, x in CX_POINTS:
-        for links in range(0, 11):
-            for black_start in (True, False):
-                spec = SegmentSpec(links, black_start=black_start)
-                assert zhd_closed_check(spec, c, x), (c, x, links, black_start)
+        for black_start in (True, False):
+            assert zhd_closed_check(10, c, x, black_start=black_start), (c, x, black_start)
 
 
 def test_closed_form_invariances_explicit():
     spec = SegmentSpec(4)
-    v = zhd_closed_value(spec, rat(2), rat(1, 3))
-    assert v == zhd_closed_value(spec, rat(2), rat(3))
-    assert v == zhd_closed_value(spec, rat(-2), rat(-1, 3))
+    v = zhd_closed_values(4, rat(2), rat(1, 3))[4]
+    assert v == zhd_closed_values(4, rat(2), rat(3))[4]
+    assert v == zhd_closed_values(4, rat(-2), rat(-1, 3))[4]
     s1, s2 = dimer_weights_from_cx(rat(2), rat(1, 3))
     assert zhd(spec).evaluate((s1, s2)) == v
 
@@ -156,7 +154,7 @@ def test_closed_form_invariances_explicit():
 def test_closed_form_rejects_degenerate_parameters():
     for c, x in [(rat(0), rat(1, 2)), (rat(2), rat(1)), (rat(2), rat(-1, 2))]:
         with pytest.raises(ValueError):
-            zhd_closed_value(SegmentSpec(2), c, x)
+            zhd_closed_values(2, c, x)
 
 
 def test_uncolored_collapse_matches_plain_dimers():
@@ -168,7 +166,31 @@ def test_uncolored_collapse_matches_plain_dimers():
     for links in (4, 6):
         poly = zhd(SegmentSpec(links))
         total = sum(cc * s1 ** (a + b) for (a, b), cc in poly.coeffs.items())
-        assert total == zhd_closed_value(SegmentSpec(links), c, x)
+        assert total == zhd_closed_values(links, c, x)[links]
+
+
+@pytest.mark.parametrize("black_start", [True, False], ids=["black", "white"])
+def test_closed_check_covers_every_link_count(monkeypatch, black_start):
+    # one walk and one closed pass per point: every link count against a
+    # transfer of its own and the per-segment closed form
+    passes = []
+    real = dimers.zhd_closed_values
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dimers, "zhd_closed_values", counting)
+    for c, x in CX_POINTS:
+        passes.clear()
+        assert zhd_closed_check(10, c, x, black_start=black_start)
+        assert len(passes) == 3
+        s1, s2 = dimer_weights_from_cx(c, x)
+        closed = real(10, c, x, black_start=black_start)
+        for links in range(11):
+            spec = SegmentSpec(links, black_start=black_start)
+            want = zhd_closed_value(links, c, x, black_start=black_start)
+            assert transfer(spec, s1, s2, Rat(1)) == closed[links] == want, (c, x, links)
 
 
 def all_segments(top: int = 10):
@@ -460,10 +482,22 @@ def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
         assert len(fam.h0) == len(fam.h1) == top + 1
 
 
-def test_suite_dimers_product_count(series_products):
-    # one column walk per reconstruction, on the brackets
+def test_suite_dimers_product_count(series_products, monkeypatch):
+    # one column walk per reconstruction, on the brackets; one closed check
+    # of every link count per (point, start color)
+    from bicmaps import suites
+
+    checks = []
+    real = suites.zhd_closed_check
+
+    def counting(*args, **kwargs):
+        checks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "zhd_closed_check", counting)
     suite_dimers(SuiteRun(7, 1))
     assert series_products[0] <= 427
+    assert len(checks) == 10
 
 
 @pytest.mark.parametrize("i", [-1, -2])

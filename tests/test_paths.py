@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicmaps import paths
 from bicmaps.paths import (
     BalancedSums,
     RatPathWeights,
@@ -18,7 +19,6 @@ from bicmaps.paths import (
     l_zero,
     rat_path,
     strip_sum,
-    unconstrained_drop,
     weigh_tally,
     word_tally,
     z_plus,
@@ -348,11 +348,11 @@ def test_rat_path_brute_equals_word_products():
 def test_reflection_odd_known_value():
     # k = l = 1, q = 1: both sides equal b^2 + w^2 = 13 at (b, w) = (2, 3).
     assert rat_path_brute(1, 1, 2, 0, WT, black_start=False) == 13
-    assert check_reflection_odd(1, 1, 1, BalancedSums(WT), brute=True)
+    assert check_reflection_odd(1, 1, 1, BalancedSums(WT, 2), brute=True)
 
 
 def test_reflection_zero_length():
-    sums = BalancedSums(WT)
+    sums = BalancedSums(WT, 0)
     for k in (1, 2, 3):
         assert check_reflection_odd(k, k, 0, sums)
         assert check_reflection_even(k, k, 0, sums)
@@ -365,7 +365,7 @@ def test_reflection_sweep_small():
         RatPathWeights(rat(7, 4), rat(1, 7)),
     ]
     for wt in points:
-        sums = BalancedSums(wt)
+        sums = BalancedSums(wt, 6)
         for k, l in product(range(1, 3), repeat=2):
             for q in range(4):
                 assert check_reflection_odd(k, l, q, sums), (k, l, q)
@@ -398,13 +398,53 @@ def test_weigh_tally_equals_the_fraction_powers(tally, b, w):
 
 
 def test_balanced_sums_share_tallies_and_drops():
+    # a drop is read at end -2|j| of the free walk from 0; rat_path walks it
+    # from 2|j| down to 0
     tallies = {}
     for wt in (WT, RatPathWeights(rat(3, 4), rat(5, 7))):
-        sums = BalancedSums(wt, tallies)
+        sums = BalancedSums(wt, 8, tallies)
         for j in range(-3, 4):
-            assert sums.drop(j, 8) == unconstrained_drop(j, 8, sums.wt)
-        assert len(sums.drops) == 4  # |j| = 0..3
+            assert sums.drop(j, 8) == rat_path(2 * abs(j), 0, 8, None, sums.wt)
+        assert sums.c == Fraction(wt.b) / Fraction(wt.w)
         got = sums.path(3, 1, 6, 0, black_start=False, brute=True)
         assert got == rat_path_brute(3, 1, 6, 0, sums.wt, black_start=False)
         assert got == sums.path(3, 1, 6, 0, black_start=False)
     assert list(tallies) == [(3, 1, 6, 0, False)]
+
+
+def test_balanced_sums_read_every_end_and_length(monkeypatch):
+    # every (end, length <= 10) of one walk per start against a walk of its
+    # own (rat_path) and, through length 8, the step words (word_tally)
+    walks = []
+    real = paths._balanced_walk
+
+    def counting(start, ends, length, floor, nb, nw, black_start):
+        walks.append((start, floor, black_start))
+        return real(start, ends, length, floor, nb, nw, black_start)
+
+    monkeypatch.setattr(paths, "_balanced_walk", counting)
+    tallies = {}
+    points = [
+        RatPathWeights(rat(2), rat(3)),
+        RatPathWeights(rat(3, 4), rat(5, 7)),
+        RatPathWeights(rat(7, 4), rat(1, 7)),
+    ]
+    starts = [(0, 0), (1, 0), (3, 1), (2, None), (1, None)]
+    shapes = [
+        ((start, end, length, floor), black_start)
+        for (start, floor), black_start in product(starts, (True, False))
+        for length in range(11)
+        for end in range(start - length, start + length + 1)
+    ]
+    for wt in points:
+        sums = BalancedSums(wt, 10, tallies)
+        walks.clear()
+        read = [sums.path(*shape, black_start=black_start) for shape, black_start in shapes]
+        assert len(walks) == len(set(walks)) == 2 * len(starts)
+        for got, (shape, black_start) in zip(read, shapes):
+            assert got == rat_path(*shape, wt, black_start=black_start), (shape, black_start)
+            if shape[2] <= 8 and (shape[0] - shape[1] - shape[2]) % 2 == 0:
+                brute = sums.path(*shape, black_start=black_start, brute=True)
+                assert got == brute, (shape, black_start)
+    with pytest.raises(ValueError, match="length"):
+        sums.path(0, 0, 12, None)

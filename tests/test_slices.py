@@ -24,7 +24,7 @@ from bicmaps.slices import (
 )
 from bicmaps.suites import SuiteRun, suite_slices
 
-from helpers import S, assert_series, drawn_face_weights, series_digest
+from helpers import S, assert_series, conserved_at, drawn_face_weights, series_digest
 from printed import (
     HEX_LADDER,
     HEX_TWOPOINT,
@@ -146,7 +146,7 @@ def test_face_weights_from_a_list_are_the_tuple_ones():
 
 
 def test_conserved_quad_at_origin_is_w1(quad_ladder):
-    got = conserved(1, 0, quad_ladder, QUAD)
+    got = conserved(1, 0, quad_ladder, QUAD)[1]
     assert agree(got, quad_ladder.white_weight(1))
 
 
@@ -155,32 +155,33 @@ def test_conserved_quad_second_closed_value(quad_ladder):
     # carries the vanishing index-0 entry.
     w1 = quad_ladder.white_weight(1)
     b2 = quad_ladder.black_weight(2)
-    assert agree(conserved(2, 0, quad_ladder, QUAD), w1 * (w1 + b2))
+    assert agree(conserved(2, 0, quad_ladder, QUAD)[2], w1 * (w1 + b2))
 
 
 def test_conserved_independent_of_offset(quad_ladder, hex_ladder):
     for g, ladder in ((QUAD, quad_ladder), (HEX, hex_ladder)):
-        for n in (1, 2):
-            base = conserved(n, 0, ladder, g)
-            for d in range(1, 4):
-                assert agree(conserved(n, d, ladder, g), base), (g.g, n, d)
+        base = conserved(2, 0, ladder, g)
+        for d in range(1, 4):
+            got = conserved(2, d, ladder, g)
+            for n in (1, 2):
+                assert agree(got[n], base[n]), (g.g, n, d)
 
 
 def test_conserved_white_variant(quad_ladder):
-    got = conserved(1, 0, quad_ladder, QUAD, black_start=False)
+    got = conserved(1, 0, quad_ladder, QUAD, black_start=False)[1]
     assert agree(got, quad_ladder.black_weight(1))  # F_1 white = B_1
-    base = conserved(2, 0, quad_ladder, QUAD, black_start=False)
+    base = conserved(2, 0, quad_ladder, QUAD, black_start=False)[2]
     for d in (1, 2, 3):
-        assert agree(conserved(2, d, quad_ladder, QUAD, black_start=False), base), d
+        assert agree(conserved(2, d, quad_ladder, QUAD, black_start=False)[2], base), d
     b, w = quad_ladder.tail_black, quad_ladder.tail_white
     assert agree(f_sequence(2, QUAD, b, w, black_start=False)[2], base)
 
 
 def test_conserved_mixed_family_independence():
     ladder = ladder_solve(MIXED, SeriesRing(2, 5))
-    base = conserved(1, 0, ladder, MIXED)
+    base = conserved(1, 0, ladder, MIXED)[1]
     for d in (1, 2, 3):
-        assert agree(conserved(1, d, ladder, MIXED), base)
+        assert agree(conserved(1, d, ladder, MIXED)[1], base)
 
 
 def test_conserved_constant_ladder_limit(quad_tail):
@@ -189,7 +190,38 @@ def test_conserved_constant_ladder_limit(quad_tail):
     lad = WeightLadder((), (), b, w)
     tb = variable(2, 6, 0)
     expected = w - exact_div(b * b * w, tb)
-    assert agree(conserved(1, 8, lad, QUAD), expected)
+    assert agree(conserved(1, 8, lad, QUAD)[1], expected)
+
+
+OCT = FaceWeights((0, 0, 0, rat(1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(st.sampled_from([QUAD, HEX, MIXED, OCT, HALF]), drawn_face_weights()),
+    st.integers(0, 7),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@example(HEX, 6, 0, 4, True)
+@example(OCT, 7, 3, 4, False)
+def test_conserved_equals_the_per_n_formula(g, order, d, n_max, black_start):
+    # the one walk against F_n alone from walks of its own, field by field
+    ladder = ladder_solve(g, SeriesRing(2, order))
+    if order == 0:  # t_root is the zero series: both forms refuse to divide
+        with pytest.raises(ZeroDivisionError):
+            conserved(n_max, d, ladder, g, black_start=black_start)
+        with pytest.raises(ZeroDivisionError):
+            conserved_at(n_max, d, ladder, g, black_start=black_start)
+        return
+    got = conserved(n_max, d, ladder, g, black_start=black_start)
+    assert len(got) == n_max + 1
+    for n, f in enumerate(got):
+        want = conserved_at(n, d, ladder, g, black_start=black_start)
+        assert (f.nums, f.den, f.order, f.reliable) == (
+            want.nums, want.den, want.order, want.reliable
+        ), n
 
 
 def test_f_direct_f0_is_one(quad_tail):
@@ -209,8 +241,9 @@ def test_f_direct_quad_f1(quad_tail, quad_ladder):
 
 def test_f_direct_equals_conserved(quad_tail, quad_ladder):
     b, w = quad_tail
+    at_origin = conserved(3, 0, quad_ladder, QUAD)
     for n in (1, 2, 3):
-        assert agree(f_sequence(n, QUAD, b, w)[n], conserved(n, 0, quad_ladder, QUAD)), n
+        assert agree(f_sequence(n, QUAD, b, w)[n], at_origin[n]), n
 
 
 @pytest.mark.parametrize("g", [QUAD, HEX, MIXED], ids=["quad", "hex", "mixed"])
@@ -230,9 +263,10 @@ def test_shorter_moment_walk_is_a_prefix_of_a_longer_one(g):
 
 
 def test_suite_slices_product_count(series_products):
-    # one moment walk of F_0..F_3 per family serves conserved-equals-direct
+    # one moment walk of F_0..F_3 per family serves conserved-equals-direct,
+    # and one conserved walk per (family, offset) serves F_1..F_3
     suite_slices(SuiteRun(7, 1))
-    assert series_products[0] <= 784
+    assert series_products[0] <= 623
 
 
 @pytest.mark.parametrize(
@@ -299,7 +333,7 @@ def test_alpha_brackets_equal_the_l_zero_formula(g, order):
             want.nums, want.den, want.order, want.reliable
         ), q
 
-# F_0..F_4, F_2 from a walk of its own and conserved(n, d) for n = 1..3, d = 0..2 at
+# F_0..F_4, F_2 from a walk of its own and F_1..F_3 of conserved at d = 0..2 at
 # order 6, per root color, as computed when the root color was named by a string
 NAMED_COLOR_DIGESTS = {
     True: "8f8bd17d3103c5ed85e82e2b9ad0efa99e6ab35a46f691bed5465cc8bd465f95",
@@ -314,7 +348,7 @@ def test_named_root_colors_unchanged(quad_tail, quad_ladder, black_start):
         f_sequence(4, QUAD, b, w, black_start=black_start)
         + [f_sequence(2, QUAD, b, w, black_start=black_start)[2]]
         + [
-            conserved(n, d, quad_ladder, QUAD, black_start=black_start)
+            conserved(3, d, quad_ladder, QUAD, black_start=black_start)[n]
             for n in (1, 2, 3)
             for d in (0, 1, 2)
         ]

@@ -47,8 +47,8 @@ def balanced_sums(g, lad):
         white.append(rat_path(*shape, wt, black_start=False))
         black.append(rat_path(*shape, swapped))
         for brute in (False, True):
-            white.append(BalancedSums(wt).path(*shape, black_start=False, brute=brute))
-            black.append(BalancedSums(swapped).path(*shape, brute=brute))
+            white.append(BalancedSums(wt, 7).path(*shape, black_start=False, brute=brute))
+            black.append(BalancedSums(swapped, 7).path(*shape, brute=brute))
     return white, black
 
 
@@ -75,7 +75,7 @@ CASES = {
         lambda g, lad, **kw: list(alpha_coeffs(g, lad.tail_black, lad.tail_white, **kw))
     ),
     "conserved": series_sums(
-        lambda g, lad, **kw: [conserved(n, d, lad, g, **kw) for n in (1, 2, 3) for d in (0, 1, 2)]
+        lambda g, lad, **kw: [f for d in (0, 1, 2) for f in conserved(3, d, lad, g, **kw)]
     ),
     "rat_path": balanced_sums,
     # the white tally counts the words by their white lower ends
