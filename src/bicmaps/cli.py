@@ -18,7 +18,7 @@ from math import gcd
 
 from . import __version__
 from .closedform import closed_ladder
-from .dimers import SegmentSpec, zhd
+from .dimers import zhd
 from .extensions import (
     binary_closed_ladder,
     binary_solve,
@@ -185,10 +185,12 @@ def run(config: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[in
     elif config.command == "dimers":
         if config.links < 0:
             parser.error("--links must be non-negative")
+        # one walk per start color; a record is named by its end-node colors
+        walks = {colors: zhd(config.links, black_start=colors == "bw") for colors in ("bw", "wb")}
         for links in range(config.links + 1):
-            for black_start in (True, False):
-                spec = SegmentSpec(links, black_start=black_start)
-                records.append(series_record(f"zhd_{spec.ends}_{links}", zhd(spec)))
+            for colors, polys in walks.items():
+                name = f"zhd_{colors[0]}{colors[links % 2]}_{links}"
+                records.append(series_record(name, polys[links]))
         meta.update(links=config.links, variables=["s1", "s2"])
 
     elif config.command == "tricolor":

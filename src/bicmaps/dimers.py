@@ -1,19 +1,20 @@
 """Hard dimers on bicolored oriented segments; LGV determinant reconstruction.
 
-A segment of n links has n+1 nodes colored alternately.  A configuration
-occupies links so that no node touches two dimers; a dimer on a link
-oriented black-to-white weighs s1, white-to-black weighs s2.  One transfer
-recursion evaluates the sum at weights in any ring: at the generators it is
-the segment polynomial, an ``MSeries`` in (s1, s2) of order and ``reliable``
-equal to the link count, checked against a brute-force subset sum; at
-rational points it meets exact closed forms in an auxiliary (c, x)
+A segment of n links has n+1 nodes colored alternately, the first black
+unless ``black_start`` is False.  A configuration occupies links so that no
+node touches two dimers; a dimer on a link oriented black-to-white weighs
+s1, white-to-black weighs s2.  One transfer walk, at weights in any ring,
+yields the sum of every segment up to its length: at the generators these
+are the segment polynomials, ``MSeries`` in (s1, s2) of order and
+``reliable`` equal to the link count, checked against a brute-force subset
+sum; at rational points they meet exact closed forms in an auxiliary (c, x)
 parametrization.  The mutually avoiding path systems of the moment
 determinants are rigid outside p central columns, whose freedom projects
 onto hard dimers weighted by the p roots x of sum_q (-1)^q c_q x^q, c_q the
-``alpha_brackets``.  The same recursion walks one column modulo that
-polynomial, once for the whole family of indices 0..top, and each moment
-determinant is a prefactor times the p x p determinant of the components of
-p of the walk's states, so no root and no product over the roots is built.
+``alpha_brackets``.  The same walk runs one column modulo that polynomial,
+once for the whole family of indices 0..top, and each moment determinant is
+a prefactor times the p x p determinant of the components of p of the
+walk's states, so no root and no product over the roots is built.
 """
 
 from __future__ import annotations
@@ -23,78 +24,68 @@ from .rational import Rat, rat
 from .series import MSeries, SeriesRing, exact_div, one, variable, zero
 from .slices import FaceWeights, alpha_brackets
 
-class SegmentSpec:
-    """A bicolored oriented segment: its link count, and whether its first
-    node is black.  The nodes alternate in color, so these fix the last one."""
-
-    __slots__ = ("links", "black_start")
-
-    def __init__(self, links: int, *, black_start: bool = True):
-        if links < 0:
-            raise ValueError("link count must be non-negative")
-        self.links, self.black_start = links, black_start
-
-    @property
-    def ends(self) -> str:
-        """The end-node colors, "bb", "bw", "wb" or "ww", as record names spell them."""
-        colors = "bw" if self.black_start else "wb"
-        return colors[0] + colors[self.links % 2]
-
-    def link_weights(self) -> list[int]:
-        """Per link: 1 for black-to-white (s1), 2 for white-to-black (s2)."""
-        start = 0 if self.black_start else 1
-        return [1 + (start + j) % 2 for j in range(self.links)]
-
-
-def _walk(weights, unit, times_x=lambda v: v):
-    """Yield the free state after each link: the dimer sum of the links before it.
+def _walk(first, second, links, unit, times_x=lambda v: v):
+    """Yield Z_0 .. Z_links, the dimer sums of the first L links, on links
+    that weigh first, second, first, ...
 
     State after node j: configurations with node j free vs covered; a link
-    may only be occupied if its lower node was free.  With ``times_x`` the
-    sums are phi_L = x^ceil(L/2) Z_L(s/x) instead: the free state is scaled
-    by x^floor(L/2) and the covered one by x^ceil(L/2), so a dimer weighs s
-    and the free state takes one factor x after every odd link.
+    may only be occupied if its lower node was free.  Link L's weight enters
+    only after Z_L is yielded, so Z_L reads the weights of links 0..L-1
+    alone.  With ``times_x`` the sums are phi_L = x^ceil(L/2) Z_L(s/x)
+    instead: the free state is scaled by x^floor(L/2) and the covered one by
+    x^ceil(L/2), so a dimer weighs s and the free state takes one factor x
+    after every odd link.
     """
     free, covered = unit, unit * 0
-    for j, s in enumerate(weights):
-        free, covered = (times_x(free) if j % 2 else free) + covered, free * s
-        yield free
+    for j in range(links + 1):
+        total = (times_x(free) if j % 2 else free) + covered
+        yield total
+        if j < links:
+            free, covered = total, free * (second if j % 2 else first)
 
 
-def transfer(spec: SegmentSpec, s1, s2, unit):
-    """The segment's dimer sum at weights (s1, s2) in any ring whose one is ``unit``:
-    the walk's free state after one more link, of weight 0."""
-    s = (s1, s2)
-    *_, total = _walk([s[k - 1] for k in spec.link_weights()] + [0], unit)
-    return total
+def transfer(links_max: int, s1, s2, unit, *, black_start: bool = True) -> list:
+    """The dimer sums at weights (s1, s2), in any ring whose one is ``unit``,
+    of the segments of 0..links_max links whose first node is black (white
+    when ``black_start`` is False), from one walk: a link oriented
+    black-to-white weighs s1, white-to-black s2."""
+    if links_max < 0:
+        raise ValueError("link count must be non-negative")
+    first, second = (s1, s2) if black_start else (s2, s1)
+    return list(_walk(first, second, links_max, unit))
 
 
-def zhd(spec: SegmentSpec) -> MSeries:
-    """The segment polynomial: the transfer at the generators of a ring whose
-    order ``links`` keeps every term (at most half the links carry dimers)."""
-    ring = SeriesRing(2, spec.links)
-    return transfer(spec, *ring.gens(), ring.one())
+def zhd(links_max: int, *, black_start: bool = True) -> list[MSeries]:
+    """The segment polynomials of 0..links_max links: the transfer at the
+    generators, entry L cut to order L, which keeps every term (at most
+    ceil(L/2) links carry dimers)."""
+    ring = SeriesRing(2, max(links_max, 0))
+    sums = transfer(links_max, *ring.gens(), ring.one(), black_start=black_start)
+    return [z.truncate(links) for links, z in enumerate(sums)]
 
 
-def zhd_brute(spec: SegmentSpec) -> MSeries:
+def zhd_brute(links: int, *, black_start: bool = True) -> MSeries:
     """Independence oracle: explicit sum over all 2^links occupancies.
 
     Occupancy ``occ`` is a mask with bit j set when link j carries a dimer.
     It is dropped when two adjacent links are occupied, and otherwise
-    tallied by its numbers of occupied s1 and s2 links.  Each occupancy is
-    tested on its own, with no transfer state, so the oracle shares only
-    the link orientations with ``transfer``.
+    tallied by its numbers of occupied s1 and s2 links, the s1 links being
+    the even ones on a black start and the odd ones on a white start.  Each
+    occupancy is tested on its own, with no transfer state, so the oracle
+    shares nothing with ``transfer``.
     """
-    if spec.links > 20:
+    if links < 0:
+        raise ValueError("link count must be non-negative")
+    if links > 20:
         raise ValueError("brute force capped at 20 links")
-    first = sum(1 << j for j, weight in enumerate(spec.link_weights()) if weight == 1)
+    first = sum(1 << j for j in range(0 if black_start else 1, links, 2))
     out: dict[tuple[int, int], int] = {}
-    for occ in range(1 << spec.links):
+    for occ in range(1 << links):
         if occ & (occ >> 1):
             continue
         key = ((occ & first).bit_count(), (occ & ~first).bit_count())
         out[key] = out.get(key, 0) + 1
-    return MSeries(2, spec.links, out)
+    return MSeries(2, links, out)
 
 
 def _cx_point(c, x) -> tuple:
@@ -139,11 +130,9 @@ def zhd_closed_values(links_max: int, c, x, *, black_start: bool = True) -> list
 def zhd_closed_check(links_max: int, c, x, *, black_start: bool = True) -> bool:
     """The transfer at the (c, x) point vs the closed form, plus the two
     stated invariances x -> 1/x and (c, x) -> (-c, -x), at every link count
-    0..links_max.  One walk of links_max links serves every count: its free
-    state after L links is the L-link segment's sum (``lgv``)."""
-    s = dimer_weights_from_cx(c, x)
-    links = SegmentSpec(links_max, black_start=black_start).link_weights()
-    walked = list(_walk([s[k - 1] for k in links] + [0], Rat(1)))
+    0..links_max, all read from one ``transfer`` walk."""
+    s1, s2 = dimer_weights_from_cx(c, x)
+    walked = transfer(links_max, s1, s2, Rat(1), black_start=black_start)
     closed = zhd_closed_values(links_max, c, x, black_start=black_start)
     inverted = zhd_closed_values(links_max, c, 1 / Rat(x), black_start=black_start)
     negated = zhd_closed_values(links_max, -Rat(c), -Rat(x), black_start=black_start)
@@ -181,8 +170,7 @@ def _column(links: int, b: MSeries, w: MSeries, brackets: tuple[MSeries, ...]) -
     low = [c * lead if (p - q) % 2 else -c * lead for q, c in enumerate(brackets[:p])]
     nv, order = b.num_vars, b.order
     unit = _Residue([one(nv, order)] + [zero(nv, order)] * (p - 1), low)
-    weights = [(w, b)[j % 2] for j in range(links)] + [0]
-    return list(_walk(weights, unit, _Residue.times_x))
+    return list(_walk(w, b, links, unit, _Residue.times_x))
 
 
 def lgv(top: int, g: FaceWeights, b: MSeries, w: MSeries) -> HankelFamily:

@@ -9,7 +9,6 @@ import sympy as sp
 
 from bicmaps import dimers
 from bicmaps.dimers import (
-    SegmentSpec,
     dimer_weights_from_cx,
     lgv,
     lgv_hex,
@@ -48,57 +47,68 @@ def times(f: MSeries, gen: int, ring: SeriesRing) -> MSeries:
 
 
 def test_segment_parity_validation():
-    SegmentSpec(0)
-    SegmentSpec(3, black_start=False)
-    with pytest.raises(ValueError, match="non-negative"):
-        SegmentSpec(-1)
+    assert len(transfer(0, 1, 1, 1)) == 1 and len(zhd(3, black_start=False)) == 4
+    zhd_brute(20, black_start=False)
+    for sums in (lambda: transfer(-1, 1, 1, 1), lambda: zhd(-1), lambda: zhd_brute(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            sums()
+    with pytest.raises(ValueError, match="capped at 20"):
+        zhd_brute(21)
 
 
 def test_zhd_base_cases():
-    assert zhd(SegmentSpec(0)) == MSeries(2, 0, {(0, 0): 1})
-    assert zhd(SegmentSpec(2)) == MSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
-    assert zhd(SegmentSpec(1)) == MSeries(2, 1, {(0, 0): 1, (1, 0): 1})
+    polys = zhd(2)
+    assert polys[0] == MSeries(2, 0, {(0, 0): 1})
+    assert polys[2] == MSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert polys[1] == MSeries(2, 1, {(0, 0): 1, (1, 0): 1})
+    assert [(f.order, f.reliable) for f in polys] == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_zhd_brute_frozen_three_links():
     # b-w-b-w segment: empty, three singletons (two s1, one s2), one s1 pair
     want = MSeries(2, 3, {(0, 0): 1, (1, 0): 2, (0, 1): 1, (2, 0): 1})
-    assert zhd_brute(SegmentSpec(3)) == want
-    assert zhd(SegmentSpec(3)) == want
+    assert zhd_brute(3) == want
+    assert zhd(3)[3] == want
 
 
-def occupancy_sum(spec: SegmentSpec) -> MSeries:
-    """Reference for zhd_brute: one occupancy tuple at a time."""
-    weights = spec.link_weights()
+def occupancy_sum(links: int, black_start: bool) -> MSeries:
+    """Reference for zhd_brute: one occupancy tuple at a time.  Link j runs
+    black-to-white (weight s1) when its lower node j is black: j even on a
+    black start, odd on a white one."""
+    black_to_white = [(j % 2 == 0) == black_start for j in range(links)]
     out = {}
-    for occ in product((0, 1), repeat=spec.links):
-        if any(occ[j] and occ[j + 1] for j in range(spec.links - 1)):
+    for occ in product((0, 1), repeat=links):
+        if any(occ[j] and occ[j + 1] for j in range(links - 1)):
             continue
-        a = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 1)
-        b = sum(1 for j in range(spec.links) if occ[j] and weights[j] == 2)
+        a = sum(1 for j in range(links) if occ[j] and black_to_white[j])
+        b = sum(1 for j in range(links) if occ[j] and not black_to_white[j])
         out[(a, b)] = out.get((a, b), 0) + 1
-    return MSeries(2, spec.links, out)
+    return MSeries(2, links, out)
 
 
 def test_zhd_brute_equals_occupancy_sum():
     for links in range(13):
         for black_start in (True, False):
-            spec = SegmentSpec(links, black_start=black_start)
-            got, want = zhd_brute(spec), occupancy_sum(spec)
+            got = zhd_brute(links, black_start=black_start)
+            want = occupancy_sum(links, black_start)
             assert (got.coeffs, got.order, got.reliable) == (want.coeffs, want.order, want.reliable)
 
 
 def test_zhd_equals_brute_all_families():
-    for links in range(0, 13):
-        for black_start in (True, False):
-            spec = SegmentSpec(links, black_start=black_start)
-            assert zhd(spec) == zhd_brute(spec), spec
+    for black_start in (True, False):
+        polys = zhd(12, black_start=black_start)
+        assert len(polys) == 13
+        for links, poly in enumerate(polys):
+            want = zhd_brute(links, black_start=black_start)
+            assert poly == want, (links, black_start)
+            assert (poly.order, poly.reliable) == (want.order, want.reliable), links
 
 
 def test_zhd_counts_and_bounds():
-    for links in (5, 8, 11):
-        for black_start in (True, False):
-            poly = zhd(SegmentSpec(links, black_start=black_start))
+    for black_start in (True, False):
+        polys = zhd(11, black_start=black_start)
+        for links in (5, 8, 11):
+            poly = polys[links]
             assert poly.reliable == links
             for (a, b), c in poly.terms():
                 assert c > 0 and isinstance(c, int)
@@ -106,24 +116,22 @@ def test_zhd_counts_and_bounds():
 
 
 def test_appendix_recursions_as_polynomial_identities():
+    z = zhd(13)
     for i in range(1, 7):
-        lhs = zhd(SegmentSpec(2 * i))
-        rhs = zhd(SegmentSpec(2 * i - 1)) + times(
-            zhd(SegmentSpec(2 * i - 2)), 1, SeriesRing(2, lhs.order)
-        )
+        lhs = z[2 * i]
+        rhs = z[2 * i - 1] + times(z[2 * i - 2], 1, SeriesRing(2, lhs.order))
         assert lhs == rhs, i
-        lhs = zhd(SegmentSpec(2 * i + 1))
-        rhs = zhd(SegmentSpec(2 * i)) + times(
-            zhd(SegmentSpec(2 * i - 1)), 0, SeriesRing(2, lhs.order)
-        )
+        lhs = z[2 * i + 1]
+        rhs = z[2 * i] + times(z[2 * i - 1], 0, SeriesRing(2, lhs.order))
         assert lhs == rhs, i
 
 
 def test_color_reversal_symmetries():
+    black, white = zhd(12), zhd(12, black_start=False)
     for links in range(0, 13, 2):
-        assert zhd(SegmentSpec(links)) == zhd(SegmentSpec(links, black_start=False))
+        assert black[links] == white[links]
     for links in range(1, 12, 2):
-        assert zhd(SegmentSpec(links)).swap_vars() == zhd(SegmentSpec(links, black_start=False))
+        assert black[links].swap_vars() == white[links]
 
 
 CX_POINTS = [
@@ -143,12 +151,11 @@ def test_closed_forms_at_rational_points():
 
 
 def test_closed_form_invariances_explicit():
-    spec = SegmentSpec(4)
     v = zhd_closed_values(4, rat(2), rat(1, 3))[4]
     assert v == zhd_closed_values(4, rat(2), rat(3))[4]
     assert v == zhd_closed_values(4, rat(-2), rat(-1, 3))[4]
     s1, s2 = dimer_weights_from_cx(rat(2), rat(1, 3))
-    assert zhd(spec).evaluate((s1, s2)) == v
+    assert zhd(4)[4].evaluate((s1, s2)) == v
 
 
 def test_closed_form_rejects_degenerate_parameters():
@@ -164,15 +171,15 @@ def test_uncolored_collapse_matches_plain_dimers():
     s1, s2 = dimer_weights_from_cx(c, x)
     assert s1 == s2
     for links in (4, 6):
-        poly = zhd(SegmentSpec(links))
+        poly = zhd(links)[links]
         total = sum(cc * s1 ** (a + b) for (a, b), cc in poly.coeffs.items())
         assert total == zhd_closed_values(links, c, x)[links]
 
 
 @pytest.mark.parametrize("black_start", [True, False], ids=["black", "white"])
 def test_closed_check_covers_every_link_count(monkeypatch, black_start):
-    # one walk and one closed pass per point: every link count against a
-    # transfer of its own and the per-segment closed form
+    # one walk and one closed pass per point: every link count against the
+    # transfer and the per-segment closed form
     passes = []
     real = dimers.zhd_closed_values
 
@@ -187,55 +194,62 @@ def test_closed_check_covers_every_link_count(monkeypatch, black_start):
         assert len(passes) == 3
         s1, s2 = dimer_weights_from_cx(c, x)
         closed = real(10, c, x, black_start=black_start)
+        walked = transfer(10, s1, s2, Rat(1), black_start=black_start)
+        assert len(walked) == 11
         for links in range(11):
-            spec = SegmentSpec(links, black_start=black_start)
             want = zhd_closed_value(links, c, x, black_start=black_start)
-            assert transfer(spec, s1, s2, Rat(1)) == closed[links] == want, (c, x, links)
+            assert walked[links] == closed[links] == want, (c, x, links)
 
 
-def all_segments(top: int = 10):
-    return [
-        SegmentSpec(links, black_start=black_start)
-        for links in range(top + 1)
-        for black_start in (True, False)
-    ]
+TOP = 10
+STARTS = (True, False)
 
 
 def test_transfer_at_generators_is_zhd():
-    for spec in all_segments():
-        ring = SeriesRing(2, spec.links)
-        got, want = transfer(spec, *ring.gens(), ring.one()), zhd(spec)
-        assert got == want, spec
-        assert (got.order, got.reliable) == (want.order, want.reliable), spec
+    # at the ring of each link count, the walk's last entry is zhd's entry;
+    # one longer walk gives the same coefficients, cut only in metadata
+    for black_start in STARTS:
+        polys = zhd(TOP, black_start=black_start)
+        for links in range(TOP + 1):
+            ring = SeriesRing(2, links)
+            got = transfer(links, *ring.gens(), ring.one(), black_start=black_start)[-1]
+            want = polys[links]
+            assert got == want, (links, black_start)
+            assert (got.order, got.reliable) == (want.order, want.reliable), links
 
 
 def test_transfer_at_rational_points_sums_the_terms():
     for c, x in CX_POINTS:
         s1, s2 = dimer_weights_from_cx(c, x)
-        for spec in all_segments():
-            total = sum(n * s1 ** a * s2 ** b for (a, b), n in zhd(spec).coeffs.items())
-            assert transfer(spec, s1, s2, Rat(1)) == total, (c, x, spec)
+        for black_start in STARTS:
+            walked = transfer(TOP, s1, s2, Rat(1), black_start=black_start)
+            for links, poly in enumerate(zhd(TOP, black_start=black_start)):
+                total = sum(n * s1 ** a * s2 ** b for (a, b), n in poly.coeffs.items())
+                assert walked[links] == total, (c, x, links, black_start)
 
 
 def test_transfer_at_series_weights_is_substitution(quad_moments):
     # reference: the polynomial lifted to the working order, then the series
-    # substituted into it.  Substitution bounds ``reliable``
-    # by both weights; the transfer only by the weights the segment has, so
-    # the two bounds differ on segments of 0 links and of 1 link alone.
+    # substituted into it.  Substitution bounds ``reliable`` by both
+    # weights; the walk bounds entry L only by the weights of links 0..L-1,
+    # though it goes on past them, so the two bounds differ at 0 and 1 link.
     b, w, _, _ = quad_moments
     alpha = alpha_coeffs(QUAD, b, w)
     ratio = alpha[1] * inv_unit(alpha[0])
     for s1, s2 in ((w * ratio, b * ratio), (w, b.truncate(5)), (w, b.with_reliable(6))):
         order = min(s1.order, s2.order)
-        for spec in all_segments():
-            got = transfer(spec, s1, s2, one(2, order))
-            want = substitute(MSeries(2, order, zhd(spec).coeffs), [s1, s2])
-            assert got == want, spec
-            assert got.order == want.order, spec
-            used = [(s1, s2)[k - 1].reliable for k in set(spec.link_weights())]
-            assert got.reliable == min([order] + used), spec
-            if spec.links >= 2:
-                assert got.reliable == want.reliable, spec
+        for black_start in STARTS:
+            walked = transfer(TOP, s1, s2, one(2, order), black_start=black_start)
+            weights = (s1, s2) if black_start else (s2, s1)  # links 0 and 1
+            for links, poly in enumerate(zhd(TOP, black_start=black_start)):
+                got = walked[links]
+                want = substitute(MSeries(2, order, poly.coeffs), [s1, s2])
+                assert got == want, (links, black_start)
+                assert got.order == want.order, (links, black_start)
+                used = [f.reliable for f in weights[: min(links, 2)]]
+                assert got.reliable == min([order] + used), (links, black_start)
+                if links >= 2:
+                    assert got.reliable == want.reliable, (links, black_start)
 
 
 # sha256 of (order, reliable, coefficients) per series, recorded before the
@@ -361,8 +375,8 @@ def column_norms(b, w, brackets, links):
 def segment_at_root(links: int, x, b, w) -> MSeries:
     """x^ceil(L/2) Z_L(W/x, B/x) on the segment of L links that starts black."""
     inv_x = inv_unit(x)
-    spec = SegmentSpec(links)
-    return x ** ((links + 1) // 2) * transfer(spec, w * inv_x, b * inv_x, one(2, x.order))
+    z = transfer(links, w * inv_x, b * inv_x, one(2, x.order))[links]
+    return x ** ((links + 1) // 2) * z
 
 
 @pytest.mark.parametrize("label", ["quad", "hex"])
@@ -401,7 +415,7 @@ def test_column_norms_are_resultants_at_p3():
     norms = column_norms(b, w, brackets, 8)
     for links in range(9):
         half = (links + 1) // 2
-        poly = zhd_brute(SegmentSpec(links))
+        poly = zhd_brute(links)
         phi = sum(n * sw ** i * sb ** j * x ** (half - i - j) for (i, j), n in poly.coeffs.items())
         phi = sp.expand(phi)
         want = sp.resultant(char, phi, x) / sp.LC(char, x) ** sp.degree(phi, x)
@@ -409,8 +423,8 @@ def test_column_norms_are_resultants_at_p3():
 
 
 def test_reconstructions_build_no_segment_polynomial(monkeypatch, quad_moments, hex_moments):
-    def refuse(spec):
-        raise AssertionError(f"segment polynomial built for {spec}")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"segment polynomials built for {args}")
 
     monkeypatch.setattr(dimers, "zhd", refuse)
     b, w, _, _ = quad_moments
@@ -484,20 +498,27 @@ def test_lgv_walks_the_column_once(monkeypatch, quad_moments, hex_moments):
 
 def test_suite_dimers_product_count(series_products, monkeypatch):
     # one column walk per reconstruction, on the brackets; one closed check
-    # of every link count per (point, start color)
+    # of every link count per (point, start color); one segment walk of
+    # every link count per start color
     from bicmaps import suites
 
-    checks = []
-    real = suites.zhd_closed_check
+    calls = {"zhd_closed_check": [], "zhd": []}
 
-    def counting(*args, **kwargs):
-        checks.append(args)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(suites, name)
 
-    monkeypatch.setattr(suites, "zhd_closed_check", counting)
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(suites, name, counting(name))
     suite_dimers(SuiteRun(7, 1))
-    assert series_products[0] <= 427
-    assert len(checks) == 10
+    assert series_products[0] <= 295
+    assert len(calls["zhd_closed_check"]) == 10
+    assert calls["zhd"] == [(12,), (12,)]
 
 
 @pytest.mark.parametrize("i", [-1, -2])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bicmaps.closedform import closed_ladder
 from bicmaps.paths import WeightLadder, l_zero, ladder_pairs
 from bicmaps.rational import rat
-from bicmaps.series import MSeries, SeriesRing, agree, exact_div, variable
+from bicmaps.series import MSeries, SeriesRing, agree, exact_div, first_difference, variable
 from bicmaps.slices import (
     FaceWeights,
     alpha_brackets,
@@ -387,6 +387,31 @@ def test_twopoint_table_reads_distance_i(quad_ladder):
     for i in range(1, 5):
         assert table.g_black(i) is table.black[i - 1]
         assert table.g_white(i) is table.white[i - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([QUAD, HEX, MIXED, OCT]), drawn_face_weights()), st.integers(2, 10))
+@example(FaceWeights((rat(-1, 2), rat(1))), 9)
+@example(FaceWeights((0, rat(1, 3), rat(2))), 7)
+def test_two_point_functions_sum_to_the_pointed_rooted_maps(g, order):
+    # sum_i (G_black_i + G_white_i) = E(t_b F_1 - t_b t_w), with E the
+    # degree operator t_b d/dt_b + t_w d/dt_w: the ends of the root edge lie
+    # at distances i and i - 1 from the marked vertex for exactly one i, and
+    # t_b F_1 - t_b t_w counts the rooted maps, to which E adds a marked
+    # vertex.  G_i has no term below degree i + 1 (a path of i edges has
+    # i + 1 vertices), so a ladder of height order + 1 carries every G_i
+    # that reaches degree order - 1, F_1's bound.
+    ring = SeriesRing(2, order)
+    ladder = ladder_solve(g, ring, order + 1)
+    table = twopoint_from_ladder(ladder, order + 1)
+    total = ring.zero()
+    for f in table.black + table.white:
+        total = total + f
+    tb, tw = ring.gens()
+    rooted = tb * f_sequence(1, g, ladder.tail_black, ladder.tail_white)[1] - tb * tw
+    pointed = MSeries(2, order, {e: c * sum(e) for e, c in rooted.coeffs.items()})
+    assert rooted.reliable >= order - 1
+    assert first_difference(total, pointed, order - 1) is None
 
 
 @pytest.mark.parametrize(

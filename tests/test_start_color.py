@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from bicmaps.dimers import SegmentSpec, transfer
+from bicmaps.dimers import transfer, zhd, zhd_brute
 from bicmaps.paths import (
     BalancedSums,
     RatPathWeights,
@@ -85,11 +85,8 @@ CASES = {
     ),
     # the transfer at the tails, the two link weights exchanged
     "transfer": lambda g, lad: (
-        [
-            transfer(SegmentSpec(links, black_start=False), lad.tail_black, lad.tail_white, 1)
-            for links in range(8)
-        ],
-        [transfer(SegmentSpec(links), lad.tail_white, lad.tail_black, 1) for links in range(8)],
+        transfer(7, lad.tail_black, lad.tail_white, 1, black_start=False),
+        transfer(7, lad.tail_white, lad.tail_black, 1),
     ),
 }
 
@@ -98,7 +95,7 @@ CASES = {
     "fn",
     [
         *(z_plus, z_plus_profile, z_strip, strip_sum, rat_path, word_tally, BalancedSums.path),
-        *(alpha_coeffs, f_sequence, conserved, SegmentSpec),
+        *(alpha_coeffs, f_sequence, conserved, transfer, zhd, zhd_brute),
     ],
     ids=lambda fn: fn.__qualname__,
 )

@@ -66,7 +66,7 @@ def test_run_suite_all_product_count(series_products):
     # every series product of a full verify run, with one recursion solve
     # per family, whose tails every other route reads
     run_suite("all", 7, 1)
-    assert series_products[0] <= 2702
+    assert series_products[0] <= 2570
 
 
 def _counting(monkeypatch, name):
@@ -157,6 +157,20 @@ def _wrong_closed_value(monkeypatch):
     monkeypatch.setattr(dimers, "zhd_closed_values", values)
 
 
+def _wrong_segment_polynomial(monkeypatch):
+    # one more on the constant term of the 5-link polynomial of each walk
+    from bicmaps import suites
+
+    real = suites.zhd
+
+    def zhd(*args, **kwargs):
+        polys = real(*args, **kwargs)
+        polys[5] = polys[5] + 1
+        return polys
+
+    monkeypatch.setattr(suites, "zhd", zhd)
+
+
 @pytest.mark.parametrize(
     "plant, suites, failing",
     [
@@ -182,11 +196,17 @@ def _wrong_closed_value(monkeypatch):
             },
         ),
         (_wrong_closed_value, ("dimers",), {"dimers/closed-forms-at-rational-points"}),
+        (_wrong_segment_polynomial, ("dimers",), {"dimers/transfer-vs-brute"}),
     ],
-    ids=["drop", "even-walk", "odd-walk", "strip", "closed-value"],
+    ids=["drop", "even-walk", "odd-walk", "strip", "closed-value", "segment-polynomial"],
 )
 def test_each_one_walk_check_can_fail(monkeypatch, plant, suites, failing):
-    # one planted fault per restructured check: it fails, and nothing else
+    # one planted fault per restructured check: every check passes without
+    # it, and with it the named ones fail, and nothing else
+    def failed():
+        results = [check for name in suites for check in run_suite(name, 7, 1)]
+        return {check.name for check in results if not check.passed}
+
+    assert failed() == set()
     plant(monkeypatch)
-    results = [check for name in suites for check in run_suite(name, 7, 1)]
-    assert {check.name for check in results if not check.passed} == failing
+    assert failed() == failing
