@@ -41,13 +41,13 @@ DEFAULT_ORDER_ENV = "BICMAPS_ORDER"
 
 
 def _parse_face_weights(text: str) -> tuple:
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        raise argparse.ArgumentTypeError("face weight list is empty")
     try:
-        weights = tuple(rat(part.strip()) for part in text.split(",") if part.strip())
+        return tuple(map(rat, parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad face weight list {text!r}: {exc}")
-    if not weights:
-        raise argparse.ArgumentTypeError("face weight list is empty")
-    return weights
 
 
 def _face_weights(config: argparse.Namespace, parser: argparse.ArgumentParser) -> FaceWeights:

@@ -18,11 +18,11 @@ free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``;
 the two walks of each slice row (``strip_sum``: the excursions above the
 row's height, then the round trips below it, into which each excursion
 joins at the walk's start height), and the exact-rational balanced sums
-(``rat_path``, and ``BalancedSums``, which reads every end and length of
-one walk per start).  Only the brute-force oracle of the balanced sums
-enumerates step words on its own, tallying them without weights
-(``word_tally``) so that one enumeration of a path shape serves every
-sample point.
+(``BalancedSums``, which reads every end and length of one walk per
+start, and ``rat_path``, one read of such a walk).  Only the brute-force
+oracle of the balanced sums enumerates step words on its own, tallying
+them without weights (``word_tally``) so that one enumeration of a path
+shape serves every sample point.
 The ladder solvers of ``slices`` and ``extensions`` state each system once,
 as one row rule per family next to the system's color symmetry, and share
 one solver, ``solve_ladder``, whose one fixed point solves the tails and
@@ -265,7 +265,8 @@ def _walk(start, ends, length, floor, up, down, unit, cut=None, joins=None):
             nxt[start] = nxt[start] + joined if start in nxt else joined
         if cut is not None:
             nxt = {
-                h: val if val is unit else val.drop_above(cut(h)) for h, val in nxt.items()
+                h: val if val is unit else val._cut(cut(h), val.order, val.reliable)
+                for h, val in nxt.items()
             }
         cur = nxt
         yield cur
@@ -448,23 +449,16 @@ def rat_path(
     *,
     black_start: bool = True,
 ):
-    """Total balanced weight over admissible paths, as an exact rational.
+    """Total balanced weight over admissible paths, as an exact rational:
+    one read of a ``BalancedSums(wt, length)`` walk.
 
     Every step is weighted by its lower end: b on white, w on black, with
     the start black unless black_start is False.  Returns 0 when no path
     fits the endpoints and length.
-    Every path has ``length`` weighted steps, so the walk runs on integer
-    numerators over D = lcm of the two denominators and the total is
-    divided by D**length once.
     """
-    if (start - end - length) % 2 or length < abs(start - end):
+    if length < 0:
         return Rat(0)
-    if floor is not None and (start < floor or end < floor):
-        return Rat(0)
-    nb, nw, den = _numerators(wt)
-    for cur in _balanced_walk(start, (end, end), length, floor, nb, nw, black_start):
-        pass
-    return Rat(cur.get(end, 0), den**length)
+    return BalancedSums(wt, length).path(start, end, length, floor, black_start=black_start)
 
 
 def word_tally(
@@ -498,7 +492,7 @@ def word_tally(
 def weigh_tally(tally: tuple[int, ...], wt: RatPathWeights):
     """Balanced weight of the words in a ``word_tally``: w^k b^(length - k) each.
 
-    Summed in integers over one denominator D^length, as ``rat_path`` does.
+    Summed in integers over one denominator D^length, as ``BalancedSums`` does.
     """
     length = len(tally) - 1
     nb, nw, den = _numerators(wt)

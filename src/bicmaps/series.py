@@ -21,7 +21,7 @@ denominators, a product multiplies them) and divide out the gcd of den
 and the numerators once per result, so none of them builds a rational.
 ``coeffs`` reads the coefficients as values, ints where integral and
 Fractions otherwise (never floats); it is the numerator dict itself when
-den is 1 and is built once, on first read, otherwise.
+den is 1, and otherwise a new dict is built on each read.
 
 The product's convolution accumulates in a flat list, not in a dict
 keyed by exponent tuples.  The list covers the cube of side s + 1, where
@@ -227,37 +227,23 @@ class MSeries:
     # -- structural helpers -------------------------------------------------
 
     def with_reliable(self, reliable: int) -> "MSeries":
-        return MSeries._wrap(
-            self.num_vars,
-            self.order,
-            self.nums,
-            self.den,
-            max(0, min(reliable, self.order)),
-            self._top,
-        )
+        return self._cut(self.order, self.order, max(0, min(reliable, self.order)))
 
     def truncate(self, order: int) -> "MSeries":
         if order < 0:
             raise ValueError("order must be non-negative")
         return self._cut(order, order, min(self.reliable, order))
 
-    def drop_above(self, degree: int) -> "MSeries":
-        """The terms of total degree above ``degree`` left out, with
-        ``order`` and ``reliable`` kept: only for a caller that knows
-        those terms cannot reach its result.  Returns self when nothing
-        is dropped."""
-        kept = self._through(degree)
-        if len(kept) == len(self.nums):
-            return self
-        return MSeries._make(self.num_vars, self.order, kept, self.den, self.reliable)
-
     def _cut(self, degree: int, order: int, reliable: int) -> "MSeries":
         """The terms of total degree at most ``degree``, at ``order`` and
-        ``reliable``; the numerator dict is shared when every term is kept."""
+        ``reliable``: self when that changes nothing, and a series sharing
+        the numerator dict when it drops no term."""
         kept = self._through(degree)
-        if kept is self.nums:
-            return MSeries._wrap(self.num_vars, order, kept, self.den, reliable, self._top)
-        return MSeries._make(self.num_vars, order, kept, self.den, reliable)
+        if len(kept) < len(self.nums):
+            return MSeries._make(self.num_vars, order, kept, self.den, reliable)
+        if order == self.order and reliable == self.reliable:
+            return self
+        return MSeries._wrap(self.num_vars, order, self.nums, self.den, reliable, self._top)
 
     def _through(self, degree: int) -> dict[Expo, int]:
         """The numerators of total degree at most ``degree``: ``nums``

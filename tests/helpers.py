@@ -6,6 +6,7 @@ import hashlib
 
 from hypothesis import strategies as st
 
+from bicmaps import paths
 from bicmaps.paths import weigh_tally, word_tally, z_plus
 from bicmaps.rational import Rat, rat
 from bicmaps.series import (
@@ -87,6 +88,22 @@ def rat_path_brute(start, end, length, floor, wt, *, black_start=True):
     arithmetic with rat_path.
     """
     return weigh_tally(word_tally(start, end, length, floor, black_start=black_start), wt)
+
+
+def rat_path_one_end(start, end, length, floor, wt, *, black_start=True):
+    """Oracle for BalancedSums.path: one balanced walk of its own, pruned to
+    the one end, so that every kept height can still reach ``end``.
+
+    The integer numerators after ``length`` steps are divided by D**length
+    once, D the lcm of the two weights' denominators."""
+    if (start - end - length) % 2 or length < abs(start - end):
+        return Rat(0)
+    if floor is not None and (start < floor or end < floor):
+        return Rat(0)
+    nb, nw, den = paths._numerators(wt)
+    for cur in paths._balanced_walk(start, (end, end), length, floor, nb, nw, black_start):
+        pass
+    return Rat(cur.get(end, 0), den**length)
 
 
 def conserved_at(n, d, ladder, g, *, black_start=True):

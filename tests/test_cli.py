@@ -265,6 +265,9 @@ def test_i_max_rejected_where_unused(capsys, command):
         ({}, ["twopoint", "--family", "general", "--g=1/0"], "bad face weight list"),
         ({}, ["twopoint", "--family", "general", "--g=x"], "bad face weight list"),
         ({}, ["twopoint", "--family", "general", "--g=,"], "face weight list is empty"),
+        ({}, ["twopoint", "--family", "general", "--g", "0,,1"], "bad face weight list"),
+        ({}, ["twopoint", "--family", "general", "--g", "0,1,"], "bad face weight list"),
+        ({}, ["twopoint", "--family", "general", "--g=,0,1"], "bad face weight list"),
         ({}, ["twopoint", "--family", "general", "--g", "1,0"], "nonzero last entry"),
         ({}, ["ladder", "--family", "ternary", "--route", "determinant"],
          "route 'determinant' is not defined for ternary"),
@@ -275,8 +278,8 @@ def test_i_max_rejected_where_unused(capsys, command):
     ],
     ids=["order-env-not-int", "g1-one-twopoint", "g1-one-ladder", "g-with-quad",
          "g-with-hex", "g-with-ternary", "g-zero-denominator", "g-not-a-number",
-         "g-empty", "g-zero-last", "ternary-determinant", "i-max-zero", "tricolor-closed",
-         "links-negative"],
+         "g-empty", "g-blank-middle", "g-blank-last", "g-blank-first", "g-zero-last",
+         "ternary-determinant", "i-max-zero", "tricolor-closed", "links-negative"],
 )
 def test_usage_errors_are_clean(capsys, monkeypatch, series_products, env, argv, message):
     for key, value in env.items():

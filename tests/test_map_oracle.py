@@ -25,7 +25,9 @@ distance i from the marked vertex to one at distance i - 1, as a
 polynomial in t_black and t_white counting the vertices of each color
 (``twopoint_from_ladder``); G_white_i does the same for white.  The white
 counts come from the maps directly, not from the color swap the ladder
-solvers use.
+solvers use.  The same pass counts the rooted maps with no marked vertex,
+which t_b F_1 - t_b t_w must equal on the maps whose root dart leaves a
+black vertex.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import pytest
 
 from bicmaps.rational import rat
 from bicmaps.series import SeriesRing
-from bicmaps.slices import FaceWeights, ladder_solve, twopoint_from_ladder
+from bicmaps.slices import FaceWeights, f_sequence, ladder_solve, twopoint_from_ladder
 
 
 def rooted_maps(degrees, room: int):
@@ -110,16 +112,20 @@ def distances(adjacent, start):
     return dist
 
 
-def twopoint_census(g: FaceWeights, order: int) -> dict:
-    """G_{color}_i (color 0 black, 1 white) through ``order`` vertices.
+def twopoint_census(g: FaceWeights, order: int) -> tuple[dict, dict]:
+    """G_{color}_i (color 0 black, 1 white) and the rooted maps with no
+    marked vertex, through ``order`` vertices, from one pass over the maps.
 
     ``table[color, i]`` maps (black vertices, white vertices) to the summed
-    weight of the maps whose root dart has that color at distance i.
+    weight of the maps whose root dart has that color at distance i;
+    ``rooted`` maps them to the summed weight of the maps whose root dart
+    leaves a black vertex.
     """
     if g.weight(1):
         raise ValueError("bigons add no vertex, so no order bounds their number")
     weight = {2 * k: Fraction(g.weight(k)) for k in range(2, g.p + 2) if g.weight(k)}
     table = defaultdict(lambda: defaultdict(Fraction))
+    rooted = defaultdict(Fraction)
     for nxt, alpha, faces in rooted_maps(sorted(weight), order - 2):
         vertex = vertices(nxt, alpha)
         count = max(vertex) + 1
@@ -129,6 +135,8 @@ def twopoint_census(g: FaceWeights, order: int) -> dict:
         parity = distances(adjacent, 0)
         tail, head = vertex[0], vertex[nxt[0]]
         value = prod(weight[deg] for deg in faces)
+        black = sum(parity[v] % 2 == parity[tail] % 2 for v in range(count))
+        rooted[black, count - black] += value
         for marked in range(count):
             dist = distances(adjacent, marked)
             if dist[head] != dist[tail] - 1:
@@ -136,7 +144,7 @@ def twopoint_census(g: FaceWeights, order: int) -> dict:
             for flip in (0, 1):  # both colorings, 0 the color of vertex 0
                 black = sum((parity[v] + flip) % 2 == 0 for v in range(count))
                 table[(parity[tail] + flip) % 2, dist[tail]][black, count - black] += value
-    return table
+    return table, rooted
 
 
 def test_peeling_meets_tutte_census():
@@ -159,24 +167,35 @@ def test_peeling_meets_tutte_census():
     assert found == tutte
 
 
-# face weights, order, and how many nonzero coefficients the census finds
+# face weights, order, and how many nonzero coefficients the census finds in
+# the two-point table and in the rooted maps through F_1's reliable bound
 CASES = {
-    "quad": (FaceWeights.quadrangulations(), 7, 110),
-    "hex": (FaceWeights.hexangulations(), 8, 98),
-    "0,1/3,2": (FaceWeights((rat(0), rat(1, 3), rat(2))), 6, 68),
-    "oct": (FaceWeights((rat(0), rat(0), rat(0), rat(1))), 8, 76),
+    "quad": (FaceWeights.quadrangulations(), 7, 110, 14),
+    "hex": (FaceWeights.hexangulations(), 8, 98, 8),
+    "0,1/3,2": (FaceWeights((rat(0), rat(1, 3), rat(2))), 6, 68, 9),
+    "oct": (FaceWeights((rat(0), rat(0), rat(0), rat(1))), 8, 76, 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_two_point_functions_count_small_maps(name):
-    g, order, nonzero = CASES[name]
-    census = twopoint_census(g, order)
+    g, order, nonzero, rooted_nonzero = CASES[name]
+    census, rooted = twopoint_census(g, order)
     assert sum(1 for terms in census.values() for c in terms.values() if c) == nonzero
-    ladder = ladder_solve(g, SeriesRing(2, order), height=order + 1)
+    ring = SeriesRing(2, order)
+    ladder = ladder_solve(g, ring, height=order + 1)
     table = twopoint_from_ladder(ladder, order)
     for i in range(1, order + 1):
         for color, series in enumerate((table.g_black(i), table.g_white(i))):
             assert series.reliable == order
             counted = {e: c for e, c in census[color, i].items() if c}
             assert dict(series.terms()) == counted, (name, color, i)
+    # t_b F_1 - t_b t_w counts the rooted maps whose root dart leaves a black
+    # vertex: the moment route's input against the maps, not the slices
+    tb, tw = ring.gens()
+    f1 = f_sequence(1, g, ladder.tail_black, ladder.tail_white)[1]
+    assert f1.reliable == order - 1
+    moment = {e: c for e, c in (tb * f1 - tb * tw).terms() if sum(e) <= f1.reliable}
+    counted = {e: c for e, c in rooted.items() if c and sum(e) <= f1.reliable}
+    assert len(counted) == rooted_nonzero
+    assert moment == counted, name

@@ -799,6 +799,31 @@ def test_adding_zero_shares_the_numerators(num_vars):
     assert fields(nothing - f) == fields(-f)
 
 
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cut_returns_self_or_shares_the_numerators(num_vars, data):
+    # truncate, with_reliable, _graded and the path walks' degree cut all go
+    # through _cut: each gives the model's terms, order and reliable, in the
+    # canonical (nums, den) of a series built from them; a cut that drops no
+    # term shares f's numerator dict, and one that changes nothing is f
+    f, a = data.draw(sized_series(num_vars))
+    degree, order = data.draw(st.integers(-1, 6)), data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(-1, 7))
+    for got, want, o, rel in (
+        (f.truncate(order), model_cut(a, order), order, min(f.reliable, order)),
+        (f.with_reliable(r), a, f.order, max(0, min(r, f.order))),
+        (series_module._graded(f, order), model_cut(a, order), order, order),
+        (f._cut(degree, f.order, f.reliable), model_cut(a, degree), f.order, f.reliable),
+    ):
+        assert_models(got, want, o, rel)
+        assert fields(got) == fields(MSeries(num_vars, o, want, rel))
+        assert recorded_top_holds(got)
+        if len(want) == len(a):
+            assert got.nums is f.nums
+            assert (got is f) == ((o, rel) == (f.order, f.reliable))
+
+
 def placed_exponent(e, perm):
     """The exponent with its entry j moved to place perm[j]."""
     out = [0] * len(e)
