@@ -12,9 +12,9 @@ conventions coexist:
 * exact-rational "balanced" sums weight both ascending and descending
   steps by the color of the step's lower end (b on white, w on black).
 
-Both run on one dynamic program over heights, ``_walk``: the floored and
-free series sums (``z_plus``, ``z_plus_profile``, ``z_strip``, ``l_zero``;
-``hankel.cf_expand`` is ``z_plus_profile`` from height 0),
+Both run on one dynamic program over heights, ``_walk``: the series sums
+(``z_plus`` reads one length, and the oracles ``z_strip`` and ``l_zero`` are
+calls of it; ``z_plus_profile`` reads every length, ``hankel.cf_expand`` from 0),
 the two walks of each slice row (``strip_sum``: the excursions above the
 row's height, then the round trips below it, into which each excursion
 joins at the walk's start height), and the exact-rational balanced sums
@@ -280,26 +280,6 @@ def _series_walk(start, ends, length, floor, black_parity, ladder, cut=None, joi
     return _walk(start, ends, length, floor, None, down, unit, cut, joins)
 
 
-def _series_path_sum(
-    start: int,
-    end: int,
-    length: int,
-    floor: int | None,
-    black_parity: int,
-    ladder: WeightLadder,
-) -> MSeries:
-    """Sum over +-1 paths, descending steps weighted by their upper height."""
-    if floor is not None and (start < floor or end < floor):
-        raise ValueError("endpoints must not lie below the floor")
-    if (start - end - length) % 2 or length < abs(start - end):
-        raise ValueError(
-            f"no path of length {length} from height {start} to {end}"
-        )
-    for cur in _series_walk(start, (end, end), length, floor, black_parity, ladder):
-        pass
-    return cur.get(end, zero(ladder.tail_black.num_vars, ladder.tail_black.order))
-
-
 def _parity(start: int, black_start: bool) -> int:
     """Parity of the black heights of a path whose start is black or not."""
     return start % 2 if black_start else (start + 1) % 2
@@ -314,15 +294,22 @@ def z_plus(
     *,
     black_start: bool = True,
 ) -> MSeries:
-    """Paths from height d to d2 staying at or above the floor.
+    """Paths from height d to d2 of one length staying at or above the floor.
 
     The floor defaults to min(d, d2).  Heights with the parity of d carry
     the start color (black unless black_start is False); descending steps
-    are weighted by the ladder at their upper height.
+    are weighted by the ladder at their upper height.  The one reader of a
+    single length: ``z_strip`` and ``l_zero`` are calls of it.
     """
     if floor is None:
         floor = min(d, d2)
-    return _series_path_sum(d, d2, length, floor, _parity(d, black_start), ladder)
+    if d < floor or d2 < floor:
+        raise ValueError("endpoints must not lie below the floor")
+    if (d - d2 - length) % 2 or length < abs(d - d2):
+        raise ValueError(f"no path of length {length} from height {d} to {d2}")
+    for cur in _series_walk(d, (d2, d2), length, floor, _parity(d, black_start), ladder):
+        pass
+    return cur.get(d2, zero(ladder.tail_black.num_vars, ladder.tail_black.order))
 
 
 def z_plus_profile(
@@ -339,23 +326,23 @@ def z_plus_profile(
     zero.  One forward pass serves all lengths, which matters when building
     long moment sequences.
 
-    When every nonzero weight of the ladder, entries and tails, has
-    valuation v >= 1, a path at height h > d still takes at least h - d
-    descents back to d, so a value there reaches the result only
-    v * (h - d) degrees up: the walk keeps it through degree
-    order - v * (h - d) only, and the result is unchanged.
+    Let v be the least valuation of a nonzero weight of the ladder, entries
+    and tails.  A path at height h > d still takes at least h - d descents
+    back to d, so a value there reaches the result only v * (h - d) degrees
+    up: the walk keeps it through degree order - v * (h - d) only (all of it
+    when v = 0), and the result is unchanged.
     """
     if floor is None:
         floor = d
+    if d < floor:
+        raise ValueError("endpoints must not lie below the floor")
     order = ladder.tail_black.order
     nothing = zero(ladder.tail_black.num_vars, order)
-    cut = None
     weights = (*ladder.black, *ladder.white, ladder.tail_black, ladder.tail_white)
     v = min((t.valuation() for t in weights if t), default=order + 1)
-    if v >= 1:
 
-        def cut(h):
-            return order - v * max(0, h - d)
+    def cut(h):
+        return order - v * max(0, h - d)
 
     walk = _series_walk(d, (d, d), max_length, floor, _parity(d, black_start), ladder, cut)
     return [cur.get(d, nothing) for cur in walk]
@@ -365,15 +352,15 @@ def z_strip(i: int, length: int, ladder: WeightLadder, *, black_start: bool = Tr
     """Paths from height i >= 1 down to i-1, floored at zero (slice recursions).
 
     The start i is black unless black_start is False; length must be odd.
-    The slice rows call ``strip_sum``; this stays as its oracle, and because
-    ``perfbench/spans.py`` binds it in ``LAYERS``, whose ``Tracer.install``
-    raises KeyError without it.
+    It is one ``z_plus`` call.  The slice rows call ``strip_sum``; this
+    stays as its oracle, and because ``perfbench/spans.py`` binds it in
+    ``LAYERS``, whose ``Tracer.install`` raises KeyError without it.
     """
     if i < 1:
         raise ValueError("strip start height must be at least 1")
     if length % 2 == 0:
         raise ValueError("strip paths have odd length")
-    return _series_path_sum(i, i - 1, length, 0, _parity(i, black_start), ladder)
+    return z_plus(i, i - 1, length, ladder, 0, black_start=black_start)
 
 
 def strip_sum(i: int, weights, ladder: WeightLadder, *, black_start: bool = True) -> MSeries:
@@ -405,8 +392,9 @@ def strip_sum(i: int, weights, ladder: WeightLadder, *, black_start: bool = True
 def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
     """Closed unconstrained round trips with height-independent weights.
 
-    Walked from height length // 2, which is black, so that every descent
-    reads an index >= 1 of the ladder of the tails.  ``slices.alpha_brackets``
+    One ``z_plus`` call from height length // 2, which is black, so that
+    every descent reads an index >= 1 of the ladder of the tails; floor 0
+    bars no round trip of that length.  ``slices.alpha_brackets``
     takes these sums from one ``z_plus_profile`` walk; this stays as its
     oracle, and because ``perfbench/spans.py`` binds it in ``LAYERS``, whose
     ``Tracer.install`` raises KeyError without it.
@@ -414,7 +402,7 @@ def l_zero(length: int, b: MSeries, w: MSeries) -> MSeries:
     if length % 2 or length < 0:
         raise ValueError("need an even non-negative length")
     start = length // 2
-    return _series_path_sum(start, start, length, None, start % 2, WeightLadder((), (), b, w))
+    return z_plus(start, start, length, WeightLadder((), (), b, w), 0)
 
 
 # -- exact-rational balanced paths -------------------------------------------

@@ -2,9 +2,10 @@
 
 Each suite re-derives a family of identities at a caller-chosen truncation
 order and seed, comparing independent computational routes coefficient by
-coefficient.  Results are plain records; the first differing coefficient is
-reported on failure.  Random rational sample points are small integers over
-small primes drawn from the seeded generator, so reports are reproducible.
+coefficient.  Results are plain records; the first differing coefficient and
+the index of its pair are reported on failure.  Random rational sample points
+are small integers over small primes drawn from the seeded generator, so
+reports are reproducible.
 
 Every suite records its checks on one ``SuiteRun`` and returns None.  The
 run holds the order, the seed, the ring, the checks, and the recursion
@@ -51,7 +52,6 @@ from .rational import Rat, rat
 from .series import (
     MSeries,
     SeriesRing,
-    agree,
     common_reliable,
     exact_div,
     first_difference,
@@ -115,23 +115,24 @@ class SuiteRun:
     def ok(self, name: str, condition: bool, detail: str = ""):
         self.results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
-    def pairs_agree(self, name: str, pairs: list, detail: str = ""):
+    def pairs_agree(self, name: str, pairs: list):
         """Each pair of series agrees through its common reliable degree.
 
         A passing check whose pairs are all reliable to degree 0 only
         compared constant terms; its detail says it was skipped.  A failing
-        check reports ``detail``, or else the first differing coefficient
-        of the first pair that disagrees.
+        check reports the first differing coefficient of the first pair that
+        disagrees, and that pair's index k in ``pairs``.
         """
-        diffs = [d for d in (first_difference(f, g) for f, g in pairs) if d is not None]
-        if not diffs and all(common_reliable(f, g) == 0 for f, g in pairs):
+        for k, (f, g) in enumerate(pairs):
+            if (diff := first_difference(f, g)) is not None:
+                e, cf, cg = diff
+                detail = f"first differing coefficient at {e}: {cf} != {cg} (pair {k})"
+                self.ok(name, False, detail)
+                return
+        detail = ""
+        if all(common_reliable(f, g) == 0 for f, g in pairs):
             detail = f"skipped: no compared pair is reliable above degree 0 at order {self.order}"
-            self.results.append(CheckResult(name, True, detail))
-            return
-        if diffs and not detail:
-            e, cf, cg = diffs[0]
-            detail = f"first differing coefficient at {e}: {cf} != {cg}"
-        self.ok(name, not diffs, detail)
+        self.results.append(CheckResult(name, True, detail))
 
     def ladder(self, g: FaceWeights) -> WeightLadder:
         """The recursion ladder of ``g``, solved on first use in this run."""
@@ -350,12 +351,7 @@ def suite_dimers(run: SuiteRun) -> None:
         pairs = []  # pairs 2i and 2i + 1 are the determinants of index i
         for i in range(top + 1):
             pairs += [(walked.h0[i], dets.h0[i]), (walked.h1[i], dets.h1[i])]
-        bad = [k // 2 for k, (got, want) in enumerate(pairs) if not agree(got, want)]
-        run.pairs_agree(
-            f"dimers/{label}/segment-vs-determinant",
-            pairs,
-            f"index {bad[0]} disagrees" if bad else "",
-        )
+        run.pairs_agree(f"dimers/{label}/segment-vs-determinant", pairs)
 
 
 def suite_extensions(run: SuiteRun) -> None:

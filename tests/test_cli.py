@@ -449,13 +449,13 @@ def test_pairs_reliable_to_degree_zero_still_compare_constant_terms():
     run.pairs_agree("equal", [(const(1, 0), const(1, 0))])
     run.pairs_agree("constants-differ", [(const(1, 0), const(2, 0))])
     run.pairs_agree("reliable", [(const(1, 1), const(1, 1))])
-    run.pairs_agree("told-why", [(const(1, 0), const(2, 0))], "index 0 disagrees")
-    run.pairs_agree("passed-why", [(const(1, 1), const(1, 1))], "index 0 disagrees")
+    run.pairs_agree("second-differs", [(const(1, 1), const(1, 1)), (const(1, 0), const(2, 0))])
     got = [(c.name, c.passed, c.detail.split(":")[0]) for c in run.results]
     assert got == [
         ("equal", True, "skipped"),
         ("constants-differ", False, "first differing coefficient at (0, 0)"),
         ("reliable", True, ""),
-        ("told-why", False, "index 0 disagrees"),
-        ("passed-why", True, ""),
+        ("second-differs", False, "first differing coefficient at (0, 0)"),
     ]
+    assert run.results[1].detail.endswith("(pair 0)")
+    assert run.results[3].detail.endswith("(pair 1)")

@@ -96,6 +96,8 @@ def test_z_plus_rejects_bad_geometry():
         z_plus(0, 4, 2, CONST)  # too short
     with pytest.raises(ValueError):
         z_plus(0, 0, 2, CONST, floor=1)
+    with pytest.raises(ValueError, match="below the floor"):
+        z_plus_profile(0, 4, CONST, floor=1)  # the empty path at 0 lies below 1
 
 
 def test_weight_ladder_rejects_unequal_entry_lists():

@@ -171,6 +171,24 @@ def _wrong_segment_polynomial(monkeypatch):
     monkeypatch.setattr(suites, "zhd", zhd)
 
 
+def _wrong_segment_determinant(monkeypatch):
+    # one more at degree 5 of the quad walk's h1[1] (pair 3 of its check),
+    # whose valuation is 4 and which both sides vouch for through degree 6
+    from bicmaps import suites
+
+    real = suites.lgv
+
+    def lgv(top, g, *args):
+        walked = real(top, g, *args)
+        if g.p != 1:
+            return walked
+        h1 = walked.h1[1]
+        fault = variable(2, h1.order, 0) ** 3 * variable(2, h1.order, 1) ** 2
+        return walked._replace(h1=(walked.h1[0], h1 + fault, *walked.h1[2:]))
+
+    monkeypatch.setattr(suites, "lgv", lgv)
+
+
 @pytest.mark.parametrize(
     "plant, suites, failing",
     [
@@ -197,12 +215,27 @@ def _wrong_segment_polynomial(monkeypatch):
         ),
         (_wrong_closed_value, ("dimers",), {"dimers/closed-forms-at-rational-points"}),
         (_wrong_segment_polynomial, ("dimers",), {"dimers/transfer-vs-brute"}),
+        (_wrong_segment_determinant, ("dimers",), {"dimers/quad/segment-vs-determinant"}),
     ],
-    ids=["drop", "even-walk", "odd-walk", "strip", "closed-value", "segment-polynomial"],
+    ids=[
+        "drop",
+        "even-walk",
+        "odd-walk",
+        "strip",
+        "closed-value",
+        "segment-polynomial",
+        "segment-vs-determinant",
+    ],
 )
 def test_each_one_walk_check_can_fail(monkeypatch, plant, suites, failing):
-    # one planted fault per restructured check: every check passes without
-    # it, and with it the named ones fail, and nothing else
+    # one planted fault per restructured check
+    _assert_plant_fails(monkeypatch, plant, suites, failing)
+
+
+def _assert_plant_fails(monkeypatch, plant, suites, failing):
+    """Every check of the suites passes without the fault, and with it the
+    named ones fail, and nothing else."""
+
     def failed():
         results = [check for name in suites for check in run_suite(name, 7, 1)]
         return {check.name for check in results if not check.passed}
@@ -210,3 +243,91 @@ def test_each_one_walk_check_can_fail(monkeypatch, plant, suites, failing):
     assert failed() == set()
     plant(monkeypatch)
     assert failed() == failing
+
+
+def _t_black_power(value, degree):
+    return value + variable(value.num_vars, value.order, 0) ** degree
+
+
+def _column_fault(degree):
+    # component 0 of every state the determinants read (phi_0 is the unit)
+    def plant(monkeypatch):
+        real = dimers._column
+
+        def column(*args):
+            phi = real(*args)
+            return phi[:1] + [
+                dimers._Residue([_t_black_power(r.parts[0], degree), *r.parts[1:]], r.low)
+                for r in phi[1:]
+            ]
+
+        monkeypatch.setattr(dimers, "_column", column)
+
+    return plant
+
+
+def _hex_params_fault(degree):
+    # the parameters' B, which only the closed entries read
+    def plant(monkeypatch):
+        from bicmaps import suites
+
+        real = suites.hex_params
+
+        def hex_params(*args):
+            params = real(*args)
+            return params._replace(B=_t_black_power(params.B, degree))
+
+        monkeypatch.setattr(suites, "hex_params", hex_params)
+
+    return plant
+
+
+def _binary_tail_fault(degree):
+    # the black tail R, which only the closed entries read
+    def plant(monkeypatch):
+        from bicmaps import suites
+
+        real = suites.binary_solve
+
+        def binary_solve(*args):
+            lad = real(*args)
+            tail = _t_black_power(lad.tail_black, degree)
+            return paths.WeightLadder(lad.black, lad.white, tail, lad.tail_white)
+
+        monkeypatch.setattr(suites, "binary_solve", binary_solve)
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "plant, suites, failing",
+    [
+        (
+            _column_fault(6),
+            ("dimers",),
+            {"dimers/quad/segment-vs-determinant", "dimers/hex/segment-vs-determinant"},
+        ),
+        (
+            _hex_params_fault(5),
+            ("closedform",),
+            {"closedform/hex/closed-vs-recursion", "closedform/hex/uncolored-collapse"},
+        ),
+        (_binary_tail_fault(6), ("extensions",), {"extensions/binary/closed-vs-perturbative"}),
+    ],
+    ids=["column", "hex-params", "binary-solve"],
+)
+def test_a_fault_at_the_highest_compared_degree_fails(monkeypatch, plant, suites, failing):
+    # At order 7 each of these outputs is reliable to 7, but the checks that
+    # read it compare through a lower degree: 6 for the dimer determinants
+    # (order - 1, the unit B/t_black in both), 5 for the closed hex entries
+    # and 5 or 6 for the closed binary ones (the exact divisions of
+    # ``characteristic``).  A fault at the highest compared degree must fail.
+    _assert_plant_fails(monkeypatch, plant, suites, failing)
+
+
+def test_segment_vs_determinant_names_the_failing_pair(monkeypatch):
+    # pairs 2i and 2i + 1 are the determinants of index i, so h1[1] is pair 3
+    _wrong_segment_determinant(monkeypatch)
+    (check,) = [c for c in run_suite("dimers", 7, 1) if not c.passed]
+    assert check.name == "dimers/quad/segment-vs-determinant"
+    assert check.detail.endswith("(pair 3)")
