@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from math import gcd
 
@@ -38,6 +39,22 @@ LADDER_FAMILIES = MAP_FAMILIES + ("ternary", "binary", "tricolor")
 ROUTES = ("recursion", "closed", "determinant")
 ENTRY_NAMES = {"ternary": ("P", "Q"), "binary": ("R", "S")}
 DEFAULT_ORDER_ENV = "BICMAPS_ORDER"
+WEIGHT_DIGITS = 4300  # Python's default limit on int <-> str conversion
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+
+
+def _parse_weight(text: str):
+    """One face weight, whose numerator and denominator have at most
+    WEIGHT_DIGITS digits.  An exponent beyond 3 * WEIGHT_DIGITS is refused
+    before the value is built: with at most WEIGHT_DIGITS digits on each
+    side of the point, the entry is then zero or breaks that bound."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > 3 * WEIGHT_DIGITS:
+        raise ValueError(f"{text!r} has an exponent beyond ±{3 * WEIGHT_DIGITS}")
+    value = rat(text)
+    if max(abs(value.numerator), value.denominator) >= 10**WEIGHT_DIGITS:
+        raise ValueError(f"{text!r} needs more than {WEIGHT_DIGITS} digits")
+    return value
 
 
 def _parse_face_weights(text: str) -> tuple:
@@ -45,7 +62,7 @@ def _parse_face_weights(text: str) -> tuple:
     if not any(parts):
         raise argparse.ArgumentTypeError("face weight list is empty")
     try:
-        return tuple(map(rat, parts))
+        return tuple(map(_parse_weight, parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad face weight list {text!r}: {exc}")
 
@@ -339,7 +356,16 @@ def main(argv=None) -> int:
             config.order = int(text)
         except ValueError:
             parser.error(f"${DEFAULT_ORDER_ENV} must be an integer, not {text!r}")
-    code, text = run(config, parser)
+    # parsing keeps Python's limit on int <-> str conversion (0, no limit,
+    # before 3.10.7); the document writes every integer it computes in full
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        code, text = run(config, parser)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if config.output:
         try:
             with open(config.output, "w", encoding="utf-8") as fh:

@@ -36,12 +36,11 @@ Storage stays tuple-keyed: the dict is built once from the nonzero cells.
 ``inv_unit`` runs the degree recurrence of the inverse once over that flat
 accumulator, in ints: with this schoolbook product a Newton inversion
 costs about two full products and the recurrence about one (Newton wins
-only over fast products; Brent & Kung, J. ACM 1978).  ``sqrt_unit`` and
-``solve_quadratic_branch`` share one Newton schedule that doubles the
-working precision: step j runs in the ring cut to degree
-min(2^j, order+1) - 1 and only the last step works at full order.  All
-values are immutable after construction and safe to share: results that
-keep every term of an operand share its numerator dict.
+only over fast products; Brent & Kung, J. ACM 1978).  The one Newton
+iteration, which doubles the working precision, is that of
+``solve_quadratic_branch``, and ``sqrt_unit`` is a root that it finds.
+All values are immutable after construction and safe to share: results
+that keep every term of an operand share its numerator dict.
 """
 
 from __future__ import annotations
@@ -499,15 +498,9 @@ class SeriesRing(NamedTuple):
         return tuple(variable(self.num_vars, self.order, j) for j in range(self.num_vars))
 
 
-class Valuation(NamedTuple):
-    """Decomposition f = monomial * unit_part with an invertible unit part."""
-
-    monomial: Expo
-    unit_part: MSeries
-
-
-def valuation_split(f: MSeries) -> Valuation:
-    """Split f as monomial times unit, or raise if no such form exists."""
+def valuation_split(f: MSeries) -> tuple[Expo, MSeries]:
+    """Split f as the pair (monomial, unit) with f = x^monomial * unit and
+    unit invertible, or raise NotAUnitError if no such form exists."""
     if f.is_zero():
         raise NotAUnitError("zero series has no monomial-times-unit form")
     support = list(f.nums)
@@ -517,29 +510,10 @@ def valuation_split(f: MSeries) -> Valuation:
             "series is not a monomial times a unit (minimal support is not a single monomial)"
         )
     shifted = {tuple(x - y for x, y in zip(e, m)): n for e, n in f.nums.items()}
-    return Valuation(m, MSeries._wrap(f.num_vars, f.order, shifted, f.den, f.reliable))
+    return m, MSeries._wrap(f.num_vars, f.order, shifted, f.den, f.reliable)
 
 
 # -- the four nontrivial ring operations -------------------------------------
-
-
-def _newton(f, seed, step) -> MSeries:
-    """Newton iteration for a function of f, from a constant seed.
-
-    ``f`` is a series or a tuple of series, and the work runs to the lowest
-    order among them.  ``step(f, g)`` must double the number of exact
-    degrees of g, so ceil(log2(order+1)) steps suffice.  Step j runs on f
-    and g cut (or extended) to degree min(2^j, order+1) - 1, the most that
-    can be exact after it; the last step works at full order.
-    """
-    series = (f,) if isinstance(f, MSeries) else f
-    order = min(s.order for s in series)
-    g = constant(series[0].num_vars, 0, seed)
-    exact = 1
-    while exact <= order:
-        exact = min(2 * exact, order + 1)
-        g = step(_graded(f, exact - 1), _graded(g, exact - 1))
-    return g
 
 
 def inv_unit(f: MSeries) -> MSeries:
@@ -617,7 +591,8 @@ def exact_div(f: MSeries, g: MSeries) -> MSeries:
 
 
 def sqrt_unit(f: MSeries) -> MSeries:
-    """Square root with positive constant term.
+    """Square root with positive constant term: c + mu, for c the positive
+    root of f(0) and mu the root with mu(0) = 0 of mu^2 + 2c*mu + c^2 - f.
 
     The constant term must be the square of a rational; otherwise the square
     root is not a series over the rationals and NotASquareError is raised.
@@ -629,11 +604,9 @@ def sqrt_unit(f: MSeries) -> MSeries:
     rn, rd = isqrt(int(num)), isqrt(int(den))
     if rn * rn != num or rd * rd != den:
         raise NotASquareError(f"constant term {c0} is not a rational square")
-    # Newton on the inverse square root avoids repeated series inversions:
-    # v <- v*(3 - f*v^2)/2 doubles the exact layers, then sqrt(f) = f*v.
-    half = Rat(1, 2)
-    v = _newton(f, rat(rd, rn), lambda f, v: v * (3 - f * v * v) * half)
-    return (f * v).with_reliable(f.reliable)
+    c = rat(rn, rd)
+    a1 = constant(f.num_vars, f.order, 2 * c)
+    return c + solve_quadratic_branch(one(f.num_vars, f.order), a1, c * c - f)
 
 
 def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
@@ -641,7 +614,10 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
 
     Requires a1 to be a unit and a0 to have zero constant term.  Newton's
     mu <- mu - P(mu)/P'(mu) from mu = 0 doubles the exact degrees each
-    step, since P'(mu) = 2*a2*mu + a1 is a unit along the way.
+    step, since P'(mu) = 2*a2*mu + a1 is a unit along the way.  With order
+    the lowest order of the coefficients, step j runs on them and mu cut
+    (or extended) to degree min(2^j, order+1) - 1, the most that can be
+    exact after it; only the last step works at full order.
     """
     a2._check_compatible(a1)
     a1._check_compatible(a0)
@@ -649,15 +625,16 @@ def solve_quadratic_branch(a2: MSeries, a1: MSeries, a0: MSeries) -> MSeries:
         raise NotAUnitError("linear coefficient must be a unit")
     if a0.constant_term():
         raise NoSeriesRootError("constant coefficient must have zero constant term")
-
-    def step(coeffs, mu):
-        a2, a1, a0 = coeffs
-        a2mu = a2 * mu
-        slope = a2mu + a1  # P(mu) = slope*mu + a0 and P'(mu) = slope + a2*mu
-        return mu - (slope * mu + a0) * inv_unit(slope + a2mu)
-
-    root = _newton((a2, a1, a0), 0, step)
-    return root.with_reliable(min(a2.reliable, a1.reliable, a0.reliable))
+    order = min(a2.order, a1.order, a0.order)
+    mu = zero(a2.num_vars, 0)
+    exact = 1
+    while exact <= order:
+        exact = min(2 * exact, order + 1)
+        b2, b1, b0, mu = _graded((a2, a1, a0, mu), exact - 1)
+        b2mu = b2 * mu
+        slope = b2mu + b1  # P(mu) = slope*mu + b0 and P'(mu) = slope + b2*mu
+        mu = mu - (slope * mu + b0) * inv_unit(slope + b2mu)
+    return mu.with_reliable(min(a2.reliable, a1.reliable, a0.reliable))
 
 
 # -- the fixed-point engine ----------------------------------------------------

@@ -275,11 +275,16 @@ def test_i_max_rejected_where_unused(capsys, command):
         ({}, ["ladder", "--family", "tricolor", "--route", "closed"],
          "family tricolor supports --route recursion"),
         ({}, ["dimers", "--links", "-1"], "--links must be non-negative"),
+        ({}, ["twopoint", "--family", "general", "--g=1e100000,1"],
+         "'1e100000' has an exponent beyond"),
+        ({}, ["twopoint", "--family", "general", "--g=1e5000,1"],
+         "'1e5000' needs more than 4300 digits"),
     ],
     ids=["order-env-not-int", "g1-one-twopoint", "g1-one-ladder", "g-with-quad",
          "g-with-hex", "g-with-ternary", "g-zero-denominator", "g-not-a-number",
          "g-empty", "g-blank-middle", "g-blank-last", "g-blank-first", "g-zero-last",
-         "ternary-determinant", "i-max-zero", "tricolor-closed", "links-negative"],
+         "ternary-determinant", "i-max-zero", "tricolor-closed", "links-negative",
+         "g-too-many-digits", "g-over-the-digit-bound"],
 )
 def test_usage_errors_are_clean(capsys, monkeypatch, series_products, env, argv, message):
     for key, value in env.items():
@@ -290,6 +295,20 @@ def test_usage_errors_are_clean(capsys, monkeypatch, series_products, env, argv,
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert series_products[0] == 0  # refused before any solve
+
+
+def test_document_writes_integers_of_any_length(capsys):
+    # g_1 = 10^1500 gives denominators beyond Python's 4300-digit limit on
+    # int -> str conversion, which parsing keeps and the writer lifts
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(
+        capsys, "twopoint", "--family", "general", "--g=1e1500,1", "--order", "3", "--i-max", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["face_weights"] == ["1" + "0" * 1500, "1"]
+    assert max(len(t["denominator"]) for r in doc["records"] for t in r["terms"]) > 4300
+    assert sys.get_int_max_str_digits() == limit  # restored after the run
 
 
 @pytest.mark.parametrize("g", ["0,2", "0,1/2", "0,0,3"])

@@ -330,20 +330,15 @@ def test_lgv_quad_index_zero(quad_moments):
     assert agree(fam.h1[0], hankel_det(fb, 1, 0))
 
 
-def test_lgv_quad_matches_determinants(quad_moments):
-    b, w, _, fb = quad_moments
-    fam = lgv_quad(3, QUAD, b, w)
-    for i in range(4):
-        h0, h1 = fam.h0[i], fam.h1[i]
-        d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
-        assert agree(h0, d0), (i, first_difference(h0, d0))
-        assert agree(h1, d1), (i, first_difference(h1, d1))
-
-
-def test_lgv_hex_matches_determinants(hex_moments):
-    b, w, _, fb = hex_moments
-    fam = lgv_hex(2, HEX, b, w)
-    for i in range(3):
+@pytest.mark.parametrize(
+    "moments, build, weights, top",
+    [("quad_moments", lgv_quad, QUAD, 3), ("hex_moments", lgv_hex, HEX, 2)],
+    ids=["quad", "hex"],
+)
+def test_lgv_matches_determinants(request, moments, build, weights, top):
+    b, w, _, fb = request.getfixturevalue(moments)
+    fam = build(top, weights, b, w)
+    for i in range(top + 1):
         h0, h1 = fam.h0[i], fam.h1[i]
         d0, d1 = hankel_det(fb, 0, i), hankel_det(fb, 1, i)
         assert agree(h0, d0), (i, first_difference(h0, d0))

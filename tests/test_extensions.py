@@ -66,22 +66,31 @@ def test_entries_below_index_one_are_zero(ternary, binary, tricolor):
             assert at(i).is_zero(), i
 
 
-def test_ternary_tail_equations(ternary):
-    zb, zw = R2.gens()
-    p, q = ternary.tail_black, ternary.tail_white
-    assert p == 1 + zw * q * q * p
-    assert q == 1 + zb * p * p * q
+@pytest.mark.parametrize(
+    "family, rule",
+    [
+        ("ternary", lambda p, q, zb, zw: (1 + zw * q * q * p, 1 + zb * p * p * q)),
+        ("binary", lambda r, s, yb, yw: (1 + yb * s * s, 1 + yw * r * r)),
+    ],
+    ids=["ternary", "binary"],
+)
+def test_tail_equations(request, family, rule):
+    ladder = request.getfixturevalue(family)
+    black, white = rule(ladder.tail_black, ladder.tail_white, *R2.gens())
+    assert ladder.tail_black == black
+    assert ladder.tail_white == white
 
 
-def test_ternary_closed_matches_perturbative(ternary):
-    closed = ternary_closed_ladder(ternary, 6)
-    for i in range(1, 7):
-        assert agree(closed.black_weight(i), ternary.black_weight(i)), (
-            i,
-            first_difference(closed.black_weight(i), ternary.black_weight(i)),
-        )
-        assert agree(closed.white_weight(i), ternary.white_weight(i)), i
-    assert all(agree(f, g) for f, g in ladder_pairs(ternary_closed_ladder(ternary, 6), ternary, 6))
+@pytest.mark.parametrize(
+    "family, closed",
+    [("ternary", ternary_closed_ladder), ("binary", binary_closed_ladder)],
+    ids=["ternary", "binary"],
+)
+def test_closed_matches_perturbative(request, family, closed):
+    ladder = request.getfixturevalue(family)
+    # entries 1..6, black then white at each index
+    for k, (got, want) in enumerate(ladder_pairs(closed(ladder, 6), ladder, 6)):
+        assert agree(got, want), (1 + k // 2, k % 2, first_difference(got, want))
 
 
 def test_ternary_uncolored_collapse(ternary):
@@ -95,24 +104,6 @@ def test_binary_seed_values(binary):
     assert binary.black_weight(0).is_zero()
     assert binary.black_weight(1) == one(2, 8)  # R_1 = 1 exactly
     assert binary.white_weight(1) == one(2, 8)
-
-
-def test_binary_tail_equations(binary):
-    yb, yw = R2.gens()
-    r, s = binary.tail_black, binary.tail_white
-    assert r == 1 + yb * s * s
-    assert s == 1 + yw * r * r
-
-
-def test_binary_closed_matches_perturbative(binary):
-    closed = binary_closed_ladder(binary, 6)
-    for i in range(1, 7):
-        assert agree(closed.black_weight(i), binary.black_weight(i)), (
-            i,
-            first_difference(closed.black_weight(i), binary.black_weight(i)),
-        )
-        assert agree(closed.white_weight(i), binary.white_weight(i)), i
-    assert all(agree(f, g) for f, g in ladder_pairs(binary_closed_ladder(binary, 6), binary, 6))
 
 
 def test_binary_closed_unit_seed(binary):

@@ -24,7 +24,7 @@ only.  The face weights of ``REFUSED_WEIGHTS``, which the CLI refuses, run
 through ``twopoint``, ``hankel`` and ``ladder --route determinant`` at
 orders 1 and 4.  Commands that exit 2 (a route a family lacks, refused
 face weights) are compared by their exit code and messages like any other.  The grid
-has 3004 command lines.  Uses the standard library only.
+has 3040 command lines.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from itertools import product
 # (0,0,0,0,1) reaches p = 4; (1/3,1/7,2) weighs every strip length
 WEIGHTS = ("1/5,1", "0,1/3,2", "0,0,0,1", "1/2", "0,0,0,0,1", "1/3,1/7,2")
 # g_1 = 1 diverges; a zero last weight would misstate the top degree p;
-# a blank entry is a typo, not a zero
-REFUSED_WEIGHTS = ("1,1", "1,0", "0,0", "0,,1", "0,1,")
+# a blank entry is a typo, not a zero; 10^5000 has more than 4300 digits
+REFUSED_WEIGHTS = ("1,1", "1,0", "0,0", "0,,1", "0,1,", "1e5000,1")
 MAP_FAMILIES = [["--family", "quad"], ["--family", "hex"]] + [
     ["--family", "general", f"--g={g}"] for g in WEIGHTS
 ]
