@@ -14,6 +14,10 @@ degrees that can still reach the determinant, by the entry valuations.
 F_n has valuation n, so the Hankel determinant of index i has valuation
 at least i(i+1): past the order it is zero and costs no product, and
 below it the minors are cut short, the result exact through the order.
+The determinant route (``determinant_ladder``) states before it walks
+which entries the order leaves empty: it walks F_0..F_min(i_max, m), m the
+last moment that a determinant within reach reads, and gives every later
+entry the no-content marker of ``cf_extract`` without computing it.
 
 Only the black moments are walked.  The face weights do not depend on
 color, so exchanging the two colors together with their vertex weights
@@ -33,6 +37,7 @@ own, keep checking the symmetry.
 from __future__ import annotations
 
 from itertools import permutations
+from math import isqrt
 from typing import NamedTuple
 
 from .paths import WeightLadder, color_swap, z_plus_profile
@@ -228,8 +233,36 @@ def moment_ladder(moments: list[MSeries]) -> WeightLadder:
 
 
 def determinant_ladder(g: FaceWeights, ring: SeriesRing, i_max: int) -> WeightLadder:
-    """``moment_ladder`` of the moments F_0..F_{i_max} on the tails of ``tail_solve``."""
-    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring)))
+    """Entries 1..i_max of the determinant route: ``moment_ladder`` of the
+    moments F_0..F_n, n = min(i_max, m), on the tails of ``tail_solve``,
+    with ``cf_extract``'s no-content marker (the zero series with reliable
+    0) at entries n+1..i_max and in both tails.
+
+    m is the last moment that a determinant within reach reads.  Every
+    slice entry has valuation exactly 1 (leading term t/(1 - g_1)), so
+    h0[i] has valuation i(i+1) and h1[i] valuation (i+1)^2, and the
+    determinant that ends on F_k, h0[k/2] or h1[(k-1)/2], has valuation
+    floor((k+1)^2/4).  So m = max(2 i0, 2 i1 + 1) for the largest i0 with
+    i0(i0+1) <= order and the largest i1 with (i1+1)^2 <= order: the
+    largest k with (k+1)^2 <= 4 order + 3, and m >= 1 at order >= 1.
+
+    The walk of all of F_0..F_{i_max} gives the same ladder.  Entries 1..n
+    read the same determinants.  Let R <= order - 1 be the moments'
+    reliable bound (``alpha_coeffs`` divides by the root weight; the
+    argument holds for R = order too).  The first entry past n divides
+    a zero determinant by nonzero ones, and ``exact_div`` loses their
+    valuations: B_2i = (0 / h0[i-1]) / r1[i-1] is reliable through at most
+    R + 1 - i(i+1) <= 0 and W_2i+1 = (0 / h1[i-1]) / r0[i] through at most
+    R + 1 - (i+1)^2 <= 0, so it is the marker.  Every later entry divides
+    by a zero series, which ``cf_extract`` answers with the marker, and
+    the tails, the last entry, are the marker whenever i_max > n.
+    """
+    reach = isqrt(4 * ring.order + 3) - 1
+    ladder = moment_ladder(f_sequence(min(i_max, reach), g, *tail_solve(g, ring)))
+    if i_max <= reach:
+        return ladder
+    pad = (ring.zero().with_reliable(0),) * (i_max - reach)
+    return WeightLadder(ladder.black + pad, ladder.white + pad, pad[0], pad[0])
 
 
 def cf_expand(ladder: WeightLadder, n_max: int) -> list[MSeries]:

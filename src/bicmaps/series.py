@@ -355,16 +355,24 @@ class MSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int, order: int, reliable: int, top) -> "MSeries":
+        """p/q times the terms of total degree at most ``order``, p != 0.
+        ``top`` is self's top degree or None; the result records it when
+        it is within ``order``."""
+        kept = self._through(order)
+        nums = kept if p == 1 else {e: n * p for e, n in kept.items()}
+        if top is not None and top > order:
+            top = None
+        return MSeries._make(self.num_vars, order, nums, self.den * q, reliable, top)
+
     def __mul__(self, other):
         if not isinstance(other, MSeries):
             if not is_rational(other):
                 return NotImplemented
             if not other:
                 return MSeries._wrap(self.num_vars, self.order, {}, 1, self.reliable)
-            p = other.numerator
-            nums = self.nums if p == 1 else {e: n * p for e, n in self.nums.items()}
-            return MSeries._make(
-                self.num_vars, self.order, nums, self.den * other.denominator, self.reliable
+            return self._scaled(
+                other.numerator, other.denominator, self.order, self.reliable, self._top
             )
         self._check_compatible(other)
         order = min(self.order, other.order)
@@ -372,6 +380,13 @@ class MSeries:
         a, b = self.nums, other.nums
         if not a or not b:
             return MSeries._wrap(self.num_vars, order, {}, 1, reliable)
+        # a constant operand only scales the other one, cut to the order; the
+        # product's top degree is the other one's, as in the convolution below
+        origin = _zero_expo(self.num_vars)
+        if len(b) == 1 and origin in b:
+            return self._scaled(b[origin], other.den, order, reliable, self._top_degree())
+        if len(a) == 1 and origin in a:
+            return other._scaled(a[origin], self.den, order, reliable, other._top_degree())
         # No product term lies above the operands' top degrees added up.  When
         # that sum is within the order it is the product's top degree: the
         # top homogeneous parts multiply to a nonzero part over the rationals.

@@ -7,6 +7,7 @@ import hashlib
 from hypothesis import strategies as st
 
 from bicmaps import paths
+from bicmaps.hankel import moment_ladder
 from bicmaps.paths import weigh_tally, word_tally, z_plus
 from bicmaps.rational import Rat, rat
 from bicmaps.series import (
@@ -20,7 +21,7 @@ from bicmaps.series import (
     variable,
     zero,
 )
-from bicmaps.slices import FaceWeights
+from bicmaps.slices import FaceWeights, f_sequence, tail_solve
 
 DRAWN_WEIGHTS = (rat(0), rat(1), rat(2), rat(-1, 2), rat(1, 3), rat(-2), rat(3, 4))
 
@@ -144,6 +145,12 @@ def zhd_closed_value(links, c, x, *, black_start=True):
     i = (links - 1) // 2
     ratio = (c + x) / (1 + c * x)
     return (1 + c * x) * pref ** (i + 1) * (1 - ratio * x ** (2 * i + 3)) / (1 - x * x)
+
+
+def determinant_ladder_full_walk(g, ring, i_max):
+    """Oracle for determinant_ladder: the extraction of all of F_0..F_{i_max},
+    the moments past the reach of the truncation included."""
+    return moment_ladder(f_sequence(i_max, g, *tail_solve(g, ring)))
 
 
 def cf_expand_recurrence(ladder, n_max):

@@ -93,6 +93,22 @@ def test_routes_agree_through_cli(capsys):
             assert a.truncate(bound) == b.truncate(bound), (name, route)
 
 
+def test_determinant_route_writes_entries_past_its_reach(capsys):
+    # at order 3 the last moment a determinant within reach reads is F_2:
+    # every entry past index 2 is the no-content marker, written, not walked
+    code, out = run_cli(
+        capsys,
+        "ladder", "--family", "quad", "--route", "determinant", "--order", "3",
+        "--i-max", "1000",
+    )
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 2000
+    past = [r for r in records if int(r["name"].split("_")[1]) > 2]
+    assert len(past) == 1996
+    assert all(r["reliable"] == 0 and r["terms"] == [] for r in past)
+
+
 def test_determinism_byte_identical(capsys):
     args = ("twopoint", "--family", "hex", "--order", "6", "--seed", "11")
     _, first = run_cli(capsys, *args)

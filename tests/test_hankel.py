@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bicmaps.hankel as hankel_module
 from bicmaps.dimers import _column, lgv
 from bicmaps.hankel import (
     cf_expand,
@@ -34,7 +35,13 @@ from bicmaps.series import (
 from bicmaps.slices import FaceWeights, alpha_brackets, f_sequence, ladder_solve, tail_solve
 from bicmaps.suites import SuiteRun, suite_hankel
 
-from helpers import DRAWN_WEIGHTS, assert_ladder_stable, cf_expand_recurrence, drawn_face_weights
+from helpers import (
+    DRAWN_WEIGHTS,
+    assert_ladder_stable,
+    cf_expand_recurrence,
+    determinant_ladder_full_walk,
+    drawn_face_weights,
+)
 
 QUAD = FaceWeights.quadrangulations()
 HEX = FaceWeights.hexangulations()
@@ -447,10 +454,51 @@ def test_white_quantities_are_the_color_swaps_of_the_black_ones(weights):
         assert _fields(white) == _fields(black.swap_vars()), i
 
 
+def _last_moment_in_reach(order: int) -> int:
+    # max(2 i0, 2 i1 + 1) for the largest i0 with i0(i0+1) <= order and the
+    # largest i1 with (i1+1)^2 <= order: the last moment that h0[i0] and
+    # h1[i1], the last determinants within reach, read
+    i0 = max(i for i in range(order + 1) if i * (i + 1) <= order)
+    i1 = max(i for i in range(order + 1) if (i + 1) ** 2 <= order)
+    return max(2 * i0, 2 * i1 + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn_face_weights(), st.integers(1, 12), st.integers(1, 14))
+def test_determinant_ladder_equals_the_full_walk(g, order, i_max):
+    # the moments past the reach of the truncation add nothing: every entry
+    # and both tails equal the extraction of all of F_0..F_{i_max}
+    ring = SeriesRing(2, order)
+    got = determinant_ladder(g, ring, i_max)
+    want = determinant_ladder_full_walk(g, ring, i_max)
+    assert _ladder_fields(got) == _ladder_fields(want), (g.g, order, i_max)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_determinant_ladder_walks_the_moments_in_reach(monkeypatch, order):
+    # F_0..F_min(i_max, m) and no further, m the last moment in reach
+    walked = []
+    real = hankel_module.f_sequence
+    monkeypatch.setattr(
+        hankel_module, "f_sequence", lambda n_max, *rest: walked.append(n_max) or real(n_max, *rest)
+    )
+    m = _last_moment_in_reach(order)
+    g = FAMILIES["g1=1/5"]
+    for i_max in (1, m, m + 1, 2 * m + 3):
+        walked.clear()
+        ladder = determinant_ladder(g, SeriesRing(2, order), i_max)
+        assert walked == [min(i_max, m)], (order, i_max)
+        assert ladder.height == i_max
+        if i_max > m:
+            past = ladder.black[m:] + ladder.white[m:] + (ladder.tail_black, ladder.tail_white)
+            assert {(e.is_zero(), e.order, e.reliable) for e in past} == {(True, order, 0)}
+
+
 def test_determinant_ladder_product_count(series_products):
-    # the determinant route on one color of moments, determinants and ratios
+    # the determinant route on one color of moments, determinants and
+    # ratios: at order 10 it walks F_0..F_5, the last moment in reach
     determinant_ladder(FaceWeights((rat(1, 5), rat(1))), SeriesRing(2, 10), 10)
-    assert series_products[0] <= 123
+    assert series_products[0] <= 73
 
 
 def test_suite_hankel_product_count(series_products):

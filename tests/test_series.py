@@ -576,6 +576,29 @@ def test_product_layout_is_sized_by_the_operands_top_degrees(monkeypatch, num_va
     assert_models(prod, model_product(dict(poly.coeffs), dict(shift.coeffs), 40), 40, 40)
 
 
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_constant_operand_product_is_the_convolution(num_vars, data):
+    # a one-term series at the origin, of any order and reliable bound, only
+    # scales the other operand: on either side the product is the
+    # convolution, cut to the lower order, with the lower reliable bound,
+    # and records its top degree when that is within the order
+    f, a = data.draw(modelled_series(num_vars))
+    c = data.draw(rationals.filter(bool))
+    order = data.draw(st.integers(0, 6))
+    origin = (0,) * num_vars
+    const = MSeries(num_vars, order, {origin: c}, data.draw(st.integers(0, order)))
+    low, reliable = min(f.order, order), min(f.reliable, const.reliable)
+    want = model_product(a, {origin: Fraction(c)}, low)
+    top = max(map(sum, a), default=None)
+    for prod in (f * const, const * f):
+        assert_models(prod, want, low, reliable)
+        assert recorded_top_holds(prod)
+        if top is not None and top <= low:
+            assert prod._top == top
+
+
 # -- metamorphic: raising the order never changes a reliable coefficient --------
 
 units = st.builds(Fraction, st.integers(1, 6), st.sampled_from([1, 2, 3, 5, 7]))
